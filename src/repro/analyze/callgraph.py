@@ -596,26 +596,15 @@ def graph_for(project: Project) -> CallGraph:
 
 def pool_entry_points(project: Project, graph: CallGraph) -> dict[str, tuple]:
     """Worker entry points: every callable handed to a traceable
-    ``ProcessPoolExecutor``'s ``submit``/``map`` (the set POOL001 polices),
-    resolved to function qualnames.  Returns ``{qualname: (module, line)}``
-    for the first submission site of each."""
-    from repro.analyze.rules.pools import _pool_names
+    ``ProcessPoolExecutor``'s ``submit``/``map`` or to the shared
+    ``fan_out`` helper (the sites POOL001 polices), resolved to function
+    qualnames.  Returns ``{qualname: (module, line)}`` for the first
+    submission site of each."""
+    from repro.analyze.rules.pools import submission_sites
 
     entries: dict[str, tuple] = {}
     for module in project.modules:
-        pools = _pool_names(module)
-        if not pools:
-            continue
-        for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("submit", "map")
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in pools
-                and node.args
-            ):
-                continue
+        for node, _ in submission_sites(module):
             for qual in graph.resolve_callable(module, node.args[0]):
                 if qual in graph.functions:
                     entries.setdefault(qual, (module, node.lineno))

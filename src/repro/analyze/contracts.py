@@ -57,6 +57,14 @@ ORCHESTRATION_LAYERS = frozenset({"harness", "dse", "scaleout", "bench"})
 #: KEY003 holds backends to exactly this list.
 CACHE_KEY_EXEMPT_FIELDS: frozenset[str] = frozenset()
 
+#: The shared process-pool fan-out helper(s), by qualified name.
+#: ``fan_out(f, ...)`` ships ``f`` to pool workers exactly like
+#: ``pool.submit(f, ...)``: POOL001 polices its first argument and the
+#: call graph takes it as a worker entry point.  (The helper's own
+#: ``pool.submit(fn, ...)`` ships a parameter the graph cannot resolve, so
+#: without this list the CONC rules would lose every worker.)
+FAN_OUT_HELPERS: frozenset[str] = frozenset({"repro.api.pool.fan_out"})
+
 
 @dataclass(frozen=True)
 class CheckConfig:

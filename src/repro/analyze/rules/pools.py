@@ -9,8 +9,10 @@ the parallel path, usually in CI.
 
 * ``POOL001`` — the callable handed to ``<pool>.submit(...)`` /
   ``<pool>.map(...)`` (where the receiver is traceably a
-  ``ProcessPoolExecutor``) must be a module-level function: no lambdas,
-  no functions defined inside another function, no ``self.method``.
+  ``ProcessPoolExecutor``) or to the shared ``fan_out(...)`` helper
+  (:data:`~repro.analyze.contracts.FAN_OUT_HELPERS`) must be a
+  module-level function: no lambdas, no functions defined inside another
+  function, no ``self.method``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analyze.contracts import CheckConfig
+from repro.analyze.contracts import FAN_OUT_HELPERS, CheckConfig
 from repro.analyze.findings import Finding
 from repro.analyze.project import ModuleInfo, Project
 from repro.analyze.rules.base import Rule, register
@@ -96,6 +98,27 @@ def _nested_function_names(module: ModuleInfo) -> set[str]:
     return nested
 
 
+def submission_sites(module: ModuleInfo) -> Iterator[tuple[ast.Call, str]]:
+    """Every call in ``module`` that ships ``call.args[0]`` to pool workers,
+    with how it ships it: ``pool.submit``/``pool.map`` on a traceable
+    ``ProcessPoolExecutor``, or ``fan_out`` for the shared helper."""
+    pools = _pool_names(module)
+    aliases = build_alias_map(module)
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in ("submit", "map")
+            and isinstance(func.value, ast.Name)
+            and func.value.id in pools
+        ):
+            yield node, f"pool.{func.attr}"
+        elif canonical_call_name(func, aliases) in FAN_OUT_HELPERS:
+            yield node, "fan_out"
+
+
 @register
 class PoolWorkersAreModuleLevel(Rule):
     rule_id = "POOL001"
@@ -105,26 +128,14 @@ class PoolWorkersAreModuleLevel(Rule):
 
     def check(self, project: Project, config: CheckConfig) -> Iterator[Finding]:
         for module in project.modules:
-            pools = _pool_names(module)
-            if not pools:
+            sites = list(submission_sites(module))
+            if not sites:
                 continue
             nested = _nested_function_names(module)
             aliases = build_alias_map(module)
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if not (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in ("submit", "map")
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in pools
-                ):
-                    continue
-                if not node.args:
-                    continue
+            for node, verb in sites:
                 yield from self._check_callable(
-                    module, node.args[0], nested, aliases, func.attr
+                    module, node.args[0], nested, aliases, verb
                 )
 
     def _check_callable(
@@ -141,7 +152,7 @@ class PoolWorkersAreModuleLevel(Rule):
             yield self.finding(
                 module,
                 expr.lineno,
-                f"pool.{verb}() receives the *result* of a call (or an "
+                f"{verb}() receives the *result* of a call (or an "
                 f"unrecognised callable factory); submit a module-level "
                 f"function instead",
             )
@@ -150,14 +161,14 @@ class PoolWorkersAreModuleLevel(Rule):
             yield self.finding(
                 module,
                 expr.lineno,
-                f"lambda passed to pool.{verb}(); spawn-start workers pickle "
+                f"lambda passed to {verb}(); spawn-start workers pickle "
                 f"callables by qualified name — use a module-level function",
             )
         elif isinstance(expr, ast.Name) and expr.id in nested:
             yield self.finding(
                 module,
                 expr.lineno,
-                f"nested function '{expr.id}' passed to pool.{verb}(); it is "
+                f"nested function '{expr.id}' passed to {verb}(); it is "
                 f"not picklable under spawn — hoist it to module level",
             )
         elif isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
@@ -165,7 +176,7 @@ class PoolWorkersAreModuleLevel(Rule):
                 yield self.finding(
                     module,
                     expr.lineno,
-                    f"bound method self.{expr.attr} passed to pool.{verb}(); "
+                    f"bound method self.{expr.attr} passed to {verb}(); "
                     f"spawn-start pickling would ship the whole instance — "
                     f"use a module-level function taking plain data",
                 )

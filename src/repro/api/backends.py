@@ -353,7 +353,6 @@ class ScaleOutBackend:
             grow_overrides=request.override_dict(),
             jobs=session.jobs if session is not None else 1,
             cache=session.cache if session is not None else None,
-            use_cache=session.use_cache if session is not None else False,
             memoize=session.memoize if session is not None else True,
             force=session.force if session is not None else False,
             results_dir=None,

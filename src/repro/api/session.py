@@ -12,11 +12,11 @@ It layers three levels of reuse under a single dispatch path:
    (when the session is given one, or a ``results_dir`` to build one in),
    keyed by the same canonical request plus the source-tree version, so
    re-runs across processes are incremental exactly like suite re-runs;
-3. a **process-pool fan-out** in :meth:`Session.run_batch`, mirroring the
-   suite/DSE/scale-out executors: workers rebuild the per-process dataset
-   and preprocessing-plan memos deterministically, results travel as
-   JSON-normalised payloads, and serial, parallel and cached batches are
-   therefore identical.
+3. a **process-pool fan-out** in :meth:`Session.run_batch`, through the
+   same :func:`~repro.api.pool.fan_out` the suite and DSE engines use:
+   workers rebuild the per-process dataset and preprocessing-plan memos
+   deterministically, results travel as JSON-normalised payloads, and
+   serial, parallel and cached batches are therefore identical.
 
 Because every result is normalised through its JSON form before it is
 memoised, stored or returned, a fresh run, a memo hit, a disk hit and a
@@ -30,11 +30,12 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import closing
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.api.backends import get_backend
+from repro.api.pool import WorkerDied, fan_out, runs_inline
 from repro.api.request import SimRequest
 from repro.api.result import RunResult
 from repro.obs import TELEMETRY_KEY, aggregate_phases, metrics, trace
@@ -123,7 +124,7 @@ class Session:
         cache: explicit on-disk result cache to read/write.
         results_dir: build a :class:`ResultCache` under
             ``results_dir / "cache"`` (shared with the suite) when no
-            explicit ``cache`` is given and ``use_cache`` is True.
+            explicit ``cache`` is given (see :meth:`ResultCache.resolve`).
         use_cache: disable to never read or write on-disk entries.
         force: recompute even on memo/cache hits (fresh results re-stored).
         jobs: worker processes for :meth:`run_batch`; ``1`` runs serially
@@ -140,18 +141,12 @@ class Session:
         jobs: int = 1,
         memoize: bool = True,
     ):
-        self.use_cache = use_cache
+        from repro.harness.cache import ResultCache
+
         self.force = force
         self.jobs = jobs if jobs > 0 else (os.cpu_count() or 1)
         self.memoize = memoize
-        if cache is not None:
-            self.cache = cache
-        elif use_cache and results_dir is not None:
-            from repro.harness.cache import ResultCache
-
-            self.cache = ResultCache(Path(results_dir) / "cache")
-        else:
-            self.cache = None
+        self.cache = ResultCache.resolve(cache, use_cache, results_dir)
 
     # -- cache plumbing ----------------------------------------------------
 
@@ -171,7 +166,7 @@ class Session:
             # pressure (the memo is LRU, not FIFO).
             _RUN_MEMO[key] = _RUN_MEMO.pop(key)  # repro: allow(CONC001) per-process LRU recency refresh; a worker's reorder affects only its own memo
             metrics.inc("session.memo_hits")
-        if payload is None and self.cache is not None and self.use_cache:
+        if payload is None and self.cache is not None:
             entry = self.cache.get(self._entry_name(request), request.experiment_config())
             if entry is not None:
                 payload = entry.metadata.get("run_result") or None
@@ -194,7 +189,7 @@ class Session:
         """Memoise and persist a freshly produced (normalised) payload."""
         if self.memoize:
             _memoise(request.cache_key(), copy.deepcopy(payload))
-        if self.cache is not None and self.use_cache:
+        if self.cache is not None:
             self._store(request, payload)
         return RunResult.from_dict(payload)
 
@@ -293,11 +288,14 @@ class Session:
 
         Results come back in request order.  Requests whose canonical key
         repeats within the batch are simulated once (later copies report
-        ``cached``).  With ``jobs > 1`` the misses run in a
-        ``ProcessPoolExecutor``; serial and parallel batches produce
-        identical results (workers run detached — composite backends
-        execute serially inside them, and only the parent writes the disk
-        cache).  ``progress`` (when given) is called once per request as its
+        ``cached``).  With ``jobs > 1`` the misses fan out across worker
+        processes (:func:`~repro.api.pool.fan_out`); serial and parallel
+        batches produce identical results (workers run detached — composite
+        backends execute serially inside them, and only the parent writes
+        the disk cache).  The first failure is raised after its ledger
+        ``failed`` line; a worker that died raises
+        :class:`~repro.api.pool.WorkerDied` naming the request.
+        ``progress`` (when given) is called once per request as its
         result is finalised: cache hits fire during the initial sweep,
         fresh runs as they complete (completion order under ``jobs > 1``),
         duplicates right after their source.
@@ -341,40 +339,33 @@ class Session:
         with trace.span(
             "session.run_batch", requests=len(requests), fresh=len(to_run)
         ):
-            if self.jobs > 1 and len(to_run) > 1:
+            if not runs_inline(to_run, self.jobs):
                 # Ship worker telemetry home only while someone consumes
                 # it — the user's trace, or the run ledger (which needs
                 # the per-phase breakdown); the side-channel is not free.
                 telemetry = trace.enabled or run_ledger.ledger_enabled()
-                with ProcessPoolExecutor(
-                    max_workers=min(self.jobs, len(to_run))
-                ) as pool:
-                    pending = {
-                        pool.submit(
-                            _execute_request, requests[index].to_dict(), telemetry
-                        ): index
-                        for index in to_run
-                    }
-                    while pending:
-                        done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                        for future in done:
-                            index = pending.pop(future)
-                            try:
-                                payload = future.result()
-                            except Exception:
-                                self._record_ledger(requests[index], "failed")
-                                raise
-                            shipped = payload.pop(TELEMETRY_KEY, None)
-                            phases = None
-                            if shipped is not None:
-                                if trace.enabled:
-                                    trace.ingest(shipped.get("spans", ()))  # repro: allow(CONC002) parent-only branch: detached workers run jobs=1 sessions, so the pool/ingest path never executes inside a worker
-                                    metrics.merge(shipped.get("metrics"))  # repro: allow(CONC002) parent-only branch; see above
-                                if run_ledger.ledger_enabled():
-                                    phases = aggregate_phases(
-                                        shipped.get("spans", ())
-                                    )
-                            finalise(index, payload, phases)
+                tasks = [(requests[index].to_dict(), telemetry) for index in to_run]
+                with closing(fan_out(_execute_request, tasks, self.jobs)) as outcomes:
+                    for position, payload, error in outcomes:
+                        index = to_run[position]
+                        if error is not None:
+                            request = requests[index]
+                            self._record_ledger(request, "failed")
+                            if isinstance(error, WorkerDied):
+                                raise WorkerDied(
+                                    f"a pool worker process died running "
+                                    f"{request.backend}:{request.dataset}"
+                                ) from error
+                            raise error
+                        shipped = payload.pop(TELEMETRY_KEY, None)
+                        phases = None
+                        if shipped is not None:
+                            if trace.enabled:
+                                trace.ingest(shipped.get("spans", ()))  # repro: allow(CONC002) parent-only branch: detached workers run jobs=1 sessions, so the pool/ingest path never executes inside a worker
+                                metrics.merge(shipped.get("metrics"))  # repro: allow(CONC002) parent-only branch; see above
+                            if run_ledger.ledger_enabled():
+                                phases = aggregate_phases(shipped.get("spans", ()))
+                        finalise(index, payload, phases)
             else:
                 for index in to_run:
                     try:

@@ -17,7 +17,8 @@ Module map:
 * :mod:`repro.bench.worker` — ``python -m repro.bench.worker <rung>``,
   the per-rung subprocess entry used for isolated measurements;
 * :mod:`repro.bench.emit` — the ``BENCH_<n>.json`` schema, monotonic
-  numbering, validation and regression comparison;
+  numbering and validation (regressions are classified by
+  :mod:`repro.obs.trend`);
 * :mod:`repro.bench.runner` — the CLI driver shared by the ``repro
   bench`` verb and ``benchmarks/perf.py``.
 """
@@ -26,7 +27,6 @@ from repro.bench.emit import (
     SCHEMA_VERSION,
     BenchSchemaError,
     build_document,
-    compare_documents,
     latest_bench_path,
     load_bench,
     next_bench_number,
@@ -51,7 +51,6 @@ __all__ = [
     "FULL_LADDER",
     "RUNGS",
     "build_document",
-    "compare_documents",
     "latest_bench_path",
     "load_bench",
     "next_bench_number",

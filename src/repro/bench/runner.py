@@ -2,13 +2,10 @@
 
 Runs the requested rungs (each in its own worker process by default),
 emits the next ``BENCH_<n>.json``, and checks the result for regressions
-— exiting non-zero on one, so CI can gate on it.  Two gates exist:
-
-* the legacy pairwise check (``--max-regression``) against only the
-  previous document, and
-* the trajectory gate (``--gate``), which classifies every rung against
-  a min-over-window baseline with a tolerance band via
-  :mod:`repro.obs.trend` — robust to single-document noise.
+— exiting non-zero on one, so CI can gate on it.  The gate is the
+trajectory gate of :mod:`repro.obs.trend`: every rung is classified
+against a min-over-window baseline of the committed documents with a
+tolerance band, which is robust to single-document noise.
 
 Each measured rung also appends one ``bench`` record to the run ledger
 (:mod:`repro.obs.ledger`) unless it is disabled.
@@ -107,22 +104,18 @@ def run_bench(
     repeats: int = 1,
     bench_dir: Path | str = emit.DEFAULT_BENCH_DIR,
     isolated: bool = True,
-    max_ratio: float = 2.0,
     notes: str = "",
     emit_json: bool = True,
-    gate: bool = False,
     gate_tolerance: float | None = None,
     gate_window: int | None = None,
     out=sys.stdout,
 ) -> int:
     """Run the ladder, emit the next document, report regressions.
 
-    Returns the process exit code: 0 on success, 1 on a regression.
-    With ``gate=False`` (legacy) a rung regresses when its wall-clock
-    exceeds ``max_ratio`` times the previous document's; with
-    ``gate=True`` the trend engine classifies each rung against the whole
-    committed trajectory (min-over-window baseline, ``gate_tolerance``
-    band) and any ``regressed`` verdict fails.
+    Returns the process exit code: 0 on success, 1 on a regression.  The
+    trend engine classifies each rung against the whole committed
+    trajectory (min-over-window baseline, ``gate_tolerance`` band) and
+    any ``regressed`` verdict fails.
     """
     from repro.obs import trend
 
@@ -132,13 +125,9 @@ def run_bench(
         raise ValueError(f"unknown bench rung(s) {unknown}; choose from {sorted(RUNGS)}")
 
     bench_dir = Path(bench_dir)
-    previous = None
-    previous_path = emit.latest_bench_path(bench_dir)
-    if previous_path is not None:
-        previous = emit.load_bench(previous_path)
     # Gate history must be captured before the new document is written,
     # so the candidate never competes against itself.
-    history = trend.load_trajectory(bench_dir) if gate else []
+    history = trend.load_trajectory(bench_dir)
 
     samples = []
     for name in names:
@@ -156,57 +145,32 @@ def run_bench(
         _record_bench_ledger(sample)
 
     document = emit.build_document(samples, notes=notes)
-    exit_code = 0
     if emit_json:
         path = emit.write_bench(document, bench_dir)
         print(f"wrote {path}", file=out)
 
-    if gate:
-        report = trend.evaluate_gate(
-            document,
-            history,
-            tolerance=gate_tolerance if gate_tolerance is not None else trend.DEFAULT_TOLERANCE,
-            window=gate_window if gate_window is not None else trend.DEFAULT_WINDOW,
+    report = trend.evaluate_gate(
+        document,
+        history,
+        tolerance=gate_tolerance if gate_tolerance is not None else trend.DEFAULT_TOLERANCE,
+        window=gate_window if gate_window is not None else trend.DEFAULT_WINDOW,
+    )
+    for rung_trend in report.rungs:
+        print(f"  {rung_trend.describe()}", file=out)
+    if not report.ok:
+        names_failed = ", ".join(t.rung for t in report.regressions)
+        print(
+            f"trend gate FAILED (tolerance ±{report.tolerance * 100:.0f}%, "
+            f"window {report.window}): {names_failed}",
+            file=out,
         )
-        for rung_trend in report.rungs:
-            print(f"  {rung_trend.describe()}", file=out)
-        if not report.ok:
-            names_failed = ", ".join(t.rung for t in report.regressions)
-            print(
-                f"trend gate FAILED (tolerance ±{report.tolerance * 100:.0f}%, "
-                f"window {report.window}): {names_failed}",
-                file=out,
-            )
-            exit_code = 1
-        else:
-            print(
-                f"trend gate passed (tolerance ±{report.tolerance * 100:.0f}%, "
-                f"window {report.window}, {report.documents} document(s) of history)",
-                file=out,
-            )
-    elif previous is not None:
-        comparisons = emit.compare_documents(previous, document, max_ratio=max_ratio)
-        for row in comparisons:
-            if not row["comparable"]:
-                print(
-                    f"  {row['rung']}: scenario changed, not comparable", file=out
-                )
-                continue
-            verdict = "REGRESSED" if row["regressed"] else "ok"
-            print(
-                f"  {row['rung']}: {row['previous_wall_seconds']:.3f}s -> "
-                f"{row['wall_seconds']:.3f}s  (x{row['ratio']:.2f}, {verdict})",
-                file=out,
-            )
-            if row["regressed"]:
-                exit_code = 1
-        if exit_code:
-            print(
-                f"wall-clock regression beyond x{max_ratio:g} vs "
-                f"{previous_path.name}",
-                file=out,
-            )
-    return exit_code
+        return 1
+    print(
+        f"trend gate passed (tolerance ±{report.tolerance * 100:.0f}%, "
+        f"window {report.window}, {report.documents} document(s) of history)",
+        file=out,
+    )
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,14 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(faster, but RSS figures become cumulative)",
     )
     parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        metavar="RATIO",
-        help="fail when a rung's wall-clock exceeds RATIO times the previous "
-        "document's (default 2.0)",
-    )
-    parser.add_argument(
         "--notes", default="", help="free-form note stored in the document"
     )
     parser.add_argument(
@@ -260,18 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure and compare without writing a new BENCH_<n>.json",
     )
     parser.add_argument(
-        "--gate",
-        action="store_true",
-        help="gate with the trend engine (min-over-window baseline + "
-        "tolerance band) against the whole trajectory instead of the "
-        "pairwise --max-regression check",
-    )
-    parser.add_argument(
         "--gate-tolerance",
         type=float,
         default=None,
         metavar="FRACTION",
-        help="symmetric tolerance band for --gate, e.g. 0.25 = ±25%% "
+        help="symmetric tolerance band of the trend gate, e.g. 0.25 = ±25%% "
         "(default from repro.obs.trend)",
     )
     parser.add_argument(
@@ -279,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="how many recent comparable documents the --gate baseline "
-        "spans (default from repro.obs.trend)",
+        help="how many recent comparable documents the trend gate's "
+        "baseline spans (default from repro.obs.trend)",
     )
     parser.add_argument(
         "--no-ledger",
@@ -318,10 +267,8 @@ def main(argv: list[str] | None = None) -> int:
             repeats=args.repeats,
             bench_dir=args.bench_dir,
             isolated=not args.in_process,
-            max_ratio=args.max_regression,
             notes=args.notes,
             emit_json=not args.no_emit,
-            gate=args.gate,
             gate_tolerance=args.gate_tolerance,
             gate_window=args.gate_window,
         )

@@ -2,10 +2,10 @@
 
 :class:`DSERunner` is the one entry point behind ``python -m repro dse`` and
 the library API.  A search runs in generations: the sampler proposes a batch
-of unseen candidates, the engine evaluates them — across a
-``ProcessPoolExecutor`` when ``jobs > 1`` — and appends the outcomes to the
-history the sampler sees next.  The loop stops when the evaluation budget is
-spent or the sampler is exhausted.
+of unseen candidates, the engine evaluates them — across one search-long
+worker pool via :func:`~repro.api.pool.fan_out` when ``jobs > 1`` — and
+appends the outcomes to the history the sampler sees next.  The loop stops
+when the evaluation budget is spent or the sampler is exhausted.
 
 Candidate evaluations are cached through the same
 :class:`~repro.harness.cache.ResultCache` the experiment suite uses (one
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
+from repro.api.pool import fan_out
 from repro.dse.objectives import (
     METRIC_NAMES,
     Evaluation,
@@ -220,14 +221,8 @@ class DSERunner:
         self.jobs = jobs if jobs > 0 else (os.cpu_count() or 1)
         self.seed = seed
         self.results_dir = Path(results_dir) if results_dir is not None else None
-        self.use_cache = use_cache
         self.force_recompute = force
-        if cache is not None:
-            self.cache = cache
-        elif use_cache and self.results_dir is not None:
-            self.cache = ResultCache(self.results_dir / "cache")
-        else:
-            self.cache = None
+        self.cache = ResultCache.resolve(cache, use_cache, self.results_dir)
 
     # -- caching -----------------------------------------------------------
 
@@ -238,7 +233,7 @@ class DSERunner:
         return f"dse-{self.space.accelerator}-{digest}"
 
     def _cached_metrics(self, candidate: dict) -> dict[str, float] | None:
-        if self.cache is None or not self.use_cache or self.force_recompute:
+        if self.cache is None or self.force_recompute:
             return None
         entry = self.cache.get(self._entry_name(candidate), self.config)
         if entry is None or entry.metadata.get("candidate") != candidate:
@@ -249,7 +244,7 @@ class DSERunner:
     def _store_metrics(
         self, candidate: dict, metrics: dict[str, float], seconds: float
     ) -> None:
-        if self.cache is None or not self.use_cache:
+        if self.cache is None:
             return
         entry_name = self._entry_name(candidate)
         result = ExperimentResult(
@@ -309,33 +304,14 @@ class DSERunner:
             else:
                 to_run.append(index)
 
-        if pool is not None and len(to_run) > 1:
-            futures = [
-                pool.submit(_evaluate_candidate, self.space.accelerator, batch[i], self.config)
-                for i in to_run
-            ]
-            outcomes = []
-            for future in futures:
-                try:
-                    outcomes.append(future.result())
-                except Exception:
-                    outcomes.append(traceback.format_exc())
-        else:
-            outcomes = []
-            for index in to_run:
-                try:
-                    outcomes.append(
-                        _evaluate_candidate(self.space.accelerator, batch[index], self.config)
-                    )
-                except Exception:
-                    outcomes.append(traceback.format_exc())
-
-        for index, outcome in zip(to_run, outcomes):
-            if isinstance(outcome, str):  # formatted traceback
+        tasks = [(self.space.accelerator, batch[i], self.config) for i in to_run]
+        for position, outcome, error in fan_out(_evaluate_candidate, tasks, self.jobs, pool):
+            index = to_run[position]
+            if error is not None:
                 slots[index] = Evaluation(
                     candidate=batch[index],
                     status="failed",
-                    error=outcome,
+                    error="".join(traceback.format_exception(error)),
                     generation=generation,
                 )
             else:

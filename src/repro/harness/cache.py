@@ -13,12 +13,20 @@ fingerprint that produced it.  The fingerprint covers:
 
 This makes suite re-runs incremental: unchanged (config, code) pairs are
 served from disk, everything else is recomputed.
+
+Writes are atomic: an entry is written to a temp file in the same
+directory (named so it never matches ``*.json``) and moved into place with
+``os.replace``, so a killed writer or two racing writers never leave a
+torn entry.  Entry files are named ``{name}-{code_version}-{key}.json``, so
+pruning stale code versions decides from names alone, and a reader counts
+an entry that vanished or does not parse as a miss.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 from dataclasses import asdict
 from pathlib import Path
@@ -84,6 +92,25 @@ class ResultCache:
         self.directory = Path(directory)
         self.code_version = code_version or source_tree_version()
 
+    @classmethod
+    def resolve(
+        cls,
+        cache: "ResultCache | None",
+        use_cache: bool,
+        results_dir: str | Path | None,
+    ) -> "ResultCache | None":
+        """The cache a runner uses, or ``None`` when caching is off.
+
+        Off when ``use_cache`` is False; otherwise the explicit ``cache``,
+        else one under ``results_dir / "cache"``, else off — nothing is
+        written where no directory was agreed on.
+        """
+        if not use_cache:
+            return None
+        if cache is not None:
+            return cache
+        return cls(Path(results_dir) / "cache") if results_dir is not None else None
+
     def key(self, name: str, config: ExperimentConfig) -> str:
         """Hex digest identifying (experiment, config, code version)."""
         payload = json.dumps(
@@ -99,18 +126,21 @@ class ResultCache:
 
     def path_for(self, name: str, config: ExperimentConfig) -> Path:
         """File path of the entry for (experiment, config, code version)."""
-        return self.directory / f"{name}-{self.key(name, config)}.json"
+        return self._path(name, self.key(name, config))
+
+    def _path(self, name: str, key: str) -> Path:
+        return self.directory / f"{name}-{self.code_version}-{key}.json"
 
     def get(self, name: str, config: ExperimentConfig) -> ExperimentResult | None:
-        """The cached result, or ``None`` on a miss or unreadable entry."""
-        path = self.path_for(name, config)
-        if not path.exists():
-            metrics.inc("cache.misses")
-            return None
+        """The cached result, or ``None`` on a miss.
+
+        A missing entry, one removed by a concurrent ``clear()`` or prune
+        while being read, and an unreadable or corrupt one are all misses.
+        """
         try:
-            entry = json.loads(path.read_text())
+            entry = json.loads(self.path_for(name, config).read_text())
             result = ExperimentResult.from_dict(entry["result"])
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError):
             metrics.inc("cache.misses")
             return None
         metrics.inc("cache.hits")
@@ -130,30 +160,43 @@ class ResultCache:
         so keeping them would grow the cache by one full generation per code
         change.  Entries of the current code version are kept — different
         configurations (bandwidth sweeps, dataset subsets) coexist.
+
+        The entry is written to a per-writer temp file and moved into place
+        with ``os.replace``: readers see the previous entry or the new one,
+        never a torn one (power-loss durability is not attempted).
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         self._prune_stale(name)
-        path = self.path_for(name, config)
+        key = self.key(name, config)
+        path = self._path(name, key)
         entry = {
             "experiment": name,
-            "key": self.key(name, config),
+            "key": key,
             "code_version": self.code_version,
             "config": config_fingerprint(config),
             "elapsed_seconds": elapsed_seconds,
             "result": result.to_dict(),
         }
-        path.write_text(json.dumps(entry, indent=2, default=json_default) + "\n")
+        temp = path.with_name(f".{path.stem}.{os.getpid()}-{threading.get_ident()}.tmp")
+        try:
+            temp.write_text(json.dumps(entry, indent=2, default=json_default) + "\n")
+            os.replace(temp, path)
+        finally:
+            temp.unlink(missing_ok=True)  # only still there when the write failed
         metrics.inc("cache.writes")
         return path
 
     def _prune_stale(self, name: str) -> None:
-        """Drop entries of ``name`` written by other code versions (or unreadable)."""
+        """Drop entries of ``name`` written by other code versions.
+
+        Decided from file names alone: the part between ``name-`` and the
+        key is the writer's code version.  Entries of longer names that
+        merely start with ``name-`` carry a hyphen in that part and stay.
+        """
+        prefix = len(name) + 1
         for path in self.directory.glob(f"{name}-*.json"):
-            try:
-                version = json.loads(path.read_text()).get("code_version")
-            except (json.JSONDecodeError, OSError):
-                version = None
-            if version != self.code_version:
+            version = path.stem[prefix:].rpartition("-")[0]
+            if version != self.code_version and "-" not in version:
                 path.unlink(missing_ok=True)
 
     def entries(self) -> Iterator[Path]:
@@ -165,6 +208,6 @@ class ResultCache:
         """Delete every entry; returns how many were removed."""
         removed = 0
         for path in self.entries():
-            path.unlink()
+            path.unlink(missing_ok=True)
             removed += 1
         return removed

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from repro.harness.config import ExperimentConfig
+from repro.harness.experiments.common import simulate
 from repro.harness.registry import register
 from repro.harness.report import ExperimentResult
-from repro.harness.sweep import bandwidth_sweep_cycles, runahead_sweep_cycles
-from repro.harness.workloads import get_bundle
 
 
 @register("fig24_pe_scaling")
@@ -48,8 +47,19 @@ def fig25a_runahead_sweep(config: ExperimentConfig) -> ExperimentResult:
         columns=["dataset"] + [f"way_{d}" for d in degrees],
     )
     for name in config.datasets:
-        bundle = get_bundle(name, config)
-        cycles = runahead_sweep_cycles(config, bundle, degrees)
+        # The LDN table is sized to the degree (entries = max(16, degree)):
+        # it acts through min(degree, entries), so the default would clamp
+        # every degree above 16.
+        cycles = {
+            degree: simulate(
+                config,
+                name,
+                "grow",
+                runahead_degree=degree,
+                ldn_table_entries=max(16, degree),
+            ).total_cycles
+            for degree in degrees
+        }
         base = cycles[1]
         result.add_row(dataset=name, **{f"way_{d}": base / cycles[d] for d in degrees})
     return result
@@ -73,9 +83,13 @@ def fig25b_bandwidth_sweep(config: ExperimentConfig) -> ExperimentResult:
         ],
     )
     for name in config.datasets:
-        bundle = get_bundle(name, config)
         for design in ("gcnax", "grow"):
-            cycles = bandwidth_sweep_cycles(config, bundle, factors, design)
+            cycles = {
+                factor: simulate(
+                    config.with_bandwidth(config.bandwidth_gbps * factor), name, design
+                ).total_cycles
+                for factor in factors
+            }
             base = cycles[1.0]
             result.add_row(
                 dataset=name,

@@ -5,8 +5,9 @@ and the benchmark harness.  For each requested experiment it either
 
 * serves the result from the on-disk :class:`~repro.harness.cache.ResultCache`
   (same config, same code version), or
-* executes the experiment — across a ``ProcessPoolExecutor`` when ``jobs > 1``
-  — and stores the result back into the cache.
+* executes the experiment — across worker processes via
+  :func:`~repro.api.pool.fan_out` when ``jobs > 1`` — and stores the result
+  back into the cache.
 
 Experiments are independent of each other by construction (each one builds
 its workload bundles from the experiment config and a seed), which is what
@@ -22,11 +23,11 @@ import json
 import os
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from repro.api.pool import fan_out, runs_inline
 from repro.harness.cache import ResultCache, config_fingerprint
 from repro.harness.config import ExperimentConfig, default_config
 from repro.harness.registry import get_experiment, list_experiments
@@ -154,11 +155,16 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _execute_experiment(name: str, config: ExperimentConfig) -> tuple[str, dict, float]:
-    """Run one experiment; module-level so it pickles into worker processes."""
-    start = time.perf_counter()  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
-    result = get_experiment(name)(config)
-    return name, result.to_dict(), time.perf_counter() - start  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
+def _execute_experiment(name: str, config: ExperimentConfig) -> tuple[dict, float]:
+    """Run one experiment; module-level so it pickles into worker processes.
+
+    Inline, the ``suite.experiment`` span nests under ``suite.run``; a pool
+    worker's span stays in the worker and the parent rebuilds it.
+    """
+    with trace.span("suite.experiment", experiment=name):
+        start = time.perf_counter()  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
+        result = get_experiment(name)(config)
+        return result.to_dict(), time.perf_counter() - start  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
 
 
 class SuiteRunner:
@@ -172,8 +178,9 @@ class SuiteRunner:
         jobs: worker processes; ``1`` runs serially in-process, ``0`` uses
             one worker per CPU.
         cache: result cache; built under ``results_dir / "cache"`` when
-            omitted and ``use_cache`` is True (caching is disabled when
-            ``results_dir`` is also None, so nothing is written implicitly).
+            omitted (see :meth:`ResultCache.resolve`: caching is disabled
+            when ``results_dir`` is also None, so nothing is written
+            implicitly).
         use_cache: disable to always recompute and never read/write entries.
         force: recompute even on a cache hit (fresh results are re-cached).
         results_dir: where reports are written; ``None`` skips report files.
@@ -197,16 +204,8 @@ class SuiteRunner:
             raise KeyError(f"unknown experiments {unknown}; known: {known}")
         self.jobs = jobs if jobs > 0 else (os.cpu_count() or 1)
         self.results_dir = Path(results_dir) if results_dir is not None else None
-        self.use_cache = use_cache
         self.force_recompute = force
-        if cache is not None:
-            self.cache = cache
-        elif use_cache and self.results_dir is not None:
-            self.cache = ResultCache(self.results_dir / "cache")
-        else:
-            # No explicit cache and nowhere agreed to write one: run uncached
-            # rather than dropping a hidden directory into the CWD.
-            self.cache = None
+        self.cache = ResultCache.resolve(cache, use_cache, self.results_dir)
 
     def run(self, progress: Callable[[SuiteOutcome], None] | None = None) -> SuiteReport:
         """Execute the suite; returns the aggregate report.
@@ -225,7 +224,7 @@ class SuiteRunner:
         ):
             for name in self.experiments:
                 cached = None
-                if self.cache is not None and self.use_cache and not self.force_recompute:
+                if self.cache is not None and not self.force_recompute:
                     cached = self.cache.get(name, self.config)
                 if cached is not None:
                     outcomes[name] = SuiteOutcome(name=name, status="cached", result=cached)
@@ -236,10 +235,7 @@ class SuiteRunner:
                 else:
                     pending.append(name)
 
-            if self.jobs > 1 and len(pending) > 1:
-                self._run_parallel(pending, outcomes, progress)
-            else:
-                self._run_serial(pending, outcomes, progress)
+            self._execute(pending, outcomes, progress)
 
         report = SuiteReport(
             outcomes=[outcomes[name] for name in self.experiments],
@@ -275,54 +271,33 @@ class SuiteRunner:
         )
         if outcome.status == "failed":
             _log.warning("experiment %s failed", outcome.name)
-        if outcome.status == "ran" and self.cache is not None and self.use_cache:
+        if outcome.status == "ran" and self.cache is not None:
             self.cache.put(outcome.name, self.config, outcome.result, outcome.seconds)
         if progress:
             progress(outcome)
 
-    def _run_serial(self, pending, outcomes, progress) -> None:
-        for name in pending:
-            try:
-                with trace.span("suite.experiment", experiment=name):
-                    _, result_dict, elapsed = _execute_experiment(name, self.config)
+    def _execute(self, pending, outcomes, progress) -> None:
+        tasks = [(name, self.config) for name in pending]
+        in_workers = not runs_inline(tasks, self.jobs)
+        for index, value, error in fan_out(_execute_experiment, tasks, self.jobs):
+            name = pending[index]
+            if error is not None:
+                formatted = "".join(traceback.format_exception(error))
+                outcome = SuiteOutcome(name=name, status="failed", error=formatted)
+            else:
+                result_dict, elapsed = value
                 outcome = SuiteOutcome(
                     name=name,
                     status="ran",
                     seconds=elapsed,
                     result=ExperimentResult.from_dict(result_dict),
                 )
-            except Exception:
-                outcome = SuiteOutcome(name=name, status="failed", error=traceback.format_exc())
+                if in_workers and trace.enabled:
+                    # Suite workers don't ship spans home; reconstruct
+                    # the per-experiment span parent-side from the
+                    # worker's own elapsed measurement.
+                    self._ingest_experiment_span(name, elapsed)
             self._record(outcomes, outcome, progress)
-
-    def _run_parallel(self, pending, outcomes, progress) -> None:
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(pending))) as pool:
-            futures = {
-                pool.submit(_execute_experiment, name, self.config): name for name in pending
-            }
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in done:
-                    name = futures[future]
-                    try:
-                        _, result_dict, elapsed = future.result()
-                        outcome = SuiteOutcome(
-                            name=name,
-                            status="ran",
-                            seconds=elapsed,
-                            result=ExperimentResult.from_dict(result_dict),
-                        )
-                        if trace.enabled:
-                            # Suite workers don't ship spans home; reconstruct
-                            # the per-experiment span parent-side from the
-                            # worker's own elapsed measurement.
-                            self._ingest_experiment_span(name, elapsed)
-                    except Exception:
-                        outcome = SuiteOutcome(
-                            name=name, status="failed", error=traceback.format_exc()
-                        )
-                    self._record(outcomes, outcome, progress)
 
     @staticmethod
     def _ingest_experiment_span(name: str, elapsed: float) -> None:

@@ -3,9 +3,8 @@
 The bench ladder appends one document per invocation; this module reads
 the whole sequence and answers the question a single-document diff can't:
 *is the trajectory getting better or worse?*  It is also the reusable
-gate behind ``repro bench --gate`` and CI — replacing the old hardcoded
-"2x the previous document" check with a windowed, tolerance-banded
-comparison.
+gate behind every ``repro bench`` run and CI: a windowed,
+tolerance-banded comparison.
 
 Noise model (the classification rules, also documented in
 ``docs/architecture.md``):
@@ -285,7 +284,7 @@ def evaluate_gate(
 ) -> TrendReport:
     """Gate a candidate document against a committed trajectory.
 
-    This is the API behind ``repro bench --gate`` and the CI overhead
+    This is the API behind ``repro bench``'s gate and the CI overhead
     check: every rung of ``document`` is classified against its history
     (min-of-window baseline, tolerance band, digest checks), and
     :attr:`TrendReport.ok` is False exactly when some rung regressed.

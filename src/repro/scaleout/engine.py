@@ -286,22 +286,11 @@ class ScaleOutSimulator:
         self.grow_overrides = dict(grow_overrides or {})
         self.jobs = jobs if jobs > 0 else (os.cpu_count() or 1)
         self.results_dir = Path(results_dir) if results_dir is not None else None
-        self.use_cache = use_cache
-        self.force_recompute = force
-        if cache is not None:
-            self.cache = cache
-        elif use_cache and self.results_dir is not None:
-            self.cache = ResultCache(self.results_dir / "cache")
-        else:
-            self.cache = None
+        self.cache = ResultCache.resolve(cache, use_cache, self.results_dir)
         # The facade session behind every per-chip run: supplies the memo,
         # the on-disk cache wiring and the process-pool fan-out.
         self.session = Session(
-            cache=self.cache,
-            use_cache=self.use_cache and self.cache is not None,
-            force=self.force_recompute,
-            jobs=self.jobs,
-            memoize=memoize,
+            cache=self.cache, force=force, jobs=self.jobs, memoize=memoize
         )
 
     # -- per-chip evaluation ----------------------------------------------

@@ -334,6 +334,22 @@ def test_pool001_partial_of_module_function_is_fine(tmp_path):
     assert [f.line for f in report.findings] == [7]
 
 
+def test_pool001_polices_the_shared_fan_out_helper(tmp_path):
+    root = make_tree(tmp_path, {
+        "harness/fanout.py": (
+            "from repro.api.pool import fan_out\n"
+            "def work(x):\n"
+            "    return x\n"
+            "def go(items):\n"
+            "    list(fan_out(work, [(i,) for i in items], 2))\n"
+            "    return list(fan_out(lambda x: x, [(i,) for i in items], 2))\n"
+        ),
+    })
+    report = run_check(root, rule_names=["POOL001"])
+    assert [f.line for f in report.findings] == [6]
+    assert "fan_out()" in report.findings[0].message
+
+
 # ---------------------------------------------------------------------------
 # EXC: exception hygiene
 

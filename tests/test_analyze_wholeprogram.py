@@ -28,7 +28,7 @@ from repro.analyze.project import Project
 from repro.analyze.sarif import sarif_report, validate_sarif, write_sarif
 from repro.analyze.rules import select_rules
 
-from test_analyze import make_tree, rules_of
+from test_analyze import REAL_ROOT, make_tree, rules_of
 
 
 def graph_of(root):
@@ -123,6 +123,31 @@ def test_pool_entry_points_cover_submitted_callables(tmp_path):
     graph = graph_for(project)
     entries = pool_entry_points(project, graph)
     assert "repro.core.work.work" in entries
+
+
+def test_pool_entry_points_follow_the_fan_out_helper(tmp_path):
+    root = make_tree(tmp_path, {
+        "core/work.py": "def work(x):\n    return x\n",
+        "harness/fan.py": (
+            "from repro.api.pool import fan_out\n"
+            "from repro.core.work import work\n"
+            "def go(items):\n"
+            "    return list(fan_out(work, [(item,) for item in items], 2))\n"
+        ),
+    })
+    project = Project.load(root)
+    assert "repro.core.work.work" in pool_entry_points(project, graph_for(project))
+
+
+def test_real_tree_pool_entry_points_are_the_three_workers():
+    # The shared helper submits a parameter the graph cannot resolve; the
+    # workers must still be found at the helper's call sites.
+    project = Project.load(REAL_ROOT)
+    assert set(pool_entry_points(project, graph_for(project))) == {
+        "repro.api.session._execute_request",
+        "repro.harness.suite._execute_experiment",
+        "repro.dse.engine._evaluate_candidate",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -313,40 +313,3 @@ def test_runahead_degree_provisions_the_ldn_table(search_config):
     degree_16 = candidate_metrics("grow", {"runahead_degree": 16}, search_config)
     assert clamped["cycles"] == degree_16["cycles"]  # explicit ldn still wins
     assert auto["cycles"] < clamped["cycles"]
-
-
-def test_sweep_module_delegates_to_dse_objectives(search_config):
-    from repro.dse import objectives as dse_objectives
-    from repro.harness import sweep
-    from repro.harness.workloads import get_bundle
-
-    bundle = get_bundle("cora", search_config)
-    assert sweep.grow_cycles(search_config, bundle) == dse_objectives.grow_cycles(
-        search_config, bundle
-    )
-    assert sweep.gcnax_cycles(search_config, bundle) == dse_objectives.gcnax_cycles(
-        search_config, bundle
-    )
-    factors = (0.5, 1.0)
-    assert sweep.bandwidth_sweep_cycles(
-        search_config, bundle, factors, "grow"
-    ) == dse_objectives.bandwidth_sweep_cycles(search_config, bundle, factors, "grow")
-
-
-def test_sweep_evaluators_honor_hand_built_bundles(search_config):
-    """Bundles not reconstructible from (dataset, config) run directly."""
-    import dataclasses
-
-    from repro.dse.objectives import gcnax_cycles, grow_cycles
-    from repro.harness.workloads import get_bundle
-
-    bundle = get_bundle(search_config.datasets[0], search_config)
-    # A same-content copy (different identity) takes the direct path but
-    # must agree with the canonical facade-routed evaluation.
-    clone = dataclasses.replace(bundle)
-    assert gcnax_cycles(search_config, clone) == gcnax_cycles(search_config, bundle)
-    assert grow_cycles(search_config, clone) == grow_cycles(search_config, bundle)
-    # A genuinely modified bundle is simulated as given, not rebuilt.
-    truncated = dataclasses.replace(bundle, workloads=bundle.workloads[:1])
-    assert grow_cycles(search_config, truncated) < grow_cycles(search_config, bundle)
-    assert gcnax_cycles(search_config, truncated) < gcnax_cycles(search_config, bundle)
