@@ -64,9 +64,7 @@ def main() -> None:
 
     print("\n== 3. Strong scaling, 1 -> 4 chips (ring) ==")
     for num_chips in (1, 2, 4):
-        simulator = ScaleOutSimulator(
-            config=config, topology=ChipTopology(num_chips), use_cache=False
-        )
+        simulator = ScaleOutSimulator(config=config, topology=ChipTopology(num_chips))
         system = simulator.run(dataset)
         print(f"  {num_chips} chip(s): {system.system_cycles:12.0f} cycles, "
               f"speedup {system.speedup_vs_single_chip:5.2f}x, "
@@ -74,9 +72,7 @@ def main() -> None:
               f"{system.interchip_bytes / 1e3:7.1f} kB inter-chip")
 
     print("\n== 4. One chip == the single-chip simulator, exactly ==")
-    system = ScaleOutSimulator(
-        config=config, topology=ChipTopology(1), use_cache=False
-    ).run(dataset)
+    system = ScaleOutSimulator(config=config, topology=ChipTopology(1)).run(dataset)
     reference = GrowSimulator(config.grow_config()).run_model(bundle.workloads, bundle.plan)
     assert system.system_cycles == reference.total_cycles
     assert system.dram_bytes == reference.total_dram_bytes

@@ -30,8 +30,8 @@ Commands:
   determinism, cache-identity, pool-safety, exception-hygiene,
   worker-purity and vectorization-contract rules, the latter two
   whole-program over the pool call graph (``--json``, ``--sarif``,
-  ``--changed``, ``--rules``, baseline support; exits 1 on new
-  findings, 2 on parse/usage errors).
+  ``--changed``, ``--rules``; exits 1 on unsuppressed findings, 2 on
+  parse/usage errors).
 * ``trace <file>``               — summarise a trace written by ``--trace``:
   top spans, phase breakdown, cache hit rates.
 * ``stats``                      — query the persistent run ledger
@@ -131,11 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="registered backend (grow, multipe, gcnax, hygcn, matraptor, gamma, scaleout)",
     )
     _add_config_arguments(sim_parser)
-    sim_parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced-size CI configuration (two shrunken datasets)",
-    )
+    _add_run_arguments(sim_parser, cache_by_default=False)
     sim_parser.add_argument(
         "--override",
         action="append",
@@ -147,19 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-partition",
         action="store_true",
         help="use the unpartitioned preprocessing plan (GROW backends)",
-    )
-    sim_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (0 = one per CPU; default 1)"
-    )
-    sim_parser.add_argument(
-        "--results-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="enable the on-disk result cache under DIR/cache (shared with the suite)",
-    )
-    sim_parser.add_argument(
-        "--force", action="store_true", help="recompute even when a cached run exists"
     )
     sim_parser.add_argument(
         "--json",
@@ -177,26 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiments", nargs="*", help="experiment ids (default: every registered experiment)"
     )
     _add_config_arguments(suite_parser)
-    suite_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (0 = one per CPU; default 1)"
-    )
-    suite_parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced-size CI configuration (two shrunken datasets)",
-    )
-    suite_parser.add_argument(
-        "--results-dir",
-        type=Path,
-        default=None,
-        help="report/cache directory (default benchmarks/results)",
-    )
-    suite_parser.add_argument(
-        "--no-cache", action="store_true", help="disable the on-disk result cache"
-    )
-    suite_parser.add_argument(
-        "--force", action="store_true", help="recompute even when a cached result exists"
-    )
+    _add_run_arguments(suite_parser, cache_by_default=True)
     _add_telemetry_arguments(suite_parser)
 
     dse_parser = subparsers.add_parser(
@@ -219,15 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=32, help="maximum candidate evaluations (default 32)"
     )
     dse_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (0 = one per CPU; default 1)"
-    )
-    dse_parser.add_argument(
         "--seed", type=int, default=0, help="sampler seed; same seed, same candidate stream"
-    )
-    dse_parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced-size CI configuration (two shrunken datasets, tiny default space)",
     )
     dse_parser.add_argument(
         "--area-budget",
@@ -237,21 +193,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="feasibility constraint: 65 nm area must not exceed this many mm^2",
     )
     dse_parser.add_argument(
-        "--results-dir",
-        type=Path,
-        default=None,
-        help="report/cache directory shared with the suite (default benchmarks/results)",
-    )
-    dse_parser.add_argument(
-        "--no-cache", action="store_true", help="disable the on-disk evaluation cache"
-    )
-    dse_parser.add_argument(
-        "--force", action="store_true", help="recompute even when a cached evaluation exists"
-    )
-    dse_parser.add_argument(
         "--list-spaces", action="store_true", help="list the registered spaces and exit"
     )
     _add_config_arguments(dse_parser)
+    _add_run_arguments(dse_parser, cache_by_default=True)
     _add_telemetry_arguments(dse_parser)
 
     scaleout_parser = subparsers.add_parser(
@@ -264,27 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the canonical RunResult payloads as JSON instead of tables",
     )
-    scaleout_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes per dataset (0 = one per CPU)"
-    )
-    scaleout_parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced-size CI configuration (two shrunken datasets)",
-    )
-    scaleout_parser.add_argument(
-        "--results-dir",
-        type=Path,
-        default=None,
-        help="report/cache directory shared with the suite (default benchmarks/results)",
-    )
-    scaleout_parser.add_argument(
-        "--no-cache", action="store_true", help="disable the on-disk per-chip cache"
-    )
-    scaleout_parser.add_argument(
-        "--force", action="store_true", help="recompute even when a cached chip run exists"
-    )
     _add_config_arguments(scaleout_parser)
+    _add_run_arguments(scaleout_parser, cache_by_default=True)
     _add_telemetry_arguments(scaleout_parser)
 
     subparsers.add_parser(
@@ -446,6 +372,52 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         help="define and run a synthetic scenario dataset: a path to a JSON "
         "scenario spec or an inline JSON object (repeatable).  Without "
         "--datasets, only the scenario(s) run; with it, they join the list",
+    )
+
+
+def _add_run_arguments(parser: argparse.ArgumentParser, cache_by_default: bool) -> None:
+    """The run flags shared by the sim, suite, dse and scaleout verbs.
+
+    Verbs that cache by default write under ``--results-dir`` (the suite's
+    directory when omitted) unless ``--no-cache``; ``sim`` caches only when
+    given a ``--results-dir``.
+    """
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="worker processes (0 = one per CPU; default 1)"
+    )
+    parser.add_argument(
+        "--smoke",
+        action="store_true",
+        help="reduced-size CI configuration (two shrunken datasets)",
+    )
+    parser.add_argument(
+        "--force", action="store_true", help="recompute even when a cached result exists"
+    )
+    parser.add_argument(
+        "--results-dir",
+        type=Path,
+        default=None,
+        metavar="DIR",
+        help="report/cache directory shared by suite, dse and scaleout "
+        "(default benchmarks/results)"
+        if cache_by_default
+        else "enable the on-disk result cache under DIR/cache (shared with the suite)",
+    )
+    if cache_by_default:
+        parser.add_argument(
+            "--no-cache", action="store_true", help="disable the on-disk result cache"
+        )
+
+
+def _session_from_args(args):
+    """The API session behind the sim and scaleout verbs' run flags."""
+    from repro.api import Session
+
+    return Session(
+        results_dir=args.results_dir,
+        use_cache=not getattr(args, "no_cache", False),
+        force=args.force,
+        jobs=args.jobs,
     )
 
 
@@ -674,7 +646,7 @@ def _parse_override_arguments(pairs) -> dict:
 
 
 def _cmd_sim(args) -> int:
-    from repro.api import RequestError, ScaleOutSpec, Session, SimRequest
+    from repro.api import RequestError, ScaleOutSpec, SimRequest
     from repro.harness.report import ExperimentResult, json_default
 
     config = _config_from_args(args)
@@ -710,13 +682,7 @@ def _cmd_sim(args) -> int:
     except RequestError as error:
         raise SystemExit(str(error)) from error
 
-    session = Session(
-        results_dir=args.results_dir,
-        use_cache=args.results_dir is not None,
-        force=args.force,
-        jobs=args.jobs,
-    )
-    results = session.run_batch(requests)
+    results = _session_from_args(args).run_batch(requests)
     if args.json:
         print(json.dumps([r.to_dict() for r in results], indent=2, default=json_default))
         return 0
@@ -742,17 +708,15 @@ def _cmd_sim(args) -> int:
 
 def _cmd_suite(args) -> int:
     from repro.harness import SuiteRunner
-    from repro.harness.suite import DEFAULT_RESULTS_DIR
 
     _validate_experiments(args.experiments)
-    results_dir = args.results_dir if args.results_dir is not None else DEFAULT_RESULTS_DIR
     runner = SuiteRunner(
         config=_config_from_args(args),
         experiments=args.experiments or None,
         jobs=args.jobs,
         use_cache=not args.no_cache,
         force=args.force,
-        results_dir=results_dir,
+        results_dir=args.results_dir,
     )
 
     def progress(outcome) -> None:
@@ -761,7 +725,7 @@ def _cmd_suite(args) -> int:
 
     print(
         f"running {len(runner.experiments)} experiments with {runner.jobs} job(s); "
-        f"reports -> {results_dir}"
+        f"reports -> {args.results_dir}"
     )
     report = runner.run(progress=progress)
     print(
@@ -776,7 +740,6 @@ def _cmd_suite(args) -> int:
 
 def _cmd_dse(args) -> int:
     from repro.dse import DSERunner, default_objectives, get_space, list_spaces
-    from repro.dse.engine import DEFAULT_RESULTS_DIR
 
     if args.list_spaces:
         for name in list_spaces():
@@ -798,7 +761,6 @@ def _cmd_dse(args) -> int:
     if args.budget < 1:
         raise SystemExit("--budget must be at least 1")
 
-    results_dir = args.results_dir if args.results_dir is not None else DEFAULT_RESULTS_DIR
     runner = DSERunner(
         space=space,
         sampler=args.sampler,
@@ -809,13 +771,13 @@ def _cmd_dse(args) -> int:
         seed=args.seed,
         use_cache=not args.no_cache,
         force=args.force,
-        results_dir=results_dir,
+        results_dir=args.results_dir,
     )
 
     print(
         f"searching space '{space.name}' ({space.accelerator}, {space.size} grid candidates) "
         f"with sampler={args.sampler} budget={args.budget} seed={args.seed} "
-        f"jobs={runner.jobs}; reports -> {results_dir}"
+        f"jobs={runner.jobs}; reports -> {args.results_dir}"
     )
 
     def progress(generation, outcomes, frontier_size) -> None:
@@ -846,12 +808,10 @@ def _cmd_dse(args) -> int:
 
 
 def _cmd_scaleout(args) -> int:
-    from repro.harness.suite import DEFAULT_RESULTS_DIR
     from repro.scaleout import ChipTopology, ScaleOutSimulator
 
     if args.chips < 1:
         raise SystemExit("--chips must be at least 1")
-    results_dir = args.results_dir if args.results_dir is not None else DEFAULT_RESULTS_DIR
     try:
         topology = ChipTopology(
             num_chips=args.chips,
@@ -866,18 +826,16 @@ def _cmd_scaleout(args) -> int:
         topology=topology,
         exchange=args.exchange,
         shard_method=args.shard_method,
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        force=args.force,
-        results_dir=results_dir,
+        session=_session_from_args(args),
+        results_dir=args.results_dir,
     )
 
     if not args.json:
         print(
             f"simulating a {args.chips}-chip {args.topology} system "
             f"({args.link_bandwidth:g} GB/s links, {args.link_latency} cycles/hop, "
-            f"exchange={args.exchange}) with {simulator.jobs} job(s); "
-            f"reports -> {results_dir}"
+            f"exchange={args.exchange}) with {simulator.session.jobs} job(s); "
+            f"reports -> {args.results_dir}"
         )
 
     def progress(system) -> None:
@@ -917,9 +875,8 @@ def _cmd_scaleout(args) -> int:
 
 def _cmd_report(args) -> int:
     from repro.harness import ExperimentResult
-    from repro.harness.suite import DEFAULT_RESULTS_DIR
 
-    results_dir = args.results_dir if args.results_dir is not None else DEFAULT_RESULTS_DIR
+    results_dir = args.results_dir
     hint = "run 'python -m repro suite' (or 'python -m repro dse') first"
     if not results_dir.is_dir():
         print(f"results directory {results_dir} does not exist; {hint}", file=sys.stderr)
@@ -1148,6 +1105,12 @@ def main(argv: list[str] | None = None) -> int:
 
         return check_main(raw[1:])
     args = _build_parser().parse_args(raw)
+    if args.command in ("suite", "dse", "scaleout", "report") and args.results_dir is None:
+        # The verbs that write (or read) reports default to the suite's
+        # directory; sim caches only where it is told to.
+        from repro.harness.suite import DEFAULT_RESULTS_DIR
+
+        args.results_dir = DEFAULT_RESULTS_DIR
     if args.command == "list":
         return _cmd_list(args)
     if args.command == "datasets":

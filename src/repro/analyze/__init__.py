@@ -18,14 +18,6 @@ CLI: ``python -m repro check`` (see :mod:`repro.analyze.cli`).
 
 from __future__ import annotations
 
-from repro.analyze.baseline import (
-    BASELINE_SCHEMA,
-    BaselineError,
-    default_baseline_path,
-    load_baseline,
-    split_by_baseline,
-    write_baseline,
-)
 from repro.analyze.contracts import DEFAULT_CONFIG, CheckConfig
 from repro.analyze.engine import (
     REPORT_SCHEMA,
@@ -49,8 +41,6 @@ from repro.analyze.callgraph import (  # noqa: E402
 )
 
 __all__ = [
-    "BASELINE_SCHEMA",
-    "BaselineError",
     "CallGraph",
     "CheckConfig",
     "CheckReport",
@@ -63,15 +53,11 @@ __all__ = [
     "RULES",
     "Rule",
     "apply_suppressions",
-    "default_baseline_path",
     "families",
     "graph_for",
-    "load_baseline",
     "pool_entry_points",
     "rule_ids",
     "run_check",
     "run_rules",
     "select_rules",
-    "split_by_baseline",
-    "write_baseline",
 ]

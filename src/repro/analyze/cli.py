@@ -6,13 +6,12 @@ third-party dependencies are absent, which is also why the default scan
 root is derived from this file's location rather than by importing the
 ``repro`` package.
 
-Exit codes: ``0`` clean (new findings absent; baselined/suppressed ones
-are reported but do not fail), ``1`` new findings, ``2`` usage or
-configuration errors (bad root, unknown rule, broken baseline, a git
-failure under ``--changed``) *and* parse errors — a file the checker
-cannot parse silently truncates the whole-program analysis, so it is a
-configuration failure, not a finding; every parseable module is still
-checked and reported first.
+Exit codes: ``0`` clean (inline-suppressed findings are reported but do
+not fail), ``1`` unsuppressed findings, ``2`` usage or configuration
+errors (bad root, unknown rule, a git failure under ``--changed``) *and*
+parse errors — a file the checker cannot parse silently truncates the
+whole-program analysis, so it is a configuration failure, not a finding;
+every parseable module is still checked and reported first.
 """
 
 from __future__ import annotations
@@ -23,16 +22,9 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analyze.baseline import (
-    BaselineError,
-    default_baseline_path,
-    load_baseline,
-    write_baseline,
-)
 from repro.analyze.changed import ChangedError
 from repro.analyze.engine import run_check
-from repro.analyze.findings import Finding
-from repro.analyze.project import Project, ProjectError
+from repro.analyze.project import ProjectError
 from repro.analyze.sarif import write_sarif
 from repro.analyze.rules import RULES, families, rule_ids, select_rules
 
@@ -81,26 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'LAY' or 'DET001,EXC'; default: every rule",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="baseline of grandfathered findings (default: the committed "
-        "src/repro/analyze/baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: report every finding as new",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to cover exactly the current findings "
-        "(new entries get a placeholder reason that must be justified "
-        "before the baseline will load again)",
-    )
-    parser.add_argument(
         "--changed",
         nargs="?",
         const="HEAD",
@@ -142,7 +114,7 @@ def _parse_rule_selectors(values) -> list[str] | None:
     return selectors or None
 
 
-def _print_human(report, baseline_path: Path | None) -> None:
+def _print_human(report) -> None:
     for finding in report.findings:
         print(finding.render())
     if report.parse_errors:
@@ -154,27 +126,11 @@ def _print_human(report, baseline_path: Path | None) -> None:
             f"{len(report.scope['changed'])} changed module(s), "
             f"{len(report.scope['scope'])} in the reverse-import closure"
         )
-    counts = (
-        f"{len(report.findings)} new finding(s), "
-        f"{len(report.baselined)} baselined, "
-        f"{len(report.suppressed)} suppressed"
-    )
     print(
         f"checked {report.files_scanned} file(s) under {report.root} "
-        f"with {len(report.rules)} rule(s): {counts}"
+        f"with {len(report.rules)} rule(s): {len(report.findings)} finding(s), "
+        f"{len(report.suppressed)} suppressed"
     )
-    if report.stale_baseline:
-        names = ", ".join(
-            f"{e['rule']} {e['path']}" for e in report.stale_baseline[:5]
-        )
-        more = "" if len(report.stale_baseline) <= 5 else ", ..."
-        print(
-            f"note: {len(report.stale_baseline)} stale baseline entr"
-            f"{'y' if len(report.stale_baseline) == 1 else 'ies'} "
-            f"({names}{more}) no longer match anything — prune "
-            f"{baseline_path} (or run --update-baseline)",
-            file=sys.stderr,
-        )
     for entry in report.reasonless_suppressions:
         print(
             f"note: suppression without a reason at {entry['path']}:"
@@ -201,28 +157,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     root = (args.root if args.root is not None else _default_root()).resolve()
-    if args.baseline is not None and args.no_baseline:
-        print("--baseline and --no-baseline are mutually exclusive", file=sys.stderr)
-        return 2
-    baseline_path: Path | None
-    if args.no_baseline:
-        baseline_path = None
-    elif args.baseline is not None:
-        baseline_path = args.baseline
-    else:
-        baseline_path = default_baseline_path(root)
-
-    if args.update_baseline:
-        return _update_baseline(root, selectors, baseline_path)
-
     try:
-        report = run_check(
-            root,
-            rule_names=selectors,
-            baseline_path=baseline_path,
-            changed_ref=args.changed,
-        )
-    except (ProjectError, BaselineError, ChangedError) as error:
+        report = run_check(root, rule_names=selectors, changed_ref=args.changed)
+    except (ProjectError, ChangedError) as error:
         print(str(error), file=sys.stderr)
         return 2
 
@@ -231,43 +168,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
-        _print_human(report, baseline_path)
+        _print_human(report)
     if report.parse_errors:
         # A file the checker cannot parse truncates the whole-program
         # analysis: configuration failure, not a finding.
         return 2
     return 0 if report.ok else 1
-
-
-def _update_baseline(root, selectors, baseline_path: Path | None) -> int:
-    if baseline_path is None:
-        print("--update-baseline needs a baseline path (drop --no-baseline)",
-              file=sys.stderr)
-        return 2
-    try:
-        # Findings that survive suppressions are what the baseline covers.
-        from repro.analyze.engine import apply_suppressions, run_rules
-        from repro.analyze.rules import select_rules as _select
-
-        project = Project.load(root)
-        kept, _ = apply_suppressions(project, run_rules(project, _select(selectors)))
-        previous = load_baseline(baseline_path) if baseline_path.exists() else []
-    except (ProjectError, BaselineError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    count = write_baseline(baseline_path, kept, previous)
-    placeholders = sum(
-        1 for f in kept
-        if f.baseline_key() not in {(e["rule"], e["path"], e["message"]) for e in previous}
-    )
-    print(f"wrote {baseline_path}: {count} entr{'y' if count == 1 else 'ies'}")
-    if placeholders:
-        print(
-            f"{placeholders} new entr{'y needs' if placeholders == 1 else 'ies need'} "
-            f"a justifying reason before the baseline will load — edit the "
-            f"'reason' fields (policy: fix findings instead whenever feasible)"
-        )
-    return 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
-"""The check engine: parse once, run rules, apply suppressions + baseline.
+"""The check engine: parse once, run rules, apply inline suppressions.
 
 ``run_check`` is the programmatic face of ``repro check``: it loads the
 scan root into a :class:`~repro.analyze.project.Project` (one parse per
 file), runs the selected rules, then filters the findings through the
-inline suppressions and the committed baseline.  The result is a
+inline ``# repro: allow(RULE) reason`` suppressions.  The result is a
 :class:`CheckReport` with the same schema discipline as the other
 machine outputs in this repo (``repro stats --json``): a versioned,
 JSON-safe dict the dashboard/ledger tooling can consume later.
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.analyze.baseline import load_baseline, split_by_baseline
 from repro.analyze.changed import changed_scope
 from repro.analyze.contracts import DEFAULT_CONFIG, CheckConfig
 from repro.analyze.findings import Finding
@@ -23,15 +22,16 @@ from repro.analyze.project import Project
 from repro.analyze.rules import Rule, select_rules
 
 #: 2: added the ``scope`` key (``--changed`` runs; ``None`` otherwise).
-REPORT_SCHEMA = 2
+#: 3: dropped the ``baselined`` and ``stale_baseline`` keys.
+REPORT_SCHEMA = 3
 
 
 @dataclass
 class CheckReport:
     """Everything one ``repro check`` run determined.
 
-    ``findings`` are the *new* violations (not suppressed, not
-    baselined) — the ones that fail the run.
+    ``findings`` are the violations no inline suppression covers — the
+    ones that fail the run.
     """
 
     root: str
@@ -39,8 +39,6 @@ class CheckReport:
     files_scanned: int
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    stale_baseline: list[dict[str, Any]] = field(default_factory=list)
     reasonless_suppressions: list[dict[str, Any]] = field(default_factory=list)
     parse_errors: list[str] = field(default_factory=list)
     #: ``--changed`` scope (``ChangedScope.to_dict()``); ``None`` for
@@ -60,8 +58,6 @@ class CheckReport:
             "ok": self.ok,
             "findings": [f.to_dict() for f in self.findings],
             "suppressed": [f.to_dict() for f in self.suppressed],
-            "baselined": [f.to_dict() for f in self.baselined],
-            "stale_baseline": list(self.stale_baseline),
             "reasonless_suppressions": list(self.reasonless_suppressions),
             "parse_errors": list(self.parse_errors),
             "scope": dict(self.scope) if self.scope is not None else None,
@@ -99,7 +95,6 @@ def apply_suppressions(
 def run_check(
     root: Path,
     rule_names: list[str] | None = None,
-    baseline_path: Path | None = None,
     config: CheckConfig = DEFAULT_CONFIG,
     changed_ref: str | None = None,
 ) -> CheckReport:
@@ -111,10 +106,9 @@ def run_check(
     their reverse-import closure — see :mod:`repro.analyze.changed`.
 
     Raises :class:`~repro.analyze.project.ProjectError` for unusable
-    roots, :class:`~repro.analyze.baseline.BaselineError` for broken
-    baselines and :class:`~repro.analyze.changed.ChangedError` when the
-    change set cannot be determined — the CLI turns all three into
-    actionable messages.  Unknown rule selectors raise ``KeyError`` (see
+    roots and :class:`~repro.analyze.changed.ChangedError` when the change
+    set cannot be determined — the CLI turns both into actionable
+    messages.  Unknown rule selectors raise ``KeyError`` (see
     :func:`repro.analyze.rules.select_rules`).
     """
     project = Project.load(Path(root))
@@ -126,12 +120,6 @@ def run_check(
     if scope is not None:
         raw = [finding for finding in raw if finding.path in scope.scope]
     kept, suppressed = apply_suppressions(project, raw)
-
-    baseline_entries: list[dict[str, Any]] = []
-    if baseline_path is not None and Path(baseline_path).exists():
-        baseline_entries = load_baseline(Path(baseline_path))
-    new, baselined, stale = split_by_baseline(kept, baseline_entries)
-
     reasonless = [
         {"path": module.rel, "line": line, "comment": comment}
         for module in project.modules
@@ -142,10 +130,8 @@ def run_check(
         root=str(project.root),
         rules=[rule.rule_id for rule in rules],
         files_scanned=len(project.modules),
-        findings=new,
+        findings=kept,
         suppressed=suppressed,
-        baselined=baselined,
-        stale_baseline=stale,
         reasonless_suppressions=reasonless,
         parse_errors=list(project.parse_errors),
         scope=scope.to_dict() if scope is not None else None,

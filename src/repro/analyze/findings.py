@@ -1,11 +1,8 @@
 """Findings: what a rule reports when an invariant is violated.
 
 A :class:`Finding` is one violation at one source location.  Findings are
-value objects with a deterministic sort order (path, line, rule id), a
-JSON-safe dict form (the ``repro check --json`` payload) and a *baseline
-key* — the (rule, path, message) triple that identifies a finding across
-line-number drift, which is what lets the committed baseline grandfather
-a finding without pinning it to a line.
+value objects with a deterministic sort order (path, line, rule id) and a
+JSON-safe dict form (the ``repro check --json`` payload).
 """
 
 from __future__ import annotations
@@ -32,10 +29,6 @@ class Finding:
 
     def sort_key(self) -> tuple[str, int, str, str]:
         return (self.path, self.line, self.rule, self.message)
-
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Line-drift-stable identity used by the committed baseline."""
-        return (self.rule, self.path, self.message)
 
     def to_dict(self) -> dict[str, Any]:
         return {

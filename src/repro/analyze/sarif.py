@@ -7,11 +7,11 @@ renders a :class:`~repro.analyze.engine.CheckReport` as one SARIF run:
 
 * every registered rule becomes a ``tool.driver.rules`` entry (id,
   summary, the architecture.md contract it enforces);
-* new findings become ``error``-level results;
-* suppressed and baselined findings are exported too, carrying a SARIF
-  ``suppressions`` entry (``inSource`` for inline ``# repro: allow``,
-  ``external`` for the committed baseline) so scanners show them as
-  resolved rather than silently dropping them;
+* unsuppressed findings become ``error``-level results;
+* suppressed findings are exported too, carrying an ``inSource`` SARIF
+  ``suppressions`` entry (they were silenced by an inline
+  ``# repro: allow``) so scanners show them as resolved rather than
+  silently dropping them;
 * parse errors become tool-execution notifications on the invocation.
 
 Like the rest of ``repro.analyze`` this is stdlib-only.  There is no
@@ -39,7 +39,7 @@ SARIF_SCHEMA_URI = (
 _TOOL_NAME = "repro-check"
 
 _LEVELS = frozenset({"none", "note", "warning", "error"})
-_SUPPRESSION_KINDS = frozenset({"inSource", "external"})
+_SUPPRESSION_KINDS = frozenset({"inSource"})
 
 
 def _result(
@@ -76,7 +76,6 @@ def sarif_report(report: "CheckReport", rules: list["Rule"]) -> dict[str, Any]:
     ]
     results = [_result(f, "error") for f in report.findings]
     results += [_result(f, "note", "inSource") for f in report.suppressed]
-    results += [_result(f, "note", "external") for f in report.baselined]
     invocation: dict[str, Any] = {
         "executionSuccessful": not report.parse_errors,
     }

@@ -85,9 +85,9 @@ def get_backend(name: str) -> Backend:
 def accelerator_metrics(results, area_mm2: float) -> dict[str, float]:
     """The canonical metric dict of one or more accelerator results.
 
-    Exactly the accumulation the DSE objective layer performs: cycles,
-    traffic and MACs summed over the results, energy estimated over the
-    merged SRAM activity, area as given.
+    Shared by the single-engine backends and the DSE objective layer:
+    cycles, traffic and MACs summed over the results, energy estimated over
+    the merged SRAM activity, area as given.
     """
     from repro.accelerators.base import merge_sram_events
     from repro.energy.energy_model import estimate_energy
@@ -328,8 +328,10 @@ class ScaleOutBackend:
     """The multi-chip system engine; consumes the request's fabric spec.
 
     The engine's per-chip GROW runs come back through this registry (as
-    ``grow`` requests carrying chip specs), sharing the session's cache, so
-    a fabric sweep over the same system re-simulates nothing.
+    ``grow`` requests carrying chip specs) on the dispatching session, so
+    they share its jobs, memo, cache and ``force``, and a fabric sweep over
+    the same system re-simulates nothing.  A detached worker (``session``
+    of ``None``) runs them on the process's memo-only default session.
     """
 
     name = "scaleout"
@@ -351,11 +353,7 @@ class ScaleOutBackend:
             exchange=fabric.exchange,
             shard_method=fabric.shard_method,
             grow_overrides=request.override_dict(),
-            jobs=session.jobs if session is not None else 1,
-            cache=session.cache if session is not None else None,
-            memoize=session.memoize if session is not None else True,
-            force=session.force if session is not None else False,
-            results_dir=None,
+            session=session,
         )
         system = simulator.run(request.dataset)
         return scaleout_run_result(request, system)

@@ -150,9 +150,10 @@ class Session:
 
     # -- cache plumbing ----------------------------------------------------
 
-    def _entry_name(self, request: SimRequest) -> str:
-        """On-disk entry name: readable prefix plus the canonical key."""
-        return f"api-{request.backend}-{request.dataset}-{request.cache_key()}"
+    @staticmethod
+    def _entry_name(request: SimRequest) -> str:
+        """Readable on-disk entry name; the request itself is the identity."""
+        return f"api-{request.backend}-{request.dataset}"
 
     def _lookup(self, request: SimRequest) -> RunResult | None:
         """Memo first, then disk; misses (or ``force``) return ``None``."""
@@ -167,13 +168,11 @@ class Session:
             _RUN_MEMO[key] = _RUN_MEMO.pop(key)  # repro: allow(CONC001) per-process LRU recency refresh; a worker's reorder affects only its own memo
             metrics.inc("session.memo_hits")
         if payload is None and self.cache is not None:
-            entry = self.cache.get(self._entry_name(request), request.experiment_config())
-            if entry is not None:
-                payload = entry.metadata.get("run_result") or None
-                if payload is not None:
-                    metrics.inc("session.disk_hits")
-                    if self.memoize:
-                        _memoise(key, dict(payload))
+            payload = self.cache.get(self._entry_name(request), request.to_dict())
+            if payload is not None:
+                metrics.inc("session.disk_hits")
+                if self.memoize:
+                    _memoise(key, payload)
         if payload is None:
             return None
         self._record_ledger(request, "memo" if memo_hit else "disk", payload)
@@ -190,33 +189,8 @@ class Session:
         if self.memoize:
             _memoise(request.cache_key(), copy.deepcopy(payload))
         if self.cache is not None:
-            self._store(request, payload)
+            self.cache.put(self._entry_name(request), request.to_dict(), payload)
         return RunResult.from_dict(payload)
-
-    def _store(self, request: SimRequest, payload: dict) -> None:
-        from repro.harness.report import ExperimentResult
-
-        entry_name = self._entry_name(request)
-        entry = ExperimentResult(
-            name=entry_name,
-            paper_reference="API session run",
-            description=f"{request.backend} run of {request.dataset}",
-            columns=["backend", "dataset", "cycles"],
-            rows=[
-                {
-                    "backend": request.backend,
-                    "dataset": request.dataset,
-                    "cycles": payload.get("metrics", {}).get("cycles", 0.0),
-                }
-            ],
-            metadata={"run_result": dict(payload)},
-        )
-        self.cache.put(
-            entry_name,
-            request.experiment_config(),
-            entry,
-            payload.get("seconds", 0.0),
-        )
 
     # -- run ledger --------------------------------------------------------
 

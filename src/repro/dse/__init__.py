@@ -60,7 +60,7 @@ from repro.dse.samplers import (
     Sampler,
     make_sampler,
 )
-from repro.dse.engine import DSERunner, SearchReport, run_search
+from repro.dse.engine import DSERunner, SearchReport
 from repro.dse import presets as _presets  # noqa: F401  (registers spaces + suite experiment)
 
 __all__ = [
@@ -92,5 +92,4 @@ __all__ = [
     "make_sampler",
     "DSERunner",
     "SearchReport",
-    "run_search",
 ]

@@ -24,12 +24,11 @@ as an :class:`~repro.harness.report.ExperimentResult` and written as
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -226,36 +225,21 @@ class DSERunner:
 
     # -- caching -----------------------------------------------------------
 
-    def _entry_name(self, candidate: dict) -> str:
-        """Cache entry name of one candidate (space-independent, so searches
-        over overlapping candidates share evaluations)."""
-        digest = hashlib.sha256(candidate_key(candidate).encode()).hexdigest()[:12]
-        return f"dse-{self.space.accelerator}-{digest}"
+    def _cache_entry(self, candidate: dict) -> tuple[str, dict]:
+        """Entry name and identity of one candidate's evaluation (the name is
+        space-independent, so searches over overlapping candidates share
+        evaluations)."""
+        identity = {"candidate": candidate, "config": config_fingerprint(self.config)}
+        return f"dse-{self.space.accelerator}", identity
 
     def _cached_metrics(self, candidate: dict) -> dict[str, float] | None:
         if self.cache is None or self.force_recompute:
             return None
-        entry = self.cache.get(self._entry_name(candidate), self.config)
-        if entry is None or entry.metadata.get("candidate") != candidate:
-            return None
-        metrics = entry.metadata.get("metrics")
-        return dict(metrics) if metrics else None
+        return self.cache.get(*self._cache_entry(candidate)) or None
 
-    def _store_metrics(
-        self, candidate: dict, metrics: dict[str, float], seconds: float
-    ) -> None:
-        if self.cache is None:
-            return
-        entry_name = self._entry_name(candidate)
-        result = ExperimentResult(
-            name=entry_name,
-            paper_reference="DSE candidate evaluation",
-            description=f"metrics of one {self.space.accelerator} candidate",
-            columns=list(candidate) + list(METRIC_NAMES),
-            rows=[{**candidate, **metrics}],
-            metadata={"candidate": candidate, "metrics": metrics},
-        )
-        self.cache.put(entry_name, self.config, result, seconds)
+    def _store_metrics(self, candidate: dict, metrics: dict[str, float]) -> None:
+        if self.cache is not None:
+            self.cache.put(*self._cache_entry(candidate), metrics)
 
     # -- evaluation --------------------------------------------------------
 
@@ -316,7 +300,7 @@ class DSERunner:
                 )
             else:
                 metrics, seconds = outcome
-                self._store_metrics(batch[index], metrics, seconds)
+                self._store_metrics(batch[index], metrics)
                 slots[index] = self._finish(batch[index], metrics, "ran", generation, seconds)
         for evaluation in slots:
             obs_metrics.inc(f"dse.{evaluation.status}")
@@ -413,13 +397,3 @@ class DSERunner:
         json_path.write_text(result.to_json() + "\n")
         md_path.write_text(result.to_markdown() + "\n")
         return [json_path, md_path]
-
-
-def run_search(
-    space: ParameterSpace | str,
-    sampler: Sampler | str = "evolutionary",
-    config: ExperimentConfig | None = None,
-    **kwargs,
-) -> SearchReport:
-    """Convenience wrapper: build a :class:`DSERunner` and run it."""
-    return DSERunner(space=space, sampler=sampler, config=config, **kwargs).run()

@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
-from repro.accelerators.base import merge_sram_events
-from repro.energy.area import GCNAX_AREA_MM2_40NM, grow_area_breakdown, scale_area
-from repro.energy.energy_model import estimate_energy
+from repro.api.backends import accelerator_metrics, grow_area_mm2
+from repro.energy.area import GCNAX_AREA_MM2_40NM, scale_area
 from repro.harness.config import ExperimentConfig
 
 #: Metric names every evaluation produces, in report-column order.
@@ -222,14 +221,6 @@ def _provision_ldn(grow_overrides: dict) -> dict:
     return grow_overrides
 
 
-def _accumulate(results) -> tuple[float, int, int, dict[str, tuple[int, int]]]:
-    """Sum cycles / traffic / MACs / SRAM events over per-dataset results."""
-    cycles = sum(result.total_cycles for result in results)
-    dram_bytes = sum(result.total_dram_bytes for result in results)
-    mac_operations = sum(result.total_mac_operations for result in results)
-    return cycles, dram_bytes, mac_operations, merge_sram_events(results)
-
-
 def candidate_metrics(
     accelerator: str, candidate: dict, config: ExperimentConfig
 ) -> dict[str, float]:
@@ -249,22 +240,9 @@ def candidate_metrics(
     bound, overrides = bind_candidate(config, candidate)
     bound, overrides = _bind_scenario(bound, overrides)
     if accelerator == "grow":
-        grow_overrides = _provision_ldn(overrides)
-        grow_config = bound.grow_config(**grow_overrides)
-        results = [
-            simulate(bound, name, "grow", **grow_overrides) for name in bound.datasets
-        ]
-        area_mm2 = grow_area_breakdown(
-            num_macs=grow_config.arch.num_macs,
-            sparse_buffer_bytes=grow_config.sparse_buffer_bytes,
-            hdn_id_bytes=grow_config.hdn_id_list_bytes,
-            hdn_cache_bytes=grow_config.hdn_cache_bytes,
-            output_buffer_bytes=grow_config.output_buffer_bytes,
-        ).total_mm2
+        overrides = _provision_ldn(overrides)
+        area_mm2 = grow_area_mm2(bound.grow_config(**overrides))
     elif accelerator == "gcnax":
-        results = [
-            simulate(bound, name, "gcnax", **overrides) for name in bound.datasets
-        ]
         # GCNAX's area is the published total (Table IV), scaled to 65 nm so
         # cross-accelerator frontiers compare like against like.
         area_mm2 = scale_area(GCNAX_AREA_MM2_40NM, from_nm=40, to_nm=65)
@@ -272,21 +250,10 @@ def candidate_metrics(
         return _scaleout_candidate_metrics(bound, overrides)
     else:
         raise ValueError(f"unknown accelerator {accelerator!r}")
-
-    cycles, dram_bytes, mac_operations, sram_events = _accumulate(results)
-    energy = estimate_energy(
-        mac_operations=mac_operations,
-        dram_bytes=dram_bytes,
-        sram_access_events=sram_events,
-        runtime_cycles=cycles,
-        area_mm2=area_mm2,
-    )
-    return {
-        "cycles": float(cycles),
-        "dram_bytes": float(dram_bytes),
-        "energy_nj": float(energy.total_nj),
-        "area_mm2": float(area_mm2),
-    }
+    results = [
+        simulate(bound, name, accelerator, **overrides) for name in bound.datasets
+    ]
+    return accelerator_metrics(results, area_mm2)
 
 
 #: Candidate keys consumed by the scale-out system itself; everything else

@@ -26,8 +26,8 @@ Public API surface:
   :func:`run_experiment`, :func:`experiment_summary`
 * results and reports — :class:`ExperimentResult`, :func:`format_table`,
   :func:`format_markdown_table`
-* orchestration — :class:`SuiteRunner`, :func:`run_suite`,
-  :class:`SuiteReport`, :class:`SuiteOutcome`, :class:`ResultCache`
+* orchestration — :class:`SuiteRunner`, :class:`SuiteReport`,
+  :class:`SuiteOutcome`, :class:`ResultCache`
 * workload construction — :class:`WorkloadBundle`, :func:`get_bundle`,
   :func:`clear_caches`
 """
@@ -45,7 +45,7 @@ from repro.harness.registry import (
     run_experiment,
 )
 from repro.harness.cache import ResultCache, source_tree_version
-from repro.harness.suite import SuiteOutcome, SuiteReport, SuiteRunner, run_suite
+from repro.harness.suite import SuiteOutcome, SuiteReport, SuiteRunner
 from repro.harness import experiments as _experiments  # noqa: F401  (registers experiments)
 from repro.harness import discussion as _discussion  # noqa: F401  (registers Section VIII studies)
 from repro.harness.workloads import WorkloadBundle, clear_caches, get_bundle
@@ -67,7 +67,6 @@ __all__ = [
     "SuiteRunner",
     "SuiteReport",
     "SuiteOutcome",
-    "run_suite",
     "WorkloadBundle",
     "get_bundle",
     "clear_caches",

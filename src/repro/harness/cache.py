@@ -1,18 +1,19 @@
-"""On-disk experiment-result cache keyed by configuration and code version.
+"""On-disk, content-keyed JSON store shared by every cached writer.
 
-A cache entry is one JSON file holding the serialized
-:class:`~repro.harness.report.ExperimentResult` together with the exact
-fingerprint that produced it.  The fingerprint covers:
+A cache entry is one JSON file holding ``{"identity": ..., "payload": ...}``.
+The writer picks an entry *name* (a readable prefix such as an experiment
+id), an *identity* (any JSON-safe value that says exactly what was
+computed) and the *payload* it wants back.  The file's key hashes the name,
+the identity and a *code version* — by default a hash over every ``.py``
+file of the installed ``repro`` package, so editing any simulator, model or
+experiment invalidates all previously cached entries.  A read whose stored
+identity differs from the requested one is a miss, so a key collision can
+never serve the wrong payload.
 
-* the experiment name,
-* every field of the :class:`~repro.harness.config.ExperimentConfig`
-  (datasets, bandwidth, seed, ...), and
-* a *code version* — by default a hash over every ``.py`` file of the
-  installed ``repro`` package, so editing any simulator, model or experiment
-  invalidates all previously cached results.
-
-This makes suite re-runs incremental: unchanged (config, code) pairs are
-served from disk, everything else is recomputed.
+Writers: the suite stores ``ExperimentResult.to_dict()`` under the
+experiment's :func:`config_fingerprint`, the API session stores normalised
+``RunResult`` payloads under ``SimRequest.to_dict()``, and the DSE engine
+stores candidate metrics under the candidate plus config fingerprint.
 
 Writes are atomic: an entry is written to a temp file in the same
 directory (named so it never matches ``*.json``) and moved into place with
@@ -34,7 +35,7 @@ from typing import Any, Iterator
 
 import repro
 from repro.harness.config import ExperimentConfig
-from repro.harness.report import ExperimentResult, json_default
+from repro.harness.report import json_default
 from repro.obs import metrics
 
 _CODE_VERSION: str | None = None
@@ -64,7 +65,7 @@ def source_tree_version() -> str:
 
 
 def config_fingerprint(config: ExperimentConfig) -> dict[str, Any]:
-    """JSON-safe dict of every config field, used as part of the cache key."""
+    """JSON-safe dict of every config field: the suite's cache identity."""
     fingerprint = asdict(config)
     fingerprint["datasets"] = list(fingerprint["datasets"])
     # A scenario's persistent identity is its *definition*, wherever it was
@@ -79,8 +80,13 @@ def config_fingerprint(config: ExperimentConfig) -> dict[str, Any]:
     return fingerprint
 
 
+def _canonical(identity: Any) -> str:
+    """Deterministic JSON text of an identity: what keys hash and reads compare."""
+    return json.dumps(identity, sort_keys=True, default=json_default)
+
+
 class ResultCache:
-    """Directory of cached experiment results with fingerprint-based lookup.
+    """Directory of ``{identity, payload}`` JSON entries, content-keyed.
 
     Args:
         directory: where entries are stored (created on first write).
@@ -111,55 +117,38 @@ class ResultCache:
             return cache
         return cls(Path(results_dir) / "cache") if results_dir is not None else None
 
-    def key(self, name: str, config: ExperimentConfig) -> str:
-        """Hex digest identifying (experiment, config, code version)."""
-        payload = json.dumps(
-            {
-                "experiment": name,
-                "config": config_fingerprint(config),
-                "code_version": self.code_version,
-            },
-            sort_keys=True,
-            default=json_default,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    def path_for(self, name: str, config: ExperimentConfig) -> Path:
-        """File path of the entry for (experiment, config, code version)."""
-        return self._path(name, self.key(name, config))
-
-    def _path(self, name: str, key: str) -> Path:
+    def _path(self, name: str, canonical: str) -> Path:
+        """Entry file of (name, canonical identity, code version)."""
+        key = hashlib.sha256(
+            f"{name}\n{self.code_version}\n{canonical}".encode()
+        ).hexdigest()[:16]
         return self.directory / f"{name}-{self.code_version}-{key}.json"
 
-    def get(self, name: str, config: ExperimentConfig) -> ExperimentResult | None:
-        """The cached result, or ``None`` on a miss.
+    def get(self, name: str, identity: Any) -> Any | None:
+        """The payload stored under (name, identity), or ``None`` on a miss.
 
         A missing entry, one removed by a concurrent ``clear()`` or prune
-        while being read, and an unreadable or corrupt one are all misses.
+        while being read, an unreadable or corrupt one, and one whose stored
+        identity differs from ``identity`` are all misses.
         """
+        canonical = _canonical(identity)
         try:
-            entry = json.loads(self.path_for(name, config).read_text())
-            result = ExperimentResult.from_dict(entry["result"])
+            entry = json.loads(self._path(name, canonical).read_text())
+            hit = _canonical(entry["identity"]) == canonical
+            payload = entry["payload"] if hit else None
         except (OSError, ValueError, KeyError, TypeError):
-            metrics.inc("cache.misses")
-            return None
-        metrics.inc("cache.hits")
-        return result
+            payload = None
+        metrics.inc("cache.misses" if payload is None else "cache.hits")
+        return payload
 
-    def put(
-        self,
-        name: str,
-        config: ExperimentConfig,
-        result: ExperimentResult,
-        elapsed_seconds: float | None = None,
-    ) -> Path:
-        """Store one result; returns the path of the written entry.
+    def put(self, name: str, identity: Any, payload: Any) -> Path:
+        """Store ``payload`` under (name, identity); returns the entry's path.
 
-        Entries of the same experiment written by *older code versions* are
+        Entries of the same name written by *older code versions* are
         pruned: they can never hit again (any source edit changes every key),
         so keeping them would grow the cache by one full generation per code
         change.  Entries of the current code version are kept — different
-        configurations (bandwidth sweeps, dataset subsets) coexist.
+        identities (bandwidth sweeps, dataset subsets) coexist.
 
         The entry is written to a per-writer temp file and moved into place
         with ``os.replace``: readers see the previous entry or the new one,
@@ -167,16 +156,8 @@ class ResultCache:
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         self._prune_stale(name)
-        key = self.key(name, config)
-        path = self._path(name, key)
-        entry = {
-            "experiment": name,
-            "key": key,
-            "code_version": self.code_version,
-            "config": config_fingerprint(config),
-            "elapsed_seconds": elapsed_seconds,
-            "result": result.to_dict(),
-        }
+        path = self._path(name, _canonical(identity))
+        entry = {"identity": identity, "payload": payload}
         temp = path.with_name(f".{path.stem}.{os.getpid()}-{threading.get_ident()}.tmp")
         try:
             temp.write_text(json.dumps(entry, indent=2, default=json_default) + "\n")

@@ -27,18 +27,14 @@ STRONG_SCALING_CHIPS = (1, 2, 4, 8, 16)
 WEAK_SCALING_CHIPS = (1, 2, 4)
 
 
-def _scaleout(config: ExperimentConfig, num_chips: int, kind: str = "ring", **kwargs):
+def _scaleout(config: ExperimentConfig, num_chips: int, kind: str = "ring"):
     # Imported lazily so merely importing the harness does not pull the
     # scale-out stack into every worker process.
     from repro.scaleout import ChipTopology, ScaleOutSimulator
 
-    return ScaleOutSimulator(
-        config=config,
-        topology=ChipTopology(num_chips, kind=kind),
-        use_cache=False,  # the suite's own ResultCache covers this experiment
-        results_dir=None,
-        **kwargs,
-    )
+    # The default memo-only session: the suite's own ResultCache covers
+    # this experiment.
+    return ScaleOutSimulator(config=config, topology=ChipTopology(num_chips, kind=kind))
 
 
 @register("scaleout_strong_scaling")

@@ -225,9 +225,11 @@ class SuiteRunner:
             for name in self.experiments:
                 cached = None
                 if self.cache is not None and not self.force_recompute:
-                    cached = self.cache.get(name, self.config)
+                    cached = self.cache.get(name, config_fingerprint(self.config))
                 if cached is not None:
-                    outcomes[name] = SuiteOutcome(name=name, status="cached", result=cached)
+                    outcomes[name] = SuiteOutcome(
+                        name=name, status="cached", result=ExperimentResult.from_dict(cached)
+                    )
                     metrics.inc("suite.cached")
                     record_run("suite", name, outcome="cached")
                     if progress:
@@ -272,7 +274,9 @@ class SuiteRunner:
         if outcome.status == "failed":
             _log.warning("experiment %s failed", outcome.name)
         if outcome.status == "ran" and self.cache is not None:
-            self.cache.put(outcome.name, self.config, outcome.result, outcome.seconds)
+            self.cache.put(
+                outcome.name, config_fingerprint(self.config), outcome.result.to_dict()
+            )
         if progress:
             progress(outcome)
 
@@ -334,13 +338,3 @@ class SuiteRunner:
             json.dumps(report.to_dict(), indent=2, default=json_default) + "\n"
         )
         (self.results_dir / "suite_report.md").write_text(report.to_markdown() + "\n")
-
-
-def run_suite(
-    experiments: Sequence[str] | None = None,
-    config: ExperimentConfig | None = None,
-    jobs: int = 1,
-    **kwargs,
-) -> SuiteReport:
-    """Convenience wrapper: build a :class:`SuiteRunner` and run it."""
-    return SuiteRunner(config=config, experiments=experiments, jobs=jobs, **kwargs).run()

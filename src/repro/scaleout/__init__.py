@@ -32,10 +32,8 @@ from repro.scaleout.engine import (
     ChipOutcome,
     ScaleOutResult,
     ScaleOutSimulator,
-    clear_chip_memo,
     clear_shard_cache,
     get_shard_plan,
-    simulate_scaleout,
 )
 from repro.scaleout.interconnect import (
     EXCHANGE_PATTERNS,
@@ -66,8 +64,6 @@ __all__ = [
     "ScaleOutSimulator",
     "ScaleOutResult",
     "ChipOutcome",
-    "simulate_scaleout",
     "get_shard_plan",
     "clear_shard_cache",
-    "clear_chip_memo",
 ]

@@ -7,10 +7,10 @@ scaleout`` and the ``scaling_out`` experiment family.  For one dataset it
    across the topology's chips (:mod:`repro.scaleout.shard`),
 2. runs one single-chip GROW simulation per non-empty shard over that
    chip's row-sliced workloads, each expressed as a chip-sliced ``grow``
-   :class:`~repro.api.request.SimRequest` and executed through an API
-   :class:`~repro.api.session.Session` — which supplies the process-pool
-   fan-out, the in-process memo and the on-disk
-   :class:`~repro.harness.cache.ResultCache` wiring,
+   :class:`~repro.api.request.SimRequest` and executed through the
+   caller's API :class:`~repro.api.session.Session` — which supplies the
+   process-pool fan-out, the in-process memo and the on-disk
+   :class:`~repro.harness.cache.ResultCache`,
 3. prices the per-layer halo/reduction exchanges on the interconnect
    (:mod:`repro.scaleout.interconnect`), and
 4. composes per-layer system cycles: chips run between per-layer barriers,
@@ -40,21 +40,17 @@ rounds away.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro.accelerators.base import AcceleratorResult, merge_sram_events
-from repro.api import ChipSpec, Session, SimRequest
-from repro.api.session import clear_memo as _clear_api_memo
-from repro.energy.area import grow_area_breakdown
+from repro.api import ChipSpec, Session, SimRequest, get_session
+from repro.api.backends import grow_area_mm2
 from repro.energy.energy_model import estimate_energy
-from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig, default_config
 from repro.harness.report import ExperimentResult
-from repro.harness.suite import DEFAULT_RESULTS_DIR
 from repro.harness.workloads import get_bundle
 from repro.obs import metrics as obs_metrics
 from repro.obs import record_run, trace
@@ -105,15 +101,6 @@ def get_shard_plan(
 def clear_shard_cache() -> None:
     """Drop memoised shard plans (used by tests that vary global state)."""
     _SHARD_CACHE.clear()
-
-
-def clear_chip_memo() -> None:
-    """Drop memoised per-chip results (used by tests that vary global state).
-
-    Per-chip runs are memoised by the API session layer since the facade
-    landed; this clears that shared memo.
-    """
-    _clear_api_memo()
 
 
 @dataclass
@@ -249,17 +236,11 @@ class ScaleOutSimulator:
         shard_method: cluster-to-chip assignment (``"metis"`` or ``"greedy"``).
         grow_overrides: per-chip :class:`~repro.core.config.GrowConfig`
             field overrides (e.g. ``runahead_degree=32``).
-        jobs: worker processes for the per-chip fan-out; ``1`` runs serially
-            in-process, ``0`` uses one worker per CPU.
-        cache: per-chip result cache; built under ``results_dir / "cache"``
-            (shared with the suite) when omitted and ``use_cache`` is True.
-        use_cache: disable to always recompute and never read/write entries.
-        memoize: disable the process-wide in-memory memo as well (tests or
-            callers that vary global simulator state).
-        force: recompute even on a cache hit (fresh results are re-cached).
+        session: the API session every per-chip run goes through — its
+            jobs, memo, on-disk cache and ``force`` apply to the chips
+            (:func:`~repro.api.get_session`, memo-only, when omitted).
         results_dir: where ``scaleout_*.{json,md}`` reports are written by
-            :meth:`write_reports`; ``None`` skips report files and (without
-            an explicit ``cache``) disables caching.
+            :meth:`write_reports`; ``None`` skips report files.
     """
 
     def __init__(
@@ -269,11 +250,7 @@ class ScaleOutSimulator:
         exchange: str = "halo",
         shard_method: str = "metis",
         grow_overrides: dict | None = None,
-        jobs: int = 1,
-        cache: ResultCache | None = None,
-        use_cache: bool = True,
-        memoize: bool = True,
-        force: bool = False,
+        session: Session | None = None,
         results_dir: str | Path | None = None,
     ):
         self.config = config if config is not None else default_config()
@@ -284,14 +261,8 @@ class ScaleOutSimulator:
         self.exchange = exchange
         self.shard_method = shard_method
         self.grow_overrides = dict(grow_overrides or {})
-        self.jobs = jobs if jobs > 0 else (os.cpu_count() or 1)
+        self.session = session if session is not None else get_session()
         self.results_dir = Path(results_dir) if results_dir is not None else None
-        self.cache = ResultCache.resolve(cache, use_cache, self.results_dir)
-        # The facade session behind every per-chip run: supplies the memo,
-        # the on-disk cache wiring and the process-pool fan-out.
-        self.session = Session(
-            cache=self.cache, force=force, jobs=self.jobs, memoize=memoize
-        )
 
     # -- per-chip evaluation ----------------------------------------------
 
@@ -347,16 +318,6 @@ class ScaleOutSimulator:
 
     # -- composition -------------------------------------------------------
 
-    def _chip_area_mm2(self) -> float:
-        grow_config = self.config.grow_config(**self.grow_overrides)
-        return grow_area_breakdown(
-            num_macs=grow_config.arch.num_macs,
-            sparse_buffer_bytes=grow_config.sparse_buffer_bytes,
-            hdn_id_bytes=grow_config.hdn_id_list_bytes,
-            hdn_cache_bytes=grow_config.hdn_cache_bytes,
-            output_buffer_bytes=grow_config.output_buffer_bytes,
-        ).total_mm2
-
     def _compose(
         self,
         dataset: str,
@@ -410,7 +371,7 @@ class ScaleOutSimulator:
         mac_operations = sum(o.result.total_mac_operations for o in outcomes)
         dram_bytes = sum(o.result.total_dram_bytes for o in outcomes)
         sram_events = merge_sram_events([o.result for o in outcomes])
-        area_mm2 = self._chip_area_mm2() * num_chips
+        area_mm2 = grow_area_mm2(self.config.grow_config(**self.grow_overrides)) * num_chips
         chip_energy = estimate_energy(
             mac_operations=mac_operations,
             dram_bytes=dram_bytes,
@@ -573,17 +534,3 @@ class ScaleOutSimulator:
         json_path.write_text(report.to_json() + "\n")
         md_path.write_text(report.to_markdown() + "\n")
         return [json_path, md_path]
-
-
-def simulate_scaleout(
-    dataset: str,
-    num_chips: int,
-    config: ExperimentConfig | None = None,
-    **kwargs,
-) -> ScaleOutResult:
-    """Convenience wrapper: build a :class:`ScaleOutSimulator` and run one
-    dataset on an ``num_chips``-chip system."""
-    simulator = ScaleOutSimulator(
-        config=config, topology=ChipTopology(num_chips), **kwargs
-    )
-    return simulator.run(dataset)

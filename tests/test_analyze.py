@@ -1,12 +1,11 @@
 """Tests for the invariant checker (``repro.analyze`` / ``repro check``).
 
-Every rule family is exercised four ways against synthetic fixture trees:
-a seeded violation (positive), conforming code (negative), the violation
-with an inline ``# repro: allow(...)`` suppression, and the violation
-grandfathered by a baseline file.  The fixture trees reuse this repo's
-layer names (``core``, ``obs``, ``harness``, ...) so ``DEFAULT_CONFIG``
-applies unchanged.  The final tests are the acceptance criteria: the real
-source tree is clean under the committed baseline, and a deliberately
+Every rule family is exercised three ways against synthetic fixture trees:
+a seeded violation (positive), conforming code (negative), and the
+violation with an inline ``# repro: allow(...)`` suppression.  The fixture
+trees reuse this repo's layer names (``core``, ``obs``, ``harness``, ...)
+so ``DEFAULT_CONFIG`` applies unchanged.  The final tests are the
+acceptance criteria: the real source tree is clean, and a deliberately
 broken tree makes ``repro check`` exit 1 — which is exactly what gates CI.
 """
 
@@ -19,15 +18,10 @@ import pytest
 
 import repro.analyze
 from repro.analyze import (
-    BaselineError,
     CheckReport,
-    Finding,
     ProjectError,
-    default_baseline_path,
-    load_baseline,
     run_check,
     select_rules,
-    split_by_baseline,
 )
 from repro.analyze.cli import main as check_main
 from repro.analyze.suppress import parse_suppressions
@@ -433,7 +427,7 @@ def test_suppression_only_covers_named_rules():
 
 
 # ---------------------------------------------------------------------------
-# Baseline
+# CLI (the `repro check` verb)
 
 
 def _violation_tree(tmp_path):
@@ -442,103 +436,9 @@ def _violation_tree(tmp_path):
     })
 
 
-def _baseline_for(report: CheckReport, path: Path, reason="grandfathered in tests"):
-    entries = [
-        {**f.to_dict(), "reason": reason} for f in report.findings
-    ]
-    for entry in entries:
-        entry.pop("line")
-    path.write_text(json.dumps({"schema": 1, "findings": entries}), encoding="utf-8")
-
-
-def test_baselined_finding_does_not_fail_the_run(tmp_path):
-    root = _violation_tree(tmp_path)
-    first = run_check(root, rule_names=["DET001"])
-    assert not first.ok
-    baseline = tmp_path / "baseline.json"
-    _baseline_for(first, baseline)
-    second = run_check(root, rule_names=["DET001"], baseline_path=baseline)
-    assert second.ok
-    assert [f.rule for f in second.baselined] == ["DET001"]
-
-
-def test_baseline_is_line_drift_stable(tmp_path):
-    root = _violation_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    _baseline_for(run_check(root, rule_names=["DET001"]), baseline)
-    source = (root / "core/engine.py").read_text()
-    (root / "core/engine.py").write_text("# a new leading comment\n" + source)
-    report = run_check(root, rule_names=["DET001"], baseline_path=baseline)
-    assert report.ok and len(report.baselined) == 1
-
-
-def test_baseline_matches_by_multiplicity(tmp_path):
-    root = make_tree(tmp_path, {
-        "core/engine.py": (
-            "import time\n\ndef cost():\n    return time.time()\n"
-            "\ndef cost2():\n    return time.time()\n"
-        ),
-    })
-    first = run_check(root, rule_names=["DET001"])
-    assert len(first.findings) == 2
-    baseline = tmp_path / "baseline.json"
-    # Grandfather only ONE of the two identical findings.
-    _baseline_for(
-        CheckReport(root="", rules=[], files_scanned=0, findings=first.findings[:1]),
-        baseline,
-    )
-    report = run_check(root, rule_names=["DET001"], baseline_path=baseline)
-    assert len(report.baselined) == 1 and len(report.findings) == 1
-
-
-def test_stale_baseline_entries_are_reported(tmp_path):
-    root = make_tree(tmp_path, {"core/engine.py": "X = 1\n"})
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({"schema": 1, "findings": [{
-        "rule": "DET001", "path": "repro/core/engine.py",
-        "message": "long gone", "reason": "was fixed",
-    }]}), encoding="utf-8")
-    report = run_check(root, rule_names=["DET001"], baseline_path=baseline)
-    assert report.ok
-    assert [e["message"] for e in report.stale_baseline] == ["long gone"]
-
-
-def test_baseline_rejects_missing_or_empty_reasons(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"schema": 1, "findings": [{
-        "rule": "DET001", "path": "p", "message": "m", "reason": "  ",
-    }]}), encoding="utf-8")
-    with pytest.raises(BaselineError, match="empty or placeholder"):
-        load_baseline(path)
-    path.write_text(json.dumps({"schema": 1, "findings": [{
-        "rule": "DET001", "path": "p", "message": "m",
-        "reason": "TODO: justify this grandfathered finding",
-    }]}), encoding="utf-8")
-    with pytest.raises(BaselineError, match="empty or placeholder"):
-        load_baseline(path)
-    path.write_text(json.dumps({"schema": 1, "findings": [{"rule": "DET001"}]}),
-                    encoding="utf-8")
-    with pytest.raises(BaselineError, match="missing"):
-        load_baseline(path)
-    path.write_text("not json", encoding="utf-8")
-    with pytest.raises(BaselineError, match="not valid JSON"):
-        load_baseline(path)
-
-
-def test_split_by_baseline_consumes_entries():
-    finding = Finding(rule="R", path="p", line=3, message="m")
-    entry = {"rule": "R", "path": "p", "message": "m", "reason": "ok"}
-    new, baselined, stale = split_by_baseline([finding, finding], [entry])
-    assert (len(new), len(baselined), len(stale)) == (1, 1, 0)
-
-
-# ---------------------------------------------------------------------------
-# CLI (the `repro check` verb)
-
-
 def test_cli_broken_tree_exits_one(tmp_path, capsys):
     root = _violation_tree(tmp_path)
-    code = check_main(["--root", str(root), "--no-baseline"])
+    code = check_main(["--root", str(root)])
     assert code == 1
     out = capsys.readouterr().out
     assert "DET001" in out and "repro/core/engine.py:4" in out
@@ -546,10 +446,10 @@ def test_cli_broken_tree_exits_one(tmp_path, capsys):
 
 def test_cli_json_report_schema(tmp_path, capsys):
     root = _violation_tree(tmp_path)
-    code = check_main(["--root", str(root), "--no-baseline", "--json"])
+    code = check_main(["--root", str(root), "--json"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
     assert payload["ok"] is False
     assert payload["files_scanned"] == 1
     assert [f["rule"] for f in payload["findings"]] == ["DET001"]
@@ -584,51 +484,10 @@ def test_cli_list_rules(capsys):
         assert rule_id in out
 
 
-def test_cli_baseline_flags_are_mutually_exclusive(tmp_path, capsys):
-    code = check_main([
-        "--root", str(tmp_path), "--baseline", str(tmp_path / "b.json"),
-        "--no-baseline",
-    ])
-    assert code == 2
-
-
-def test_cli_update_baseline_roundtrip(tmp_path, capsys):
-    root = _violation_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    code = check_main([
-        "--root", str(root), "--baseline", str(baseline), "--update-baseline",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "1 entry" in out and "needs" in out
-    # New entries carry a placeholder reason the loader rejects: the
-    # baseline cannot silently accumulate unjustified exemptions.
-    assert check_main(["--root", str(root), "--baseline", str(baseline)]) == 2
-    assert "justify" in capsys.readouterr().err
-    data = json.loads(baseline.read_text())
-    data["findings"][0]["reason"] = "timing metadata, keyed on nothing"
-    baseline.write_text(json.dumps(data), encoding="utf-8")
-    assert check_main(["--root", str(root), "--baseline", str(baseline)]) == 0
-
-
-def test_cli_update_baseline_preserves_existing_reasons(tmp_path, capsys):
-    root = _violation_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    first = run_check(root, rule_names=["DET001"])
-    _baseline_for(first, baseline, reason="a human wrote this")
-    code = check_main([
-        "--root", str(root), "--baseline", str(baseline), "--update-baseline",
-    ])
-    assert code == 0
-    data = json.loads(baseline.read_text())
-    reasons = [e["reason"] for e in data["findings"] if e["rule"] == "DET001"]
-    assert "a human wrote this" in reasons
-
-
 def test_cli_rules_selection_accepts_families_and_ids(tmp_path, capsys):
     root = _violation_tree(tmp_path)
     code = check_main([
-        "--root", str(root), "--no-baseline", "--rules", "EXC,KEY", "--json",
+        "--root", str(root), "--rules", "EXC,KEY", "--json",
     ])
     assert code == 0  # the DET001 violation is out of scope for EXC/KEY
     payload = json.loads(capsys.readouterr().out)
@@ -645,19 +504,15 @@ def test_select_rules_raises_keyerror_with_the_unknown_token():
 # The acceptance criteria
 
 
-def test_real_tree_is_clean_under_committed_baseline():
+def test_real_tree_is_clean():
     """The repository's own source obeys its documented invariants."""
-    baseline = default_baseline_path(REAL_ROOT)
-    assert baseline.exists(), "committed baseline missing"
-    report = run_check(REAL_ROOT, baseline_path=baseline)
+    report = run_check(REAL_ROOT)
     assert report.parse_errors == []
     assert report.findings == [], "\n".join(f.render() for f in report.findings)
     # The deliberate wall-time metadata sites and the per-process memos
-    # are suppressed inline, with reasons — none silently, none via the
-    # baseline.
+    # are suppressed inline, with reasons — none silently.
     assert report.reasonless_suppressions == []
     assert {f.rule for f in report.suppressed} <= {"DET001", "CONC001", "CONC002"}
-    assert report.stale_baseline == []
 
 
 def test_real_tree_scans_every_layer():
@@ -691,7 +546,7 @@ def test_ci_gate_fails_on_a_fresh_violation(tmp_path, capsys):
             "        pool.submit(work, 1)\n"
         ),
     })
-    code = check_main(["--root", str(root), "--no-baseline"])
+    code = check_main(["--root", str(root)])
     assert code == 1
     out = capsys.readouterr().out
     fired = {line.split(" ")[1] for line in out.splitlines() if ": " in line and " " in line}
@@ -732,7 +587,7 @@ def test_parse_error_exits_2_and_still_checks_the_rest(tmp_path, capsys):
     assert "broken.py" in report.parse_errors[0]
     # The parseable module was still analysed.
     assert "DET001" in {f.rule for f in report.findings}
-    assert check_main(["--root", str(root), "--no-baseline"]) == 2
+    assert check_main(["--root", str(root)]) == 2
     captured = capsys.readouterr()
     assert "broken.py" in captured.err
     assert "DET001" in captured.out

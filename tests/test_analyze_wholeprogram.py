@@ -6,7 +6,7 @@ KEY003 cache-key flow), the SARIF 2.1.0 export and the git-scoped
 ``--changed`` mode.  Fixture trees follow ``tests/test_analyze.py``'s
 idiom: first-level package names reuse the real layer names so
 ``DEFAULT_CONFIG`` applies unchanged, and each new family is exercised
-positive / negative / suppressed / baselined.
+positive / negative / suppressed.
 """
 
 from __future__ import annotations
@@ -228,21 +228,6 @@ def test_conc001_inline_suppression_with_reason(tmp_path):
     report = run_check(root, rule_names=["CONC001"])
     assert report.findings == []
     assert [f.rule for f in report.suppressed] == ["CONC001"]
-
-
-def test_conc001_baselined_finding_does_not_fail(tmp_path):
-    root = conc_tree(tmp_path, (
-        "CACHE = {}\ndef work(x):\n    CACHE[x] = x\n    return x\n"
-    ))
-    first = run_check(root, rule_names=["CONC001"])
-    assert not first.ok
-    entries = [{**f.to_dict(), "reason": "grandfathered"} for f in first.findings]
-    for entry in entries:
-        entry.pop("line")
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({"schema": 1, "findings": entries}))
-    second = run_check(root, rule_names=["CONC001"], baseline_path=baseline)
-    assert second.ok and [f.rule for f in second.baselined] == ["CONC001"]
 
 
 def test_conc002_flags_global_telemetry_reconfiguration(tmp_path):
@@ -511,25 +496,6 @@ def test_sarif_document_structure_and_validation(tmp_path):
     assert kinds == ["inSource"]
 
 
-def test_sarif_baselined_findings_marked_external(tmp_path):
-    root = _sarif_fixture(tmp_path)
-    first = run_check(root, rule_names=["DET001"])
-    entries = [{**f.to_dict(), "reason": "grandfathered"} for f in first.findings]
-    for entry in entries:
-        entry.pop("line")
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({"schema": 1, "findings": entries}))
-    report = run_check(root, rule_names=["DET001"], baseline_path=baseline)
-    document = sarif_report(report, select_rules(["DET001"]))
-    assert validate_sarif(document) == []
-    kinds = sorted(
-        s["kind"]
-        for r in document["runs"][0]["results"]
-        for s in r.get("suppressions", [])
-    )
-    assert kinds == ["external", "inSource"]
-
-
 def test_sarif_validator_rejects_structural_damage(tmp_path):
     root = _sarif_fixture(tmp_path)
     report = run_check(root, rule_names=["DET001"])
@@ -557,7 +523,7 @@ def test_cli_sarif_writes_a_valid_file(tmp_path):
     root = _sarif_fixture(tmp_path)
     out = tmp_path / "report.sarif"
     code = check_main([
-        "--root", str(root), "--no-baseline", "--rules", "DET001",
+        "--root", str(root), "--rules", "DET001",
         "--sarif", str(out),
     ])
     assert code == 1  # findings still fail the run
@@ -642,7 +608,7 @@ def test_changed_clean_diff_reports_nothing(tmp_path):
 def test_changed_bad_ref_is_a_usage_error(tmp_path, capsys):
     root = _changed_fixture(tmp_path)
     code = check_main([
-        "--root", str(root), "--no-baseline", "--changed", "no-such-ref",
+        "--root", str(root), "--changed", "no-such-ref",
     ])
     assert code == 2
     assert "git" in capsys.readouterr().err
@@ -673,7 +639,7 @@ def test_changed_cli_end_to_end(tmp_path, capsys):
     (root / "core" / "a.py").write_text(
         "import time\ndef cost():\n    return time.time()\n"
     )
-    code = check_main(["--root", str(root), "--no-baseline", "--changed", "--json"])
+    code = check_main(["--root", str(root), "--changed", "--json"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["scope"]["ref"] == "HEAD"

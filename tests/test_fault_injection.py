@@ -18,7 +18,8 @@ import pytest
 from repro.api import Session, SimRequest, clear_memo, register_backend
 from repro.api.backends import _BACKENDS
 from repro.api.pool import WorkerDied
-from repro.harness import ExperimentResult, ResultCache, SuiteRunner, smoke_config
+from repro.harness import ResultCache, SuiteRunner, smoke_config
+from repro.harness.cache import config_fingerprint
 from repro.harness.registry import register, unregister
 from repro.obs import ledger
 
@@ -28,13 +29,8 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-def _result(value: float, rows: int = 1) -> ExperimentResult:
-    result = ExperimentResult(
-        name="demo", paper_reference="-", description="d", columns=["x"]
-    )
-    for offset in range(rows):
-        result.add_row(x=value + offset)
-    return result
+def _payload(value: float, rows: int = 1) -> dict:
+    return {"rows": [{"x": value + offset} for offset in range(rows)]}
 
 
 def _comparable(run) -> dict:
@@ -129,18 +125,33 @@ def test_truncated_entry_is_a_clean_miss_then_rewritten_and_hit(tmp_path):
 
 
 def test_entry_vanishing_or_unreadable_is_a_miss(tmp_path, monkeypatch):
-    config = smoke_config()
+    identity = config_fingerprint(smoke_config())
     cache = ResultCache(tmp_path)
-    path = cache.put("demo", config, _result(1.0))
+    path = cache.put("demo", identity, _payload(1.0))
     # A directory where the entry should be cannot be read.
     path.unlink()
     path.mkdir()
-    assert cache.get("demo", config) is None
+    assert cache.get("demo", identity) is None
     path.rmdir()
     # A concurrent clear() or prune can remove the entry after any
     # existence check: model that check still seeing it.
     monkeypatch.setattr(Path, "exists", lambda self: True)
-    assert cache.get("demo", config) is None
+    assert cache.get("demo", identity) is None
+
+
+def test_entry_of_another_identity_is_a_miss_then_rewritten(tmp_path):
+    config = smoke_config()
+    identity = config_fingerprint(config)
+    cache = ResultCache(tmp_path)
+    path = cache.put("demo", identity, _payload(1.0))
+    # Whatever lands at this key — a colliding digest, a hand-copied file —
+    # is served only when its stored identity is the requested one.
+    other = config_fingerprint(config.with_bandwidth(32.0))
+    path.write_text(json.dumps({"identity": other, "payload": _payload(9.0)}))
+    assert cache.get("demo", identity) is None
+    assert cache.put("demo", identity, _payload(2.0)) == path
+    assert json.loads(path.read_text()) == {"identity": identity, "payload": _payload(2.0)}
+    assert cache.get("demo", identity) == _payload(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +159,9 @@ def test_entry_vanishing_or_unreadable_is_a_miss(tmp_path, monkeypatch):
 
 
 def test_failed_put_keeps_the_previous_entry_and_leaves_no_temp_file(tmp_path, monkeypatch):
-    config = smoke_config()
+    identity = config_fingerprint(smoke_config())
     cache = ResultCache(tmp_path)
-    path = cache.put("demo", config, _result(1.0))
+    path = cache.put("demo", identity, _payload(1.0))
     before = path.read_bytes()
 
     def refuse(source, destination):
@@ -158,23 +169,23 @@ def test_failed_put_keeps_the_previous_entry_and_leaves_no_temp_file(tmp_path, m
 
     monkeypatch.setattr("repro.harness.cache.os.replace", refuse)
     with pytest.raises(OSError, match="simulated crash"):
-        cache.put("demo", config, _result(2.0))
+        cache.put("demo", identity, _payload(2.0))
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
-def _hammer(directory: Path, config, rounds: int) -> None:
+def _hammer(directory: Path, identity: dict, rounds: int) -> None:
     cache = ResultCache(directory, code_version="race")
     for value in range(rounds):
-        cache.put("race", config, _result(float(value), rows=500))
+        cache.put("race", identity, _payload(float(value), rows=500))
 
 
 def test_racing_writers_never_tear_an_entry(tmp_path):
-    config = smoke_config()
+    identity = config_fingerprint(smoke_config())
     context = multiprocessing.get_context("fork")
     writers = [
-        context.Process(target=_hammer, args=(tmp_path, config, 100)) for _ in range(2)
+        context.Process(target=_hammer, args=(tmp_path, identity, 100)) for _ in range(2)
     ]
     for writer in writers:
         writer.start()
@@ -183,13 +194,14 @@ def test_racing_writers_never_tear_an_entry(tmp_path):
     # Once the entry exists, every read while the writers replace it must
     # be a hit: a reader never sees a partly written file.
     while any(writer.is_alive() for writer in writers):
-        hit = reader.get("race", config)
+        hit = reader.get("race", identity)
         seen = seen or hit is not None
         assert hit is not None or not seen
     for writer in writers:
         writer.join(timeout=60)
         assert writer.exitcode == 0
     (entry,) = reader.entries()
-    assert json.loads(entry.read_text())["code_version"] == "race"
-    assert reader.get("race", config) is not None
+    assert entry.name.startswith("race-race-")
+    assert json.loads(entry.read_text())["identity"] == identity
+    assert len(reader.get("race", identity)["rows"]) == 500
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]

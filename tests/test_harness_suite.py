@@ -146,12 +146,13 @@ def test_result_cache_round_trip(tmp_path, config):
         name="demo", paper_reference="Figure 0", description="d", columns=["x"]
     )
     result.add_row(x=1.5)
-    assert cache.get("demo", config) is None
-    cache.put("demo", config, result, elapsed_seconds=0.1)
-    fetched = cache.get("demo", config)
-    assert fetched is not None and fetched.to_dict() == result.to_dict()
+    identity = config_fingerprint(config)
+    assert cache.get("demo", identity) is None
+    cache.put("demo", identity, result.to_dict())
+    fetched = cache.get("demo", identity)
+    assert fetched is not None and ExperimentResult.from_dict(fetched).to_dict() == result.to_dict()
     assert cache.clear() == 1
-    assert cache.get("demo", config) is None
+    assert cache.get("demo", identity) is None
 
 
 def test_cache_coexists_across_configs_but_prunes_old_code_versions(tmp_path, config):
@@ -159,20 +160,23 @@ def test_cache_coexists_across_configs_but_prunes_old_code_versions(tmp_path, co
         name="demo", paper_reference="Figure 0", description="d", columns=["x"]
     )
     result.add_row(x=1.0)
+    payload = result.to_dict()
+    identity = config_fingerprint(config)
+    swept = config_fingerprint(config.with_bandwidth(32.0))
 
     old = ResultCache(tmp_path, code_version="v1")
-    old.put("demo", config, result)
+    old.put("demo", identity, payload)
 
     new = ResultCache(tmp_path, code_version="v2")
-    new.put("demo", config, result)
-    new.put("demo", config.with_bandwidth(32.0), result)
-    new.put("other", config, result)
+    new.put("demo", identity, payload)
+    new.put("demo", swept, payload)
+    new.put("other", identity, payload)
 
     # The v1 entry is gone (it could never hit again), but the two v2 configs
     # of "demo" coexist and "other" is untouched.
-    assert old.get("demo", config) is None
-    assert new.get("demo", config) is not None
-    assert new.get("demo", config.with_bandwidth(32.0)) is not None
+    assert old.get("demo", identity) is None
+    assert new.get("demo", identity) is not None
+    assert new.get("demo", swept) is not None
     assert len(list(new.entries())) == 3
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Session, clear_memo
 from repro.core.accelerator import GrowSimulator
 from repro.harness import smoke_config
 from repro.harness.workloads import get_bundle
@@ -16,7 +17,7 @@ from repro.scaleout import (
     chip_workloads,
     make_topology,
 )
-from repro.scaleout.engine import clear_chip_memo, clear_shard_cache
+from repro.scaleout.engine import clear_shard_cache
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +214,7 @@ def test_faster_links_lower_transfer_cycles(bundle):
 
 
 def test_one_chip_system_reproduces_single_chip_grow_exactly(config, bundle):
-    simulator = ScaleOutSimulator(config=config, topology=ChipTopology(1), use_cache=False)
+    simulator = ScaleOutSimulator(config=config, topology=ChipTopology(1))
     system = simulator.run("amazon")
     reference = GrowSimulator(config.grow_config()).run_model(
         bundle.workloads, bundle.plan
@@ -226,9 +227,9 @@ def test_one_chip_system_reproduces_single_chip_grow_exactly(config, bundle):
 
 
 def test_multi_chip_system_reports_traffic_and_efficiency(config):
-    system = ScaleOutSimulator(
-        config=config, topology=ChipTopology(4, kind="mesh"), use_cache=False
-    ).run("amazon")
+    system = ScaleOutSimulator(config=config, topology=ChipTopology(4, kind="mesh")).run(
+        "amazon"
+    )
     assert system.interchip_bytes > 0
     assert system.comm_transfer_cycles > 0
     assert 0.0 < system.scaling_efficiency <= 4.0
@@ -240,19 +241,21 @@ def test_multi_chip_system_reports_traffic_and_efficiency(config):
 
 def test_serial_parallel_and_cached_runs_are_identical(config, tmp_path):
     clear_shard_cache()
-    clear_chip_memo()  # the serial run must really execute, not hit the memo
+    clear_memo()  # the serial run must really execute, not hit the memo
     topology = ChipTopology(4, kind="ring")
     serial = ScaleOutSimulator(
-        config=config, topology=topology, jobs=1, results_dir=tmp_path
+        config=config, topology=topology, session=Session(results_dir=tmp_path, jobs=1)
     ).run("amazon")
     parallel = ScaleOutSimulator(
-        config=config, topology=topology, jobs=4, results_dir=tmp_path, force=True
+        config=config,
+        topology=topology,
+        session=Session(results_dir=tmp_path, jobs=4, force=True),
     ).run("amazon")
     # Clearing the in-memory memo forces the third run through the on-disk
     # cache entries the first two runs wrote.
-    clear_chip_memo()
+    clear_memo()
     cached = ScaleOutSimulator(
-        config=config, topology=topology, jobs=1, results_dir=tmp_path
+        config=config, topology=topology, session=Session(results_dir=tmp_path, jobs=1)
     ).run("amazon")
     assert cached.chip_statuses == ["cached"] * 4
     assert serial.comparable_dict() == parallel.comparable_dict()
@@ -260,42 +263,44 @@ def test_serial_parallel_and_cached_runs_are_identical(config, tmp_path):
 
 
 def test_chip_cache_is_shared_across_link_parameter_sweeps(config, tmp_path):
-    clear_chip_memo()  # force the first run to write real disk entries
+    clear_memo()  # force the first run to write real disk entries
     ScaleOutSimulator(
-        config=config, topology=ChipTopology(4, link_bandwidth_gbps=16.0), results_dir=tmp_path
+        config=config,
+        topology=ChipTopology(4, link_bandwidth_gbps=16.0),
+        session=Session(results_dir=tmp_path),
     ).run("amazon")
-    clear_chip_memo()
+    clear_memo()
     swept = ScaleOutSimulator(
-        config=config, topology=ChipTopology(4, link_bandwidth_gbps=64.0), results_dir=tmp_path
+        config=config,
+        topology=ChipTopology(4, link_bandwidth_gbps=64.0),
+        session=Session(results_dir=tmp_path),
     ).run("amazon")
     # Same shard, same chips: the faster fabric reuses every per-chip entry.
     assert swept.chip_statuses == ["cached"] * 4
 
 
 def test_chip_memo_avoids_resimulation_without_a_disk_cache(config):
-    clear_chip_memo()
-    first = ScaleOutSimulator(
-        config=config, topology=ChipTopology(4), use_cache=False
-    ).run("amazon")
+    clear_memo()
+    first = ScaleOutSimulator(config=config, topology=ChipTopology(4)).run("amazon")
     assert "ran" in first.chip_statuses
     # A second uncached simulator in the same process serves every chip from
     # the in-memory memo (this is what keeps the suite's sweep experiments
     # from re-simulating the shared 1-chip baseline per sweep point).
-    second = ScaleOutSimulator(
-        config=config, topology=ChipTopology(4, kind="mesh"), use_cache=False
-    ).run("amazon")
+    second = ScaleOutSimulator(config=config, topology=ChipTopology(4, kind="mesh")).run(
+        "amazon"
+    )
     assert second.chip_statuses == ["cached"] * 4
     assert second.chip_cycles == first.chip_cycles
 
 
 def test_unknown_dataset_rejected(config):
-    simulator = ScaleOutSimulator(config=config, topology=ChipTopology(2), use_cache=False)
+    simulator = ScaleOutSimulator(config=config, topology=ChipTopology(2))
     with pytest.raises(KeyError, match="not part of this configuration"):
         simulator.run("reddit")
 
 
 def test_report_has_one_row_per_dataset(config):
-    simulator = ScaleOutSimulator(config=config, topology=ChipTopology(2), use_cache=False)
+    simulator = ScaleOutSimulator(config=config, topology=ChipTopology(2))
     results = simulator.run_all()
     report = simulator.report(results)
     assert report.name == "scaleout_ring2"
