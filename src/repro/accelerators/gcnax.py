@@ -34,6 +34,7 @@ from repro.accelerators.base import (
     combine_results,
 )
 from repro.accelerators.workload import LayerWorkload, SpDeGemmPhase
+from repro.sparse.tiling import tile_statistics
 
 
 @dataclass(frozen=True)
@@ -61,53 +62,6 @@ class GCNAXConfig:
     output_buffer_bytes: int = 192 * KB
 
 
-@dataclass
-class _TileStats:
-    """Aggregate tile statistics of one sparse matrix under a tile grid."""
-
-    num_tiles: int
-    nnz_per_tile: np.ndarray
-    distinct_cols_per_tile: np.ndarray
-
-    @property
-    def total_nnz(self) -> int:
-        return int(self.nnz_per_tile.sum())
-
-    @property
-    def total_distinct_cols(self) -> int:
-        return int(self.distinct_cols_per_tile.sum())
-
-
-def _tile_statistics(sparse, tile_rows: int, tile_cols: int) -> _TileStats:
-    """Per-tile non-zero counts and distinct-column counts, fully vectorised."""
-    n_rows, n_cols = sparse.shape
-    grid_cols = (n_cols + tile_cols - 1) // tile_cols
-    row_of_nnz = np.repeat(np.arange(n_rows), sparse.row_nnz())
-    if row_of_nnz.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return _TileStats(num_tiles=0, nnz_per_tile=empty, distinct_cols_per_tile=empty)
-    tile_row = row_of_nnz // tile_rows
-    tile_col = sparse.indices // tile_cols
-    tile_id = tile_row * grid_cols + tile_col
-
-    # Non-zeros per occupied tile.
-    occupied, nnz_per_tile = np.unique(tile_id, return_counts=True)
-
-    # Distinct (tile, column) pairs: the number of dense RHS rows each tile
-    # must bring on chip.
-    pair_key = tile_id * np.int64(n_cols) + sparse.indices
-    unique_pairs = np.unique(pair_key)
-    pair_tile = unique_pairs // np.int64(n_cols)
-    distinct_per_tile = np.searchsorted(occupied, pair_tile)
-    distinct_counts = np.bincount(distinct_per_tile, minlength=occupied.size)
-
-    return _TileStats(
-        num_tiles=int(occupied.size),
-        nnz_per_tile=nnz_per_tile.astype(np.int64),
-        distinct_cols_per_tile=distinct_counts.astype(np.int64),
-    )
-
-
 class GCNAXSimulator:
     """Cycle-accounting model of the GCNAX accelerator."""
 
@@ -127,7 +81,7 @@ class GCNAXSimulator:
         rhs_row_bytes = phase.rhs_row_bytes
         rhs_row_lines = -(-rhs_row_bytes // granularity)  # ceil division
 
-        tiles = _tile_statistics(phase.sparse, cfg.tile_rows, cfg.tile_cols)
+        tiles = tile_statistics(phase.sparse, cfg.tile_rows, cfg.tile_cols)
 
         # --- Sparse LHS traffic: one fetch per occupied tile, rounded up to
         # whole DRAM lines.  This is where the bandwidth waste of Figure 6

@@ -23,7 +23,8 @@ Families:
   submission must not write module-level state, reconfigure global
   telemetry, or read clocks/environment without justification.
 * ``VEC`` — the vectorization contract: stable sorts, no
-  sort-then-reverse, no dtype-narrowing casts on index arrays.
+  sort-then-reverse, no dtype-narrowing casts on index arrays, no
+  ``np.unique`` on its hash or ``axis=`` paths.
 
 ``KEY003`` (in the ``KEY`` family) is whole-program too: request fields
 read in a backend's call-graph closure must reach ``canonical_json()``.

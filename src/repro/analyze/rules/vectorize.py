@@ -23,6 +23,11 @@ generators are already flagged there).
   ``int32``/``uint16``/... truncates silently past the dtype's range, so
   the code works on Table I datasets and corrupts indices on larger
   graphs.
+* ``VEC004`` — ``np.unique`` on its two slow paths: with ``axis=`` (rows
+  sorted through a structured view), or with none of ``return_index``/
+  ``return_inverse``/``return_counts`` (numpy >= 2.3 takes a hash-table
+  path, 40-60x slower than sorting here).  Both have an exact sort-based
+  replacement in ``repro.sparse.sorted_unique``.
 """
 
 from __future__ import annotations
@@ -55,6 +60,26 @@ _INDEX_PRODUCER_METHODS = frozenset({"argsort", "nonzero"})
 _NARROW_DTYPES = frozenset(
     {"int8", "int16", "int32", "uint8", "uint16", "uint32"}
 )
+
+
+#: ``np.unique``'s positional parameters after the array: the three flags
+#: that keep it on its sort path, then ``axis``.
+_UNIQUE_FLAGS = ("return_index", "return_inverse", "return_counts")
+_UNIQUE_AXIS_POSITION = 1 + len(_UNIQUE_FLAGS)
+
+
+def _unique_slow_path(call: ast.Call) -> str | None:
+    """Why an ``np.unique(...)`` call takes a slow path, or None."""
+    if len(call.args) > _UNIQUE_AXIS_POSITION or any(
+        keyword.arg == "axis" for keyword in call.keywords
+    ):
+        return "with axis= sorts rows through a structured view"
+    flags = list(call.args[1:_UNIQUE_AXIS_POSITION])
+    flags += [kw.value for kw in call.keywords if kw.arg in _UNIQUE_FLAGS]
+    # A flag passed as a literal False leaves the call on the hash path.
+    if all(isinstance(flag, ast.Constant) and not flag.value for flag in flags):
+        return "without a return_* flag takes numpy's hash-table path (numpy >= 2.3)"
+    return None
 
 
 def _has_stable_kind(call: ast.Call) -> bool:
@@ -215,3 +240,30 @@ class NoNarrowIndexCasts(_VecRule):
             ):
                 names.add(node.targets[0].id)
         return names
+
+
+@register
+class NoSlowUnique(_VecRule):
+    rule_id = "VEC004"
+    family = "VEC"
+    summary = "np.unique only with a return_* flag and no axis= (else sorted_unique)"
+    contract = "docs/architecture.md vectorization contract (sorted-unique helper)"
+
+    def check(self, project: Project, config: CheckConfig) -> Iterator[Finding]:
+        for module in self.scoped_modules(project, config):
+            aliases = build_alias_map(module)
+            for node in ast.walk(module.tree):
+                if not (
+                    isinstance(node, ast.Call)
+                    and canonical_call_name(node.func, aliases) == "numpy.unique"
+                ):
+                    continue
+                reason = _unique_slow_path(node)
+                if reason is not None:
+                    yield self.finding(
+                        module,
+                        node.lineno,
+                        f"numpy.unique() {reason} in layer '{module.layer}'; "
+                        f"use repro.sparse.sorted_unique (sort plus "
+                        f"adjacent-difference mask, exact for integer keys)",
+                    )

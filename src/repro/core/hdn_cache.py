@@ -19,52 +19,63 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.sparse.unique import sorted_unique
+
 
 @dataclass
 class HDNIdList:
-    """The CAM that holds the ids of the currently cached high-degree nodes."""
+    """The CAM that holds the ids of the currently cached high-degree nodes.
+
+    The ids are kept sorted and distinct, beside a boolean membership bitmap
+    over ``0 .. max id`` that is built once per load, so a lookup is one
+    gather instead of a search per column.  The bitmap costs one byte per id
+    up to the largest, which the graph's node count bounds.
+    """
 
     capacity: int
     node_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    _member: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.node_ids = np.asarray(self.node_ids, dtype=np.int64)
         if self.capacity < 0:
             raise ValueError("capacity must be non-negative")
-        if self.node_ids.size > self.capacity:
+        node_ids = self._normalise(self.node_ids)
+        if node_ids.size > self.capacity:
             raise ValueError(
-                f"HDN ID list overflow: {self.node_ids.size} ids, capacity {self.capacity}"
+                f"HDN ID list overflow: {node_ids.size} ids, capacity {self.capacity}"
             )
-        # ``lookup`` binary-searches the list, so keep it sorted even when the
-        # ids are injected directly instead of via ``load``.
-        self.node_ids = np.sort(self.node_ids, kind="stable")
+        self._store(node_ids)
+
+    @staticmethod
+    def _normalise(node_ids: np.ndarray) -> np.ndarray:
+        """Sorted, distinct, non-negative ids (a copy the list owns)."""
+        node_ids = sorted_unique(np.array(node_ids, dtype=np.int64))
+        if node_ids.size and node_ids[0] < 0:
+            raise ValueError(f"HDN node ids must be non-negative, got {node_ids[0]}")
+        return node_ids
+
+    def _store(self, node_ids: np.ndarray) -> None:
+        self.node_ids = node_ids
+        self._member = np.zeros(int(node_ids[-1]) + 1 if node_ids.size else 0, dtype=bool)
+        self._member[node_ids] = True
 
     def load(self, node_ids: np.ndarray) -> None:
         """Replace the list contents with a new cluster's HDN ids."""
-        # Sorted-unique by sort + adjacent-difference mask: identical to
-        # ``np.unique`` (whose output is sorted) without its hash path, and
-        # the sorted invariant lets ``lookup`` use binary search.
-        node_ids = np.sort(np.asarray(node_ids, dtype=np.int64), kind="stable")
-        if node_ids.size > 1:
-            keep = np.empty(node_ids.shape, dtype=bool)
-            keep[0] = True
-            np.not_equal(node_ids[1:], node_ids[:-1], out=keep[1:])
-            node_ids = node_ids[keep]
-        if node_ids.size > self.capacity:
-            node_ids = node_ids[: self.capacity]
-        self.node_ids = node_ids
+        self._store(self._normalise(node_ids)[: self.capacity])
 
     def lookup(self, columns: np.ndarray) -> np.ndarray:
-        """Boolean hit mask for a batch of column ids (CAM lookups)."""
-        ids = self.node_ids
-        if ids.size == 0:
-            return np.zeros(np.asarray(columns).shape, dtype=bool)
+        """Boolean hit mask for a batch of column ids (CAM lookups).
+
+        Columns outside ``0 .. max id`` (negative or past the end of the
+        bitmap) are misses.
+        """
         columns = np.asarray(columns, dtype=np.int64)
-        # ``load`` keeps the list sorted, so membership is one binary search
-        # per column (the mask is the same set test ``np.isin`` performs).
-        pos = np.searchsorted(ids, columns)
-        pos[pos == ids.size] = 0
-        return ids[pos] == columns
+        member = self._member
+        if member.size == 0:
+            return np.zeros(columns.shape, dtype=bool)
+        hits = member.take(columns, mode="clip")
+        hits &= (columns >= 0) & (columns < member.size)
+        return hits
 
     @property
     def size(self) -> int:

@@ -20,6 +20,7 @@ from repro.graph.graph import Graph
 from repro.graph.partition import PartitionResult, partition_graph
 from repro.obs import trace
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.unique import sorted_unique
 
 
 @dataclass
@@ -57,7 +58,7 @@ class PreprocessPlan:
     def validate(self) -> None:
         """Check internal consistency (every node in exactly one cluster)."""
         seen = np.concatenate(self.clusters) if self.clusters else np.empty(0, dtype=np.int64)
-        if seen.size != self.num_nodes or np.unique(seen).size != self.num_nodes:
+        if seen.size != self.num_nodes or sorted_unique(seen).size != self.num_nodes:
             raise ValueError("clusters must cover every node exactly once")
         for cluster_id, hdns in enumerate(self.hdn_lists):
             if hdns.size > self.hdn_list_capacity:

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 @dataclass
 class LDNTable:
@@ -145,10 +143,3 @@ class RunaheadModel:
             for degree in degrees
         }
 
-
-def rows_with_misses(row_ids_of_nnz: np.ndarray, miss_mask: np.ndarray) -> int:
-    """Number of distinct output rows that suffer at least one HDN cache miss."""
-    if row_ids_of_nnz.size == 0:
-        return 0
-    missed_rows = row_ids_of_nnz[np.asarray(miss_mask, dtype=bool)]
-    return int(np.unique(missed_rows).size)

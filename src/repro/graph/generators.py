@@ -13,24 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.graph import Graph
-
-
-def _merge_sorted_unique(unique_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Sorted-unique union of an already-unique key set and a new batch.
-
-    Identical output to ``np.unique(np.concatenate([unique_keys, keys]))``
-    (sorted ascending, duplicates dropped) via sort + adjacent-difference
-    mask, which avoids ``np.unique``'s hash-table path — the single most
-    expensive step of edge-batch deduplication at million-edge sizes.
-    """
-    merged = np.concatenate([unique_keys, keys])
-    if merged.size == 0:
-        return merged
-    merged.sort()
-    keep = np.empty(merged.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-    return merged[keep]
+from repro.sparse.unique import sorted_unique
 
 
 def _edgeless_graph(name: str, communities: np.ndarray | None = None) -> Graph:
@@ -206,7 +189,7 @@ def chung_lu_graph(
         lo = np.minimum(src, dst)
         hi = np.maximum(src, dst)
         keys = lo * np.int64(num_nodes) + hi
-        unique_keys = _merge_sorted_unique(unique_keys, keys)
+        unique_keys = sorted_unique(np.concatenate([unique_keys, keys]))
     if unique_keys.size > target_edges:
         unique_keys = rng.permutation(unique_keys)[:target_edges]
     src = (unique_keys // num_nodes).astype(np.int64)
@@ -388,7 +371,7 @@ def rmat_graph(
         lo = np.minimum(src, dst)
         hi = np.maximum(src, dst)
         keys = lo * np.int64(num_nodes) + hi
-        unique_keys = _merge_sorted_unique(unique_keys, keys)
+        unique_keys = sorted_unique(np.concatenate([unique_keys, keys]))
     if unique_keys.size > target_edges:
         unique_keys = rng.permutation(unique_keys)[:target_edges]
     return Graph(

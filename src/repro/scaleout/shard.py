@@ -42,6 +42,7 @@ from repro.core.multi_pe import greedy_longest_first
 from repro.core.preprocess import PreprocessPlan
 from repro.graph.graph import Graph
 from repro.graph.partition import partition_graph
+from repro.sparse.unique import sorted_unique
 
 #: Cluster-to-chip assignment methods.
 SHARD_METHODS = ("metis", "greedy")
@@ -84,13 +85,12 @@ class ChipShard:
         order (matching :meth:`chip_workloads` row slicing); HDN lists keep
         global column ids because the dense RHS keeps its global indexing.
         """
-        local_of_global = {int(node): i for i, node in enumerate(self.nodes)}
         cluster_of_node = np.zeros(self.num_nodes, dtype=np.int64)
         local_clusters: list[np.ndarray] = []
         for local_cluster_id, members in enumerate(self.clusters):
-            local_members = np.array(
-                [local_of_global[int(node)] for node in members], dtype=np.int64
-            )
+            # ``nodes`` is ascending and holds every member: a member's local
+            # id is its position there.
+            local_members = np.searchsorted(self.nodes, members)
             local_clusters.append(local_members)
             cluster_of_node[local_members] = local_cluster_id
         return PreprocessPlan(
@@ -135,7 +135,7 @@ class ShardPlan:
             if self.shards
             else np.empty(0, dtype=np.int64)
         )
-        if seen.size != self.num_nodes or np.unique(seen).size != self.num_nodes:
+        if seen.size != self.num_nodes or sorted_unique(seen).size != self.num_nodes:
             raise ValueError("shards must cover every node exactly once")
         for shard in self.shards:
             if shard.halo_nodes.size and np.any(
@@ -176,13 +176,12 @@ def _cluster_graph(adjacency, cluster_of_node: np.ndarray, num_clusters: int) ->
     src_clusters = cluster_of_node[row_ids]
     dst_clusters = cluster_of_node[adjacency.indices]
     cross = src_clusters != dst_clusters
-    pairs = np.unique(
-        np.stack([src_clusters[cross], dst_clusters[cross]], axis=1), axis=0
-    ) if cross.any() else np.empty((0, 2), dtype=np.int64)
+    # Distinct (src, dst) pairs in lexicographic order, as one int64 key each.
+    keys = sorted_unique(src_clusters[cross] * np.int64(num_clusters) + dst_clusters[cross])
     return Graph(
         num_nodes=num_clusters,
-        src=pairs[:, 0],
-        dst=pairs[:, 1],
+        src=keys // num_clusters,
+        dst=keys % num_clusters,
         name="cluster-graph",
         undirected=False,
     )
@@ -262,16 +261,8 @@ def build_shard_plan(
             if clusters
             else np.empty(0, dtype=np.int64)
         )
-        if nodes.size:
-            starts = adjacency.indptr[nodes]
-            ends = adjacency.indptr[nodes + 1]
-            referenced = np.concatenate(
-                [adjacency.indices[s:e] for s, e in zip(starts, ends)]
-            ) if (ends - starts).sum() else np.empty(0, dtype=np.int64)
-            remote = referenced[chip_of_node[referenced] != chip]
-            halo = np.unique(remote)
-        else:
-            halo = np.empty(0, dtype=np.int64)
+        referenced = adjacency.select_rows(nodes).indices
+        halo = sorted_unique(referenced[chip_of_node[referenced] != chip])
         shards.append(
             ChipShard(
                 chip_id=chip,
@@ -299,7 +290,7 @@ def build_shard_plan(
         if cross.any():
             # Unique (column owner, output row) pairs, then count per chip pair.
             key = col_chip[cross].astype(np.int64) * plan.num_nodes + row_ids[cross]
-            unique_keys = np.unique(key)
+            unique_keys = sorted_unique(key)
             src = unique_keys // plan.num_nodes
             dst = chip_of_node[unique_keys % plan.num_nodes]
             pair_key = src * num_chips + dst

@@ -3,8 +3,10 @@
 This package provides the compressed sparse formats used by the paper's
 accelerators (COO, CSR, CSC), conversions between them, reference
 sparse-dense matrix-multiplication kernels in the three dataflows the paper
-discusses (inner product, outer product, row-wise / Gustavson product), and
-tiling iterators used by the GCNAX baseline.
+discusses (inner product, outer product, row-wise / Gustavson product),
+the tile statistics used by the GCNAX baseline and the Figure 5/6
+characterisation, and the sorted-unique helper the engine layers use in
+place of ``np.unique``.
 """
 
 from repro.sparse.coo import COOMatrix
@@ -27,7 +29,15 @@ from repro.sparse.ops import (
     spmm_outer_product,
     spmm_reference,
 )
-from repro.sparse.tiling import Tile, iter_tiles, tile_grid_shape, tile_nnz_histogram
+from repro.sparse.tiling import (
+    Tile,
+    TileStatistics,
+    iter_tiles,
+    tile_grid_shape,
+    tile_nnz_histogram,
+    tile_statistics,
+)
+from repro.sparse.unique import sorted_unique
 
 __all__ = [
     "COOMatrix",
@@ -47,7 +57,10 @@ __all__ = [
     "spmm_inner_product",
     "spmm_outer_product",
     "Tile",
+    "TileStatistics",
     "iter_tiles",
     "tile_grid_shape",
     "tile_nnz_histogram",
+    "tile_statistics",
+    "sorted_unique",
 ]

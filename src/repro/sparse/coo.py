@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.sparse.unique import run_starts
+
 
 @dataclass
 class COOMatrix:
@@ -104,14 +106,10 @@ class COOMatrix:
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         vals = self.vals[order]
-        # ``keys`` is sorted now, so the unique keys are the run starts — the
-        # adjacent-difference mask gives the same (unique_keys, first-index)
-        # pair ``np.unique(keys, return_index=True)`` computes, minus its
-        # internal re-sort.
-        mask = np.empty(keys.shape, dtype=bool)
-        mask[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=mask[1:])
-        start = np.flatnonzero(mask)
+        # ``keys`` is sorted now, so the unique keys are the run starts: the
+        # same (unique_keys, first-index) pair ``np.unique(keys,
+        # return_index=True)`` computes, minus its internal re-sort.
+        start = run_starts(keys)
         unique_keys = keys[start]
         summed = np.add.reduceat(vals, start)
         return COOMatrix(

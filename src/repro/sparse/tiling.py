@@ -15,6 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.unique import run_starts, sorted_unique
 
 
 @dataclass(frozen=True)
@@ -57,23 +58,69 @@ def tile_grid_shape(shape: tuple[int, int], tile_rows: int, tile_cols: int) -> t
     return grid_rows, grid_cols
 
 
+@dataclass(frozen=True)
+class TileStatistics:
+    """Per-tile statistics of the occupied tiles of a sparse matrix.
+
+    Attributes:
+        tile_ids: row-major grid positions of the tiles holding at least one
+            non-zero, ascending.
+        nnz_per_tile: non-zeros in each occupied tile.
+        distinct_cols_per_tile: distinct columns each occupied tile touches,
+            i.e. the dense RHS rows GCNAX brings on chip for it.
+    """
+
+    tile_ids: np.ndarray
+    nnz_per_tile: np.ndarray
+    distinct_cols_per_tile: np.ndarray
+
+    @property
+    def num_tiles(self) -> int:
+        return int(self.tile_ids.size)
+
+    @property
+    def total_nnz(self) -> int:
+        return int(self.nnz_per_tile.sum())
+
+    @property
+    def total_distinct_cols(self) -> int:
+        return int(self.distinct_cols_per_tile.sum())
+
+
+def tile_statistics(matrix: CSRMatrix, tile_rows: int, tile_cols: int) -> TileStatistics:
+    """Occupied tiles, their non-zeros and their distinct columns, in one sort.
+
+    The non-zeros are keyed by (row strip, column) and sorted once.  The
+    distinct keys are the distinct (tile, column) pairs and their run lengths
+    the non-zeros of each pair; the pairs' tile ids are non-decreasing, so
+    runs of equal tile id give each tile's distinct columns and, summed, its
+    non-zeros.  Never materialises the full grid, so it stays O(nnz log nnz)
+    even when the grid has billions of cells (million-node graphs with small
+    tiles).  An empty matrix yields empty arrays.
+    """
+    _grid_rows, grid_cols = tile_grid_shape(matrix.shape, tile_rows, tile_cols)
+    n_cols = np.int64(matrix.n_cols)
+    strip = np.repeat(np.arange(matrix.n_rows, dtype=np.int64) // tile_rows, matrix.row_nnz())
+    pairs, pair_nnz = sorted_unique(strip * n_cols + matrix.indices, return_counts=True)
+    pair_tile = (pairs // n_cols) * grid_cols + (pairs % n_cols) // tile_cols
+    starts = run_starts(pair_tile)
+    return TileStatistics(
+        tile_ids=pair_tile[starts],
+        nnz_per_tile=np.add.reduceat(pair_nnz, starts),
+        distinct_cols_per_tile=np.diff(starts, append=pair_tile.size),
+    )
+
+
 def occupied_tile_counts(
     matrix: CSRMatrix, tile_rows: int, tile_cols: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Non-zero counts of the *occupied* tiles only.
+    """``(flat_tile_ids, counts)``: the non-zero counts of the occupied tiles.
 
-    Returns ``(flat_tile_ids, counts)`` where ``flat_tile_ids`` are the
-    row-major grid positions of tiles holding at least one non-zero, in
-    ascending (row-major) order.  Never materialises the full grid, so it
-    stays O(nnz) even when the grid has billions of cells (million-node
-    graphs with small tiles).  An empty matrix yields two empty arrays.
+    The Figure 5/6 view of :func:`tile_statistics`; tile ids ascend in
+    row-major grid order and an empty matrix yields two empty arrays.
     """
-    grid_rows, grid_cols = tile_grid_shape(matrix.shape, tile_rows, tile_cols)
-    if matrix.nnz == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    row_ids = np.repeat(np.arange(matrix.n_rows), matrix.row_nnz())
-    flat = (row_ids // tile_rows) * grid_cols + matrix.indices // tile_cols
-    return np.unique(flat, return_counts=True)
+    stats = tile_statistics(matrix, tile_rows, tile_cols)
+    return stats.tile_ids, stats.nnz_per_tile
 
 
 def iter_tiles(

@@ -480,6 +480,7 @@ def test_cli_list_rules(capsys):
     for rule_id in (
         "LAY001", "DET001", "KEY001", "KEY003", "POOL001", "EXC001",
         "CONC001", "CONC002", "CONC003", "VEC001", "VEC002", "VEC003",
+        "VEC004",
     ):
         assert rule_id in out
 

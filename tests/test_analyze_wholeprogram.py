@@ -386,6 +386,48 @@ def test_vec003_accepts_full_width_and_value_casts(tmp_path):
     assert report.findings == []
 
 
+def test_vec004_flags_hash_path_and_axis_unique(tmp_path):
+    root = make_tree(tmp_path, {
+        "scaleout/plan.py": (
+            "import numpy as np\n"
+            "from numpy import unique\n"
+            "def bare(x):\n"
+            "    return np.unique(x)\n"
+            "def rows(pairs):\n"
+            "    return np.unique(pairs, axis=0)\n"
+            "def counted_rows(pairs):\n"
+            "    return np.unique(pairs, return_counts=True, axis=0)\n"
+            "def false_flag(x):\n"
+            "    return unique(x, return_counts=False)\n"
+            "def positional_axis(x):\n"
+            "    return np.unique(x, True, False, False, 0)\n"
+        ),
+    })
+    report = run_check(root, rule_names=["VEC004"])
+    assert rules_of(report) == ["VEC004"] * 5
+    assert all("sorted_unique" in f.message for f in report.findings)
+    assert sorted(f.line for f in report.findings) == [4, 6, 8, 10, 12]
+
+
+def test_vec004_accepts_sort_path_unique(tmp_path):
+    root = make_tree(tmp_path, {
+        "scaleout/plan.py": (
+            "import numpy as np\n"
+            "def counts(x):\n"
+            "    return np.unique(x, return_counts=True)\n"
+            "def inverse(x):\n"
+            "    return np.unique(x, return_inverse=True)\n"
+            "def first(x):\n"
+            "    return np.unique(x, True)\n"
+            "def chosen(x, want):\n"
+            "    return np.unique(x, return_index=want)\n"
+        ),
+        "bench/plot.py": "import numpy as np\ndef f(x):\n    return np.unique(x)\n",
+    })
+    report = run_check(root, rule_names=["VEC004"])
+    assert report.findings == []
+
+
 def test_vec_suppression_with_reason(tmp_path):
     root = make_tree(tmp_path, {
         "graph/order.py": (
@@ -397,6 +439,19 @@ def test_vec_suppression_with_reason(tmp_path):
     report = run_check(root, rule_names=["VEC001"])
     assert report.findings == []
     assert [f.rule for f in report.suppressed] == ["VEC001"]
+
+
+def test_vec004_suppression_with_reason(tmp_path):
+    root = make_tree(tmp_path, {
+        "graph/keys.py": (
+            "import numpy as np\n"
+            "def distinct(x):\n"
+            "    return np.unique(x)  # repro: allow(VEC004) object keys, no sort path\n"
+        ),
+    })
+    report = run_check(root, rule_names=["VEC004"])
+    assert report.findings == []
+    assert [f.rule for f in report.suppressed] == ["VEC004"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.accelerators.base import AcceleratorConfig
-from repro.accelerators.gcnax import GCNAXConfig, GCNAXSimulator, _tile_statistics
+from repro.accelerators.gcnax import GCNAXConfig, GCNAXSimulator
 from repro.sparse.convert import dense_to_csr
+from repro.sparse.tiling import tile_statistics
 
 
 @pytest.fixture
@@ -18,25 +19,30 @@ def test_tile_statistics_counts(rng):
     dense[0, 0] = 1.0
     dense[0, 1] = 1.0
     dense[20, 20] = 1.0
-    stats = _tile_statistics(dense_to_csr(dense), 16, 16)
+    stats = tile_statistics(dense_to_csr(dense), 16, 16)
     assert stats.num_tiles == 2
     assert stats.total_nnz == 3
     assert stats.total_distinct_cols == 3
+    np.testing.assert_array_equal(stats.tile_ids, [0, 3])
+    np.testing.assert_array_equal(stats.nnz_per_tile, [2, 1])
+    np.testing.assert_array_equal(stats.distinct_cols_per_tile, [2, 1])
 
 
 def test_tile_statistics_distinct_columns():
     dense = np.zeros((8, 8))
     dense[0, 3] = 1.0
     dense[1, 3] = 1.0  # same tile, same column -> one distinct column
-    stats = _tile_statistics(dense_to_csr(dense), 8, 8)
+    stats = tile_statistics(dense_to_csr(dense), 8, 8)
     assert stats.total_nnz == 2
     assert stats.total_distinct_cols == 1
+    np.testing.assert_array_equal(stats.nnz_per_tile, [2])
 
 
 def test_tile_statistics_empty():
-    stats = _tile_statistics(dense_to_csr(np.zeros((4, 4))), 2, 2)
+    stats = tile_statistics(dense_to_csr(np.zeros((4, 4))), 2, 2)
     assert stats.num_tiles == 0
     assert stats.total_nnz == 0
+    assert stats.total_distinct_cols == 0
 
 
 def test_run_phase_traffic_includes_overfetch(simulator, small_workloads):

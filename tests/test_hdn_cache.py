@@ -34,6 +34,35 @@ def test_id_list_overflow_rejected():
         HDNIdList(capacity=2, node_ids=np.array([1, 2, 3]))
 
 
+def test_id_list_constructor_and_load_agree_on_duplicates():
+    built = HDNIdList(capacity=2, node_ids=[5, 5])
+    loaded = HDNIdList(capacity=2)
+    loaded.load([5, 5])
+    assert built.size == loaded.size == 1
+    np.testing.assert_array_equal(built.node_ids, loaded.node_ids)
+
+
+def test_id_list_overflow_counts_distinct_ids():
+    id_list = HDNIdList(capacity=2, node_ids=[5, 5, 6])
+    assert id_list.size == 2
+    np.testing.assert_array_equal(id_list.node_ids, [5, 6])
+
+
+@pytest.mark.parametrize("ids", [[-1], [3, -2, 3]])
+def test_id_list_rejects_negative_ids(ids):
+    with pytest.raises(ValueError, match="non-negative"):
+        HDNIdList(capacity=4, node_ids=ids)
+    id_list = HDNIdList(capacity=4)
+    with pytest.raises(ValueError, match="non-negative"):
+        id_list.load(ids)
+
+
+def test_id_list_out_of_range_columns_miss():
+    id_list = HDNIdList(capacity=4, node_ids=[0, 2, 7])
+    hits = id_list.lookup(np.array([-8, -1, 0, 2, 7, 8, 100, 2**40]))
+    np.testing.assert_array_equal(hits, [False, False, True, True, True, False, False, False])
+
+
 def test_cache_capacity_rows():
     cache = HDNCache(capacity_bytes=512 * 1024, id_list=HDNIdList(capacity=4096))
     cache.begin_phase(row_bytes=512)

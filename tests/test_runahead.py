@@ -1,9 +1,8 @@
 """Unit tests for the runahead execution model (LDN table, LHS ID table)."""
 
-import numpy as np
 import pytest
 
-from repro.core.runahead import LDNTable, LHSIdTable, RunaheadModel, rows_with_misses
+from repro.core.runahead import LDNTable, LHSIdTable, RunaheadModel
 
 
 # ----------------------------------------------------------------------
@@ -92,9 +91,3 @@ def test_sweep_is_monotonically_non_increasing():
     values = [sweep[d] for d in sorted(sweep)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
-
-def test_rows_with_misses_counts_distinct_rows():
-    rows = np.array([0, 0, 1, 2, 2, 2])
-    miss = np.array([True, False, False, True, True, False])
-    assert rows_with_misses(rows, miss) == 2
-    assert rows_with_misses(np.array([]), np.array([])) == 0
