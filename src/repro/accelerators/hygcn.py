@@ -29,6 +29,16 @@ from repro.gcn.layer import GCNLayer
 from repro.sparse.csr import CSRMatrix
 
 
+def _nonzero_fraction(matrix: CSRMatrix) -> float:
+    """Fraction of a matrix's cells that hold a non-zero.
+
+    The same float as the mean of the dense form's ``!= 0`` mask: an exact
+    count divided by the cell count.
+    """
+    cells = matrix.n_rows * matrix.n_cols
+    return np.count_nonzero(matrix.data) / cells if cells else 0.0
+
+
 @dataclass(frozen=True)
 class HyGCNConfig:
     """HyGCN architecture parameters.
@@ -57,12 +67,16 @@ class HyGCNSimulator:
     def __init__(self, config: HyGCNConfig | None = None) -> None:
         self.config = config or HyGCNConfig()
 
-    def _aggregation_engine(self, adjacency: CSRMatrix, features: np.ndarray) -> PhaseStats:
-        """Sparse-sparse engine computing ``A X`` with a sliding window cache."""
+    def _aggregation_engine(
+        self, adjacency: CSRMatrix, num_features: int, feature_density: float
+    ) -> PhaseStats:
+        """Sparse-sparse engine computing ``A X`` with a sliding window cache.
+
+        X enters only through its width and its measured density.
+        """
         cfg = self.config
         arch = cfg.arch
         granularity = arch.access_granularity
-        num_features = features.shape[1]
         feature_row_bytes = num_features * 8
         row_lines = -(-feature_row_bytes // granularity)
 
@@ -83,8 +97,7 @@ class HyGCNSimulator:
 
         # (A X) MACs: only non-zero feature entries contribute.  We use the
         # measured feature density to scale the ideal count.
-        density = float((features != 0).mean()) if features.size else 0.0
-        mac_ops = int(adjacency.nnz * num_features * density)
+        mac_ops = int(adjacency.nnz * num_features * feature_density)
         macs = max(1.0, arch.num_macs * cfg.aggregation_share)
         compute_cycles = mac_ops / macs
         dram_read = lhs_transferred + fills + miss_traffic
@@ -127,7 +140,9 @@ class HyGCNSimulator:
 
     def run_layer_from_gcn(self, layer: GCNLayer) -> AcceleratorResult:
         """Simulate one GCN layer directly (HyGCN needs X, not XW)."""
-        agg = self._aggregation_engine(layer.adjacency, layer.features)
+        agg = self._aggregation_engine(
+            layer.adjacency, layer.in_features, _nonzero_fraction(layer.features_csr)
+        )
         comb = self._combination_engine(layer.num_nodes, layer.in_features, layer.out_features)
         # The two engines are pipelined; the slower one bounds throughput and
         # the imbalance is reported for analysis.
@@ -143,12 +158,13 @@ class HyGCNSimulator:
     def run_layer(self, workload: LayerWorkload) -> AcceleratorResult:
         """Simulate a layer given the standard workload description.
 
-        HyGCN computes ``(A X) W``, so it needs X (the combination phase's
-        sparse matrix) rather than XW; the workload carries both.
+        HyGCN computes ``(A X) W``, so it reads X (the combination phase's
+        sparse matrix), never XW: only X's width and density matter.
         """
-        features = workload.combination.sparse.to_dense()
-        adjacency = workload.aggregation.sparse
-        agg = self._aggregation_engine(adjacency, features)
+        features = workload.combination.sparse
+        agg = self._aggregation_engine(
+            workload.aggregation.sparse, features.n_cols, _nonzero_fraction(features)
+        )
         comb = self._combination_engine(
             workload.num_nodes, workload.combination.dense_shape[0], workload.combination.dense_shape[1]
         )

@@ -112,10 +112,10 @@ def build_layer_workload(layer: GCNLayer, materialize: bool = True) -> LayerWork
         layer: the GCN layer (adjacency, features, weights).
         materialize: when True, the dense RHS matrices (W and XW) are stored
             on the phases so simulators can verify functional correctness;
-            set False to save memory for large sweeps.
+            set False to save memory for large sweeps (no ``X @ W`` is
+            computed then).
     """
     weight = layer.weight
-    xw = layer.combination()
     combination = SpDeGemmPhase(
         name="combination",
         sparse=layer.features_csr,
@@ -126,8 +126,8 @@ def build_layer_workload(layer: GCNLayer, materialize: bool = True) -> LayerWork
     aggregation = SpDeGemmPhase(
         name="aggregation",
         sparse=layer.adjacency,
-        dense_shape=xw.shape,
-        dense=xw if materialize else None,
+        dense_shape=(layer.num_nodes, weight.shape[1]),
+        dense=layer.combination() if materialize else None,
         rhs_resident=False,
     )
     return LayerWorkload(name=layer.name, combination=combination, aggregation=aggregation)

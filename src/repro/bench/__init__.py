@@ -35,7 +35,6 @@ from repro.bench.emit import (
 )
 from repro.bench.ladder import (
     DEFAULT_LADDER,
-    FULL_LADDER,
     RUNGS,
     BenchRung,
     run_rung,
@@ -48,7 +47,6 @@ __all__ = [
     "BenchSchemaError",
     "BenchRung",
     "DEFAULT_LADDER",
-    "FULL_LADDER",
     "RUNGS",
     "build_document",
     "latest_bench_path",

@@ -8,8 +8,7 @@ trajectory is visibly discontinuous rather than silently incomparable.
 The grow rungs exercise the full single-chip pipeline (graph generation,
 partitioning, preprocessing, feature synthesis and the cycle model); the
 scale-out rung adds sharding plus interconnect modelling; the DSE rung
-covers the search harness.  ``grow-1k`` exists for tests and CI smoke,
-``grow-1m`` only joins the ladder on request (``--full``).
+covers the search harness.  ``grow-1k`` exists for tests and CI smoke.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ RUNGS: dict[str, BenchRung] = {
         BenchRung(
             name="grow-1m",
             kind="grow",
-            description="1M-node chung-lu graph through the GROW backend (--full only)",
+            description="1M-node chung-lu graph through the GROW backend",
             scenario=_chung_lu_scenario("bench-grow-1m", 1_000_000),
         ),
         BenchRung(
@@ -108,15 +107,7 @@ DEFAULT_LADDER: tuple[str, ...] = (
     "grow-100k",
     "scaleout-4chip-10k",
     "dse-smoke",
-)
-
-#: The default ladder plus the 1M-node rung (minutes, not seconds).
-FULL_LADDER: tuple[str, ...] = (
-    "grow-10k",
-    "grow-100k",
     "grow-1m",
-    "scaleout-4chip-10k",
-    "dse-smoke",
 )
 
 

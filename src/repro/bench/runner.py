@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from repro.bench import emit
-from repro.bench.ladder import DEFAULT_LADDER, FULL_LADDER, RUNGS, run_rung
+from repro.bench.ladder import DEFAULT_LADDER, RUNGS, run_rung
 
 
 def _worker_environment() -> dict[str, str]:
@@ -100,7 +100,6 @@ def _record_bench_ledger(sample: dict) -> None:
 
 def run_bench(
     rungs: list[str] | None = None,
-    full: bool = False,
     repeats: int = 1,
     bench_dir: Path | str = emit.DEFAULT_BENCH_DIR,
     isolated: bool = True,
@@ -119,7 +118,7 @@ def run_bench(
     """
     from repro.obs import trend
 
-    names = list(rungs) if rungs else list(FULL_LADDER if full else DEFAULT_LADDER)
+    names = list(rungs) if rungs else list(DEFAULT_LADDER)
     unknown = [name for name in names if name not in RUNGS]
     if unknown:
         raise ValueError(f"unknown bench rung(s) {unknown}; choose from {sorted(RUNGS)}")
@@ -185,9 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="RUNG",
         help=f"rungs to run (default ladder: {', '.join(DEFAULT_LADDER)}; "
         f"known: {', '.join(sorted(RUNGS))})",
-    )
-    parser.add_argument(
-        "--full", action="store_true", help="include the 1M-node rung (minutes)"
     )
     parser.add_argument(
         "--repeats",
@@ -263,7 +259,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return run_bench(
             rungs=args.rungs,
-            full=args.full,
             repeats=args.repeats,
             bench_dir=args.bench_dir,
             isolated=not args.in_process,

@@ -39,14 +39,37 @@ def generate_feature_matrix(
     return matrix
 
 
+#: Cells of uniforms :func:`generate_feature_csr` draws per row block.
+_BLOCK_CELLS = 1 << 20
+
+
 def generate_feature_csr(
     num_rows: int,
     num_cols: int,
     density: float,
     rng: np.random.Generator | None = None,
 ) -> CSRMatrix:
-    """CSR version of :func:`generate_feature_matrix`."""
-    return dense_to_csr(generate_feature_matrix(num_rows, num_cols, density, rng))
+    """:func:`generate_feature_matrix` compressed to CSR, bit for bit.
+
+    Takes the same draws in the same order — every normal first, then the
+    uniforms — so the generator ends in the same state.  The uniforms come
+    in row blocks and mask the magnitudes in place, so neither an n x F
+    uniform array nor its mask, nor a dense X beside the CSR, ever exists.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"density must be in [0, 1], got {density}")
+    values = rng.standard_normal((num_rows, num_cols))
+    np.abs(values, out=values)
+    if density < 1.0:
+        # Uniforms fill row-major, so row blocks draw the same stream as
+        # one n x F call.
+        block_rows = max(1, _BLOCK_CELLS // max(1, num_cols))
+        for start in range(0, num_rows, block_rows):
+            block = values[start:start + block_rows]
+            block *= rng.random(block.shape) < density
+    return dense_to_csr(values)
 
 
 def generate_weight_matrix(

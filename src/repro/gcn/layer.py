@@ -9,51 +9,60 @@ input, which is how multi-layer inference is simulated end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gcn.features import generate_feature_matrix, generate_weight_matrix
+from repro.gcn.features import generate_feature_csr, generate_weight_matrix
 from repro.graph.datasets import SyntheticDataset
 from repro.graph.graph import Graph
 from repro.sparse.convert import dense_to_csr
 from repro.sparse.csr import CSRMatrix
 
 
-@dataclass
+@dataclass(init=False)
 class GCNLayer:
     """One graph-convolution layer, ``X_out = sigma(A @ X @ W)``.
 
     Attributes:
         adjacency: normalised adjacency matrix A in CSR form.
-        features: input feature matrix X as a dense array (its sparsity is
-            captured separately in :attr:`features_csr`).
+        features_csr: input feature matrix X in CSR form, the layer's only
+            copy of X (a dense X given to the constructor is compressed).
         weight: dense weight matrix W.
         name: label used in reports (e.g. ``"cora-layer0"``).
         apply_relu: whether the non-linearity is applied to the output.
     """
 
     adjacency: CSRMatrix
-    features: np.ndarray
+    features_csr: CSRMatrix
     weight: np.ndarray
-    name: str = "layer"
-    apply_relu: bool = True
-    _features_csr: CSRMatrix | None = field(default=None, repr=False, compare=False)
+    name: str
+    apply_relu: bool
 
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.weight = np.asarray(self.weight, dtype=np.float64)
+    def __init__(
+        self,
+        adjacency: CSRMatrix,
+        features: CSRMatrix | np.ndarray,
+        weight: np.ndarray,
+        name: str = "layer",
+        apply_relu: bool = True,
+    ) -> None:
+        self.adjacency = adjacency
+        self.features_csr = features if isinstance(features, CSRMatrix) else dense_to_csr(features)
+        self.weight = np.asarray(weight, dtype=np.float64)
+        self.name = name
+        self.apply_relu = apply_relu
         n = self.adjacency.n_rows
         if self.adjacency.n_cols != n:
             raise ValueError("adjacency matrix must be square")
-        if self.features.shape[0] != n:
+        if self.features_csr.n_rows != n:
             raise ValueError(
-                f"feature rows ({self.features.shape[0]}) must equal number of nodes ({n})"
+                f"feature rows ({self.features_csr.n_rows}) must equal number of nodes ({n})"
             )
-        if self.weight.shape[0] != self.features.shape[1]:
+        if self.weight.shape[0] != self.in_features:
             raise ValueError(
                 "weight rows must equal feature columns: "
-                f"{self.weight.shape[0]} vs {self.features.shape[1]}"
+                f"{self.weight.shape[0]} vs {self.in_features}"
             )
 
     @property
@@ -62,18 +71,16 @@ class GCNLayer:
 
     @property
     def in_features(self) -> int:
-        return self.features.shape[1]
+        return self.features_csr.n_cols
 
     @property
     def out_features(self) -> int:
         return self.weight.shape[1]
 
     @property
-    def features_csr(self) -> CSRMatrix:
-        """The input feature matrix compressed in CSR (X of combination)."""
-        if self._features_csr is None:
-            self._features_csr = dense_to_csr(self.features)
-        return self._features_csr
+    def features(self) -> np.ndarray:
+        """X as a dense array, rebuilt on every access (reference paths only)."""
+        return self.features_csr.to_dense()
 
     @property
     def feature_density(self) -> float:
@@ -84,9 +91,9 @@ class GCNLayer:
         """The combination product ``XW`` (dense)."""
         return self.features @ self.weight
 
-    def forward(self) -> np.ndarray:
-        """Reference forward pass ``sigma(A (X W))``."""
-        xw = self.combination()
+    def forward(self, features: np.ndarray | None = None) -> np.ndarray:
+        """Reference forward pass ``sigma(A (X W))``, on ``features`` when given."""
+        xw = self.combination() if features is None else features @ self.weight
         out = self.adjacency.matmul_dense(xw)
         if self.apply_relu:
             out = np.maximum(out, 0.0)
@@ -121,15 +128,8 @@ class GCNModel:
     def forward(self) -> np.ndarray:
         """Reference end-to-end forward pass, re-threading features layer to layer."""
         activations = self.layers[0].features
-        for index, layer in enumerate(self.layers):
-            working = GCNLayer(
-                adjacency=layer.adjacency,
-                features=activations,
-                weight=layer.weight,
-                name=layer.name,
-                apply_relu=layer.apply_relu,
-            )
-            activations = working.forward()
+        for layer in self.layers:
+            activations = layer.forward(activations)
         return activations
 
 
@@ -154,7 +154,7 @@ def build_model_for_dataset(
     for layer_idx in range(dataset.num_layers):
         in_width, out_width = widths[layer_idx], widths[layer_idx + 1]
         density = dataset.feature_density(layer_idx)
-        features = generate_feature_matrix(dataset.num_nodes, in_width, density, rng)
+        features = generate_feature_csr(dataset.num_nodes, in_width, density, rng)
         weight = generate_weight_matrix(in_width, out_width, rng)
         layers.append(
             GCNLayer(

@@ -158,14 +158,20 @@ def chung_lu_graph(
         if n_inter:
             dst[inter_mask] = np.searchsorted(global_cdf, rng.random(n_inter))
         if num_communities > 1:
-            src_community = community[src]
+            # One stable sort groups the intra-community draws by their
+            # source's community, each group in ascending batch order: the
+            # positions a per-community mask would select, in its order.
+            intra_at = np.flatnonzero(intra)
+            intra_community = community[src[intra_at]]
+            grouped = intra_at[np.argsort(intra_community, kind="stable")]
+            bounds = np.cumsum(np.bincount(intra_community, minlength=num_communities))
             for c in range(num_communities):
-                mask = intra & (src_community == c)
-                count = int(mask.sum())
+                start = bounds[c - 1] if c else 0
+                count = int(bounds[c] - start)
                 if count == 0:
                     continue
                 picks = np.searchsorted(community_cdfs[c], rng.random(count))
-                dst[mask] = community_members[c][picks]
+                dst[grouped[start:start + count]] = community_members[c][picks]
         # Remove self loops by redirecting them to a random other node.
         loops = src == dst
         if loops.any():

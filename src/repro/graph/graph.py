@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.sparse.convert import coo_to_csr
-from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.unique import sorted_unique
 
 
 @dataclass
@@ -72,25 +71,20 @@ class Graph:
     def adjacency(self) -> CSRMatrix:
         """The (binary, deduplicated) adjacency matrix in CSR format."""
         if self._adjacency_cache is None:
-            src, dst = self.src, self.dst
+            n = self.num_nodes
+            keys = self.src * n + self.dst
             if self.undirected:
-                src = np.concatenate([self.src, self.dst])
-                dst = np.concatenate([self.dst, self.src])
-            coo = COOMatrix(
-                shape=(self.num_nodes, self.num_nodes),
-                rows=src,
-                cols=dst,
-                vals=np.ones(src.size, dtype=np.float64),
+                keys = np.concatenate([keys, self.dst * n + self.src])
+            # Packed row-major keys: their sorted distinct values are the CSR
+            # order, and duplicate edges collapse to one binary entry.
+            keys = sorted_unique(keys)
+            indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+            self._adjacency_cache = CSRMatrix(
+                shape=(n, n),
+                indptr=indptr,
+                indices=np.remainder(keys, n, out=keys),
+                data=np.ones(keys.size),
             )
-            csr = coo_to_csr(coo)
-            # Binarise: duplicate edges in the generator collapse to one.
-            csr = CSRMatrix(
-                shape=csr.shape,
-                indptr=csr.indptr,
-                indices=csr.indices,
-                data=np.ones_like(csr.data),
-            )
-            self._adjacency_cache = csr
         return self._adjacency_cache
 
     def degrees(self) -> np.ndarray:
@@ -101,28 +95,35 @@ class Graph:
         """Symmetrically normalised adjacency ``D^{-1/2}(A + I)D^{-1/2}``.
 
         The paper performs this normalisation offline as a one-time
-        preprocessing step; we do the same and cache the result.
+        preprocessing step; we do the same and cache the result.  The
+        diagonal is merged into the already sorted CSR: a self-loop already
+        in A becomes 2.0, every other row gains a 1.0 at its sorted place.
         """
         if self._normalized_cache is not None and add_self_loops:
             return self._normalized_cache
         adj = self.adjacency()
         n = self.num_nodes
-        rows = np.repeat(np.arange(n), adj.row_nnz())
-        cols = adj.indices.copy()
-        vals = adj.data.copy()
+        indptr, cols, vals = adj.indptr.copy(), adj.indices.copy(), adj.data.copy()
         if add_self_loops:
-            rows = np.concatenate([rows, np.arange(n)])
-            cols = np.concatenate([cols, np.arange(n)])
-            vals = np.concatenate([vals, np.ones(n)])
-        coo = COOMatrix(shape=(n, n), rows=rows, cols=cols, vals=vals).deduplicate()
-        degree = np.bincount(coo.rows, weights=coo.vals, minlength=n)
+            # Where each diagonal entry (i, i) sorts among the row-major
+            # keys of the non-zeros, and whether it is already one of them.
+            keys = np.repeat(np.arange(n) * n, adj.row_nnz()) + cols
+            diagonal = np.arange(n)
+            at = np.searchsorted(keys, diagonal * (n + 1))
+            present = at < keys.size
+            present[present] = keys[at[present]] == diagonal[present] * (n + 1)
+            vals[at[present]] += 1.0
+            missing = ~present
+            cols = np.insert(cols, at[missing], diagonal[missing])
+            vals = np.insert(vals, at[missing], 1.0)
+            indptr = indptr + np.concatenate([[0], np.cumsum(missing)])
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        degree = np.bincount(rows, weights=vals, minlength=n)
         inv_sqrt = np.zeros(n)
         nonzero = degree > 0
         inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
-        normalized_vals = coo.vals * inv_sqrt[coo.rows] * inv_sqrt[coo.cols]
-        result = coo_to_csr(
-            COOMatrix(shape=(n, n), rows=coo.rows, cols=coo.cols, vals=normalized_vals)
-        )
+        normalized_vals = vals * inv_sqrt[rows] * inv_sqrt[cols]
+        result = CSRMatrix(shape=(n, n), indptr=indptr, indices=cols, data=normalized_vals)
         if add_self_loops:
             self._normalized_cache = result
         return result

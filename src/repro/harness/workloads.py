@@ -79,14 +79,20 @@ def get_bundle(name: str, config: ExperimentConfig) -> WorkloadBundle:
                 seed=config.seed,
                 spec=config.effective_scenario(name),
             )
+        # Sparse-first order: A-hat, then both plans, then the features, so
+        # the partitioner's per-node containers are freed before the feature
+        # arrays exist.  A-hat is part of the model's build phase.
         with trace.span("workload.build_model", dataset=name):
-            model = build_model_for_dataset(dataset, seed=config.seed)
-            workloads = build_model_workloads(model)
+            dataset.graph.normalized_adjacency()
         preprocessor = GrowPreprocessor(
             target_cluster_nodes=config.target_cluster_nodes, seed=config.seed
         )
         plan = preprocessor.plan_from_graph(dataset.graph, partitioned=True)
         plan_unpartitioned = preprocessor.plan_from_graph(dataset.graph, partitioned=False)
+        with trace.span("workload.build_model", dataset=name):
+            model = build_model_for_dataset(dataset, seed=config.seed)
+            # Simulators read shapes only; no bundle carries W or XW.
+            workloads = build_model_workloads(model, materialize=False)
         bundle = WorkloadBundle(
             dataset=dataset,
             model=model,

@@ -75,11 +75,13 @@ def dense_to_csr(dense: np.ndarray) -> CSRMatrix:
     # first flat index would insert — one binary search per row instead of a
     # full O(nnz) row-id materialisation and bincount.
     indptr = np.searchsorted(flat, np.arange(n_rows + 1) * n_cols)
+    data = dense.reshape(-1)[flat]
+    # ``flat`` is ours: its buffer becomes the column indices in place.
     return CSRMatrix(
         shape=dense.shape,
         indptr=indptr,
-        indices=flat % n_cols,
-        data=dense.reshape(-1)[flat],
+        indices=np.remainder(flat, n_cols, out=flat),
+        data=data,
     )
 
 

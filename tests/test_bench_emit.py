@@ -13,7 +13,6 @@ import pytest
 from repro.bench import (
     BenchSchemaError,
     DEFAULT_LADDER,
-    FULL_LADDER,
     RUNGS,
     build_document,
     latest_bench_path,
@@ -162,8 +161,7 @@ def test_digests_distinguish_rungs():
 
 def test_ladders_reference_known_rungs():
     assert set(DEFAULT_LADDER) <= set(RUNGS)
-    assert set(FULL_LADDER) <= set(RUNGS)
-    assert "grow-1m" in FULL_LADDER and "grow-1m" not in DEFAULT_LADDER
+    assert "grow-1m" in DEFAULT_LADDER and "grow-1k" not in DEFAULT_LADDER
 
 
 # ---------------------------------------------------------------------------

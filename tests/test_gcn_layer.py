@@ -46,6 +46,16 @@ def test_features_csr_cached(toy_layer):
     assert first.nnz == int((toy_layer.features != 0).sum())
 
 
+def test_features_are_stored_once_as_csr(toy_layer):
+    # X is kept only in CSR; the dense form is rebuilt on every access.
+    first, second = toy_layer.features, toy_layer.features
+    assert first is not second
+    np.testing.assert_array_equal(first, second)
+    np.testing.assert_array_equal(first, toy_layer.features_csr.to_dense())
+    given = GCNLayer(toy_layer.adjacency, toy_layer.features_csr, toy_layer.weight)
+    assert given.features_csr is toy_layer.features_csr
+
+
 def test_feature_density(toy_layer):
     assert toy_layer.feature_density == pytest.approx((toy_layer.features != 0).mean())
 

@@ -4,15 +4,21 @@ Each oracle below is the implementation a kernel superseded, kept here
 verbatim in spirit: ``np.unique`` for :func:`repro.sparse.sorted_unique`,
 the two-``np.unique`` tile statistics for
 :func:`repro.sparse.tiling.tile_statistics`, ``np.isin`` for the HDN ID
-list's bitmap lookup, and ``np.unique(..., axis=0)`` for the scale-out
-cluster-pair dedup.  Hypothesis drives them over random inputs (empty
-matrices, empty row strips, non-square shapes, 1x1 tiles and tiles larger
-than the matrix); the Table I tests run them over every phase of the eight
-paper datasets under both the partitioned and the unpartitioned plan.
-Comparisons are exact, dtype included.
+list's bitmap lookup, ``np.unique(..., axis=0)`` for the scale-out
+cluster-pair dedup, and the dense-first workload construction: the COO
+round trips behind ``Graph.adjacency`` and ``Graph.normalized_adjacency``,
+the dense feature generator behind ``generate_feature_csr`` and HyGCN's
+densified X.  Hypothesis drives them over random inputs (empty matrices,
+empty row strips, non-square shapes, 1x1 tiles and tiles larger than the
+matrix; duplicate edges, self-loops and isolated nodes; feature blocks that
+do not divide the row count); the Table I tests run them over every phase
+of the eight paper datasets under both the partitioned and the
+unpartitioned plan.  Comparisons are exact, dtype included.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,13 +26,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.accelerators.hygcn import HyGCNSimulator, _nonzero_fraction
 from repro.core.hdn_cache import HDNIdList
+from repro.gcn import features
+from repro.gcn.features import generate_feature_csr, generate_feature_matrix, generate_weight_matrix
 from repro.graph.datasets import DATASET_NAMES
+from repro.graph.graph import Graph
 from repro.harness import default_config
 from repro.harness.workloads import get_bundle
 from repro.scaleout.shard import _cluster_graph, build_shard_plan
-from repro.sparse import sorted_unique, tile_statistics
-from repro.sparse.convert import dense_to_csr
+from repro.sparse import COOMatrix, CSRMatrix, sorted_unique, tile_statistics
+from repro.sparse.convert import coo_to_csr, dense_to_csr
 from repro.sparse.tiling import occupied_tile_counts
 
 
@@ -60,9 +70,59 @@ def oracle_cluster_pairs(adjacency, cluster_of_node):
     return np.unique(np.stack([src[cross], dst[cross]], axis=1), axis=0)
 
 
+def oracle_adjacency(graph):
+    """``Graph.adjacency`` through COO: unit values, summed duplicates, binarised."""
+    src, dst = graph.src, graph.dst
+    if graph.undirected:
+        src, dst = np.concatenate([graph.src, graph.dst]), np.concatenate([graph.dst, graph.src])
+    n = graph.num_nodes
+    csr = coo_to_csr(COOMatrix(shape=(n, n), rows=src, cols=dst, vals=np.ones(src.size)))
+    return CSRMatrix(
+        shape=csr.shape, indptr=csr.indptr, indices=csr.indices, data=np.ones_like(csr.data)
+    )
+
+
+def oracle_normalized_adjacency(graph, add_self_loops):
+    """``D^-1/2 (A + I) D^-1/2`` through COO: A (+ I) deduplicated, then CSR again."""
+    adj = oracle_adjacency(graph)
+    n = graph.num_nodes
+    rows = np.repeat(np.arange(n), adj.row_nnz())
+    cols, vals = adj.indices.copy(), adj.data.copy()
+    if add_self_loops:
+        rows = np.concatenate([rows, np.arange(n)])
+        cols = np.concatenate([cols, np.arange(n)])
+        vals = np.concatenate([vals, np.ones(n)])
+    coo = COOMatrix(shape=(n, n), rows=rows, cols=cols, vals=vals).deduplicate()
+    degree = np.bincount(coo.rows, weights=coo.vals, minlength=n)
+    inv_sqrt = np.zeros(n)
+    nonzero = degree > 0
+    inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
+    normalized = coo.vals * inv_sqrt[coo.rows] * inv_sqrt[coo.cols]
+    return coo_to_csr(COOMatrix(shape=(n, n), rows=coo.rows, cols=coo.cols, vals=normalized))
+
+
+def oracle_feature_csr(num_rows, num_cols, density, rng):
+    """The dense n x F generator, compressed afterwards."""
+    return dense_to_csr(generate_feature_matrix(num_rows, num_cols, density, rng))
+
+
+def oracle_hygcn_aggregation(simulator, adjacency, features_csr):
+    """HyGCN's aggregation engine fed as before: X densified, density from its mask."""
+    dense = features_csr.to_dense()
+    density = float((dense != 0).mean()) if dense.size else 0.0
+    return simulator._aggregation_engine(adjacency, dense.shape[1], density)
+
+
 def assert_identical(actual: np.ndarray, expected: np.ndarray) -> None:
     assert actual.dtype == expected.dtype
     np.testing.assert_array_equal(actual, expected)
+
+
+def assert_csr_identical(actual: CSRMatrix, expected: CSRMatrix) -> None:
+    assert actual.shape == expected.shape
+    assert_identical(actual.indptr, expected.indptr)
+    assert_identical(actual.indices, expected.indices)
+    assert_identical(actual.data, expected.data)
 
 
 def assert_tiles_match_oracle(sparse, tile_rows, tile_cols) -> None:
@@ -91,6 +151,16 @@ def csr_matrices(draw, max_dim: int = 24, shape: tuple[int, int] | None = None):
         start = draw(st.integers(0, shape[0] - 1))
         dense[start:draw(st.integers(start, shape[0]))] = False
     return dense_to_csr(dense.astype(np.float64))
+
+
+@st.composite
+def graphs(draw):
+    """Edge lists with duplicate edges, self-loops and isolated nodes."""
+    n = draw(st.integers(1, 16))
+    m = draw(st.integers(0, 40))
+    src = draw(hnp.arrays(np.int64, m, elements=st.integers(0, n - 1)))
+    dst = draw(hnp.arrays(np.int64, m, elements=st.integers(0, n - 1)))
+    return Graph(num_nodes=n, src=src, dst=dst, undirected=draw(st.booleans()))
 
 
 tile_dims = st.integers(1, 30)
@@ -171,6 +241,67 @@ def test_cluster_pairs_match_unique_rows(case):
 
 
 # ---------------------------------------------------------------------------
+# Sparse-first construction vs the COO round trips and the dense generator
+
+
+@given(graphs())
+@example(Graph.from_edge_list(1, [], undirected=True))
+@example(Graph.from_edge_list(3, [(0, 1), (0, 1), (1, 0), (2, 2)], undirected=True))
+@example(Graph.from_edge_list(3, [(0, 1), (0, 1), (1, 0), (2, 2)], undirected=False))
+@settings(max_examples=300, deadline=None)
+def test_adjacency_matches_coo_path(graph):
+    assert_csr_identical(graph.adjacency(), oracle_adjacency(graph))
+
+
+@given(graphs(), st.booleans())
+@example(Graph.from_edge_list(4, [], undirected=True), True)
+@example(Graph.from_edge_list(5, [(0, 0), (0, 1), (3, 3), (4, 1)], undirected=True), True)
+@example(Graph.from_edge_list(5, [(0, 0), (0, 1), (3, 3), (4, 1)], undirected=False), True)
+@example(Graph.from_edge_list(5, [(0, 0), (0, 1), (3, 3), (4, 1)], undirected=True), False)
+@example(Graph.from_edge_list(4, [(3, 0), (2, 1)], undirected=False), True)
+@settings(max_examples=300, deadline=None)
+def test_normalized_adjacency_matches_coo_path(graph, add_self_loops):
+    normalized = graph.normalized_adjacency(add_self_loops=add_self_loops)
+    assert_csr_identical(normalized, oracle_normalized_adjacency(graph, add_self_loops))
+
+
+@given(
+    st.integers(0, 40),
+    st.integers(0, 12),
+    st.sampled_from([0.0, 1e-9, 0.5, 0.772, 1.0]),
+    st.integers(1, 64),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=300, deadline=None)
+def test_feature_csr_matches_dense_generator(rows, cols, density, block_cells, seed):
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(features, "_BLOCK_CELLS", block_cells):
+        csr = generate_feature_csr(rows, cols, density, rng)
+    oracle_rng = np.random.default_rng(seed)
+    assert_csr_identical(csr, oracle_feature_csr(rows, cols, density, oracle_rng))
+    # Same draws in the same order: the generator ends in the same state.
+    assert rng.random() == oracle_rng.random()
+
+
+@pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+def test_feature_csr_matches_dense_generator_at_block_size(density):
+    cols = 512
+    rows = 2 * (features._BLOCK_CELLS // cols) + 7
+    rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+    csr = generate_feature_csr(rows, cols, density, rng)
+    assert_csr_identical(csr, oracle_feature_csr(rows, cols, density, oracle_rng))
+    assert rng.random() == oracle_rng.random()
+
+
+@given(csr_matrices())
+@example(CSRMatrix(shape=(2, 2), indptr=[0, 2, 2], indices=[0, 1], data=[0.0, 3.0]))
+@settings(max_examples=200, deadline=None)
+def test_hygcn_density_matches_dense_mask(sparse):
+    dense = sparse.to_dense()
+    assert _nonzero_fraction(sparse) == (float((dense != 0).mean()) if dense.size else 0.0)
+
+
+# ---------------------------------------------------------------------------
 # The eight Table I datasets: every phase, both plans.
 
 
@@ -224,3 +355,30 @@ def test_table1_shard_plan_matches_oracles(bundle):
         for members, local_members in zip(shard.clusters, local.clusters):
             expected = np.array([local_of_global[int(n)] for n in members], dtype=np.int64)
             assert_identical(local_members, expected)
+
+
+def test_table1_construction_matches_dense_first_path(bundle):
+    graph, dataset = bundle.dataset.graph, bundle.dataset
+    assert_csr_identical(graph.adjacency(), oracle_adjacency(graph))
+    assert_csr_identical(
+        bundle.model.layers[0].adjacency, oracle_normalized_adjacency(graph, add_self_loops=True)
+    )
+    # The model's draw sequence: each layer's features, then its weights.
+    rng = np.random.default_rng(default_config().seed)
+    for index, (layer, workload) in enumerate(zip(bundle.model.layers, bundle.workloads)):
+        expected = oracle_feature_csr(
+            dataset.num_nodes, layer.in_features, dataset.feature_density(index), rng
+        )
+        assert_identical(layer.weight, generate_weight_matrix(layer.in_features, layer.out_features, rng))
+        assert_csr_identical(layer.features_csr, expected)
+        assert workload.combination.sparse is layer.features_csr
+
+
+def test_table1_hygcn_matches_dense_x_path(bundle):
+    simulator = HyGCNSimulator(default_config().hygcn_config())
+    for layer, workload in zip(bundle.model.layers, bundle.workloads):
+        expected = oracle_hygcn_aggregation(
+            simulator, workload.aggregation.sparse, workload.combination.sparse
+        )
+        assert simulator.run_layer(workload).phases[0] == expected
+        assert simulator.run_layer_from_gcn(layer).phases[0] == expected

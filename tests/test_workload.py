@@ -1,5 +1,8 @@
 """Unit tests for the SpDeGEMM workload descriptions."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,9 @@ from repro.accelerators.workload import (
     build_layer_workload,
     build_model_workloads,
 )
+from repro.graph import registry
+from repro.harness.config import ExperimentConfig
+from repro.harness.workloads import get_bundle
 from repro.sparse.convert import dense_to_csr
 
 
@@ -57,6 +63,7 @@ def test_reference_output(small_workloads):
 def test_reference_output_requires_dense(small_model):
     workload = build_layer_workload(small_model.layers[0], materialize=False)
     assert workload.aggregation.dense is None
+    assert workload.aggregation.dense_shape == (small_model.num_nodes, small_model.layers[0].out_features)
     with pytest.raises(ValueError):
         workload.aggregation.reference_output()
 
@@ -75,3 +82,49 @@ def test_build_model_workloads(small_model):
     workloads = build_model_workloads(small_model)
     assert len(workloads) == small_model.num_layers
     assert all(w.num_nodes == small_model.num_nodes for w in workloads)
+
+
+def _scenario_config(num_nodes: int) -> ExperimentConfig:
+    spec = registry.scenario_from_dict(
+        {
+            "name": f"memory-probe-{num_nodes}",
+            "generator": "chung-lu",
+            "num_nodes": num_nodes,
+            "average_degree": 16,
+            "num_communities": 64,
+            "feature_lengths": [128, 64, 16],
+        }
+    )
+    return ExperimentConfig(datasets=(spec.name,), scenarios=(spec,))
+
+
+def _csr_bytes(csr) -> int:
+    return csr.indptr.nbytes + csr.indices.nbytes + csr.data.nbytes
+
+
+def test_bundle_construction_memory_is_bounded():
+    """A bundle is built sparse-first: no dense X, uniforms or XW beside the CSRs.
+
+    numpy reports its buffers to tracemalloc, so both figures are the sizes
+    of the arrays themselves on any host.  What a bundle keeps is its
+    adjacency pair and its feature CSRs (plus graph, plans and weights, in
+    the slack); its peak may add one n x F0 float64 transient, the normals
+    drawn before the uniforms.  Dense-first construction keeps a dense X
+    per layer and XW beside them and exceeds both bounds.
+    """
+    get_bundle("memory-probe-300", _scenario_config(300))  # imports, registries
+    config = _scenario_config(10_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        bundle = get_bundle("memory-probe-10000", config)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    layers = bundle.model.layers
+    feature_bytes = sum(_csr_bytes(layer.features_csr) for layer in layers)
+    adjacency_bytes = _csr_bytes(bundle.dataset.graph.adjacency()) + _csr_bytes(layers[0].adjacency)
+    transient_bytes = layers[0].num_nodes * layers[0].in_features * 8
+    assert retained <= 1.25 * (feature_bytes + adjacency_bytes)
+    assert peak <= 1.15 * (feature_bytes + transient_bytes + adjacency_bytes)
+    assert all(phase.dense is None for workload in bundle.workloads for phase in workload.phases)
