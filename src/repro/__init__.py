@@ -3,10 +3,9 @@
 GROW is a row-stationary sparse-dense GEMM accelerator for graph
 convolutional networks.  This package contains the full reproduction stack:
 
-* ``repro.sparse``  — sparse-matrix formats and reference SpMM dataflows
+* ``repro.sparse``  — sparse-matrix formats and tile statistics
 * ``repro.graph``   — graph containers, synthetic datasets, partitioning
 * ``repro.gcn``     — GCN layers, feature generation, MAC counting
-* ``repro.memory``  — DRAM / SRAM / DMA models and traffic accounting
 * ``repro.energy``  — energy and area models
 * ``repro.accelerators`` — GCNAX, HyGCN, MatRaptor and GAMMA baselines
 * ``repro.core``    — the GROW accelerator itself

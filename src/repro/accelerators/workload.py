@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.gcn.layer import GCNLayer, GCNModel
 from repro.sparse.csr import CSRMatrix
 
@@ -29,7 +27,6 @@ class SpDeGemmPhase:
         name: ``"combination"`` or ``"aggregation"``.
         sparse: the LHS matrix in CSR form (A for aggregation, X for combination).
         dense_shape: shape of the dense RHS matrix (K, N).
-        dense: optional materialised RHS, used for functional verification.
         rhs_resident: True when the RHS is small enough to be pinned on-chip
             for the whole phase (the weight matrix W during combination).
     """
@@ -37,7 +34,6 @@ class SpDeGemmPhase:
     name: str
     sparse: CSRMatrix
     dense_shape: tuple[int, int]
-    dense: np.ndarray | None = None
     rhs_resident: bool = False
 
     def __post_init__(self) -> None:
@@ -46,8 +42,6 @@ class SpDeGemmPhase:
                 f"phase {self.name}: sparse columns ({self.sparse.n_cols}) must match "
                 f"dense rows ({self.dense_shape[0]})"
             )
-        if self.dense is not None and tuple(self.dense.shape) != tuple(self.dense_shape):
-            raise ValueError("dense matrix shape does not match dense_shape")
 
     @property
     def output_shape(self) -> tuple[int, int]:
@@ -77,12 +71,6 @@ class SpDeGemmPhase:
         """Bytes of the full dense RHS matrix."""
         return self.dense_shape[0] * self.dense_shape[1] * 8
 
-    def reference_output(self) -> np.ndarray:
-        """Ground-truth product, available when the dense RHS is materialised."""
-        if self.dense is None:
-            raise ValueError(f"phase {self.name} has no materialised dense matrix")
-        return self.sparse.matmul_dense(self.dense)
-
 
 @dataclass
 class LayerWorkload:
@@ -105,34 +93,24 @@ class LayerWorkload:
         return self.combination.mac_operations + self.aggregation.mac_operations
 
 
-def build_layer_workload(layer: GCNLayer, materialize: bool = True) -> LayerWorkload:
-    """Build the workload of one GCN layer.
-
-    Args:
-        layer: the GCN layer (adjacency, features, weights).
-        materialize: when True, the dense RHS matrices (W and XW) are stored
-            on the phases so simulators can verify functional correctness;
-            set False to save memory for large sweeps (no ``X @ W`` is
-            computed then).
-    """
+def build_layer_workload(layer: GCNLayer) -> LayerWorkload:
+    """Build the workload of one GCN layer: each phase's sparse LHS and RHS shape."""
     weight = layer.weight
     combination = SpDeGemmPhase(
         name="combination",
         sparse=layer.features_csr,
         dense_shape=weight.shape,
-        dense=weight if materialize else None,
         rhs_resident=True,
     )
     aggregation = SpDeGemmPhase(
         name="aggregation",
         sparse=layer.adjacency,
         dense_shape=(layer.num_nodes, weight.shape[1]),
-        dense=layer.combination() if materialize else None,
         rhs_resident=False,
     )
     return LayerWorkload(name=layer.name, combination=combination, aggregation=aggregation)
 
 
-def build_model_workloads(model: GCNModel, materialize: bool = True) -> list[LayerWorkload]:
+def build_model_workloads(model: GCNModel) -> list[LayerWorkload]:
     """Build the per-layer workloads of a whole GCN model."""
-    return [build_layer_workload(layer, materialize=materialize) for layer in model.layers]
+    return [build_layer_workload(layer) for layer in model.layers]

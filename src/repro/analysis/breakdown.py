@@ -20,14 +20,3 @@ def phase_fraction(result: AcceleratorResult, phase_keyword: str) -> float:
     if total == 0:
         return 0.0
     return result.phase_cycles(phase_keyword) / total
-
-
-def normalized_breakdown(result: AcceleratorResult, baseline: AcceleratorResult) -> dict[str, float]:
-    """Latency breakdown normalised to a baseline's total (Figure 20(b) bars)."""
-    baseline_total = baseline.total_cycles
-    if baseline_total == 0:
-        return {"aggregation": 0.0, "combination": 0.0}
-    return {
-        "aggregation": result.phase_cycles("aggregation") / baseline_total,
-        "combination": result.phase_cycles("combination") / baseline_total,
-    }

@@ -54,12 +54,3 @@ def effective_bandwidth_utilization(
     if transferred == 0:
         return 0.0
     return min(1.0, requested / transferred)
-
-
-def csr_stream_utilization(matrix: CSRMatrix, access_granularity: int = 64) -> float:
-    """Effectual fraction of a contiguous CSR stream fetch (GROW's Figure 10(c))."""
-    requested = matrix.nnz * NNZ_BYTES
-    if requested == 0:
-        return 0.0
-    transferred = -(-requested // access_granularity) * access_granularity
-    return min(1.0, requested / transferred)

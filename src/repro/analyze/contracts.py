@@ -31,7 +31,7 @@ ROOT = "<root>"
 #: where it happens.)
 DETERMINISM_SCOPE = frozenset(
     {
-        "sparse", "graph", "gcn", "memory", "energy", "accelerators",
+        "sparse", "graph", "gcn", "energy", "accelerators",
         "core", "analysis", "harness", "dse", "scaleout", "api", "",
     }
 )
@@ -40,7 +40,7 @@ DETERMINISM_SCOPE = frozenset(
 #: stack at *any* scope (module or call time) — engines are driven by the
 #: harness and the facade, never the other way around.
 ENGINE_LAYERS = frozenset(
-    {"sparse", "graph", "gcn", "memory", "energy", "accelerators", "core", "analysis"}
+    {"sparse", "graph", "gcn", "energy", "accelerators", "core", "analysis"}
 )
 
 #: What engines must never import (LAY004).  ``api`` is deliberately
@@ -118,30 +118,29 @@ LAYER_DEPS: dict[str, frozenset[str]] = {
     "obs": _deps(),
     "analyze": _deps(),
     "sparse": _deps(),
-    "memory": _deps(),
     "energy": _deps(),
     "graph": _deps("sparse"),
     "gcn": _deps("sparse", "graph"),
-    "accelerators": _deps("sparse", "graph", "gcn", "memory"),
-    "core": _deps("sparse", "graph", "gcn", "accelerators", "memory"),
+    "accelerators": _deps("sparse", "graph", "gcn"),
+    "core": _deps("sparse", "graph", "gcn", "accelerators"),
     "analysis": _deps("sparse", "graph", "gcn", "accelerators"),
     "api": _deps("graph"),
     "harness": _deps(
-        "sparse", "graph", "gcn", "memory", "energy", "accelerators",
+        "sparse", "graph", "gcn", "energy", "accelerators",
         "core", "analysis", "api", "dse", ROOT,
     ),
     "dse": _deps(
-        "sparse", "graph", "gcn", "memory", "energy", "accelerators",
+        "sparse", "graph", "gcn", "energy", "accelerators",
         "core", "analysis", "api", "harness",
     ),
     "scaleout": _deps(
-        "sparse", "graph", "gcn", "memory", "energy", "accelerators",
+        "sparse", "graph", "gcn", "energy", "accelerators",
         "core", "api", "harness",
     ),
     "bench": _deps("api", "dse", "graph", "harness", ROOT),
     # Root-level modules (__init__, __main__) compose everything.
     "": _deps(
-        "sparse", "graph", "gcn", "memory", "energy", "accelerators",
+        "sparse", "graph", "gcn", "energy", "accelerators",
         "core", "analysis", "api", "harness", "dse", "scaleout", "bench",
         "analyze", ROOT,
     ),

@@ -4,12 +4,12 @@ The package is organised the way the paper presents the design (Section V):
 
 * :mod:`repro.core.config` — architecture configuration (Table III).
 * :mod:`repro.core.dataflow` — the row-stationary (Gustavson) dataflow and its
-  functional execution.
+  streaming reference trace.
 * :mod:`repro.core.hdn_cache` — the high-degree-node cache and HDN ID list.
 * :mod:`repro.core.preprocess` — the software preprocessing pass: graph
   partitioning plus per-cluster HDN ID list generation.
-* :mod:`repro.core.runahead` — the multi-row-stationary runahead execution
-  model (LDN table + LHS ID table).
+* :mod:`repro.core.runahead` — the latency model of multi-row-stationary
+  runahead execution.
 * :mod:`repro.core.accelerator` — the single-PE GROW simulator.
 * :mod:`repro.core.multi_pe` — the multi-PE scaling model.
 """
@@ -17,7 +17,7 @@ The package is organised the way the paper presents the design (Section V):
 from repro.core.config import GrowConfig
 from repro.core.hdn_cache import HDNCache, HDNIdList
 from repro.core.preprocess import GrowPreprocessor, PreprocessPlan
-from repro.core.runahead import LDNTable, LHSIdTable, RunaheadModel
+from repro.core.runahead import RunaheadModel
 from repro.core.dataflow import RowStationaryDataflow, RowTrace
 from repro.core.accelerator import GrowSimulator
 from repro.core.multi_pe import MultiPEGrowSimulator
@@ -28,8 +28,6 @@ __all__ = [
     "HDNIdList",
     "GrowPreprocessor",
     "PreprocessPlan",
-    "LDNTable",
-    "LHSIdTable",
     "RunaheadModel",
     "RowStationaryDataflow",
     "RowTrace",

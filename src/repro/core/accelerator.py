@@ -66,15 +66,6 @@ class GrowSimulator:
         self.config = config or GrowConfig()
 
     # ------------------------------------------------------------------
-    # Functional execution (used by the verification tests)
-    # ------------------------------------------------------------------
-    def compute_output(self, phase: SpDeGemmPhase) -> np.ndarray:
-        """Functionally execute a phase with the row-stationary dataflow."""
-        if phase.dense is None:
-            raise ValueError("phase has no materialised dense matrix to compute with")
-        return RowStationaryDataflow.execute(phase.sparse, phase.dense)
-
-    # ------------------------------------------------------------------
     # Phase simulation
     # ------------------------------------------------------------------
     def run_phase(self, phase: SpDeGemmPhase, plan: PreprocessPlan | None = None) -> PhaseStats:

@@ -77,16 +77,3 @@ class GrowConfig:
     def with_arch(self, arch: AcceleratorConfig) -> "GrowConfig":
         """Copy of this config with different shared architecture parameters."""
         return replace(self, arch=arch)
-
-    def scaled_for(self, runahead_degree: int | None = None, num_pes: int | None = None) -> "GrowConfig":
-        """Copy with an overridden runahead degree and/or PE count."""
-        kwargs = {}
-        if runahead_degree is not None:
-            kwargs["runahead_degree"] = runahead_degree
-        if num_pes is not None:
-            kwargs["num_pes"] = num_pes
-        return replace(self, **kwargs)
-
-    def ablation(self, hdn_cache: bool = True, runahead: bool = True) -> "GrowConfig":
-        """Copy with ablation switches applied (Figure 21)."""
-        return replace(self, enable_hdn_cache=hdn_cache, enable_runahead=runahead)

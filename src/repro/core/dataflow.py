@@ -1,10 +1,10 @@
 """Row-stationary (Gustavson) dataflow.
 
-The functional heart of GROW: every non-zero ``A[i, k]`` of the sparse LHS
-scales RHS row ``k`` and accumulates into output row ``i``; the LHS row and
-the output row stay stationary while the RHS rows stream by (paper Figure 9).
-Besides computing the product, the dataflow emits a :class:`RowTrace` — the
-per-row reference pattern the simulator's cache and runahead models consume.
+The heart of GROW: every non-zero ``A[i, k]`` of the sparse LHS scales RHS
+row ``k`` and accumulates into output row ``i``; the LHS row and the output
+row stay stationary while the RHS rows stream by (paper Figure 9).  The
+dataflow emits a :class:`RowTrace` — the per-row reference pattern the
+simulator's cache and runahead models consume.
 """
 
 from __future__ import annotations
@@ -38,19 +38,9 @@ class RowTrace:
     def nnz(self) -> int:
         return int(self.col_of_nnz.size)
 
-    def restricted_to_rows(self, rows: np.ndarray) -> "RowTrace":
-        """Trace restricted to a subset of output rows (one cluster)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        mask = np.isin(self.row_of_nnz, rows)
-        return RowTrace(
-            row_of_nnz=self.row_of_nnz[mask],
-            col_of_nnz=self.col_of_nnz[mask],
-            row_nnz=self.row_nnz[rows],
-        )
-
 
 class RowStationaryDataflow:
-    """Functional execution and trace extraction of the row-wise product."""
+    """Trace extraction of the row-wise product."""
 
     @staticmethod
     def trace(sparse: CSRMatrix) -> RowTrace:
@@ -58,45 +48,3 @@ class RowStationaryDataflow:
         row_nnz = sparse.row_nnz()
         row_of_nnz = np.repeat(np.arange(sparse.n_rows), row_nnz)
         return RowTrace(row_of_nnz=row_of_nnz, col_of_nnz=sparse.indices.copy(), row_nnz=row_nnz)
-
-    @staticmethod
-    def execute(sparse: CSRMatrix, dense: np.ndarray) -> np.ndarray:
-        """Compute ``sparse @ dense`` with the row-wise product (vectorised).
-
-        Equivalent to :func:`repro.sparse.ops.spmm_gustavson` but vectorised
-        per row, which is what the functional-verification tests compare the
-        simulators against.
-        """
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.shape[0] != sparse.n_cols:
-            raise ValueError(
-                f"dimension mismatch: sparse is {sparse.shape}, dense is {dense.shape}"
-            )
-        out = np.zeros((sparse.n_rows, dense.shape[1]), dtype=np.float64)
-        for i in range(sparse.n_rows):
-            cols, vals = sparse.row(i)
-            if cols.size:
-                out[i] = vals @ dense[cols]
-        return out
-
-    @staticmethod
-    def execute_multi_row(
-        sparse: CSRMatrix, dense: np.ndarray, window: int
-    ) -> np.ndarray:
-        """Compute the product processing ``window`` output rows at a time.
-
-        Functionally identical to :meth:`execute`; exists so tests can verify
-        that the multi-row-stationary window (runahead execution) does not
-        change results, only scheduling.
-        """
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        dense = np.asarray(dense, dtype=np.float64)
-        out = np.zeros((sparse.n_rows, dense.shape[1]), dtype=np.float64)
-        for start in range(0, sparse.n_rows, window):
-            stop = min(start + window, sparse.n_rows)
-            for i in range(start, stop):
-                cols, vals = sparse.row(i)
-                if cols.size:
-                    out[i] = vals @ dense[cols]
-        return out

@@ -145,10 +145,3 @@ class HDNCache:
         if total == 0:
             return 0.0
         return self.hits / total
-
-    def reset_counters(self) -> None:
-        """Clear hit/miss/fill statistics (capacity and contents unchanged)."""
-        self.hits = 0
-        self.misses = 0
-        self.fill_bytes = 0
-        self.lookup_bytes = 0

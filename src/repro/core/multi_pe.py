@@ -143,15 +143,3 @@ class MultiPEGrowSimulator:
             per_pe_compute_cycles=per_pe_compute,
             throughput_vs_single=single_cycles / total_cycles if total_cycles else float("inf"),
         )
-
-    def scaling_sweep(
-        self,
-        workload: LayerWorkload,
-        pe_counts: tuple[int, ...] = (1, 2, 4, 8, 16),
-        plan: PreprocessPlan | None = None,
-    ) -> dict[int, float]:
-        """Normalised throughput for a sweep of PE counts (Figure 24)."""
-        return {
-            num_pes: self.run_aggregation(workload, num_pes, plan).throughput_vs_single
-            for num_pes in pe_counts
-        }

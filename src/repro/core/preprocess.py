@@ -12,7 +12,7 @@ directly from an adjacency matrix); the GROW simulator consumes the plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,14 +114,12 @@ class GrowPreprocessor:
         target_cluster_nodes: desired nodes per cluster when ``num_clusters``
             is not given.
         hdn_list_capacity: maximum HDN ids per cluster (paper default 4096).
-        partition_method: ``"metis"`` (multilevel) or ``"bfs"``.
         seed: RNG seed of the partitioner.
     """
 
     num_clusters: int | None = None
     target_cluster_nodes: int = 512
     hdn_list_capacity: int = 4096
-    partition_method: str = "metis"
     seed: int = 0
 
     def plan_without_partitioning(self, adjacency: CSRMatrix) -> PreprocessPlan:
@@ -160,15 +158,8 @@ class GrowPreprocessor:
             plan = self.plan_without_partitioning(adjacency)
             plan.preprocessing_seconds = time.perf_counter() - started  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
             return plan
-        with trace.span(
-            "preprocess.partition",
-            nodes=graph.num_nodes,
-            clusters=clusters_wanted,
-            method=self.partition_method,
-        ):
-            partition = partition_graph(
-                graph, clusters_wanted, method=self.partition_method, seed=self.seed
-            )
+        with trace.span("preprocess.partition", nodes=graph.num_nodes, clusters=clusters_wanted):
+            partition = partition_graph(graph, clusters_wanted, seed=self.seed)
         plan = self.plan_from_partition(adjacency, partition)
         plan.preprocessing_seconds = time.perf_counter() - started  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
         return plan

@@ -12,7 +12,7 @@ DRAM access energy is taken as 20 pJ per byte (about 1.3 nJ per 64 B line).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.energy.sram_model import SRAMEnergyModel
 
@@ -62,12 +62,6 @@ class EnergyBreakdown:
             "leakage": self.leakage_nj,
             "total": self.total_nj,
         }
-
-    def normalized_to(self, baseline: "EnergyBreakdown") -> float:
-        """This run's total energy divided by a baseline's total energy."""
-        if baseline.total_nj == 0:
-            return float("nan")
-        return self.total_nj / baseline.total_nj
 
 
 def estimate_energy(

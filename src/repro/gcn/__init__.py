@@ -1,4 +1,4 @@
-"""GCN model substrate: features, layers, reference execution, MAC counting."""
+"""GCN model substrate: features, layers, MAC counting."""
 
 from repro.gcn.features import generate_feature_matrix, generate_weight_matrix
 from repro.gcn.layer import GCNLayer, GCNModel, build_model_for_dataset
@@ -9,7 +9,6 @@ from repro.gcn.ops_count import (
     mac_count_ax_w,
     model_mac_counts,
 )
-from repro.gcn.reference import gcn_layer_forward, gcn_model_forward, relu
 
 __all__ = [
     "generate_feature_matrix",
@@ -22,7 +21,4 @@ __all__ = [
     "mac_count_ax_w",
     "mac_count_a_xw",
     "model_mac_counts",
-    "gcn_layer_forward",
-    "gcn_model_forward",
-    "relu",
 ]

@@ -3,135 +3,21 @@
 The paper discusses how GROW extends beyond the plain GCN sum-aggregation to
 the aggregation functions of SAGEConv (mean / pool / LSTM over sampled
 neighbours), GIN (learnable central-node weighting, refactored into
-consecutive weight matrices) and GAT (attention).  This module provides
-
-* functional reference implementations of those aggregators, so the workload
-  substrate can express the corresponding models, and
-* :func:`grow_support_assessment`, the paper's applicability analysis: which
-  existing GROW structures execute each aggregator and what additional area
-  each one costs (a vector comparator array for pooling, a softmax unit for
-  attention).
+consecutive weight matrices) and GAT (attention).  This module holds the
+paper's applicability analysis, :func:`grow_support_assessment`: which
+existing GROW structures execute each aggregator and what additional area
+each one costs (a vector comparator array for pooling, a softmax unit for
+attention).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.sparse.csr import CSRMatrix
-
 # Additional area overheads quoted in the paper's Section VIII, as fractions
 # of the baseline GROW design.
 POOL_COMPARATOR_AREA_OVERHEAD = 0.014
 GAT_SOFTMAX_AREA_OVERHEAD = 0.017
-
-
-def sample_neighbors(
-    adjacency: CSRMatrix, num_samples: int, rng: np.random.Generator | None = None
-) -> list[np.ndarray]:
-    """Uniformly sample up to ``num_samples`` neighbours per node (GraphSAGE)."""
-    if num_samples <= 0:
-        raise ValueError("num_samples must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    sampled: list[np.ndarray] = []
-    for i in range(adjacency.n_rows):
-        cols, _vals = adjacency.row(i)
-        if cols.size <= num_samples:
-            sampled.append(cols.copy())
-        else:
-            sampled.append(rng.choice(cols, size=num_samples, replace=False))
-    return sampled
-
-
-def _nonempty_row_segments(adjacency: CSRMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Rows with at least one neighbour and their CSR segment starts.
-
-    Because empty rows are excluded, consecutive segment starts bound exactly
-    one row's slice each, which is what ``ufunc.reduceat`` needs to aggregate
-    every neighbourhood in a single batched call.
-    """
-    nonempty = np.flatnonzero(adjacency.row_nnz())
-    return nonempty, adjacency.indptr[nonempty]
-
-
-def mean_aggregate(adjacency: CSRMatrix, features: np.ndarray) -> np.ndarray:
-    """SAGEConv mean aggregator: average of the neighbours' feature vectors."""
-    features = np.asarray(features, dtype=np.float64)
-    out = np.zeros((adjacency.n_rows, features.shape[1]), dtype=np.float64)
-    nonempty, seg_starts = _nonempty_row_segments(adjacency)
-    if nonempty.size:
-        sums = np.add.reduceat(features[adjacency.indices], seg_starts, axis=0)
-        out[nonempty] = sums / adjacency.row_nnz()[nonempty][:, None]
-    return out
-
-
-def max_pool_aggregate(adjacency: CSRMatrix, features: np.ndarray) -> np.ndarray:
-    """SAGEConv pool aggregator: element-wise max over the neighbours."""
-    features = np.asarray(features, dtype=np.float64)
-    out = np.zeros((adjacency.n_rows, features.shape[1]), dtype=np.float64)
-    nonempty, seg_starts = _nonempty_row_segments(adjacency)
-    if nonempty.size:
-        out[nonempty] = np.maximum.reduceat(features[adjacency.indices], seg_starts, axis=0)
-    return out
-
-
-def gin_aggregate(adjacency: CSRMatrix, features: np.ndarray, epsilon: float = 0.0) -> np.ndarray:
-    """GIN aggregation: ``(1 + eps) * x_v + sum of neighbour features``.
-
-    As the paper notes (following GCNAX), this refactors into the standard
-    sum-aggregation plus a scaled self term, so GROW supports it as-is.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    neighbor_sum = adjacency.matmul_dense(features)
-    return (1.0 + epsilon) * features + neighbor_sum
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax (the operator GAT's attention needs)."""
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def gat_attention_aggregate(
-    adjacency: CSRMatrix,
-    features: np.ndarray,
-    attention_src: np.ndarray,
-    attention_dst: np.ndarray,
-    leaky_relu_slope: float = 0.2,
-) -> np.ndarray:
-    """Single-head GAT aggregation with additive attention.
-
-    ``attention_src`` / ``attention_dst`` are the per-feature attention
-    vectors; the per-edge score is ``LeakyReLU(a_src . h_i + a_dst . h_j)``,
-    normalised with a softmax over each node's neighbourhood.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    src_score = features @ np.asarray(attention_src, dtype=np.float64)
-    dst_score = features @ np.asarray(attention_dst, dtype=np.float64)
-    out = np.zeros_like(features)
-    nonempty, seg_starts = _nonempty_row_segments(adjacency)
-    if nonempty.size == 0:
-        return out
-    # Per-edge attention scores, then a segment softmax over each node's
-    # neighbourhood: subtract the segment max (numerical stability, exactly
-    # as the dense softmax() does), exponentiate, normalise by segment sums.
-    row_nnz = adjacency.row_nnz()
-    row_of_edge = np.repeat(np.arange(adjacency.n_rows), row_nnz)
-    scores = src_score[row_of_edge] + dst_score[adjacency.indices]
-    scores = np.where(scores > 0, scores, leaky_relu_slope * scores)
-    seg_max = np.maximum.reduceat(scores, seg_starts)
-    seg_of_edge = np.repeat(np.arange(nonempty.size), row_nnz[nonempty])
-    exp = np.exp(scores - seg_max[seg_of_edge])
-    seg_sum = np.add.reduceat(exp, seg_starts)
-    weights = exp / seg_sum[seg_of_edge]
-    out[nonempty] = np.add.reduceat(
-        weights[:, None] * features[adjacency.indices], seg_starts, axis=0
-    )
-    return out
 
 
 @dataclass(frozen=True)

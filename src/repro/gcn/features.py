@@ -84,11 +84,3 @@ def generate_weight_matrix(
     if scale is None:
         scale = float(np.sqrt(2.0 / (num_rows + num_cols)))
     return rng.standard_normal((num_rows, num_cols)) * scale
-
-
-def measured_density(matrix: np.ndarray, tolerance: float = 0.0) -> float:
-    """Fraction of entries whose magnitude exceeds ``tolerance``."""
-    matrix = np.asarray(matrix)
-    if matrix.size == 0:
-        return 0.0
-    return float((np.abs(matrix) > tolerance).sum()) / matrix.size

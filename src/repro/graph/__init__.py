@@ -36,12 +36,10 @@ from repro.graph.datasets import (
 )
 from repro.graph.partition import (
     PartitionResult,
-    bfs_partition,
     metis_like_partition,
     partition_edge_cut,
     partition_graph,
 )
-from repro.graph.reorder import cluster_reorder, degree_sort_reorder, identity_reorder
 from repro.graph.stats import (
     degree_distribution,
     degree_stats,
@@ -71,13 +69,9 @@ __all__ = [
     "load_dataset",
     "load_all_datasets",
     "PartitionResult",
-    "bfs_partition",
     "metis_like_partition",
     "partition_edge_cut",
     "partition_graph",
-    "cluster_reorder",
-    "degree_sort_reorder",
-    "identity_reorder",
     "degree_distribution",
     "degree_stats",
     "gini_coefficient",

@@ -153,20 +153,6 @@ class Graph:
             communities=communities,
         )
 
-    def neighbors(self, node: int) -> np.ndarray:
-        """Neighbour ids of ``node`` in the adjacency matrix."""
-        cols, _ = self.adjacency().row(node)
-        return cols
-
-    def to_networkx(self):
-        """Export to a :mod:`networkx` graph (for cross-checking in tests)."""
-        import networkx as nx
-
-        g = nx.Graph() if self.undirected else nx.DiGraph()
-        g.add_nodes_from(range(self.num_nodes))
-        g.add_edges_from(zip(self.src.tolist(), self.dst.tolist()))
-        return g
-
     @classmethod
     def from_edge_list(
         cls, num_nodes: int, edges: list[tuple[int, int]], name: str = "graph", undirected: bool = True

@@ -6,14 +6,11 @@ renumbering, the non-zeros of the adjacency matrix concentrate near the block
 diagonal (paper Figure 14), which is what makes GROW's per-cluster HDN
 caching effective.
 
-Two partitioners are provided:
-
-* :func:`metis_like_partition` — the default: community detection by label
-  propagation, followed by balanced packing of communities into the requested
-  number of clusters and a boundary-refinement pass.  Like METIS it produces
-  balanced clusters whose intra-cluster edges dominate.
-* :func:`bfs_partition` — a simple BFS-grown clustering used as a cheap
-  fallback and as a comparison point in tests and ablations.
+The partitioner here, :func:`metis_like_partition`, stands in for METIS:
+community detection by label propagation, followed by balanced packing of
+communities into the requested number of clusters and a boundary-refinement
+pass.  Like METIS it produces balanced clusters whose intra-cluster edges
+dominate.
 """
 
 from __future__ import annotations
@@ -42,11 +39,6 @@ class PartitionResult:
     permutation: np.ndarray
     cluster_sizes: np.ndarray
 
-    def cluster_slices(self) -> list[tuple[int, int]]:
-        """Half-open new-node-id ranges ``[start, end)`` of each cluster."""
-        bounds = np.concatenate([[0], np.cumsum(self.cluster_sizes)])
-        return [(int(bounds[i]), int(bounds[i + 1])) for i in range(self.num_clusters)]
-
 
 def _build_permutation(assignment: np.ndarray, num_clusters: int) -> tuple[np.ndarray, np.ndarray]:
     """Derive the renumbering permutation and cluster sizes from an assignment."""
@@ -62,52 +54,6 @@ def _single_cluster_result(num_nodes: int) -> PartitionResult:
     permutation, sizes = _build_permutation(assignment, 1)
     return PartitionResult(
         assignment=assignment, num_clusters=1, permutation=permutation, cluster_sizes=sizes
-    )
-
-
-def bfs_partition(graph: Graph, num_clusters: int, seed: int = 0) -> PartitionResult:
-    """Grow balanced clusters by breadth-first search from random seeds."""
-    if num_clusters <= 0:
-        raise ValueError("num_clusters must be positive")
-    n = graph.num_nodes
-    num_clusters = min(num_clusters, n)
-    if num_clusters == 1:
-        return _single_cluster_result(n)
-    target = int(np.ceil(n / num_clusters))
-    adj = graph.adjacency()
-    rng = np.random.default_rng(seed)
-    assignment = np.full(n, -1, dtype=np.int64)
-    visit_order = rng.permutation(n)
-    cluster = 0
-    filled = 0
-    cluster_fill = 0
-    frontier: list[int] = []
-    next_seed_idx = 0
-    while filled < n:
-        if not frontier or cluster_fill >= target:
-            if cluster_fill >= target and cluster < num_clusters - 1:
-                cluster += 1
-                cluster_fill = 0
-                frontier = []
-            while next_seed_idx < n and assignment[visit_order[next_seed_idx]] != -1:
-                next_seed_idx += 1
-            if next_seed_idx >= n:
-                break
-            frontier = [int(visit_order[next_seed_idx])]
-        node = frontier.pop()
-        if assignment[node] != -1:
-            continue
-        assignment[node] = cluster
-        filled += 1
-        cluster_fill += 1
-        cols, _ = adj.row(node)
-        for neighbor in cols:
-            if assignment[neighbor] == -1:
-                frontier.append(int(neighbor))
-    assignment[assignment == -1] = num_clusters - 1
-    permutation, sizes = _build_permutation(assignment, num_clusters)
-    return PartitionResult(
-        assignment=assignment, num_clusters=num_clusters, permutation=permutation, cluster_sizes=sizes
     )
 
 
@@ -457,13 +403,9 @@ def metis_like_partition(
     )
 
 
-def partition_graph(graph: Graph, num_clusters: int, method: str = "metis", seed: int = 0) -> PartitionResult:
-    """Partition a graph with the named method (``"metis"`` or ``"bfs"``)."""
-    if method == "metis":
-        return metis_like_partition(graph, num_clusters, seed=seed)
-    if method == "bfs":
-        return bfs_partition(graph, num_clusters, seed=seed)
-    raise ValueError(f"unknown partition method {method!r}")
+def partition_graph(graph: Graph, num_clusters: int, seed: int = 0) -> PartitionResult:
+    """Partition a graph into ``num_clusters`` balanced clusters."""
+    return metis_like_partition(graph, num_clusters, seed=seed)
 
 
 def partition_edge_cut(graph: Graph, assignment: np.ndarray) -> int:

@@ -35,13 +35,6 @@ def degree_stats(graph: Graph) -> dict[str, float]:
     }
 
 
-def top_degree_nodes(graph: Graph, k: int) -> np.ndarray:
-    """Ids of the ``k`` highest-degree nodes (the HDN candidates)."""
-    degrees = graph.degrees()
-    k = min(k, degrees.size)
-    return np.argsort(-degrees, kind="stable")[:k]
-
-
 def top_degree_edge_coverage(graph: Graph, k: int) -> float:
     """Fraction of adjacency non-zeros incident to the top-``k`` degree nodes.
 

@@ -76,7 +76,7 @@ def disc_nonpowerlaw(config: ExperimentConfig) -> ExperimentResult:
     )
     for label, graph in (("power-law (pokec)", base.graph), ("uniform (erdos-renyi)", uniform_graph)):
         model = build_model_for_dataset(base, seed=config.seed, graph=graph)
-        workloads = build_model_workloads(model, materialize=False)
+        workloads = build_model_workloads(model)
         plan = GrowPreprocessor(
             target_cluster_nodes=config.target_cluster_nodes, seed=config.seed
         ).plan_from_graph(graph)

@@ -91,8 +91,7 @@ def get_bundle(name: str, config: ExperimentConfig) -> WorkloadBundle:
         plan_unpartitioned = preprocessor.plan_from_graph(dataset.graph, partitioned=False)
         with trace.span("workload.build_model", dataset=name):
             model = build_model_for_dataset(dataset, seed=config.seed)
-            # Simulators read shapes only; no bundle carries W or XW.
-            workloads = build_model_workloads(model, materialize=False)
+            workloads = build_model_workloads(model)
         bundle = WorkloadBundle(
             dataset=dataset,
             model=model,
@@ -102,11 +101,6 @@ def get_bundle(name: str, config: ExperimentConfig) -> WorkloadBundle:
         )
     _BUNDLE_CACHE[key] = bundle  # repro: allow(CONC001) per-process workload memo; workers rebuild bundles deterministically from the config
     return bundle
-
-
-def get_bundles(config: ExperimentConfig) -> dict[str, WorkloadBundle]:
-    """Workload bundles for every dataset of the configuration, in order."""
-    return {name: get_bundle(name, config) for name in config.datasets}
 
 
 def clear_caches() -> None:

@@ -213,7 +213,7 @@ def _assign_clusters(
     for dense_id, members in enumerate(plan.clusters):
         dense_cluster_of_node[members] = dense_id
     graph = _cluster_graph(adjacency, dense_cluster_of_node, num_clusters)
-    partition = partition_graph(graph, num_chips, method="metis", seed=seed)
+    partition = partition_graph(graph, num_chips, seed=seed)
     return partition.assignment
 
 
@@ -330,14 +330,12 @@ def chip_workloads(workloads: list[LayerWorkload], shard: ChipShard) -> list[Lay
             name=layer.combination.name,
             sparse=layer.combination.sparse.select_rows(shard.nodes),
             dense_shape=layer.combination.dense_shape,
-            dense=layer.combination.dense,
             rhs_resident=layer.combination.rhs_resident,
         )
         aggregation = SpDeGemmPhase(
             name=layer.aggregation.name,
             sparse=layer.aggregation.sparse.select_rows(shard.nodes),
             dense_shape=layer.aggregation.dense_shape,
-            dense=layer.aggregation.dense,
             rhs_resident=layer.aggregation.rhs_resident,
         )
         sliced.append(

@@ -1,7 +1,6 @@
 """Conversions between the sparse-matrix formats.
 
-All converters deduplicate coincident coordinates by summation, matching the
-semantics of scipy's sparse constructors.
+COO to CSR deduplicates coincident coordinates by summation.
 """
 
 from __future__ import annotations
@@ -9,7 +8,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse.coo import COOMatrix
-from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
 
 
@@ -24,39 +22,10 @@ def coo_to_csr(coo: COOMatrix) -> CSRMatrix:
     return CSRMatrix(shape=coo.shape, indptr=indptr, indices=coo.cols.copy(), data=coo.vals.copy())
 
 
-def coo_to_csc(coo: COOMatrix) -> CSCMatrix:
-    """Convert a COO matrix to CSC, summing duplicates and sorting rows."""
-    coo = coo.deduplicate()
-    n_rows, n_cols = coo.shape
-    order = np.lexsort((coo.rows, coo.cols))
-    rows = coo.rows[order]
-    cols = coo.cols[order]
-    vals = coo.vals[order]
-    counts = np.bincount(cols, minlength=n_cols)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return CSCMatrix(shape=coo.shape, indptr=indptr, indices=rows, data=vals)
-
-
 def csr_to_coo(csr: CSRMatrix) -> COOMatrix:
     """Convert a CSR matrix to COO."""
     row_ids = np.repeat(np.arange(csr.n_rows), csr.row_nnz())
     return COOMatrix(shape=csr.shape, rows=row_ids, cols=csr.indices.copy(), vals=csr.data.copy())
-
-
-def csc_to_coo(csc: CSCMatrix) -> COOMatrix:
-    """Convert a CSC matrix to COO."""
-    col_ids = np.repeat(np.arange(csc.n_cols), csc.col_nnz())
-    return COOMatrix(shape=csc.shape, rows=csc.indices.copy(), cols=col_ids, vals=csc.data.copy())
-
-
-def csr_to_csc(csr: CSRMatrix) -> CSCMatrix:
-    """Convert a CSR matrix to CSC."""
-    return coo_to_csc(csr_to_coo(csr))
-
-
-def csc_to_csr(csc: CSCMatrix) -> CSRMatrix:
-    """Convert a CSC matrix to CSR."""
-    return coo_to_csr(csc_to_coo(csc))
 
 
 def dense_to_csr(dense: np.ndarray) -> CSRMatrix:
@@ -83,21 +52,3 @@ def dense_to_csr(dense: np.ndarray) -> CSRMatrix:
         indices=np.remainder(flat, n_cols, out=flat),
         data=data,
     )
-
-
-def from_scipy(matrix) -> CSRMatrix:
-    """Build a :class:`CSRMatrix` from any scipy sparse matrix."""
-    csr = matrix.tocsr()
-    return CSRMatrix(
-        shape=csr.shape,
-        indptr=np.asarray(csr.indptr, dtype=np.int64),
-        indices=np.asarray(csr.indices, dtype=np.int64),
-        data=np.asarray(csr.data, dtype=np.float64),
-    )
-
-
-def to_scipy_csr(csr: CSRMatrix):
-    """Convert a :class:`CSRMatrix` to a scipy ``csr_matrix``."""
-    from scipy import sparse
-
-    return sparse.csr_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape)

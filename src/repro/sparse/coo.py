@@ -1,8 +1,8 @@
 """Coordinate (COO) sparse-matrix container.
 
 COO is the interchange format in this repository: graph generators emit edge
-lists, which are COO matrices, and the compressed formats (CSR/CSC) used by
-the accelerator models are built from COO.
+lists, which are COO matrices, and the compressed format (CSR) used by the
+accelerator models can be built from COO.
 """
 
 from __future__ import annotations

@@ -10,42 +10,11 @@ those statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.unique import run_starts, sorted_unique
-
-
-@dataclass(frozen=True)
-class Tile:
-    """One rectangular tile of a sparse matrix.
-
-    Attributes:
-        row_start, row_end: half-open row range of the tile.
-        col_start, col_end: half-open column range of the tile.
-        nnz: number of non-zero elements that fall inside the tile.
-    """
-
-    row_start: int
-    row_end: int
-    col_start: int
-    col_end: int
-    nnz: int
-
-    @property
-    def n_rows(self) -> int:
-        return self.row_end - self.row_start
-
-    @property
-    def n_cols(self) -> int:
-        return self.col_end - self.col_start
-
-    @property
-    def cells(self) -> int:
-        """Number of matrix cells covered by the tile."""
-        return self.n_rows * self.n_cols
 
 
 def tile_grid_shape(shape: tuple[int, int], tile_rows: int, tile_cols: int) -> tuple[int, int]:
@@ -123,46 +92,6 @@ def occupied_tile_counts(
     return stats.tile_ids, stats.nnz_per_tile
 
 
-def iter_tiles(
-    matrix: CSRMatrix,
-    tile_rows: int,
-    tile_cols: int,
-    skip_empty: bool = True,
-) -> Iterator[Tile]:
-    """Iterate over the tile grid of a sparse matrix.
-
-    Args:
-        matrix: the sparse matrix being tiled.
-        tile_rows: tile height in matrix rows.
-        tile_cols: tile width in matrix columns.
-        skip_empty: when True (the default, matching GCNAX's behaviour of
-            fetching only tiles that contain non-zeros), tiles with zero
-            non-zeros are not yielded.
-    """
-    tile_ids, counts = occupied_tile_counts(matrix, tile_rows, tile_cols)
-    n_rows, n_cols = matrix.shape
-    grid_rows, grid_cols = tile_grid_shape(matrix.shape, tile_rows, tile_cols)
-
-    def _tile(tr: int, tc: int, nnz: int) -> Tile:
-        return Tile(
-            row_start=tr * tile_rows,
-            row_end=min((tr + 1) * tile_rows, n_rows),
-            col_start=tc * tile_cols,
-            col_end=min((tc + 1) * tile_cols, n_cols),
-            nnz=nnz,
-        )
-
-    if skip_empty:
-        # Occupied tile ids are sorted, i.e. already in row-major grid order.
-        for flat, nnz in zip(tile_ids.tolist(), counts.tolist()):
-            yield _tile(flat // grid_cols, flat % grid_cols, nnz)
-        return
-    nnz_of = dict(zip(tile_ids.tolist(), counts.tolist()))
-    for tr in range(grid_rows):
-        for tc in range(grid_cols):
-            yield _tile(tr, tc, nnz_of.get(tr * grid_cols + tc, 0))
-
-
 def tile_nnz_histogram(
     matrix: CSRMatrix,
     tile_rows: int,
@@ -191,16 +120,3 @@ def tile_nnz_histogram(
     labels.append(f">{edges[-1]}")
     fractions.append(float((occupied > edges[-1]).sum()) / occupied.size)
     return dict(zip(labels, fractions))
-
-
-def tile_occupancy_stats(matrix: CSRMatrix, tile_rows: int, tile_cols: int) -> dict[str, float]:
-    """Summary statistics of non-zeros per occupied tile."""
-    _tile_ids, occupied = occupied_tile_counts(matrix, tile_rows, tile_cols)
-    if occupied.size == 0:
-        return {"tiles": 0, "mean_nnz": 0.0, "median_nnz": 0.0, "max_nnz": 0.0}
-    return {
-        "tiles": int(occupied.size),
-        "mean_nnz": float(occupied.mean()),
-        "median_nnz": float(np.median(occupied)),
-        "max_nnz": float(occupied.max()),
-    }

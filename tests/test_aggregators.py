@@ -1,89 +1,13 @@
 """Unit tests for the advanced aggregation functions (Section VIII)."""
 
-import numpy as np
 import pytest
 
 from repro.gcn.aggregators import (
     GAT_SOFTMAX_AREA_OVERHEAD,
     POOL_COMPARATOR_AREA_OVERHEAD,
     area_with_aggregator_support,
-    gat_attention_aggregate,
-    gin_aggregate,
     grow_support_assessment,
-    max_pool_aggregate,
-    mean_aggregate,
-    sample_neighbors,
-    softmax,
 )
-from repro.sparse.convert import dense_to_csr
-
-
-@pytest.fixture
-def ring_adjacency():
-    dense = np.zeros((5, 5))
-    for i in range(5):
-        dense[i, (i + 1) % 5] = 1.0
-        dense[i, (i - 1) % 5] = 1.0
-    return dense_to_csr(dense)
-
-
-@pytest.fixture
-def features(rng):
-    return rng.standard_normal((5, 3))
-
-
-def test_mean_aggregate(ring_adjacency, features):
-    out = mean_aggregate(ring_adjacency, features)
-    expected = (features[1] + features[4]) / 2
-    np.testing.assert_allclose(out[0], expected)
-
-
-def test_mean_aggregate_isolated_node(features):
-    adjacency = dense_to_csr(np.zeros((5, 5)))
-    out = mean_aggregate(adjacency, features)
-    assert not out.any()
-
-
-def test_max_pool_aggregate(ring_adjacency, features):
-    out = max_pool_aggregate(ring_adjacency, features)
-    np.testing.assert_allclose(out[2], np.maximum(features[1], features[3]))
-
-
-def test_gin_aggregate_epsilon_zero(ring_adjacency, features):
-    out = gin_aggregate(ring_adjacency, features, epsilon=0.0)
-    np.testing.assert_allclose(out, features + ring_adjacency.matmul_dense(features))
-
-
-def test_gin_aggregate_epsilon_scales_self(ring_adjacency, features):
-    out = gin_aggregate(ring_adjacency, features, epsilon=1.0)
-    np.testing.assert_allclose(out, 2 * features + ring_adjacency.matmul_dense(features))
-
-
-def test_softmax_rows_sum_to_one(rng):
-    values = rng.standard_normal((4, 6)) * 10
-    out = softmax(values, axis=1)
-    np.testing.assert_allclose(out.sum(axis=1), np.ones(4))
-    assert (out >= 0).all()
-
-
-def test_gat_attention_weights_neighbours(ring_adjacency, features, rng):
-    a_src = rng.standard_normal(3)
-    a_dst = rng.standard_normal(3)
-    out = gat_attention_aggregate(ring_adjacency, features, a_src, a_dst)
-    # Each output row is a convex combination of neighbour features, so it
-    # lies within the per-feature min/max of the neighbours.
-    neighbours = features[[1, 4]]
-    assert (out[0] <= neighbours.max(axis=0) + 1e-9).all()
-    assert (out[0] >= neighbours.min(axis=0) - 1e-9).all()
-
-
-def test_sample_neighbors_bounds(ring_adjacency, rng):
-    samples = sample_neighbors(ring_adjacency, 1, rng)
-    assert all(s.size == 1 for s in samples)
-    full = sample_neighbors(ring_adjacency, 10, rng)
-    assert all(s.size == 2 for s in full)
-    with pytest.raises(ValueError):
-        sample_neighbors(ring_adjacency, 0)
 
 
 def test_support_assessment_matches_paper():

@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 from repro.accelerators.base import AcceleratorResult, PhaseStats
-from repro.analysis.breakdown import latency_breakdown, normalized_breakdown, phase_fraction
+from repro.analysis.breakdown import latency_breakdown, phase_fraction
 from repro.analysis.sparsity import (
     characterize_dataset,
     layer_matrix_densities,
     partition_diagonal_fraction,
 )
-from repro.analysis.tiles import (
-    csr_stream_utilization,
-    effective_bandwidth_utilization,
-    tile_nnz_bins,
-)
+from repro.analysis.tiles import effective_bandwidth_utilization, tile_nnz_bins
 from repro.graph.partition import metis_like_partition
 from repro.sparse.convert import dense_to_csr
 
@@ -68,13 +64,6 @@ def test_dense_tiles_fully_utilized():
     assert util > 0.95
 
 
-def test_csr_stream_utilization_high():
-    dense = np.zeros((16, 16))
-    dense[np.arange(16), np.arange(16)] = 1.0
-    assert csr_stream_utilization(dense_to_csr(dense)) == pytest.approx(192 / 192)
-    assert csr_stream_utilization(dense_to_csr(np.zeros((4, 4)))) == 0.0
-
-
 def _result_with(agg_cycles, comb_cycles):
     result = AcceleratorResult(accelerator="x", workload="w")
     result.phases = [
@@ -91,11 +80,3 @@ def test_latency_breakdown_and_fraction():
     assert breakdown["total"] == 400
     assert phase_fraction(result, "aggregation") == pytest.approx(0.75)
     assert phase_fraction(_result_with(0, 0), "aggregation") == 0.0
-
-
-def test_normalized_breakdown():
-    grow = _result_with(agg_cycles=100, comb_cycles=100)
-    gcnax = _result_with(agg_cycles=300, comb_cycles=100)
-    normalized = normalized_breakdown(grow, gcnax)
-    assert normalized["aggregation"] == pytest.approx(0.25)
-    assert normalized["combination"] == pytest.approx(0.25)

@@ -60,12 +60,6 @@ def test_energy_breakdown_total():
     assert breakdown.as_dict()["total"] == 15
 
 
-def test_energy_breakdown_normalised():
-    a = EnergyBreakdown(dram_nj=10)
-    b = EnergyBreakdown(dram_nj=20)
-    assert a.normalized_to(b) == 0.5
-
-
 def test_estimate_energy_components():
     breakdown = estimate_energy(
         mac_operations=1_000_000,

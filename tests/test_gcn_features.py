@@ -3,18 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.gcn.features import (
-    generate_feature_csr,
-    generate_feature_matrix,
-    generate_weight_matrix,
-    measured_density,
-)
+from repro.gcn.features import generate_feature_csr, generate_feature_matrix, generate_weight_matrix
 
 
 @pytest.mark.parametrize("density", [0.01, 0.1, 0.5, 1.0])
 def test_density_is_respected(density, rng):
     matrix = generate_feature_matrix(400, 50, density, rng)
-    assert measured_density(matrix) == pytest.approx(density, abs=0.05)
+    assert np.count_nonzero(matrix) / matrix.size == pytest.approx(density, abs=0.05)
 
 
 def test_zero_density(rng):
@@ -42,7 +37,7 @@ def test_feature_csr_matches_dense_density(rng):
 
 def test_weight_matrix_fully_dense(rng):
     weight = generate_weight_matrix(64, 16, rng)
-    assert measured_density(weight) == 1.0
+    assert np.count_nonzero(weight) == weight.size
     assert weight.shape == (64, 16)
 
 
@@ -55,15 +50,6 @@ def test_weight_matrix_scale(rng):
 def test_weight_matrix_custom_scale(rng):
     weight = generate_weight_matrix(100, 100, rng, scale=0.5)
     assert np.std(weight) == pytest.approx(0.5, rel=0.1)
-
-
-def test_measured_density_empty():
-    assert measured_density(np.zeros((0, 5))) == 0.0
-
-
-def test_measured_density_tolerance():
-    matrix = np.array([[1e-6, 1.0], [0.0, 2.0]])
-    assert measured_density(matrix, tolerance=1e-3) == pytest.approx(0.5)
 
 
 def test_reproducibility():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.gcn.layer import GCNLayer, GCNModel, build_model_for_dataset
-from repro.gcn.reference import gcn_layer_forward, layer_output_reference, relu
 from repro.sparse.convert import dense_to_csr
+
+from oracles import gcn_layer_forward, layer_output_reference, relu
 
 
 @pytest.fixture

@@ -33,11 +33,6 @@ def test_degrees(tiny_graph):
     assert degrees[0] == 5  # node 0 connects to 1,2,3,4,5
 
 
-def test_neighbors(tiny_graph):
-    assert set(tiny_graph.neighbors(0).tolist()) == {1, 2, 3, 4, 5}
-    assert set(tiny_graph.neighbors(2).tolist()) == {0, 5}
-
-
 def test_normalized_adjacency_rows_bounded(tiny_graph):
     norm = tiny_graph.normalized_adjacency()
     assert norm.nnz >= tiny_graph.num_edges  # self loops added
@@ -89,12 +84,6 @@ def test_invalid_edges_rejected():
         Graph.from_edge_list(2, [(0, 5)])
     with pytest.raises(ValueError):
         Graph(num_nodes=0, src=np.array([]), dst=np.array([]))
-
-
-def test_to_networkx_round_trip(tiny_graph):
-    nx_graph = tiny_graph.to_networkx()
-    assert nx_graph.number_of_nodes() == tiny_graph.num_nodes
-    assert nx_graph.number_of_edges() == tiny_graph.num_edges // 2
 
 
 def test_directed_graph_edges_not_mirrored():

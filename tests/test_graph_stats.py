@@ -1,18 +1,15 @@
-"""Unit tests for graph statistics and vertex reordering."""
+"""Unit tests for graph statistics."""
 
 import numpy as np
 import pytest
 
 from repro.graph.graph import Graph
-from repro.graph.reorder import apply_reorder, cluster_reorder, degree_sort_reorder, identity_reorder
-from repro.graph.partition import metis_like_partition
 from repro.graph.stats import (
     degree_distribution,
     degree_stats,
     gini_coefficient,
     powerlaw_fit_exponent,
     top_degree_edge_coverage,
-    top_degree_nodes,
 )
 
 
@@ -27,15 +24,6 @@ def test_degree_stats(tiny_graph):
     assert stats["max"] == 5
     assert stats["min"] >= 1
     assert stats["mean"] == pytest.approx(tiny_graph.average_degree)
-
-
-def test_top_degree_nodes(tiny_graph):
-    top = top_degree_nodes(tiny_graph, 1)
-    assert top[0] == 0  # node 0 has the highest degree in the Figure 12 graph
-
-
-def test_top_degree_nodes_capped(tiny_graph):
-    assert top_degree_nodes(tiny_graph, 100).size == tiny_graph.num_nodes
 
 
 def test_edge_coverage_monotonic(community_graph):
@@ -81,31 +69,3 @@ def test_negated_stable_sorts_are_bit_identical(name):
     for k in (1, 10, graph.num_nodes):
         legacy = float(np.sort(degrees)[::-1][:k].sum()) / float(degrees.sum())
         assert top_degree_edge_coverage(graph, k) == legacy
-
-
-def test_identity_reorder(tiny_graph):
-    np.testing.assert_array_equal(identity_reorder(tiny_graph), np.arange(6))
-
-
-def test_degree_sort_reorder(tiny_graph):
-    perm = degree_sort_reorder(tiny_graph)
-    # Node 0 (highest degree) gets the lowest new id.
-    assert perm[0] == 0
-    reordered = apply_reorder(tiny_graph, perm)
-    assert reordered.degrees()[0] == tiny_graph.degrees().max()
-
-
-def test_degree_sort_ascending(tiny_graph):
-    perm = degree_sort_reorder(tiny_graph, descending=False)
-    reordered = apply_reorder(tiny_graph, perm)
-    assert reordered.degrees()[0] == tiny_graph.degrees().min()
-
-
-def test_cluster_reorder_matches_partition(community_graph):
-    partition = metis_like_partition(community_graph, 4, seed=0)
-    np.testing.assert_array_equal(cluster_reorder(partition), partition.permutation)
-
-
-def test_reorder_preserves_edge_count(community_graph):
-    perm = degree_sort_reorder(community_graph)
-    assert apply_reorder(community_graph, perm).num_edges == community_graph.num_edges

@@ -9,23 +9,18 @@ from repro.core.accelerator import GrowSimulator
 from repro.core.config import GrowConfig
 from repro.core.preprocess import GrowPreprocessor
 
+from oracles import row_stationary_execute
+
 
 @pytest.fixture
 def grow(grow_config):
     return GrowSimulator(grow_config)
 
 
-def test_functional_output_matches_reference(grow, small_workloads):
-    phase = small_workloads[0].aggregation
-    np.testing.assert_allclose(grow.compute_output(phase), phase.reference_output())
-
-
-def test_compute_output_requires_dense(grow, small_model):
-    from repro.accelerators.workload import build_layer_workload
-
-    workload = build_layer_workload(small_model.layers[0], materialize=False)
-    with pytest.raises(ValueError):
-        grow.compute_output(workload.aggregation)
+def test_functional_output_matches_reference(small_workloads, small_model):
+    sparse = small_workloads[0].aggregation.sparse
+    xw = small_model.layers[0].combination()
+    np.testing.assert_allclose(row_stationary_execute(sparse, xw), sparse.matmul_dense(xw))
 
 
 def test_combination_phase_has_no_misses(grow, small_workloads):

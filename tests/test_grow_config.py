@@ -54,16 +54,8 @@ def test_with_arch():
     assert config.hdn_cache_bytes == 512 * KB
 
 
-def test_scaled_for():
-    config = GrowConfig().scaled_for(runahead_degree=4, num_pes=8)
-    assert config.runahead_degree == 4
-    assert config.num_pes == 8
-    unchanged = GrowConfig().scaled_for()
-    assert unchanged.runahead_degree == 16
-
-
 def test_ablation_switches():
-    config = GrowConfig().ablation(hdn_cache=False, runahead=False)
+    config = GrowConfig(enable_hdn_cache=False, enable_runahead=False)
     assert config.enable_hdn_cache is False
     assert config.enable_runahead is False
     assert config.effective_runahead == 1

@@ -113,17 +113,6 @@ def test_cache_hit_rate_empty():
     assert cache.hit_rate == 0.0
 
 
-def test_cache_reset_counters():
-    cache = HDNCache(capacity_bytes=1024, id_list=HDNIdList(capacity=8))
-    cache.begin_phase(64)
-    cache.fill_cluster(np.array([1]))
-    cache.lookup_batch(np.array([1, 2]))
-    cache.reset_counters()
-    assert cache.hits == 0
-    assert cache.misses == 0
-    assert cache.fill_bytes == 0
-
-
 def test_zero_capacity_cache_never_hits():
     cache = HDNCache(capacity_bytes=0, id_list=HDNIdList(capacity=8))
     cache.begin_phase(64)

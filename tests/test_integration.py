@@ -6,12 +6,12 @@ import pytest
 from repro.accelerators.gcnax import GCNAXConfig, GCNAXSimulator
 from repro.accelerators.workload import build_model_workloads
 from repro.core import GrowConfig, GrowPreprocessor, GrowSimulator
-from repro.core.dataflow import RowStationaryDataflow
 from repro.energy.energy_model import estimate_energy
 from repro.energy.area import grow_area_breakdown
 from repro.gcn.layer import build_model_for_dataset
-from repro.gcn.reference import gcn_model_forward
 from repro.graph.datasets import load_dataset
+
+from oracles import row_stationary_execute
 
 
 def test_dataset_to_simulation_pipeline(scaled_arch):
@@ -47,14 +47,14 @@ def test_simulated_dataflow_is_functionally_correct_end_to_end(scaled_arch):
     # Layer 0: the simulated dataflow's product equals the model's combination/
     # aggregation products.
     layer0 = workloads[0]
-    xw = RowStationaryDataflow.execute(layer0.combination.sparse, layer0.combination.dense)
+    xw = row_stationary_execute(layer0.combination.sparse, model.layers[0].weight)
     np.testing.assert_allclose(xw, model.layers[0].combination(), atol=1e-9)
-    aggregated = RowStationaryDataflow.execute(layer0.aggregation.sparse, xw)
+    aggregated = row_stationary_execute(layer0.aggregation.sparse, xw)
     np.testing.assert_allclose(
         np.maximum(aggregated, 0.0), model.layers[0].forward(), atol=1e-9
     )
     # The full reference model still runs.
-    output = gcn_model_forward(model)
+    output = model.forward()
     assert output.shape == (dataset.num_nodes, dataset.feature_lengths[-1])
 
 

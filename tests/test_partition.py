@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.graph import Graph
-from repro.graph.partition import (
-    bfs_partition,
-    metis_like_partition,
-    partition_edge_cut,
-    partition_graph,
-)
+from repro.graph.partition import metis_like_partition, partition_edge_cut, partition_graph
 
 
 def _assert_valid(partition, num_nodes, num_clusters):
@@ -20,9 +15,8 @@ def _assert_valid(partition, num_nodes, num_clusters):
     assert np.sort(partition.permutation).tolist() == list(range(num_nodes))
 
 
-@pytest.mark.parametrize("method", ["metis", "bfs"])
-def test_partition_is_valid(community_graph, method):
-    partition = partition_graph(community_graph, 6, method=method, seed=0)
+def test_partition_is_valid(community_graph):
+    partition = partition_graph(community_graph, 6, seed=0)
     _assert_valid(partition, community_graph.num_nodes, 6)
 
 
@@ -66,37 +60,18 @@ def test_invalid_cluster_count(community_graph):
     with pytest.raises(ValueError):
         metis_like_partition(community_graph, 0)
     with pytest.raises(ValueError):
-        bfs_partition(community_graph, -1)
-
-
-def test_unknown_method(community_graph):
-    with pytest.raises(ValueError):
-        partition_graph(community_graph, 4, method="spectral")
-
-
-def test_cluster_slices_consistent(community_graph):
-    partition = metis_like_partition(community_graph, 5, seed=1)
-    slices = partition.cluster_slices()
-    assert slices[0][0] == 0
-    assert slices[-1][1] == community_graph.num_nodes
-    widths = [end - start for start, end in slices]
-    np.testing.assert_array_equal(widths, partition.cluster_sizes)
+        partition_graph(community_graph, -1)
 
 
 def test_permutation_groups_clusters(community_graph):
     partition = metis_like_partition(community_graph, 4, seed=0)
     new_ids = partition.permutation
     # After renumbering, nodes of the same cluster occupy contiguous id ranges.
-    for start, end in partition.cluster_slices():
+    bounds = np.concatenate([[0], np.cumsum(partition.cluster_sizes)])
+    for start, end in zip(bounds[:-1], bounds[1:]):
         original = np.where((new_ids >= start) & (new_ids < end))[0]
         clusters = np.unique(partition.assignment[original])
         assert clusters.size == 1
-
-
-def test_bfs_partition_deterministic(community_graph):
-    a = bfs_partition(community_graph, 5, seed=3)
-    b = bfs_partition(community_graph, 5, seed=3)
-    np.testing.assert_array_equal(a.assignment, b.assignment)
 
 
 def test_edge_cut_zero_for_single_cluster(community_graph):
@@ -105,41 +80,36 @@ def test_edge_cut_zero_for_single_cluster(community_graph):
 
 
 def test_zero_degree_nodes_are_still_assigned():
-    # Nodes 4..7 have no edges at all; every partitioner must still place
+    # Nodes 4..7 have no edges at all; the partitioner must still place
     # them in exactly one cluster and keep the permutation a bijection.
     graph = Graph.from_edge_list(8, [(0, 1), (1, 2), (2, 3)])
-    for method in ("metis", "bfs"):
-        partition = partition_graph(graph, 3, method=method, seed=0)
-        _assert_valid(partition, 8, partition.num_clusters)
-        assert partition.cluster_sizes.sum() == 8
+    partition = partition_graph(graph, 3, seed=0)
+    _assert_valid(partition, 8, partition.num_clusters)
+    assert partition.cluster_sizes.sum() == 8
 
 
 def test_single_node_clusters_cover_every_node():
     # As many clusters as nodes: each cluster holds exactly one node.
     graph = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    for method in ("metis", "bfs"):
-        partition = partition_graph(graph, 5, method=method, seed=0)
-        _assert_valid(partition, 5, partition.num_clusters)
-        assert partition.cluster_sizes.max() <= 2  # near-singleton balance
+    partition = partition_graph(graph, 5, seed=0)
+    _assert_valid(partition, 5, partition.num_clusters)
+    assert partition.cluster_sizes.max() <= 2  # near-singleton balance
 
 
 def test_single_node_graph_partitions():
     graph = Graph.from_edge_list(1, [])
-    for method in ("metis", "bfs"):
-        partition = partition_graph(graph, 4, method=method, seed=0)
-        assert partition.num_clusters == 1
-        assert partition.assignment.tolist() == [0]
-        assert partition.cluster_slices() == [(0, 1)]
+    partition = partition_graph(graph, 4, seed=0)
+    assert partition.num_clusters == 1
+    assert partition.assignment.tolist() == [0]
+    assert partition.cluster_sizes.tolist() == [1]
 
 
 def test_edgeless_graph_partitions_in_balance():
-    # A graph with zero edges exercises the empty-frontier / empty-label
-    # paths of both partitioners.
+    # A graph with zero edges exercises the partitioner's empty-label path.
     graph = Graph.from_edge_list(12, [])
-    for method in ("metis", "bfs"):
-        partition = partition_graph(graph, 4, method=method, seed=0)
-        _assert_valid(partition, 12, partition.num_clusters)
-        assert partition_edge_cut(graph, partition.assignment) == 0
+    partition = partition_graph(graph, 4, seed=0)
+    _assert_valid(partition, 12, partition.num_clusters)
+    assert partition_edge_cut(graph, partition.assignment) == 0
 
 
 def test_edge_cut_ignores_empty_partitions():

@@ -1,71 +1,9 @@
-"""Unit tests for the runahead execution model (LDN table, LHS ID table)."""
+"""Unit tests for the runahead execution latency model."""
 
 import pytest
 
-from repro.core.runahead import LDNTable, LHSIdTable, RunaheadModel
+from repro.core.runahead import RunaheadModel
 
-
-# ----------------------------------------------------------------------
-# LDN table (MSHR)
-# ----------------------------------------------------------------------
-
-def test_ldn_allocate_and_complete():
-    table = LDNTable(capacity=2)
-    assert table.allocate(10) is not None
-    assert table.allocate(20) is not None
-    assert table.occupancy == 2
-    assert table.complete(10) is True
-    assert table.occupancy == 1
-    assert table.complete(99) is False
-
-
-def test_ldn_duplicate_allocation_reuses_entry():
-    table = LDNTable(capacity=2)
-    first = table.allocate(5)
-    second = table.allocate(5)
-    assert first == second
-    assert table.occupancy == 1
-
-
-def test_ldn_allocation_fails_when_full():
-    table = LDNTable(capacity=1)
-    table.allocate(1)
-    assert table.allocate(2) is None
-    assert table.allocation_failures == 1
-
-
-def test_ldn_storage_bytes():
-    assert LDNTable(capacity=16).storage_bytes == 64
-
-
-# ----------------------------------------------------------------------
-# LHS ID table
-# ----------------------------------------------------------------------
-
-def test_lhs_table_allocate_and_drain():
-    table = LHSIdTable(capacity=4)
-    assert table.allocate(ldn_index=0, output_row=1, lhs_value=2.0)
-    assert table.allocate(ldn_index=0, output_row=3, lhs_value=4.0)
-    assert table.allocate(ldn_index=1, output_row=2, lhs_value=5.0)
-    ready = table.drain(0)
-    assert sorted(ready) == [(1, 2.0), (3, 4.0)]
-    assert table.occupancy == 1
-
-
-def test_lhs_table_capacity():
-    table = LHSIdTable(capacity=1)
-    assert table.allocate(0, 0, 1.0)
-    assert not table.allocate(0, 1, 1.0)
-    assert table.allocation_failures == 1
-
-
-def test_lhs_table_storage_bytes():
-    assert LHSIdTable(capacity=64).storage_bytes == 64 * 9
-
-
-# ----------------------------------------------------------------------
-# Runahead latency model
-# ----------------------------------------------------------------------
 
 def test_effective_degree_bounded_by_ldn_entries():
     model = RunaheadModel(degree=32, ldn_entries=16)
@@ -86,8 +24,11 @@ def test_no_misses_no_stalls():
 
 
 def test_sweep_is_monotonically_non_increasing():
-    model = RunaheadModel(dram_latency_cycles=100)
-    sweep = model.sweep(rows_with_miss=500)
-    values = [sweep[d] for d in sorted(sweep)]
+    values = [
+        RunaheadModel(
+            degree=degree, dram_latency_cycles=100, ldn_entries=max(16, degree)
+        ).exposed_stall_cycles(500)
+        for degree in (1, 2, 4, 8, 16, 32)
+    ]
     assert all(a >= b for a, b in zip(values, values[1:]))
 

@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sparse.convert import (
-    coo_to_csc,
-    coo_to_csr,
-    csc_to_coo,
-    csc_to_csr,
-    csr_to_coo,
-    csr_to_csc,
-    dense_to_csr,
-    from_scipy,
-    to_scipy_csr,
-)
+from repro.sparse.convert import coo_to_csr, csr_to_coo, dense_to_csr
 from repro.sparse.coo import COOMatrix
 
 
@@ -21,19 +11,6 @@ def test_coo_to_csr_and_back(small_dense):
     coo = COOMatrix.from_dense(small_dense)
     csr = coo_to_csr(coo)
     np.testing.assert_allclose(csr_to_coo(csr).to_dense(), small_dense)
-
-
-def test_coo_to_csc_and_back(small_dense):
-    coo = COOMatrix.from_dense(small_dense)
-    csc = coo_to_csc(coo)
-    np.testing.assert_allclose(csc_to_coo(csc).to_dense(), small_dense)
-
-
-def test_csr_to_csc_round_trip(small_dense):
-    csr = dense_to_csr(small_dense)
-    csc = csr_to_csc(csr)
-    np.testing.assert_allclose(csc.to_dense(), small_dense)
-    np.testing.assert_allclose(csc_to_csr(csc).to_dense(), small_dense)
 
 
 def test_csr_indices_sorted_within_rows(small_dense):
@@ -55,23 +32,9 @@ def test_duplicates_summed_in_conversion():
     assert csr.to_dense()[1, 2] == 3.0
 
 
-def test_scipy_round_trip(small_dense):
-    scipy_matrix = to_scipy_csr(dense_to_csr(small_dense))
-    back = from_scipy(scipy_matrix)
-    np.testing.assert_allclose(back.to_dense(), small_dense)
-
-
-def test_scipy_agreement_with_spmm(small_dense, rng):
-    csr = dense_to_csr(small_dense)
-    dense = rng.standard_normal((small_dense.shape[1], 4))
-    scipy_result = to_scipy_csr(csr) @ dense
-    np.testing.assert_allclose(csr.matmul_dense(dense), scipy_result)
-
-
 def test_empty_conversion():
     coo = COOMatrix.empty((4, 5))
     assert coo_to_csr(coo).nnz == 0
-    assert coo_to_csc(coo).nnz == 0
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 8), (8, 1), (13, 17)])
@@ -79,4 +42,4 @@ def test_conversion_preserves_shape(shape, rng):
     dense = (rng.random(shape) < 0.4) * rng.standard_normal(shape)
     csr = dense_to_csr(dense)
     assert csr.shape == shape
-    assert csr_to_csc(csr).shape == shape
+    assert csr_to_coo(csr).shape == shape

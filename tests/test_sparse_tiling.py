@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sparse.convert import dense_to_csr
-from repro.sparse.tiling import (
-    iter_tiles,
-    tile_grid_shape,
-    tile_nnz_histogram,
-    tile_occupancy_stats,
-)
+from repro.sparse.tiling import tile_grid_shape, tile_nnz_histogram, tile_statistics
 
 
 @pytest.fixture
@@ -32,26 +27,6 @@ def test_tile_grid_shape_rejects_non_positive():
         tile_grid_shape((4, 4), 0, 2)
 
 
-def test_iter_tiles_covers_all_nnz(banded_matrix):
-    total = sum(tile.nnz for tile in iter_tiles(banded_matrix, 4, 4))
-    assert total == banded_matrix.nnz
-
-
-def test_iter_tiles_skips_empty(banded_matrix):
-    tiles = list(iter_tiles(banded_matrix, 4, 4, skip_empty=True))
-    assert all(tile.nnz > 0 for tile in tiles)
-    all_tiles = list(iter_tiles(banded_matrix, 4, 4, skip_empty=False))
-    assert len(all_tiles) == 16
-    assert len(tiles) < len(all_tiles)
-
-
-def test_tile_bounds_within_matrix(banded_matrix):
-    for tile in iter_tiles(banded_matrix, 5, 7):
-        assert 0 <= tile.row_start < tile.row_end <= banded_matrix.n_rows
-        assert 0 <= tile.col_start < tile.col_end <= banded_matrix.n_cols
-        assert tile.cells == tile.n_rows * tile.n_cols
-
-
 def test_histogram_fractions_sum_to_one(banded_matrix):
     histogram = tile_nnz_histogram(banded_matrix, 4, 4)
     assert sum(histogram.values()) == pytest.approx(1.0)
@@ -69,20 +44,8 @@ def test_histogram_empty_matrix():
     assert tile_nnz_histogram(dense_to_csr(np.zeros((4, 4))), 2, 2) == {}
 
 
-def test_occupancy_stats(banded_matrix):
-    stats = tile_occupancy_stats(banded_matrix, 4, 4)
-    assert stats["tiles"] == len(list(iter_tiles(banded_matrix, 4, 4)))
-    assert stats["max_nnz"] >= stats["mean_nnz"] > 0
-
-
-def test_occupancy_stats_empty():
-    stats = tile_occupancy_stats(dense_to_csr(np.zeros((4, 4))), 2, 2)
-    assert stats["tiles"] == 0
-    assert stats["mean_nnz"] == 0.0
-
-
 def test_dense_matrix_single_tile():
     dense = np.ones((4, 4))
-    tiles = list(iter_tiles(dense_to_csr(dense), 4, 4))
-    assert len(tiles) == 1
-    assert tiles[0].nnz == 16
+    stats = tile_statistics(dense_to_csr(dense), 4, 4)
+    assert stats.num_tiles == 1
+    assert stats.nnz_per_tile.tolist() == [16]

@@ -1,101 +1,14 @@
-"""Regression tests for zero-size accounting in the batched hot paths.
+"""Regression tests for zero-size accounting in occupied-tile enumeration.
 
-Each test pins one fix: batched DRAM reads, batched traffic recording and
-occupied-tile enumeration all have to treat empty or zero-size inputs as
-exactly zero work — no spurious minimum-granularity line, no phantom
-tile — because the vectorized accelerator loops feed them whole arrays
-in which empty tiles and zero-nnz row slices are routine.
+Tile statistics have to treat an empty matrix as exactly zero work — no
+phantom tile — because the vectorized accelerator loops feed them whole
+arrays in which empty tiles and zero-nnz row slices are routine.
 """
 
 import numpy as np
-import pytest
 
-from repro.memory.dram import DRAMModel
-from repro.memory.traffic import TrafficCounter
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.tiling import (
-    iter_tiles,
-    occupied_tile_counts,
-    tile_nnz_histogram,
-    tile_occupancy_stats,
-)
-
-
-# ---------------------------------------------------------------------------
-# DRAMModel.read_batch
-# ---------------------------------------------------------------------------
-
-
-def test_read_batch_zero_elements_transfer_nothing():
-    # Regression: a zero-byte batch element used to be rounded up to one
-    # full 64 B line like any other read.
-    dram = DRAMModel()
-    total = dram.read_batch("adj", np.array([0, 100, 0, 64, 0]))
-    assert total == 2 * 64 + 64
-    assert dram.traffic.total_read_bytes() == total
-    assert dram.traffic.requested_bytes["adj"] == 164
-
-
-def test_read_batch_negative_elements_count_as_zero():
-    dram = DRAMModel()
-    assert dram.read_batch("adj", np.array([-5, 32])) == 64
-    assert dram.traffic.requested_bytes["adj"] == 32
-
-
-def test_read_batch_empty_and_all_zero_batches_are_noops():
-    dram = DRAMModel()
-    assert dram.read_batch("adj", np.array([], dtype=np.int64)) == 0
-    assert dram.read_batch("adj", np.zeros(16, dtype=np.int64)) == 0
-    assert dram.traffic.total_bytes() == 0
-
-
-def test_read_batch_matches_elementwise_reads():
-    sizes = np.array([0, 1, 63, 64, 65, 4096, 0])
-    batched = DRAMModel()
-    serial = DRAMModel()
-    total = batched.read_batch("x", sizes)
-    assert total == sum(serial.read("x", int(n)) for n in sizes)
-    assert batched.traffic.as_dict() == serial.traffic.as_dict()
-
-
-# ---------------------------------------------------------------------------
-# TrafficCounter batch recording
-# ---------------------------------------------------------------------------
-
-
-def test_record_read_batch_empty_is_noop():
-    counter = TrafficCounter()
-    counter.record_read_batch("x", np.array([]), np.array([]))
-    assert counter.total_bytes() == 0
-
-
-def test_record_read_batch_rejects_misaligned_shapes():
-    counter = TrafficCounter()
-    with pytest.raises(ValueError, match="align"):
-        counter.record_read_batch("x", np.array([1, 2]), np.array([64]))
-
-
-def test_record_read_batch_rejects_negative_bytes():
-    counter = TrafficCounter()
-    with pytest.raises(ValueError, match="non-negative"):
-        counter.record_read_batch("x", np.array([-1]), np.array([64]))
-    with pytest.raises(ValueError, match="non-negative"):
-        counter.record_read_batch("x", np.array([1]), np.array([-64]))
-
-
-def test_record_write_batch_empty_noop_and_negative_rejected():
-    counter = TrafficCounter()
-    counter.record_write_batch("x", np.array([], dtype=np.int64))
-    assert counter.total_write_bytes() == 0
-    with pytest.raises(ValueError, match="non-negative"):
-        counter.record_write_batch("x", np.array([64, -1]))
-    counter.record_write_batch("x", np.array([64, 128]))
-    assert counter.total_write_bytes() == 192
-
-
-# ---------------------------------------------------------------------------
-# Occupied-tile enumeration
-# ---------------------------------------------------------------------------
+from repro.sparse.tiling import occupied_tile_counts, tile_nnz_histogram, tile_statistics
 
 
 def test_occupied_tile_counts_empty_matrix():
@@ -108,19 +21,11 @@ def test_occupied_tile_counts_empty_matrix():
     assert tile_ids.dtype == np.int64 and counts.dtype == np.int64
 
 
-def test_iter_tiles_empty_matrix():
-    matrix = CSRMatrix.empty((64, 64))
-    assert list(iter_tiles(matrix, 16, 16)) == []
-    dense_walk = list(iter_tiles(matrix, 16, 16, skip_empty=False))
-    assert len(dense_walk) == 16
-    assert all(tile.nnz == 0 for tile in dense_walk)
-
-
 def test_tile_stats_and_histogram_empty_matrix():
     matrix = CSRMatrix.empty((64, 64))
     assert tile_nnz_histogram(matrix, 16, 16) == {}
-    stats = tile_occupancy_stats(matrix, 16, 16)
-    assert stats == {"tiles": 0, "mean_nnz": 0.0, "median_nnz": 0.0, "max_nnz": 0.0}
+    stats = tile_statistics(matrix, 16, 16)
+    assert (stats.num_tiles, stats.total_nnz, stats.total_distinct_cols) == (0, 0, 0)
 
 
 def test_occupied_tiles_match_dense_reference():
