@@ -3,9 +3,10 @@
 The package is organised the way the paper presents the design (Section V):
 
 * :mod:`repro.core.config` — architecture configuration (Table III).
-* :mod:`repro.core.dataflow` — the row-stationary (Gustavson) dataflow and its
-  streaming reference trace.
-* :mod:`repro.core.hdn_cache` — the high-degree-node cache and HDN ID list.
+* :mod:`repro.core.hdn_profile` — the row-stationary stream of an
+  aggregation, cluster by cluster, and the high-degree-node cache's
+  accounting: one rank pass per (aggregation LHS, plan) answers every cache
+  size.
 * :mod:`repro.core.preprocess` — the software preprocessing pass: graph
   partitioning plus per-cluster HDN ID list generation.
 * :mod:`repro.core.runahead` — the latency model of multi-row-stationary
@@ -15,22 +16,18 @@ The package is organised the way the paper presents the design (Section V):
 """
 
 from repro.core.config import GrowConfig
-from repro.core.hdn_cache import HDNCache, HDNIdList
+from repro.core.hdn_profile import HDNProfile
 from repro.core.preprocess import GrowPreprocessor, PreprocessPlan
 from repro.core.runahead import RunaheadModel
-from repro.core.dataflow import RowStationaryDataflow, RowTrace
 from repro.core.accelerator import GrowSimulator
 from repro.core.multi_pe import MultiPEGrowSimulator
 
 __all__ = [
     "GrowConfig",
-    "HDNCache",
-    "HDNIdList",
+    "HDNProfile",
     "GrowPreprocessor",
     "PreprocessPlan",
     "RunaheadModel",
-    "RowStationaryDataflow",
-    "RowTrace",
     "GrowSimulator",
     "MultiPEGrowSimulator",
 ]

@@ -3,6 +3,8 @@
 Combines the row-stationary dataflow, the HDN cache, the preprocessing plan
 (graph partitioning + per-cluster HDN ID lists) and the runahead latency
 model into a cycle-accounting simulation of one GROW processing engine.
+The pinned HDN cache is accounted from the plan's memoised rank profile
+(:mod:`repro.core.hdn_profile`), which answers every cache size at once.
 
 The model follows the paper's architecture (Figure 8):
 
@@ -25,23 +27,9 @@ import numpy as np
 from repro.accelerators.base import NNZ_BYTES, AcceleratorResult, PhaseStats, combine_results
 from repro.accelerators.workload import LayerWorkload, SpDeGemmPhase
 from repro.core.config import GrowConfig
-from repro.core.dataflow import RowStationaryDataflow
-from repro.core.hdn_cache import HDNCache, HDNIdList
+from repro.core.hdn_profile import ClusterCounts, ClusterStream
 from repro.core.preprocess import GrowPreprocessor, PreprocessPlan
-from repro.core.runahead import RunaheadModel
 from repro.obs import trace
-
-
-def _sorted_run_count(values: np.ndarray) -> int:
-    """Number of distinct values in a non-decreasing array.
-
-    The streaming loop's per-cluster row slices preserve the row-major
-    non-zero order, so counting value runs equals ``np.unique(...).size``
-    without the redundant sort.
-    """
-    if values.size == 0:
-        return 0
-    return int(np.count_nonzero(values[1:] != values[:-1])) + 1
 
 
 @dataclass
@@ -77,14 +65,12 @@ class GrowSimulator:
         configuration).  Combination phases keep the RHS on chip and never
         consult the plan.
         """
-        # Phase granularity is the floor of the span taxonomy: the per-cluster
-        # loop inside the streaming model stays uninstrumented by design.
+        # Phase granularity is the floor of the span taxonomy.
         if phase.rhs_resident:
             with trace.span("grow.phase", phase=phase.name, kind="combination"):
                 return self._run_resident_phase(phase)
         with trace.span("grow.phase", phase=phase.name, kind="aggregation"):
-            stats, _clusters = self._run_streaming_phase(phase, plan)
-        return stats
+            return self._run_streaming_phase(phase, plan)
 
     def _run_resident_phase(self, phase: SpDeGemmPhase) -> PhaseStats:
         """Combination: X streams in CSR, W is pinned on chip."""
@@ -120,118 +106,61 @@ class GrowSimulator:
             extra={"hdn_hit_rate": 1.0, "num_clusters": 1.0},
         )
 
-    def _run_streaming_phase(
-        self, phase: SpDeGemmPhase, plan: PreprocessPlan | None
-    ) -> tuple[PhaseStats, list[ClusterStats]]:
+    def _plan_for(self, phase: SpDeGemmPhase, plan: PreprocessPlan | None) -> PreprocessPlan:
+        if plan is not None:
+            return plan
+        preprocessor = GrowPreprocessor(hdn_list_capacity=self.config.hdn_id_capacity)
+        return preprocessor.plan_without_partitioning(phase.sparse)
+
+    def _lru_counts(
+        self, phase: SpDeGemmPhase, plan: PreprocessPlan, cache_rows: int
+    ) -> ClusterCounts:
+        """Demand-based alternative (Section VIII): rows are cached on first use
+        and evicted by recency, one fresh cache per cluster; there is no
+        prefetch fill and no pinned HDN ID list."""
+        from repro.accelerators.gamma import simulate_lru_hits
+
+        stream = ClusterStream.of(phase.sparse, plan.cluster_of_node, plan.clusters)
+        nnz = np.diff(stream.nnz_bounds)
+        touched_rows = np.diff(stream.row_bounds)
+        hits = np.zeros_like(nnz)
+        rows_with_miss = np.zeros_like(nnz)
+        for cluster in np.flatnonzero(nnz):
+            cols = stream.cols[stream.nnz_bounds[cluster] : stream.nnz_bounds[cluster + 1]]
+            hits[cluster], misses = simulate_lru_hits(cols, cache_rows)
+            # Approximate the missed-row count by scaling rows touched with the
+            # miss ratio (an exact count would need a per-row LRU replay).
+            rows_with_miss[cluster] = round(int(touched_rows[cluster]) * (misses / cols.size))
+        return ClusterCounts(nnz, hits, rows_with_miss, filled_rows=np.zeros_like(nnz))
+
+    def _uses_lru(self) -> bool:
+        return self.config.hdn_replacement == "lru" and self.config.enable_hdn_cache
+
+    def _run_streaming_phase(self, phase: SpDeGemmPhase, plan: PreprocessPlan | None) -> PhaseStats:
         """Aggregation: A streams in CSR, XW rows hit the HDN cache or DRAM."""
         cfg = self.config
         arch = cfg.arch
         granularity = arch.access_granularity
         row_bytes = phase.rhs_row_bytes
         row_lines = -(-row_bytes // granularity)
-
-        if plan is None:
-            preprocessor = GrowPreprocessor(hdn_list_capacity=cfg.hdn_id_capacity)
-            plan = preprocessor.plan_without_partitioning(phase.sparse)
-
-        cache = HDNCache(
-            capacity_bytes=cfg.hdn_cache_bytes if cfg.enable_hdn_cache else 0,
-            id_list=HDNIdList(capacity=cfg.hdn_id_capacity),
-        )
-        cache.begin_phase(row_bytes)
+        plan = self._plan_for(phase, plan)
         cache_rows = cfg.hdn_cache_rows(row_bytes)
 
-        trace = RowStationaryDataflow.trace(phase.sparse)
-        cluster_of_nnz = plan.cluster_of_node[trace.row_of_nnz] if trace.nnz else np.empty(0, dtype=np.int64)
-
-        # Group the non-zero stream by cluster label once (stable, so each
-        # group keeps streaming order) instead of scanning the whole stream
-        # with a fresh boolean mask per cluster: each cluster's slice below is
-        # element-for-element the array the mask produced, at O(nnz log nnz)
-        # total instead of O(nnz * num_clusters).
-        # A stable argsort of integer keys is a radix sort whose pass count
-        # scales with the key width; cluster ids are tiny, so narrowing the
-        # dtype first yields the identical permutation in fewer passes.
-        sort_keys = cluster_of_nnz
-        if plan.num_clusters <= np.iinfo(np.uint16).max:
-            sort_keys = cluster_of_nnz.astype(np.uint16)
-        elif plan.num_clusters <= np.iinfo(np.int32).max:
-            sort_keys = cluster_of_nnz.astype(np.int32)
-        nnz_group_order = np.argsort(sort_keys, kind="stable")
-        grouped_labels = cluster_of_nnz[nnz_group_order]
-        grouped_cols = trace.col_of_nnz[nnz_group_order]
-        grouped_rows = trace.row_of_nnz[nnz_group_order]
-        empty_ids = np.empty(0, dtype=np.int64)
-
-        total_hits = 0
-        total_misses = 0
-        total_rows_with_miss = 0
-        fill_bytes = 0
-        hdn_id_bytes = 0
-        cluster_stats: list[ClusterStats] = []
-
-        for cluster_id, (nodes, hdn_list) in enumerate(zip(plan.clusters, plan.hdn_lists)):
-            if nodes.size:
-                label = plan.cluster_of_node[nodes[0]]
-                start = np.searchsorted(grouped_labels, label, side="left")
-                end = np.searchsorted(grouped_labels, label, side="right")
-                cols = grouped_cols[start:end]
-                rows = grouped_rows[start:end]
-            else:
-                cols = rows = empty_ids
-            usable_hdns = hdn_list[:cache_rows] if cfg.enable_hdn_cache else hdn_list[:0]
-
-            if cfg.hdn_replacement == "lru" and cfg.enable_hdn_cache:
-                # Demand-based alternative (Section VIII): rows are cached on
-                # first use and evicted by recency; there is no prefetch fill
-                # and no pinned HDN ID list.
-                from repro.accelerators.gamma import simulate_lru_hits
-
-                cluster_fill = 0
-                if cols.size:
-                    hits, misses = simulate_lru_hits(cols, cache_rows)
-                    # Approximate the missed-row count by scaling rows touched
-                    # with the miss ratio (an exact count would need the full
-                    # per-row replay the pinned path avoids).
-                    touched_rows = _sorted_run_count(rows)
-                    missed_rows = int(round(touched_rows * (misses / cols.size)))
-                    cache.hits += hits
-                    cache.misses += misses
-                else:
-                    hits = misses = missed_rows = 0
-            else:
-                cluster_fill = cache.fill_cluster(usable_hdns) if usable_hdns.size else 0
-                hdn_id_bytes += int(usable_hdns.size) * 3
-                if cols.size:
-                    hit_mask = cache.lookup_batch(cols)
-                    hits = int(hit_mask.sum())
-                    misses = int(cols.size - hits)
-                    missed_rows = _sorted_run_count(rows[~hit_mask])
-                else:
-                    hits = misses = missed_rows = 0
-            fill_bytes += cluster_fill
-            total_hits += hits
-            total_misses += misses
-            total_rows_with_miss += missed_rows
-
-            cluster_compute = cols.size * phase.rhs_cols / arch.num_macs
-            cluster_memory_bytes = (
-                -(-int(cols.size) * NNZ_BYTES // granularity) * granularity
-                + cluster_fill
-                + misses * row_lines * granularity
-                + -(-int(nodes.size) * row_bytes // granularity) * granularity  # output rows
-            )
-            cluster_stats.append(
-                ClusterStats(
-                    cluster_id=cluster_id,
-                    nnz=int(cols.size),
-                    hits=hits,
-                    misses=misses,
-                    rows_with_miss=missed_rows,
-                    compute_cycles=cluster_compute,
-                    memory_bytes=cluster_memory_bytes,
-                )
-            )
+        if self._uses_lru():
+            counts = self._lru_counts(phase, plan, cache_rows)
+            total_hits = int(counts.hits.sum())
+            total_misses = int(counts.nnz.sum()) - total_hits
+            total_rows_with_miss = int(counts.rows_with_miss.sum())
+            filled_rows = 0
+        else:
+            profile = plan.hdn_profile(phase.sparse)
+            total_hits = profile.hits(cache_rows)
+            total_misses = profile.nnz - total_hits
+            total_rows_with_miss = profile.rows_with_miss(cache_rows)
+            filled_rows = profile.filled_rows(cache_rows)
+        # Each prefetched row costs its dense row in DRAM and its 3-byte id.
+        fill_bytes = filled_rows * row_bytes
+        hdn_id_bytes = filled_rows * 3
 
         # --- DRAM traffic of the whole phase.
         sparse_requested = phase.sparse.nnz * NNZ_BYTES
@@ -248,16 +177,10 @@ class GrowSimulator:
         mac_ops = phase.mac_operations
         compute_cycles = mac_ops / arch.num_macs
         memory_cycles = (dram_read + output_bytes) / arch.bytes_per_cycle
-
-        runahead = RunaheadModel(
-            degree=cfg.effective_runahead,
-            dram_latency_cycles=arch.dram_latency_cycles,
-            ldn_entries=cfg.ldn_table_entries,
-        )
-        stall_cycles = runahead.exposed_stall_cycles(total_rows_with_miss)
+        stall_cycles = cfg.runahead_model().exposed_stall_cycles(total_rows_with_miss)
 
         lookups = total_hits + total_misses
-        stats = PhaseStats(
+        return PhaseStats(
             name=phase.name,
             compute_cycles=compute_cycles,
             memory_cycles=memory_cycles,
@@ -282,7 +205,6 @@ class GrowSimulator:
                 "partitioned": 1.0 if plan.partitioned else 0.0,
             },
         )
-        return stats, cluster_stats
 
     # ------------------------------------------------------------------
     # Layer / model simulation
@@ -324,8 +246,36 @@ class GrowSimulator:
         """Per-cluster statistics of an aggregation phase (multi-PE scheduling)."""
         if phase.rhs_resident:
             raise ValueError("cluster breakdown is only defined for aggregation phases")
-        _stats, clusters = self._run_streaming_phase(phase, plan)
-        return clusters
+        arch = self.config.arch
+        granularity = arch.access_granularity
+        row_bytes = phase.rhs_row_bytes
+        row_lines = -(-row_bytes // granularity)
+        plan = self._plan_for(phase, plan)
+        cache_rows = self.config.hdn_cache_rows(row_bytes)
+        if self._uses_lru():
+            counts = self._lru_counts(phase, plan, cache_rows)
+        else:
+            counts = plan.hdn_profile(phase.sparse).cluster_counts(cache_rows)
+        misses = counts.nnz - counts.hits
+        nodes = np.array([members.size for members in plan.clusters], dtype=np.int64)
+        memory_bytes = (
+            -(-counts.nnz * NNZ_BYTES // granularity) * granularity
+            + counts.filled_rows * row_bytes
+            + misses * row_lines * granularity
+            + -(-nodes * row_bytes // granularity) * granularity  # output rows
+        )
+        return [
+            ClusterStats(
+                cluster_id=cluster,
+                nnz=int(counts.nnz[cluster]),
+                hits=int(counts.hits[cluster]),
+                misses=int(misses[cluster]),
+                rows_with_miss=int(counts.rows_with_miss[cluster]),
+                compute_cycles=int(counts.nnz[cluster]) * phase.rhs_cols / arch.num_macs,
+                memory_bytes=int(memory_bytes[cluster]),
+            )
+            for cluster in range(plan.num_clusters)
+        ]
 
     def _sram_capacities(self) -> dict[str, int]:
         cfg = self.config

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.accelerators.base import KB, AcceleratorConfig
+from repro.core.runahead import RunaheadModel
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,14 @@ class GrowConfig:
         if not self.enable_runahead:
             return 1
         return max(1, min(self.runahead_degree, self.ldn_table_entries))
+
+    def runahead_model(self) -> RunaheadModel:
+        """The latency model of this configuration's runahead window."""
+        return RunaheadModel(
+            degree=self.effective_runahead,
+            dram_latency_cycles=self.arch.dram_latency_cycles,
+            ldn_entries=self.ldn_table_entries,
+        )
 
     def with_arch(self, arch: AcceleratorConfig) -> "GrowConfig":
         """Copy of this config with different shared architecture parameters."""

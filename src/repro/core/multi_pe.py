@@ -27,7 +27,6 @@ from repro.accelerators.workload import LayerWorkload
 from repro.core.accelerator import ClusterStats, GrowSimulator
 from repro.core.config import GrowConfig
 from repro.core.preprocess import PreprocessPlan
-from repro.core.runahead import RunaheadModel
 
 
 def greedy_longest_first(weights: Sequence[float], num_bins: int) -> np.ndarray:
@@ -75,27 +74,22 @@ class MultiPEGrowSimulator:
         self.config = config or GrowConfig()
         self._single_pe = GrowSimulator(self.config)
 
-    def _cluster_times(
-        self, workload: LayerWorkload, plan: PreprocessPlan | None
-    ) -> tuple[list[ClusterStats], float]:
-        clusters = self._single_pe.cluster_breakdown(workload.aggregation, plan)
+    def _sequential_cycles(self, clusters: list[ClusterStats]) -> float:
+        """Clusters back to back on one PE, each bound by compute or memory."""
         bytes_per_cycle = self.config.arch.bytes_per_cycle
-        return clusters, bytes_per_cycle
-
-    def single_pe_cycles(self, workload: LayerWorkload, plan: PreprocessPlan | None = None) -> float:
-        """Aggregation latency with one PE: clusters execute sequentially."""
-        clusters, bytes_per_cycle = self._cluster_times(workload, plan)
-        runahead = RunaheadModel(
-            degree=self.config.effective_runahead,
-            dram_latency_cycles=self.config.arch.dram_latency_cycles,
-            ldn_entries=self.config.ldn_table_entries,
-        )
+        runahead = self.config.runahead_model()
         total = 0.0
         for cluster in clusters:
             memory_cycles = cluster.memory_bytes / bytes_per_cycle
             total += max(cluster.compute_cycles, memory_cycles)
             total += runahead.exposed_stall_cycles(cluster.rows_with_miss)
         return total
+
+    def single_pe_cycles(self, workload: LayerWorkload, plan: PreprocessPlan | None = None) -> float:
+        """Aggregation latency with one PE: clusters execute sequentially."""
+        return self._sequential_cycles(
+            self._single_pe.cluster_breakdown(workload.aggregation, plan)
+        )
 
     def run_aggregation(
         self,
@@ -106,8 +100,8 @@ class MultiPEGrowSimulator:
         """Aggregation latency with ``num_pes`` PEs and proportional bandwidth."""
         if num_pes < 1:
             raise ValueError("num_pes must be at least 1")
-        clusters, bytes_per_cycle = self._cluster_times(workload, plan)
-        single_cycles = self.single_pe_cycles(workload, plan)
+        clusters = self._single_pe.cluster_breakdown(workload.aggregation, plan)
+        single_cycles = self._sequential_cycles(clusters)
         if num_pes == 1:
             return MultiPEResult(
                 num_pes=1,
@@ -124,17 +118,13 @@ class MultiPEGrowSimulator:
             per_pe_compute[int(pe)] += cluster.compute_cycles
             per_pe_rows_with_miss[int(pe)] += cluster.rows_with_miss
 
-        runahead = RunaheadModel(
-            degree=self.config.effective_runahead,
-            dram_latency_cycles=self.config.arch.dram_latency_cycles,
-            ldn_entries=self.config.ldn_table_entries,
-        )
+        runahead = self.config.runahead_model()
         compute_bound = max(
             compute + runahead.exposed_stall_cycles(rows)
             for compute, rows in zip(per_pe_compute, per_pe_rows_with_miss)
         )
         total_memory_bytes = sum(c.memory_bytes for c in clusters)
-        pooled_bandwidth = bytes_per_cycle * num_pes
+        pooled_bandwidth = self.config.arch.bytes_per_cycle * num_pes
         memory_bound = total_memory_bytes / pooled_bandwidth
         total_cycles = max(compute_bound, memory_bound)
         return MultiPEResult(

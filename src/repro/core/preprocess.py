@@ -12,10 +12,11 @@ directly from an adjacency matrix); the GROW simulator consumes the plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.hdn_profile import HDNProfile
 from repro.graph.graph import Graph
 from repro.graph.partition import PartitionResult, partition_graph
 from repro.obs import trace
@@ -46,10 +47,26 @@ class PreprocessPlan:
     hdn_list_capacity: int
     partitioned: bool
     preprocessing_seconds: float = 0.0
+    _hdn_profiles: dict[int, HDNProfile] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def num_clusters(self) -> int:
         return len(self.clusters)
+
+    def hdn_profile(self, lhs: CSRMatrix) -> HDNProfile:
+        """The HDN rank profile of the aggregation LHS ``lhs`` under this plan.
+
+        Built on first use and memoised on the plan by the LHS's identity,
+        so a bundle plan's profiles live as long as the bundle and a chip's
+        local plan's as long as its request.
+        """
+        profile = self._hdn_profiles.get(id(lhs))
+        if profile is None:
+            # The profile holds the LHS, so no other object can take its id.
+            profile = self._hdn_profiles[id(lhs)] = HDNProfile(lhs, self)
+        return profile
 
     def hdn_storage_bytes(self) -> int:
         """DRAM footprint of all clusters' HDN ID lists (3 bytes per id)."""

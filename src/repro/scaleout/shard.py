@@ -32,6 +32,7 @@ matrices:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Any
 
@@ -42,6 +43,7 @@ from repro.core.multi_pe import greedy_longest_first
 from repro.core.preprocess import PreprocessPlan
 from repro.graph.graph import Graph
 from repro.graph.partition import partition_graph
+from repro.sparse.csr import CSRMatrix
 from repro.sparse.unique import sorted_unique
 
 #: Cluster-to-chip assignment methods.
@@ -323,22 +325,24 @@ def chip_workloads(workloads: list[LayerWorkload], shard: ChipShard) -> list[Lay
     local reads are separate physical channels, both priced (see the
     modeling note in :mod:`repro.scaleout.engine`).  Slicing every row
     (the one-chip case) reproduces the original workload exactly.
+
+    Each distinct LHS is sliced once: the layers' aggregation phases share
+    one adjacency, and so do their slices, which lets the chip's plan reuse
+    one HDN profile for every layer.
     """
-    sliced: list[LayerWorkload] = []
-    for layer in workloads:
-        combination = SpDeGemmPhase(
-            name=layer.combination.name,
-            sparse=layer.combination.sparse.select_rows(shard.nodes),
-            dense_shape=layer.combination.dense_shape,
-            rhs_resident=layer.combination.rhs_resident,
+    slices: dict[int, CSRMatrix] = {}
+
+    def owned(phase: SpDeGemmPhase) -> SpDeGemmPhase:
+        # ``workloads`` keeps every LHS alive, so ids stay unique meanwhile.
+        if id(phase.sparse) not in slices:
+            slices[id(phase.sparse)] = phase.sparse.select_rows(shard.nodes)
+        return dataclasses.replace(phase, sparse=slices[id(phase.sparse)])
+
+    return [
+        LayerWorkload(
+            name=layer.name,
+            combination=owned(layer.combination),
+            aggregation=owned(layer.aggregation),
         )
-        aggregation = SpDeGemmPhase(
-            name=layer.aggregation.name,
-            sparse=layer.aggregation.sparse.select_rows(shard.nodes),
-            dense_shape=layer.aggregation.dense_shape,
-            rhs_resident=layer.aggregation.rhs_resident,
-        )
-        sliced.append(
-            LayerWorkload(name=layer.name, combination=combination, aggregation=aggregation)
-        )
-    return sliced
+        for layer in workloads
+    ]

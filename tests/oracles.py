@@ -10,14 +10,29 @@ contrasts, so tests can check that each loop order gives the same answer:
   MatRaptor, GAMMA), plus GROW's multi-row-stationary window.
 
 The GCN references compute ``sigma(A (X W))`` straight from numpy.
+
+The HDN references are GROW's cache as hardware state: the CAM-like HDN ID
+list, the pinned HDN cache, and the per-cluster loop that fills both at each
+cluster's start and looks up every non-zero.  The simulator answers the same
+questions from a rank profile (:mod:`repro.core.hdn_profile`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
+from repro.accelerators.base import NNZ_BYTES, PhaseStats
+from repro.accelerators.gamma import simulate_lru_hits
+from repro.accelerators.workload import SpDeGemmPhase
+from repro.core.accelerator import ClusterStats
+from repro.core.config import GrowConfig
+from repro.core.preprocess import GrowPreprocessor, PreprocessPlan
+from repro.core.runahead import RunaheadModel
 from repro.gcn.layer import GCNLayer
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.unique import sorted_unique
 
 
 def _checked_rhs(sparse: CSRMatrix, dense: np.ndarray) -> np.ndarray:
@@ -149,3 +164,241 @@ def gcn_layer_forward(
 def layer_output_reference(layer: GCNLayer) -> np.ndarray:
     """Reference output of one already-constructed layer."""
     return gcn_layer_forward(layer.adjacency, layer.features, layer.weight, layer.apply_relu)
+
+
+@dataclass
+class HDNIdList:
+    """The CAM that holds the ids of the currently cached high-degree nodes.
+
+    The ids are kept sorted and distinct, beside a boolean membership bitmap
+    over ``0 .. max id`` that is built once per load, so a lookup is one
+    gather instead of a search per column.
+    """
+
+    capacity: int
+    node_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    _member: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.capacity < 0:
+            raise ValueError("capacity must be non-negative")
+        node_ids = self._normalise(self.node_ids)
+        if node_ids.size > self.capacity:
+            raise ValueError(
+                f"HDN ID list overflow: {node_ids.size} ids, capacity {self.capacity}"
+            )
+        self._store(node_ids)
+
+    @staticmethod
+    def _normalise(node_ids: np.ndarray) -> np.ndarray:
+        """Sorted, distinct, non-negative ids (a copy the list owns)."""
+        node_ids = sorted_unique(np.array(node_ids, dtype=np.int64))
+        if node_ids.size and node_ids[0] < 0:
+            raise ValueError(f"HDN node ids must be non-negative, got {node_ids[0]}")
+        return node_ids
+
+    def _store(self, node_ids: np.ndarray) -> None:
+        self.node_ids = node_ids
+        self._member = np.zeros(int(node_ids[-1]) + 1 if node_ids.size else 0, dtype=bool)
+        self._member[node_ids] = True
+
+    def load(self, node_ids: np.ndarray) -> None:
+        """Replace the list contents with a new cluster's HDN ids."""
+        self._store(self._normalise(node_ids)[: self.capacity])
+
+    def lookup(self, columns: np.ndarray) -> np.ndarray:
+        """Boolean hit mask for a batch of column ids; out-of-range ids miss."""
+        columns = np.asarray(columns, dtype=np.int64)
+        member = self._member
+        if member.size == 0:
+            return np.zeros(columns.shape, dtype=bool)
+        hits = member.take(columns, mode="clip")
+        hits &= (columns >= 0) & (columns < member.size)
+        return hits
+
+    @property
+    def size(self) -> int:
+        return int(self.node_ids.size)
+
+    @property
+    def storage_bytes(self) -> int:
+        """Storage footprint at 3 bytes per node id (paper Section V-C)."""
+        return self.capacity * 3
+
+
+@dataclass
+class HDNCache:
+    """The SRAM that pins the dense RHS rows of the current cluster's HDNs."""
+
+    capacity_bytes: int
+    row_bytes: int = 0
+    id_list: HDNIdList = field(default_factory=lambda: HDNIdList(capacity=4096))
+    hits: int = 0
+    misses: int = 0
+    fill_bytes: int = 0
+    lookup_bytes: int = 0
+
+    @property
+    def capacity_rows(self) -> int:
+        """Number of RHS rows that fit at the current row size."""
+        if self.row_bytes <= 0:
+            return 0
+        return min(self.capacity_bytes // self.row_bytes, self.id_list.capacity)
+
+    def begin_phase(self, row_bytes: int) -> None:
+        """Configure the cache for a new phase's dense-row size."""
+        if row_bytes <= 0:
+            raise ValueError("row_bytes must be positive")
+        self.row_bytes = row_bytes
+
+    def fill_cluster(self, hdn_node_ids: np.ndarray) -> int:
+        """Load a cluster's HDN rows; returns the bytes fetched from DRAM."""
+        hdn_node_ids = np.asarray(hdn_node_ids, dtype=np.int64)
+        usable = hdn_node_ids[: self.capacity_rows]
+        self.id_list.load(usable)
+        fetched = int(usable.size) * self.row_bytes
+        self.fill_bytes += fetched
+        return fetched
+
+    def lookup_batch(self, columns: np.ndarray) -> np.ndarray:
+        """Hit mask for a batch of RHS row requests; updates hit/miss counters."""
+        mask = self.id_list.lookup(columns)
+        batch_hits = int(mask.sum())
+        self.hits += batch_hits
+        self.misses += int(mask.size - batch_hits)
+        self.lookup_bytes += int(mask.size) * self.row_bytes
+        return mask
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups served from the cache."""
+        total = self.hits + self.misses
+        if total == 0:
+            return 0.0
+        return self.hits / total
+
+
+def _distinct_sorted(values: np.ndarray) -> int:
+    """Number of distinct values in a non-decreasing array."""
+    if values.size == 0:
+        return 0
+    return int(np.count_nonzero(values[1:] != values[:-1])) + 1
+
+
+def streaming_phase_reference(
+    config: GrowConfig, phase: SpDeGemmPhase, plan: PreprocessPlan | None = None
+) -> tuple[PhaseStats, list[ClusterStats]]:
+    """GROW's aggregation phase, streamed cluster by cluster through the cache.
+
+    Every cluster loads its own list into the ID list, an empty one included,
+    so no cluster ever looks up the ids an earlier cluster left behind.
+    """
+    arch = config.arch
+    granularity = arch.access_granularity
+    row_bytes = phase.rhs_row_bytes
+    row_lines = -(-row_bytes // granularity)
+    if plan is None:
+        preprocessor = GrowPreprocessor(hdn_list_capacity=config.hdn_id_capacity)
+        plan = preprocessor.plan_without_partitioning(phase.sparse)
+
+    cache = HDNCache(
+        capacity_bytes=config.hdn_cache_bytes if config.enable_hdn_cache else 0,
+        id_list=HDNIdList(capacity=config.hdn_id_capacity),
+    )
+    cache.begin_phase(row_bytes)
+    cache_rows = config.hdn_cache_rows(row_bytes)
+    lru = config.hdn_replacement == "lru" and config.enable_hdn_cache
+
+    sparse = phase.sparse
+    row_of_nnz = np.repeat(np.arange(sparse.n_rows), sparse.row_nnz())
+    cluster_of_nnz = plan.cluster_of_node[row_of_nnz]
+    total_hits = total_misses = total_rows_with_miss = fill_bytes = hdn_id_bytes = 0
+    cluster_stats: list[ClusterStats] = []
+    for cluster_id, (nodes, hdn_list) in enumerate(zip(plan.clusters, plan.hdn_lists)):
+        if nodes.size:
+            mask = cluster_of_nnz == plan.cluster_of_node[nodes[0]]
+            cols, rows = sparse.indices[mask], row_of_nnz[mask]
+        else:
+            cols = rows = np.empty(0, dtype=np.int64)
+        usable_hdns = hdn_list[:cache_rows]
+        cluster_fill = 0
+        if lru:
+            # Demand-based alternative (Section VIII): no prefetch, no ID list,
+            # and the missed-row count scaled from the miss ratio.
+            hits, misses = simulate_lru_hits(cols, cache_rows) if cols.size else (0, 0)
+            missed_rows = (
+                int(round(_distinct_sorted(rows) * (misses / cols.size))) if cols.size else 0
+            )
+        else:
+            cluster_fill = cache.fill_cluster(usable_hdns)
+            hdn_id_bytes += int(usable_hdns.size) * 3
+            hit_mask = cache.lookup_batch(cols)
+            hits = int(hit_mask.sum())
+            misses = int(cols.size - hits)
+            missed_rows = _distinct_sorted(rows[~hit_mask])
+        fill_bytes += cluster_fill
+        total_hits += hits
+        total_misses += misses
+        total_rows_with_miss += missed_rows
+        cluster_stats.append(
+            ClusterStats(
+                cluster_id=cluster_id,
+                nnz=int(cols.size),
+                hits=hits,
+                misses=misses,
+                rows_with_miss=missed_rows,
+                compute_cycles=cols.size * phase.rhs_cols / arch.num_macs,
+                memory_bytes=(
+                    -(-int(cols.size) * NNZ_BYTES // granularity) * granularity
+                    + cluster_fill
+                    + misses * row_lines * granularity
+                    + -(-int(nodes.size) * row_bytes // granularity) * granularity
+                ),
+            )
+        )
+
+    sparse_requested = sparse.nnz * NNZ_BYTES
+    sparse_transferred = -(-sparse_requested // granularity) * granularity
+    fill_transferred = -(-fill_bytes // granularity) * granularity if fill_bytes else 0
+    hdn_id_transferred = -(-hdn_id_bytes // granularity) * granularity if hdn_id_bytes else 0
+    output_bytes = -(-phase.output_bytes // granularity) * granularity
+    dram_read = (
+        sparse_transferred
+        + total_misses * row_lines * granularity
+        + fill_transferred
+        + hdn_id_transferred
+    )
+    runahead = RunaheadModel(
+        degree=config.effective_runahead,
+        dram_latency_cycles=arch.dram_latency_cycles,
+        ldn_entries=config.ldn_table_entries,
+    )
+    lookups = total_hits + total_misses
+    stats = PhaseStats(
+        name=phase.name,
+        compute_cycles=phase.mac_operations / arch.num_macs,
+        memory_cycles=(dram_read + output_bytes) / arch.bytes_per_cycle,
+        stall_cycles=runahead.exposed_stall_cycles(total_rows_with_miss),
+        mac_operations=phase.mac_operations,
+        dram_read_bytes=dram_read,
+        dram_write_bytes=output_bytes,
+        requested_read_bytes=(
+            sparse_requested + total_misses * row_bytes + fill_bytes + hdn_id_bytes
+        ),
+        sram_access_bytes={
+            "i_buf_sparse": sparse_transferred * 2,
+            "hdn_cache": fill_bytes + total_hits * row_bytes,
+            "hdn_id_list": lookups * 3,
+            "o_buf_dense": phase.output_bytes * 2,
+        },
+        extra={
+            "hdn_hit_rate": total_hits / lookups if lookups else 0.0,
+            "hdn_hits": float(total_hits),
+            "hdn_misses": float(total_misses),
+            "rows_with_miss": float(total_rows_with_miss),
+            "num_clusters": float(plan.num_clusters),
+            "hdn_cache_rows": float(cache_rows),
+            "partitioned": 1.0 if plan.partitioned else 0.0,
+        },
+    )
+    return stats, cluster_stats

@@ -26,6 +26,7 @@ from repro.core.accelerator import GrowSimulator
 from repro.core.multi_pe import MultiPEGrowSimulator
 from repro.harness import smoke_config
 from repro.harness.workloads import get_bundle
+from repro.obs import metrics
 
 
 @pytest.fixture(scope="module")
@@ -427,3 +428,27 @@ def test_memoize_false_reaches_scaleout_chip_runs(config):
     # the per-chip runs inside the engine either.
     assert first.status == second.status == "ran"
     assert second.system_dict()["chip_statuses"] == ["ran", "ran"]
+
+
+def test_a_cache_and_runahead_sweep_builds_one_hdn_profile_per_plan():
+    """Cache size and runahead degree only read a profile's totals: a 4x4
+    sweep over a fresh bundle streams each (adjacency, plan) pair once."""
+    clear_memo()
+    config = smoke_config(datasets=("amazon",), seed=4_417)
+    requests = [
+        request_for(
+            config,
+            "amazon",
+            partitioned=partitioned,
+            overrides={"hdn_cache_bytes": kib * 1024, "runahead_degree": degree},
+        )
+        for partitioned in (True, False)
+        for kib in (4, 32, 256, 2048)
+        for degree in (1, 4, 16, 64)
+    ]
+    with metrics.scoped() as recorded:
+        results = Session(use_cache=False).run_batch(requests)
+    assert [result.status for result in results] == ["ran"] * len(requests)
+    # Both layers aggregate over one adjacency; the bundle has two plans.
+    assert recorded["counters"]["grow.hdn_profile.builds"] == 2
+    assert len({result.metrics["cycles"] for result in results}) > 16

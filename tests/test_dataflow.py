@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.dataflow import RowStationaryDataflow
+from repro.core.hdn_profile import ClusterStream
 from repro.sparse.convert import dense_to_csr
 
 from oracles import row_stationary_execute, row_stationary_execute_multi_row, spmm_gustavson
@@ -16,24 +16,35 @@ def operands(rng):
     return dense_to_csr(lhs), rhs, lhs
 
 
+def one_cluster_stream(sparse):
+    """The row-stationary pass over the whole matrix as one cluster."""
+    rows = np.arange(sparse.n_rows)
+    return ClusterStream.of(sparse, np.zeros_like(rows), [rows])
+
+
 def test_trace_covers_every_nnz(operands):
     sparse, _rhs, _lhs = operands
-    trace = RowStationaryDataflow.trace(sparse)
-    assert trace.nnz == sparse.nnz
-    assert trace.num_rows == sparse.n_rows
-    np.testing.assert_array_equal(trace.row_nnz, sparse.row_nnz())
+    stream = one_cluster_stream(sparse)
+    np.testing.assert_array_equal(stream.nnz_bounds, [0, sparse.nnz])
+    row_nnz = np.diff(np.append(stream.row_starts, sparse.nnz))
+    np.testing.assert_array_equal(row_nnz, sparse.row_nnz()[sparse.row_nnz() > 0])
+    np.testing.assert_array_equal(stream.row_bounds, [0, row_nnz.size])
 
 
 def test_trace_streaming_order_is_row_major(operands):
     sparse, _rhs, _lhs = operands
-    trace = RowStationaryDataflow.trace(sparse)
-    assert np.all(np.diff(trace.row_of_nnz) >= 0)
+    parity = np.arange(sparse.n_rows) % 2
+    clusters = [np.flatnonzero(parity == 1), np.flatnonzero(parity == 0)]
+    stream = ClusterStream.of(sparse, parity, clusters)
+    for cluster, rows in enumerate(clusters):
+        expected = np.concatenate([sparse.row(int(row))[0] for row in rows])
+        lo, hi = stream.nnz_bounds[cluster], stream.nnz_bounds[cluster + 1]
+        np.testing.assert_array_equal(stream.cols[lo:hi], expected)
 
 
 def test_trace_columns_match_matrix(operands):
     sparse, _rhs, _lhs = operands
-    trace = RowStationaryDataflow.trace(sparse)
-    np.testing.assert_array_equal(trace.col_of_nnz, sparse.indices)
+    np.testing.assert_array_equal(one_cluster_stream(sparse).cols, sparse.indices)
 
 
 def test_execute_matches_reference(operands):

@@ -5,11 +5,14 @@ import pytest
 
 from repro.accelerators.base import KB
 from repro.accelerators.gcnax import GCNAXConfig, GCNAXSimulator
+from repro.accelerators.workload import SpDeGemmPhase
 from repro.core.accelerator import GrowSimulator
 from repro.core.config import GrowConfig
 from repro.core.preprocess import GrowPreprocessor
+from repro.graph.graph import Graph
+from repro.graph.partition import PartitionResult
 
-from oracles import row_stationary_execute
+from oracles import row_stationary_execute, streaming_phase_reference
 
 
 @pytest.fixture
@@ -127,6 +130,27 @@ def test_cluster_breakdown_consistent_with_phase(grow, large_workloads, large_pl
     assert sum(c.nnz for c in clusters) == phase.sparse.nnz
     stats = grow.run_phase(phase, large_plan)
     assert sum(c.misses for c in clusters) == stats.extra["hdn_misses"]
+
+
+def test_a_cluster_with_an_empty_hdn_list_never_hits():
+    """Its lookups must not see the ids an earlier cluster left in the ID list."""
+    adjacency = Graph.from_edge_list(4, [(0, 1), (2, 1), (3, 1)], undirected=True).adjacency()
+    partition = PartitionResult(
+        assignment=np.array([0, 0, 1, 1]),
+        num_clusters=2,
+        permutation=np.arange(4),
+        cluster_sizes=np.array([2, 2]),
+    )
+    plan = GrowPreprocessor().plan_from_partition(adjacency, partition, intra_only=True)
+    assert [ids.tolist() for ids in plan.hdn_lists] == [[0, 1], []]
+    phase = SpDeGemmPhase("aggregation", adjacency, (4, 16))
+    config = GrowConfig()
+    stats = GrowSimulator(config).run_phase(phase, plan)
+    # Cluster {0, 1} hits on columns 1 and 0 and misses on 2 and 3; cluster
+    # {2, 3} references column 1 twice and holds no HDN at all.
+    assert (stats.extra["hdn_hits"], stats.extra["hdn_misses"]) == (2.0, 4.0)
+    assert [c.hits for c in GrowSimulator(config).cluster_breakdown(phase, plan)] == [2, 0]
+    assert stats == streaming_phase_reference(config, phase, plan)[0]
 
 
 def test_cluster_breakdown_rejects_combination(grow, small_workloads):

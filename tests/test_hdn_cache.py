@@ -1,9 +1,9 @@
-"""Unit tests for the HDN cache and HDN ID list."""
+"""Unit tests for the HDN cache and HDN ID list oracles."""
 
 import numpy as np
 import pytest
 
-from repro.core.hdn_cache import HDNCache, HDNIdList
+from oracles import HDNCache, HDNIdList
 
 
 def test_id_list_load_and_lookup():

@@ -3,8 +3,8 @@
 Each oracle below is the implementation a kernel superseded, kept here
 verbatim in spirit: ``np.unique`` for :func:`repro.sparse.sorted_unique`,
 the two-``np.unique`` tile statistics for
-:func:`repro.sparse.tiling.tile_statistics`, ``np.isin`` for the HDN ID
-list's bitmap lookup, ``np.unique(..., axis=0)`` for the scale-out
+:func:`repro.sparse.tiling.tile_statistics`, ``np.isin`` for the bitmap
+lookup of the HDN ID list oracle, ``np.unique(..., axis=0)`` for the scale-out
 cluster-pair dedup, and the dense-first workload construction: the COO
 round trips behind ``Graph.adjacency`` and ``Graph.normalized_adjacency``,
 the dense feature generator behind ``generate_feature_csr`` and HyGCN's
@@ -14,10 +14,19 @@ matrix; duplicate edges, self-loops and isolated nodes; feature blocks that
 do not divide the row count); the Table I tests run them over every phase
 of the eight paper datasets under both the partitioned and the
 unpartitioned plan.  Comparisons are exact, dtype included.
+
+GROW's HDN accounting is checked the same way: the rank profile
+(:mod:`repro.core.hdn_profile`) against the per-cluster cache loop it
+replaced (``oracles.streaming_phase_reference``), phase totals and every
+cluster's statistics, on Table I, on the 4-chip shard plans' local plans and
+on hypothesis plans with skipped labels, node-less clusters, empty lists,
+repeated ids and ids past the matrix.
 """
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -27,17 +36,25 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.accelerators.hygcn import HyGCNSimulator, _nonzero_fraction
-from repro.core.hdn_cache import HDNIdList
+from repro.accelerators.workload import SpDeGemmPhase
+from repro.core.accelerator import GrowSimulator
+from repro.core.config import GrowConfig
+from repro.core.preprocess import PreprocessPlan
 from repro.gcn import features
 from repro.gcn.features import generate_feature_csr, generate_feature_matrix, generate_weight_matrix
+from repro.graph import registry
 from repro.graph.datasets import DATASET_NAMES
 from repro.graph.graph import Graph
 from repro.harness import default_config
+from repro.harness.config import ExperimentConfig
 from repro.harness.workloads import get_bundle
-from repro.scaleout.shard import _cluster_graph, build_shard_plan
+from repro.obs import metrics
+from repro.scaleout.shard import _cluster_graph, build_shard_plan, chip_workloads
 from repro.sparse import COOMatrix, CSRMatrix, sorted_unique, tile_statistics
 from repro.sparse.convert import coo_to_csr, dense_to_csr
 from repro.sparse.tiling import occupied_tile_counts
+
+from oracles import HDNIdList, streaming_phase_reference
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +154,21 @@ def assert_tiles_match_oracle(sparse, tile_rows, tile_cols) -> None:
     assert_identical(counts, nnz)
 
 
+def rows_config(rows: int, row_bytes: int, **overrides) -> GrowConfig:
+    """A configuration whose HDN cache pins exactly ``rows`` rows."""
+    return GrowConfig(
+        hdn_cache_bytes=rows * row_bytes, hdn_id_list_bytes=3 * max(rows, 1), **overrides
+    )
+
+
+def assert_profile_matches_loop(config: GrowConfig, phase, plan) -> None:
+    simulator = GrowSimulator(config)
+    stats = simulator.run_phase(phase, plan)
+    expected_stats, expected_clusters = streaming_phase_reference(config, phase, plan)
+    assert stats == expected_stats
+    assert simulator.cluster_breakdown(phase, plan) == expected_clusters
+
+
 # ---------------------------------------------------------------------------
 # Strategies.
 
@@ -161,6 +193,36 @@ def graphs(draw):
     src = draw(hnp.arrays(np.int64, m, elements=st.integers(0, n - 1)))
     dst = draw(hnp.arrays(np.int64, m, elements=st.integers(0, n - 1)))
     return Graph(num_nodes=n, src=src, dst=dst, undirected=draw(st.booleans()))
+
+
+@st.composite
+def clustered_plans(draw):
+    """A square adjacency and a plan over it.
+
+    Labels skip values, node-less clusters sit anywhere in the cluster
+    order, and HDN lists may be empty, repeat ids or name ids past the
+    matrix.
+    """
+    n = draw(st.integers(0, 20))
+    adjacency = draw(csr_matrices(shape=(n, n)))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 6)))
+    clusters = [np.flatnonzero(labels == label) for label in sorted_unique(labels)]
+    for _ in range(draw(st.integers(0, 2))):
+        clusters.insert(draw(st.integers(0, len(clusters))), np.empty(0, dtype=np.int64))
+    clusters = draw(st.permutations(clusters))
+    hdn_lists = [
+        draw(hnp.arrays(np.int64, st.integers(0, 8), elements=st.integers(0, n + 3)))
+        for _ in clusters
+    ]
+    plan = PreprocessPlan(
+        num_nodes=n,
+        cluster_of_node=labels,
+        clusters=list(clusters),
+        hdn_lists=hdn_lists,
+        hdn_list_capacity=max((ids.size for ids in hdn_lists), default=0) or 1,
+        partitioned=len(clusters) > 1,
+    )
+    return adjacency, plan
 
 
 tile_dims = st.integers(1, 30)
@@ -216,6 +278,55 @@ def test_hdn_lookup_matches_isin(ids, columns):
     for id_list in (built, loaded):
         assert id_list.size == len(set(ids))
         assert_identical(id_list.lookup(columns), expected)
+
+
+# ---------------------------------------------------------------------------
+# HDN rank profile vs the per-cluster cache loop
+
+
+@given(
+    clustered_plans(),
+    st.integers(0, 10),
+    st.integers(1, 4),
+    st.sampled_from(["pinned", "lru"]),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_hdn_profile_matches_cache_loop(case, rows, rhs_cols, replacement, enabled):
+    adjacency, plan = case
+    phase = SpDeGemmPhase("aggregation", adjacency, (adjacency.n_cols, rhs_cols))
+    config = rows_config(
+        rows, phase.rhs_row_bytes, hdn_replacement=replacement, enable_hdn_cache=enabled
+    )
+    assert_profile_matches_loop(config, phase, plan)
+
+
+def test_hdn_profile_retains_neither_a_per_nonzero_nor_a_per_slot_array():
+    """Its counts are indexed by capacity: O(longest list + clusters) integers."""
+    spec = registry.scenario_from_dict(
+        {
+            "name": "profile-probe-10000",
+            "generator": "chung-lu",
+            "num_nodes": 10_000,
+            "average_degree": 16,
+            "num_communities": 64,
+            "feature_lengths": [128, 64, 16],
+        }
+    )
+    config = ExperimentConfig(datasets=(spec.name,), scenarios=(spec,), target_cluster_nodes=128)
+    bundle = get_bundle(spec.name, config)
+    plan, adjacency = bundle.plan, bundle.workloads[0].aggregation.sparse
+    gc.collect()
+    tracemalloc.start()
+    try:
+        profile = plan.hdn_profile(adjacency)
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.num_clusters >= 64 and profile.longest > 500
+    assert retained < adjacency.nnz  # under one byte per non-zero
+    assert retained < plan.num_clusters * plan.hdn_list_capacity  # under one per list slot
+    assert retained < 48 * (profile.longest + plan.num_clusters) + 16_384
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +438,36 @@ def test_table1_hdn_lookups_match_isin(bundle, partitioned):
             columns = adjacency.select_rows(nodes).indices
             id_list.load(hdn_list)
             assert_identical(id_list.lookup(columns), np.isin(columns, hdn_list))
+
+
+@pytest.mark.parametrize("partitioned", [True, False])
+def test_table1_hdn_profile_matches_cache_loop(bundle, partitioned):
+    plan = bundle.plan if partitioned else bundle.plan_unpartitioned
+    longest = max(ids.size for ids in plan.hdn_lists)
+    for layer in bundle.workloads:
+        phase = layer.aggregation
+        row_bytes = phase.rhs_row_bytes
+        configs = [rows_config(rows, row_bytes) for rows in (0, 1, longest, longest + 7)]
+        configs += [GrowConfig(), GrowConfig(enable_hdn_cache=False)]
+        for config in configs:
+            assert_profile_matches_loop(config, phase, plan)
+
+
+def test_table1_chip_profiles_match_cache_loop(bundle):
+    # Both layers aggregate over one adjacency object, and so do their chips.
+    assert len({id(layer.aggregation.sparse) for layer in bundle.workloads}) == 1
+    shard_plan = build_shard_plan(bundle.dataset.graph, bundle.plan, num_chips=4)
+    for shard in shard_plan.shards:
+        if shard.empty:
+            continue
+        workloads = chip_workloads(bundle.workloads, shard)
+        assert len({id(layer.aggregation.sparse) for layer in workloads}) == 1
+        local = shard.local_plan()
+        with metrics.scoped() as recorded:
+            GrowSimulator(GrowConfig()).run_model(workloads, local)
+        assert recorded["counters"]["grow.hdn_profile.builds"] == 1
+        for layer in workloads:
+            assert_profile_matches_loop(GrowConfig(), layer.aggregation, local)
 
 
 def test_table1_shard_plan_matches_oracles(bundle):

@@ -1,7 +1,10 @@
 """Unit tests for the multi-PE GROW scaling model."""
 
+from unittest import mock
+
 import pytest
 
+from repro.core.accelerator import GrowSimulator
 from repro.core.config import GrowConfig
 from repro.core.multi_pe import MultiPEGrowSimulator
 
@@ -53,3 +56,18 @@ def test_unpartitioned_plan_limits_scaling(multi_pe, large_workloads, small_larg
     result = multi_pe.run_aggregation(large_workloads[0], 8, plan)
     # A single cluster cannot spread across PEs: compute stays on one PE.
     assert sum(c > 0 for c in result.per_pe_compute_cycles) == 1
+
+
+@pytest.mark.parametrize("num_pes", [1, 4])
+def test_run_aggregation_computes_the_cluster_breakdown_once(
+    multi_pe, large_workloads, large_plan, num_pes
+):
+    expected = multi_pe.run_aggregation(large_workloads[0], num_pes, large_plan)
+    with mock.patch.object(
+        GrowSimulator,
+        "cluster_breakdown",
+        autospec=True,
+        side_effect=GrowSimulator.cluster_breakdown,
+    ) as breakdown:
+        assert multi_pe.run_aggregation(large_workloads[0], num_pes, large_plan) == expected
+    assert breakdown.call_count == 1
