@@ -33,10 +33,12 @@ def _nonzero_fraction(matrix: CSRMatrix) -> float:
     """Fraction of a matrix's cells that hold a non-zero.
 
     The same float as the mean of the dense form's ``!= 0`` mask: an exact
-    count divided by the cell count.
+    count divided by the cell count.  A sparsity pattern stores non-zeros
+    only, so its count is its ``nnz``.
     """
     cells = matrix.n_rows * matrix.n_cols
-    return np.count_nonzero(matrix.data) / cells if cells else 0.0
+    nonzeros = matrix.nnz if matrix.data is None else np.count_nonzero(matrix.data)
+    return nonzeros / cells if cells else 0.0
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,20 @@ the hidden feature matrix X(1) for every dataset; the weight matrices W are
 always fully dense.  These generators produce matrices with exactly those
 densities so the characterisation experiments (Figures 3, 5, 6) reproduce the
 published sparsity structure.
+
+The simulators read only where X's non-zeros are, so workloads are built
+from :func:`generate_feature_pattern`, which takes the dense generator's
+draws but keeps their positions only; :class:`FeatureDraws` replays the
+values, bit for bit, for the reference paths that multiply by X.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.sparse.convert import dense_to_csr
+from repro.obs import metrics
 from repro.sparse.csr import CSRMatrix
 
 
@@ -39,37 +46,103 @@ def generate_feature_matrix(
     return matrix
 
 
-#: Cells of uniforms :func:`generate_feature_csr` draws per row block.
-_BLOCK_CELLS = 1 << 20
+#: Cells :func:`generate_feature_pattern` draws per row block.
+_BLOCK_CELLS = 1 << 16
 
 
-def generate_feature_csr(
+def generate_feature_pattern(
     num_rows: int,
     num_cols: int,
     density: float,
     rng: np.random.Generator | None = None,
 ) -> CSRMatrix:
-    """:func:`generate_feature_matrix` compressed to CSR, bit for bit.
+    """The sparsity pattern of :func:`generate_feature_matrix`, without its values.
 
-    Takes the same draws in the same order — every normal first, then the
-    uniforms — so the generator ends in the same state.  The uniforms come
-    in row blocks and mask the magnitudes in place, so neither an n x F
-    uniform array nor its mask, nor a dense X beside the CSR, ever exists.
+    Returns the ``indptr`` and ``indices`` of
+    ``dense_to_csr(generate_feature_matrix(...))`` exactly, ``data=None``.
+    It takes the same draws in the same order (every normal, then the
+    uniforms), so the generator ends in the same state.  The draws leave one
+    bit per cell and a count per row, so the column indices fill an array
+    allocated once at its final size.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
-    values = rng.standard_normal((num_rows, num_cols))
-    np.abs(values, out=values)
-    if density < 1.0:
-        # Uniforms fill row-major, so row blocks draw the same stream as
-        # one n x F call.
-        block_rows = max(1, _BLOCK_CELLS // max(1, num_cols))
-        for start in range(0, num_rows, block_rows):
-            block = values[start:start + block_rows]
-            block *= rng.random(block.shape) < density
-    return dense_to_csr(values)
+    block_rows = max(1, _BLOCK_CELLS // max(1, num_cols))
+    blocks = [
+        (start, min(start + block_rows, num_rows)) for start in range(0, num_rows, block_rows)
+    ]
+    kept_bits, row_counts = _draw_kept_cells(rng, (num_rows, num_cols), density, blocks)
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(row_counts, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    for start, stop in blocks:
+        kept = np.unpackbits(kept_bits[start:stop], axis=1, count=num_cols).view(bool)
+        np.remainder(np.flatnonzero(kept), num_cols, out=indices[indptr[start]:indptr[stop]])
+    return CSRMatrix(shape=(num_rows, num_cols), indptr=indptr, indices=indices, data=None)
+
+
+def _draw_kept_cells(
+    rng: np.random.Generator,
+    shape: tuple[int, int],
+    density: float,
+    blocks: list[tuple[int, int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cells :func:`generate_feature_matrix` keeps, packed one bit each, and per-row counts.
+
+    Normals and uniforms pass through one reused row-block buffer: the
+    normals only to find any exactly 0.0, a cell the dense path drops even
+    where the mask keeps it.  Both fill row-major, so row blocks draw the
+    same streams as one n x F call each.
+    """
+    num_rows, num_cols = shape
+    # The first block is the largest.
+    buffer = np.empty((blocks[0][1] if blocks else 0, num_cols))
+    zero_cells = [np.empty(0, dtype=np.int64)]
+    for start, stop in blocks:
+        normals = buffer[: stop - start]
+        rng.standard_normal(out=normals)
+        if not normals.all():
+            zero_cells.append(np.flatnonzero(normals == 0.0) + start * num_cols)
+    zeros = np.concatenate(zero_cells)
+    kept_bits = np.empty((num_rows, (num_cols + 7) // 8), dtype=np.uint8)
+    row_counts = np.empty(num_rows, dtype=np.int64)
+    for start, stop in blocks:
+        if density < 1.0:
+            uniforms = buffer[: stop - start]
+            rng.random(out=uniforms)
+            kept = uniforms < density
+        else:
+            kept = np.ones((stop - start, num_cols), dtype=bool)
+        lo, hi = np.searchsorted(zeros, (start * num_cols, stop * num_cols))
+        kept.reshape(-1)[zeros[lo:hi] - start * num_cols] = False
+        row_counts[start:stop] = np.count_nonzero(kept, axis=1)
+        kept_bits[start:stop] = np.packbits(kept, axis=1)
+    return kept_bits, row_counts
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureDraws:
+    """Where a feature matrix's draws began: enough to replay its values.
+
+    Attributes:
+        state: the generator's ``bit_generator.state`` before the draws.
+        density: the density the draws were asked for.
+    """
+
+    state: dict
+    density: float
+
+    def replay(self, num_rows: int, num_cols: int) -> np.ndarray:
+        """:func:`generate_feature_matrix` on a fresh generator at :attr:`state`, bit for bit."""
+        # Any seed will do: the recorded state replaces it.
+        bit_generator = getattr(np.random, self.state["bit_generator"])(0)
+        bit_generator.state = self.state
+        metrics.inc("gcn.features.replays")
+        return generate_feature_matrix(
+            num_rows, num_cols, self.density, np.random.Generator(bit_generator)
+        )
 
 
 def generate_weight_matrix(

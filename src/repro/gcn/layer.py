@@ -1,10 +1,11 @@
 """GCN layer and model descriptions.
 
 A :class:`GCNLayer` bundles everything one graph-convolution layer needs:
-the normalised adjacency A (sparse), the input feature matrix X (sparse or
-dense, per Table I), and the weight matrix W (dense).  A :class:`GCNModel`
-stacks layers, threading each layer's output features into the next layer's
-input, which is how multi-layer inference is simulated end to end.
+the normalised adjacency A (sparse), the input feature matrix X (a CSR, or
+a sparsity pattern whose values are replayed on demand), and the weight
+matrix W (dense).  A :class:`GCNModel` stacks layers, threading each
+layer's output features into the next layer's input, which is how
+multi-layer inference is simulated end to end.
 """
 
 from __future__ import annotations
@@ -13,24 +14,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gcn.features import generate_feature_csr, generate_weight_matrix
+from repro.gcn.features import FeatureDraws, generate_feature_pattern, generate_weight_matrix
 from repro.graph.datasets import SyntheticDataset
 from repro.graph.graph import Graph
 from repro.sparse.convert import dense_to_csr
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, PatternValuesError
 
 
 @dataclass(init=False)
 class GCNLayer:
     """One graph-convolution layer, ``X_out = sigma(A @ X @ W)``.
 
+    The simulators price X by where its non-zeros are, never by what they
+    hold, so a model built by :func:`build_model_for_dataset` keeps X as a
+    sparsity pattern (a CSR with ``data=None``) plus the generator state its
+    draws began at.  Only the reference paths read values (:attr:`features`,
+    :meth:`combination`, :meth:`forward`); each access replays the draws.
+
     Attributes:
         adjacency: normalised adjacency matrix A in CSR form.
-        features_csr: input feature matrix X in CSR form, the layer's only
-            copy of X (a dense X given to the constructor is compressed).
+        features_csr: input feature matrix X in CSR form, or its sparsity
+            pattern; the layer's only copy of X (a dense X given to the
+            constructor is compressed).
         weight: dense weight matrix W.
         name: label used in reports (e.g. ``"cora-layer0"``).
         apply_relu: whether the non-linearity is applied to the output.
+        feature_draws: where X's draws began, so :attr:`features` can
+            replay the values a pattern leaves out; ``None`` otherwise.
     """
 
     adjacency: CSRMatrix
@@ -38,6 +48,7 @@ class GCNLayer:
     weight: np.ndarray
     name: str
     apply_relu: bool
+    feature_draws: FeatureDraws | None
 
     def __init__(
         self,
@@ -46,12 +57,14 @@ class GCNLayer:
         weight: np.ndarray,
         name: str = "layer",
         apply_relu: bool = True,
+        feature_draws: FeatureDraws | None = None,
     ) -> None:
         self.adjacency = adjacency
         self.features_csr = features if isinstance(features, CSRMatrix) else dense_to_csr(features)
         self.weight = np.asarray(weight, dtype=np.float64)
         self.name = name
         self.apply_relu = apply_relu
+        self.feature_draws = feature_draws
         n = self.adjacency.n_rows
         if self.adjacency.n_cols != n:
             raise ValueError("adjacency matrix must be square")
@@ -79,8 +92,18 @@ class GCNLayer:
 
     @property
     def features(self) -> np.ndarray:
-        """X as a dense array, rebuilt on every access (reference paths only)."""
-        return self.features_csr.to_dense()
+        """X as a dense array, rebuilt on every access (reference paths only).
+
+        A pattern's values are replayed from :attr:`feature_draws`; a
+        pattern without them raises :class:`PatternValuesError`.
+        """
+        if self.features_csr.data is not None:
+            return self.features_csr.to_dense()
+        if self.feature_draws is None:
+            raise PatternValuesError(
+                f"{self.name}: X is a sparsity pattern and no draws were recorded to replay"
+            )
+        return self.feature_draws.replay(self.num_nodes, self.in_features)
 
     @property
     def feature_density(self) -> float:
@@ -144,7 +167,8 @@ def build_model_for_dataset(
     (Table I).  Layer 1's input features are generated at the published X(1)
     density rather than taken from layer 0's output, so each layer's sparsity
     structure matches the paper's characterisation independently of the
-    numerical forward pass.
+    numerical forward pass.  X is kept as a sparsity pattern drawn exactly
+    as the dense generator draws it (see :class:`GCNLayer`).
     """
     rng = np.random.default_rng(seed)
     source_graph = graph if graph is not None else dataset.graph
@@ -154,7 +178,8 @@ def build_model_for_dataset(
     for layer_idx in range(dataset.num_layers):
         in_width, out_width = widths[layer_idx], widths[layer_idx + 1]
         density = dataset.feature_density(layer_idx)
-        features = generate_feature_csr(dataset.num_nodes, in_width, density, rng)
+        draws = FeatureDraws(state=rng.bit_generator.state, density=density)
+        features = generate_feature_pattern(dataset.num_nodes, in_width, density, rng)
         weight = generate_weight_matrix(in_width, out_width, rng)
         layers.append(
             GCNLayer(
@@ -163,6 +188,7 @@ def build_model_for_dataset(
                 weight=weight,
                 name=f"{dataset.name}-layer{layer_idx}",
                 apply_relu=layer_idx < dataset.num_layers - 1,
+                feature_draws=draws,
             )
         )
     return GCNModel(layers=layers, name=dataset.name)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.sparse.unique import run_starts
 
 
 @dataclass
@@ -251,11 +252,15 @@ def _pack_communities(
     n = labels.size
     assignment = np.full(n, -1, dtype=np.int64)
     loads = np.zeros(num_clusters, dtype=np.int64)
-    unique_labels, counts = np.unique(labels, return_counts=True)
+    # One stable sort groups every community's members, in ascending node
+    # order, into one run per label (labels ascending, as np.unique lists
+    # them): O(n log n), not a scan of all n nodes per community.
+    by_label = np.argsort(labels, kind="stable")
+    bounds = np.append(run_starts(labels[by_label]), n)
+    counts = np.diff(bounds)
     order = np.argsort(-counts, kind="stable")
     for label_idx in order:
-        label = unique_labels[label_idx]
-        members = np.where(labels == label)[0]
+        members = by_label[bounds[label_idx]:bounds[label_idx + 1]]
         offset = 0
         while offset < members.size:
             target = int(np.argmin(loads))

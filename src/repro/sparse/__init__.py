@@ -8,7 +8,7 @@ place of ``np.unique``.
 """
 
 from repro.sparse.coo import COOMatrix
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, PatternValuesError
 from repro.sparse.convert import coo_to_csr, csr_to_coo, dense_to_csr
 from repro.sparse.tiling import (
     TileStatistics,
@@ -21,6 +21,7 @@ from repro.sparse.unique import sorted_unique
 __all__ = [
     "COOMatrix",
     "CSRMatrix",
+    "PatternValuesError",
     "coo_to_csr",
     "csr_to_coo",
     "dense_to_csr",

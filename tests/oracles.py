@@ -15,6 +15,10 @@ The HDN references are GROW's cache as hardware state: the CAM-like HDN ID
 list, the pinned HDN cache, and the per-cluster loop that fills both at each
 cluster's start and looks up every non-zero.  The simulator answers the same
 questions from a rank profile (:mod:`repro.core.hdn_profile`).
+
+The partitioning reference packs communities into clusters one label at a
+time, finding each community's members with a scan of every node; the
+partitioner groups them with one sort.
 """
 
 from __future__ import annotations
@@ -402,3 +406,27 @@ def streaming_phase_reference(
         },
     )
     return stats, cluster_stats
+
+
+def pack_communities_reference(
+    labels: np.ndarray, num_clusters: int, capacity: float
+) -> np.ndarray:
+    """Community packing with one ``np.where`` scan per community, O(n x communities).
+
+    Largest community first (ties by ascending label), each into the
+    least-loaded cluster, split where a cluster runs out of room.
+    """
+    assignment = np.full(labels.size, -1, dtype=np.int64)
+    loads = np.zeros(num_clusters, dtype=np.int64)
+    unique_labels, counts = np.unique(labels, return_counts=True)
+    for label_idx in np.argsort(-counts, kind="stable"):
+        members = np.where(labels == unique_labels[label_idx])[0]
+        offset = 0
+        while offset < members.size:
+            target = int(np.argmin(loads))
+            room = int(max(1, capacity - loads[target]))
+            chunk = members[offset : offset + room]
+            assignment[chunk] = target
+            loads[target] += chunk.size
+            offset += chunk.size
+    return assignment

@@ -452,3 +452,28 @@ def test_a_cache_and_runahead_sweep_builds_one_hdn_profile_per_plan():
     # Both layers aggregate over one adjacency; the bundle has two plans.
     assert recorded["counters"]["grow.hdn_profile.builds"] == 2
     assert len({result.metrics["cycles"] for result in results}) > 16
+
+
+# A seed per backend, so each request also builds its own bundle.
+@pytest.mark.parametrize(
+    "backend, fabric, seed",
+    [
+        ("grow", None, 6_271),
+        ("gcnax", None, 6_272),
+        ("hygcn", None, 6_273),
+        ("gamma", None, 6_274),
+        ("matraptor", None, 6_275),
+        ("scaleout", ScaleOutSpec(num_chips=2), 6_276),
+    ],
+)
+def test_a_cold_request_never_replays_feature_values(backend, fabric, seed):
+    """Every backend prices X by its structure: a cold request, bundle build
+    included, never draws X's values again."""
+    clear_memo()
+    config = smoke_config(datasets=("amazon",), seed=seed)
+    with metrics.scoped() as recorded:
+        result = Session(use_cache=False).run(
+            request_for(config, "amazon", backend=backend, fabric=fabric)
+        )
+    assert result.status == "ran"
+    assert recorded["counters"].get("gcn.features.replays", 0) == 0

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.gcn.features import generate_feature_csr, generate_feature_matrix, generate_weight_matrix
+from repro.gcn import features
+from repro.gcn.features import (
+    generate_feature_matrix,
+    generate_feature_pattern,
+    generate_weight_matrix,
+)
+from repro.sparse.convert import dense_to_csr
 
 
 @pytest.mark.parametrize("density", [0.01, 0.1, 0.5, 1.0])
@@ -30,9 +36,56 @@ def test_invalid_density_rejected(rng):
 
 
 def test_feature_csr_matches_dense_density(rng):
-    csr = generate_feature_csr(200, 30, 0.2, np.random.default_rng(0))
-    dense = generate_feature_matrix(200, 30, 0.2, np.random.default_rng(0))
-    np.testing.assert_allclose(csr.to_dense(), dense)
+    pattern_rng, dense_rng = np.random.default_rng(0), np.random.default_rng(0)
+    pattern = generate_feature_pattern(200, 30, 0.2, pattern_rng)
+    expected = dense_to_csr(generate_feature_matrix(200, 30, 0.2, dense_rng))
+    assert pattern.data is None
+    np.testing.assert_array_equal(pattern.indptr, expected.indptr)
+    np.testing.assert_array_equal(pattern.indices, expected.indices)
+    assert pattern_rng.random() == dense_rng.random()
+
+
+class ZeroingGenerator:
+    """A generator whose normals at the given stream positions are exactly 0.0.
+
+    The positions count normals from the first one drawn, however the draws
+    are split into calls; every other draw is the wrapped generator's.
+    """
+
+    def __init__(self, seed, zero_positions):
+        self._rng = np.random.default_rng(seed)
+        self._zeros = np.asarray(zero_positions)
+        self._drawn = 0
+
+    def standard_normal(self, size=None, out=None):
+        values = self._rng.standard_normal(size, out=out)
+        flat = values.reshape(-1)
+        hit = self._zeros[(self._zeros >= self._drawn) & (self._zeros < self._drawn + flat.size)]
+        flat[hit - self._drawn] = -0.0
+        self._drawn += flat.size
+        return values
+
+    def random(self, size=None, out=None):
+        return self._rng.random(size, out=out)
+
+
+@pytest.mark.parametrize("density", [0.5, 1.0])
+def test_feature_pattern_drops_exact_zero_normals(density, monkeypatch):
+    # Several small blocks, so the zeros fall into different ones.
+    monkeypatch.setattr(features, "_BLOCK_CELLS", 16)
+    rows, cols, zeros = 13, 7, [0, 5, 17, 48, 49, 90]
+    pattern_rng, dense_rng = ZeroingGenerator(3, zeros), ZeroingGenerator(3, zeros)
+    pattern = generate_feature_pattern(rows, cols, density, pattern_rng)
+    dense = generate_feature_matrix(rows, cols, density, dense_rng)
+    expected = dense_to_csr(dense)
+    np.testing.assert_array_equal(pattern.indptr, expected.indptr)
+    np.testing.assert_array_equal(pattern.indices, expected.indices)
+    flat_kept = np.repeat(np.arange(rows), np.diff(pattern.indptr)) * cols + pattern.indices
+    assert not np.isin(zeros, flat_kept).any()
+    if density == 1.0:
+        # The mask keeps every cell; only the zero normals drop out.
+        assert pattern.nnz == rows * cols - len(zeros)
+    assert pattern_rng.random() == dense_rng.random()
 
 
 def test_weight_matrix_fully_dense(rng):

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.gcn.features import generate_feature_matrix, generate_weight_matrix
 from repro.gcn.layer import GCNLayer, GCNModel, build_model_for_dataset
+from repro.obs import metrics
 from repro.sparse.convert import dense_to_csr
+from repro.sparse.csr import CSRMatrix, PatternValuesError
 
 from oracles import gcn_layer_forward, layer_output_reference, relu
 
@@ -128,3 +131,42 @@ def test_build_model_reproducible(small_dataset):
 def test_final_layer_has_no_relu(small_model):
     assert small_model.layers[-1].apply_relu is False
     assert small_model.layers[0].apply_relu is True
+
+
+def test_built_layers_keep_a_pattern_and_replay_the_dense_draws(small_dataset):
+    model = build_model_for_dataset(small_dataset, seed=3)
+    rng = np.random.default_rng(3)
+    for index, layer in enumerate(model.layers):
+        expected = generate_feature_matrix(
+            layer.num_nodes, layer.in_features, small_dataset.feature_density(index), rng
+        )
+        weight = generate_weight_matrix(*layer.weight.shape, rng)
+        np.testing.assert_array_equal(layer.weight, weight)
+        assert layer.features_csr.data is None
+        # Every access replays the same values from a fresh generator.
+        np.testing.assert_array_equal(layer.features, expected)
+        np.testing.assert_array_equal(layer.features, expected)
+        np.testing.assert_array_equal(layer.combination(), expected @ layer.weight)
+
+
+def test_a_pattern_without_recorded_draws_has_no_values(toy_layer):
+    csr = toy_layer.features_csr
+    pattern = CSRMatrix(shape=csr.shape, indptr=csr.indptr, indices=csr.indices, data=None)
+    layer = GCNLayer(toy_layer.adjacency, pattern, toy_layer.weight, name="bare")
+    assert layer.feature_density == toy_layer.feature_density
+    with pytest.raises(PatternValuesError, match="bare"):
+        layer.features
+    with pytest.raises(PatternValuesError):
+        layer.forward()
+
+
+def test_reference_forward_passes_count_their_replays(small_dataset):
+    model = build_model_for_dataset(small_dataset, seed=3)
+    with metrics.scoped() as recorded:
+        for layer in model.layers:
+            layer.forward()
+    assert recorded["counters"]["gcn.features.replays"] == model.num_layers
+    # The model threads activations: only the input layer's X is read.
+    with metrics.scoped() as recorded:
+        model.forward()
+    assert recorded["counters"]["gcn.features.replays"] == 1

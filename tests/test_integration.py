@@ -10,6 +10,7 @@ from repro.energy.energy_model import estimate_energy
 from repro.energy.area import grow_area_breakdown
 from repro.gcn.layer import build_model_for_dataset
 from repro.graph.datasets import load_dataset
+from repro.sparse.convert import dense_to_csr
 
 from oracles import row_stationary_execute
 
@@ -45,9 +46,14 @@ def test_simulated_dataflow_is_functionally_correct_end_to_end(scaled_arch):
     model = build_model_for_dataset(dataset, seed=4)
     workloads = build_model_workloads(model)
     # Layer 0: the simulated dataflow's product equals the model's combination/
-    # aggregation products.
+    # aggregation products.  The workload keeps X's structure; its values are
+    # the layer's replayed draws.
     layer0 = workloads[0]
-    xw = row_stationary_execute(layer0.combination.sparse, model.layers[0].weight)
+    features = dense_to_csr(model.layers[0].features)
+    assert layer0.combination.sparse.data is None
+    np.testing.assert_array_equal(layer0.combination.sparse.indptr, features.indptr)
+    np.testing.assert_array_equal(layer0.combination.sparse.indices, features.indices)
+    xw = row_stationary_execute(features, model.layers[0].weight)
     np.testing.assert_allclose(xw, model.layers[0].combination(), atol=1e-9)
     aggregated = row_stationary_execute(layer0.aggregation.sparse, xw)
     np.testing.assert_allclose(

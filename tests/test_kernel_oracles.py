@@ -7,11 +7,12 @@ the two-``np.unique`` tile statistics for
 lookup of the HDN ID list oracle, ``np.unique(..., axis=0)`` for the scale-out
 cluster-pair dedup, and the dense-first workload construction: the COO
 round trips behind ``Graph.adjacency`` and ``Graph.normalized_adjacency``,
-the dense feature generator behind ``generate_feature_csr`` and HyGCN's
-densified X.  Hypothesis drives them over random inputs (empty matrices,
-empty row strips, non-square shapes, 1x1 tiles and tiles larger than the
-matrix; duplicate edges, self-loops and isolated nodes; feature blocks that
-do not divide the row count); the Table I tests run them over every phase
+the dense feature generator behind ``generate_feature_pattern`` (and behind
+the values a layer replays) and HyGCN's densified X.  Hypothesis drives
+them over random inputs (empty matrices, empty row strips, non-square
+shapes, 1x1 tiles and tiles larger than the matrix; duplicate edges,
+self-loops and isolated nodes; feature blocks that do not divide the row
+count); the Table I tests run them over every phase
 of the eight paper datasets under both the partitioned and the
 unpartitioned plan.  Comparisons are exact, dtype included.
 
@@ -41,7 +42,11 @@ from repro.core.accelerator import GrowSimulator
 from repro.core.config import GrowConfig
 from repro.core.preprocess import PreprocessPlan
 from repro.gcn import features
-from repro.gcn.features import generate_feature_csr, generate_feature_matrix, generate_weight_matrix
+from repro.gcn.features import (
+    generate_feature_matrix,
+    generate_feature_pattern,
+    generate_weight_matrix,
+)
 from repro.graph import registry
 from repro.graph.datasets import DATASET_NAMES
 from repro.graph.graph import Graph
@@ -140,6 +145,14 @@ def assert_csr_identical(actual: CSRMatrix, expected: CSRMatrix) -> None:
     assert_identical(actual.indptr, expected.indptr)
     assert_identical(actual.indices, expected.indices)
     assert_identical(actual.data, expected.data)
+
+
+def assert_pattern_identical(pattern: CSRMatrix, expected: CSRMatrix) -> None:
+    """``pattern`` is ``expected``'s structure, with no values."""
+    assert pattern.data is None
+    assert pattern.shape == expected.shape
+    assert_identical(pattern.indptr, expected.indptr)
+    assert_identical(pattern.indices, expected.indices)
 
 
 def assert_tiles_match_oracle(sparse, tile_rows, tile_cols) -> None:
@@ -387,9 +400,9 @@ def test_normalized_adjacency_matches_coo_path(graph, add_self_loops):
 def test_feature_csr_matches_dense_generator(rows, cols, density, block_cells, seed):
     rng = np.random.default_rng(seed)
     with mock.patch.object(features, "_BLOCK_CELLS", block_cells):
-        csr = generate_feature_csr(rows, cols, density, rng)
+        pattern = generate_feature_pattern(rows, cols, density, rng)
     oracle_rng = np.random.default_rng(seed)
-    assert_csr_identical(csr, oracle_feature_csr(rows, cols, density, oracle_rng))
+    assert_pattern_identical(pattern, oracle_feature_csr(rows, cols, density, oracle_rng))
     # Same draws in the same order: the generator ends in the same state.
     assert rng.random() == oracle_rng.random()
 
@@ -399,8 +412,8 @@ def test_feature_csr_matches_dense_generator_at_block_size(density):
     cols = 512
     rows = 2 * (features._BLOCK_CELLS // cols) + 7
     rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
-    csr = generate_feature_csr(rows, cols, density, rng)
-    assert_csr_identical(csr, oracle_feature_csr(rows, cols, density, oracle_rng))
+    pattern = generate_feature_pattern(rows, cols, density, rng)
+    assert_pattern_identical(pattern, oracle_feature_csr(rows, cols, density, oracle_rng))
     assert rng.random() == oracle_rng.random()
 
 
@@ -410,6 +423,9 @@ def test_feature_csr_matches_dense_generator_at_block_size(density):
 def test_hygcn_density_matches_dense_mask(sparse):
     dense = sparse.to_dense()
     assert _nonzero_fraction(sparse) == (float((dense != 0).mean()) if dense.size else 0.0)
+    # A pattern stores non-zeros only: every stored entry counts.
+    pattern = CSRMatrix(shape=sparse.shape, indptr=sparse.indptr, indices=sparse.indices, data=None)
+    assert _nonzero_fraction(pattern) == (sparse.nnz / dense.size if dense.size else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -507,19 +523,21 @@ def test_table1_construction_matches_dense_first_path(bundle):
     # The model's draw sequence: each layer's features, then its weights.
     rng = np.random.default_rng(default_config().seed)
     for index, (layer, workload) in enumerate(zip(bundle.model.layers, bundle.workloads)):
-        expected = oracle_feature_csr(
+        expected = generate_feature_matrix(
             dataset.num_nodes, layer.in_features, dataset.feature_density(index), rng
         )
         assert_identical(layer.weight, generate_weight_matrix(layer.in_features, layer.out_features, rng))
-        assert_csr_identical(layer.features_csr, expected)
+        assert_pattern_identical(layer.features_csr, dense_to_csr(expected))
+        # The values come back from the recorded state, bit for bit.
+        assert_identical(layer.features, expected)
         assert workload.combination.sparse is layer.features_csr
 
 
 def test_table1_hygcn_matches_dense_x_path(bundle):
     simulator = HyGCNSimulator(default_config().hygcn_config())
     for layer, workload in zip(bundle.model.layers, bundle.workloads):
-        expected = oracle_hygcn_aggregation(
-            simulator, workload.aggregation.sparse, workload.combination.sparse
-        )
+        valued = dense_to_csr(layer.features)
+        assert_pattern_identical(workload.combination.sparse, valued)
+        expected = oracle_hygcn_aggregation(simulator, workload.aggregation.sparse, valued)
         assert simulator.run_layer(workload).phases[0] == expected
         assert simulator.run_layer_from_gcn(layer).phases[0] == expected

@@ -1,10 +1,20 @@
 """Unit tests for the graph partitioners."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.graph import partition as partition_module
+from repro.graph import registry
+from repro.graph.datasets import load_dataset
 from repro.graph.graph import Graph
 from repro.graph.partition import metis_like_partition, partition_edge_cut, partition_graph
+
+from oracles import pack_communities_reference
 
 
 def _assert_valid(partition, num_nodes, num_clusters):
@@ -126,3 +136,47 @@ def test_partition_on_disconnected_graph():
     graph = Graph.from_edge_list(6, [(0, 1), (2, 3), (4, 5)])
     partition = metis_like_partition(graph, 3, seed=0)
     _assert_valid(partition, 6, 3)
+
+
+@given(
+    hnp.arrays(np.int64, st.integers(1, 300), elements=st.integers(-5, 40)),
+    st.integers(1, 12),
+    st.floats(0.5, 80.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_community_packing_matches_the_per_community_scan(labels, num_clusters, capacity):
+    np.testing.assert_array_equal(
+        partition_module._pack_communities(labels, num_clusters, capacity),
+        pack_communities_reference(labels, num_clusters, capacity),
+    )
+
+
+def test_community_packing_matches_the_scan_on_100k_lp_labels():
+    """The labels label propagation leaves on the 100k-node bench graph,
+    partitioned as a default-config request partitions it."""
+    spec = registry.scenario_from_dict(
+        {
+            "name": "bench-grow-100k",
+            "generator": "chung-lu",
+            "num_nodes": 100_000,
+            "average_degree": 16,
+            "num_communities": 64,
+            "feature_lengths": [128, 64, 16],
+        }
+    )
+    graph = load_dataset(spec.name, seed=0, spec=spec).graph
+    captured = []
+
+    def capture(labels, num_clusters, capacity):
+        captured.append((labels, num_clusters, capacity))
+        raise StopIteration  # refinement is not under test
+
+    with mock.patch.object(partition_module, "_pack_communities", capture):
+        with pytest.raises(StopIteration):
+            partition_graph(graph, 100_000 // 600, seed=0)
+    labels, num_clusters, capacity = captured[0]
+    assert np.unique(labels).size > 1_000
+    np.testing.assert_array_equal(
+        partition_module._pack_communities(labels, num_clusters, capacity),
+        pack_communities_reference(labels, num_clusters, capacity),
+    )

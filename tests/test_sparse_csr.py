@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sparse.csr import CSRMatrix
-from repro.sparse.convert import dense_to_csr
+from repro.sparse.csr import CSRMatrix, PatternValuesError
+from repro.sparse.convert import csr_to_coo, dense_to_csr
 
 
 def test_round_trip(small_dense):
@@ -104,3 +104,35 @@ def test_density(small_dense):
 
 def test_from_dense_classmethod(small_dense):
     np.testing.assert_allclose(CSRMatrix.from_dense(small_dense).to_dense(), small_dense)
+
+
+def _pattern_of(csr):
+    return CSRMatrix(shape=csr.shape, indptr=csr.indptr, indices=csr.indices, data=None)
+
+
+def test_pattern_counts_structure_without_values(small_csr):
+    pattern = _pattern_of(small_csr)
+    assert pattern.data is None
+    assert pattern.nnz == small_csr.nnz
+    assert pattern.density == small_csr.density
+    np.testing.assert_array_equal(pattern.row_nnz(), small_csr.row_nnz())
+    assert pattern.total_bytes() == small_csr.total_bytes()
+    rows = np.array([3, 0, 7])
+    subset, expected = pattern.select_rows(rows), small_csr.select_rows(rows)
+    assert subset.data is None
+    np.testing.assert_array_equal(subset.indptr, expected.indptr)
+    np.testing.assert_array_equal(subset.indices, expected.indices)
+
+
+def test_pattern_rejects_every_value_read(small_csr, rng):
+    pattern = _pattern_of(small_csr)
+    reads = {
+        "to_dense": pattern.to_dense,
+        "matmul_dense": lambda: pattern.matmul_dense(rng.standard_normal((pattern.n_cols, 2))),
+        "row": lambda: pattern.row(0),
+        "iter_rows": pattern.iter_rows,
+        "csr_to_coo": lambda: csr_to_coo(pattern),
+    }
+    for name, read in reads.items():
+        with pytest.raises(PatternValuesError, match=name):
+            read()
