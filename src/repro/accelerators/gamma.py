@@ -12,8 +12,9 @@ reflects the real reuse pattern of each graph.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,24 +48,21 @@ class GAMMAConfig:
 def simulate_lru_hits(column_stream: np.ndarray, capacity_rows: int) -> tuple[int, int]:
     """Run an LRU cache of ``capacity_rows`` entries over a row-reference stream.
 
-    Returns ``(hits, misses)``.  This is the only sequential (non-vectorised)
-    loop in the baseline models; an LRU cache is inherently order-dependent.
+    Returns ``(hits, misses)``.  The stream is replayed through CPython's
+    C-implemented bounded ``functools.lru_cache``, whose policy is exactly
+    LRU: a hit moves the entry to most recent, a miss inserts it, and an
+    insert into a full cache first evicts the least recent entry.  The
+    capacity is clamped to the stream's length, which is exact (a cache at
+    least that large never evicts) and keeps ``maxsize`` a Python int within
+    ``sys.maxsize``.  ``int`` returns an int argument itself, so a miss
+    allocates nothing.
     """
     if capacity_rows <= 0:
         return 0, int(column_stream.size)
-    cache: OrderedDict[int, None] = OrderedDict()
-    hits = 0
-    misses = 0
-    for column in column_stream.tolist():
-        if column in cache:
-            hits += 1
-            cache.move_to_end(column)
-        else:
-            misses += 1
-            cache[column] = None
-            if len(cache) > capacity_rows:
-                cache.popitem(last=False)
-    return hits, misses
+    replay = lru_cache(maxsize=min(int(capacity_rows), column_stream.size))(int)
+    deque(map(replay, column_stream.tolist()), maxlen=0)
+    info = replay.cache_info()
+    return info.hits, info.misses
 
 
 class GAMMASimulator:

@@ -34,7 +34,7 @@ from repro.accelerators.base import (
     combine_results,
 )
 from repro.accelerators.workload import LayerWorkload, SpDeGemmPhase
-from repro.sparse.tiling import tile_statistics
+from repro.sparse.tiling import tile_profile
 
 
 @dataclass(frozen=True)
@@ -81,20 +81,20 @@ class GCNAXSimulator:
         rhs_row_bytes = phase.rhs_row_bytes
         rhs_row_lines = -(-rhs_row_bytes // granularity)  # ceil division
 
-        tiles = tile_statistics(phase.sparse, cfg.tile_rows, cfg.tile_cols)
+        tiles = tile_profile(phase.sparse, cfg.tile_rows, cfg.tile_cols)
 
         # --- Sparse LHS traffic: one fetch per occupied tile, rounded up to
         # whole DRAM lines.  This is where the bandwidth waste of Figure 6
         # comes from: a tile with one or two non-zeros still moves 64 bytes.
+        # A tile of k non-zeros moves max(g, ceil(k * NNZ_BYTES / g) * g)
+        # bytes, a multiple of the access granularity g, so pricing the
+        # profile's tile-size histogram in int64 is exact.
         requested_sparse = tiles.total_nnz * NNZ_BYTES
-        if tiles.num_tiles:
-            per_tile_bytes = np.maximum(
-                granularity,
-                np.ceil(tiles.nnz_per_tile * NNZ_BYTES / granularity) * granularity,
-            )
-            transferred_sparse = int(per_tile_bytes.sum())
-        else:
-            transferred_sparse = 0
+        nnz_in_tile = np.arange(tiles.tiles_with_nnz.size, dtype=np.int64)
+        tile_bytes = np.maximum(
+            granularity, -(-nnz_in_tile * NNZ_BYTES // granularity) * granularity
+        )
+        transferred_sparse = int(tiles.tiles_with_nnz @ tile_bytes)
 
         # --- Dense RHS traffic.
         if phase.rhs_resident:
@@ -141,7 +141,9 @@ class GCNAXSimulator:
             sram_access_bytes=sram_access,
             extra={
                 "occupied_tiles": float(tiles.num_tiles),
-                "mean_nnz_per_tile": float(tiles.nnz_per_tile.mean()) if tiles.num_tiles else 0.0,
+                "mean_nnz_per_tile": (
+                    tiles.total_nnz / tiles.num_tiles if tiles.num_tiles else 0.0
+                ),
                 "sparse_bandwidth_utilization": float(min(1.0, sparse_util)),
                 "dense_rows_fetched": float(
                     0 if phase.rhs_resident else tiles.total_distinct_cols

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.accelerators.base import NNZ_BYTES, AcceleratorResult, PhaseStats, combine_results
+from repro.accelerators.gamma import simulate_lru_hits
 from repro.accelerators.workload import LayerWorkload, SpDeGemmPhase
 from repro.core.config import GrowConfig
 from repro.core.hdn_profile import ClusterCounts, ClusterStream
@@ -118,8 +119,6 @@ class GrowSimulator:
         """Demand-based alternative (Section VIII): rows are cached on first use
         and evicted by recency, one fresh cache per cluster; there is no
         prefetch fill and no pinned HDN ID list."""
-        from repro.accelerators.gamma import simulate_lru_hits
-
         stream = ClusterStream.of(phase.sparse, plan.cluster_of_node, plan.clusters)
         nnz = np.diff(stream.nnz_bounds)
         touched_rows = np.diff(stream.row_bounds)

@@ -84,8 +84,9 @@ class ClusterStream:
         if np.array_equal(streamed, np.arange(lhs.n_rows)):
             cols = lhs.indices
         else:
-            total = int(offsets[-1])
-            cols = lhs.indices[np.repeat(starts - offsets[:-1], lengths) + np.arange(total)]
+            take = np.repeat(starts - offsets[:-1], lengths)
+            take += np.arange(int(offsets[-1]))
+            cols = lhs.indices[take]
         touched = lengths > 0
         touched_before = np.concatenate([[0], np.cumsum(touched)])
         return cls(

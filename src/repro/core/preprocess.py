@@ -82,39 +82,10 @@ class PreprocessPlan:
                 raise ValueError(f"cluster {cluster_id} HDN list exceeds capacity")
 
 
-def _top_degree_within(
-    adjacency: CSRMatrix, cluster_nodes: np.ndarray, capacity: int, intra_only: bool
-) -> np.ndarray:
-    """Top-``capacity`` columns most referenced by the cluster's rows.
-
-    The reference count of a column is the number of non-zeros in the
-    cluster's rows pointing at it; with ``intra_only`` the candidates are
-    restricted to the cluster's own nodes (the paper's per-cluster HDN
-    selection).
-    """
-    # Count column references from the cluster's rows only.  The rows' index
-    # slices are gathered with one fancy-index (an arange shifted per row by
-    # ``repeat``), which yields exactly the concatenation of the per-row
-    # slices without a Python-level loop.
-    starts = adjacency.indptr[cluster_nodes]
-    ends = adjacency.indptr[cluster_nodes + 1]
-    lengths = ends - starts
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    if cluster_nodes.size == adjacency.n_rows and np.array_equal(
-        cluster_nodes, np.arange(adjacency.n_rows)
-    ):
-        gather = adjacency.indices
-    else:
-        offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        take = np.repeat(starts - offsets, lengths) + np.arange(total)
-        gather = adjacency.indices[take]
-    counts = np.bincount(gather, minlength=adjacency.n_cols)
-    if intra_only:
-        mask = np.zeros(adjacency.n_cols, dtype=bool)
-        mask[cluster_nodes] = True
-        counts = np.where(mask, counts, 0)
+def _top_referenced_columns(adjacency: CSRMatrix, capacity: int) -> np.ndarray:
+    """Top-``capacity`` columns by reference count (the non-zeros pointing at
+    them), ties by ascending column: the globally highest-degree nodes."""
+    counts = np.bincount(adjacency.indices, minlength=adjacency.n_cols)
     candidates = np.argsort(-counts, kind="stable")
     candidates = candidates[counts[candidates] > 0]
     return candidates[:capacity].astype(np.int64)
@@ -148,9 +119,7 @@ class GrowPreprocessor:
         n = adjacency.n_rows
         all_nodes = np.arange(n, dtype=np.int64)
         with trace.span("preprocess.hdn_select", clusters=1, nodes=n):
-            hdns = _top_degree_within(
-                adjacency, all_nodes, self.hdn_list_capacity, intra_only=False
-            )
+            hdns = _top_referenced_columns(adjacency, self.hdn_list_capacity)
         return PreprocessPlan(
             num_nodes=n,
             cluster_of_node=np.zeros(n, dtype=np.int64),

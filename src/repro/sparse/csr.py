@@ -13,10 +13,13 @@ tiles or bytes works on a pattern; reading values raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.sparse.tiling import TileProfile
 
 
 class PatternValuesError(ValueError):
@@ -34,12 +37,19 @@ class CSRMatrix:
         indices: column index of each stored non-zero.
         data: value of each stored non-zero, or ``None`` for a sparsity
             pattern.
+
+    A CSR's arrays are never modified after construction: what is derived
+    from them may be memoised on the matrix, as GCNAX's tile profiles are
+    (:func:`repro.sparse.tiling.tile_profile`), and lives as long as it.
     """
 
     shape: tuple[int, int]
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray | None
+    _tile_profiles: dict[tuple[int, int], "TileProfile"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -170,7 +180,8 @@ class CSRMatrix:
         else:
             # One fancy-index gathers every selected row's slice: an arange
             # shifted, per row, from the output offset to the source offset.
-            take = np.repeat(self.indptr[row_ids] - indptr[:-1], counts) + np.arange(total)
+            take = np.repeat(self.indptr[row_ids] - indptr[:-1], counts)
+            take += np.arange(total)
         return CSRMatrix(
             shape=(row_ids.size, self.n_cols),
             indptr=indptr,

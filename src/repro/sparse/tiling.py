@@ -4,7 +4,9 @@ GCNAX partitions the sparse LHS matrix into rectangular tiles and fetches the
 CSC-compressed non-zeros of one tile at a time (paper Figure 4).  The paper's
 Figures 5 and 6 characterise how many non-zeros land in each tile and how much
 of the fetched DRAM traffic is effectual; the helpers here produce exactly
-those statistics.
+those statistics.  GCNAX itself prices a matrix from its :class:`TileProfile`,
+which no bandwidth or cache size changes and which is built once per tile
+shape and memoised on the matrix.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs import metrics
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.unique import run_starts, sorted_unique
 
@@ -78,6 +81,47 @@ def tile_statistics(matrix: CSRMatrix, tile_rows: int, tile_cols: int) -> TileSt
         nnz_per_tile=np.add.reduceat(pair_nnz, starts),
         distinct_cols_per_tile=np.diff(starts, append=pair_tile.size),
     )
+
+
+@dataclass(frozen=True)
+class TileProfile:
+    """The totals and the tile-size histogram GCNAX prices a matrix by.
+
+    Attributes:
+        num_tiles: occupied tiles.
+        total_nnz: non-zeros over all tiles.
+        total_distinct_cols: distinct columns summed over the occupied tiles.
+        tiles_with_nnz: ``tiles_with_nnz[k]`` occupied tiles hold exactly
+            ``k`` non-zeros, for ``k`` up to the fullest tile's count: O(tile
+            area) integers for a matrix without duplicate entries.
+    """
+
+    num_tiles: int
+    total_nnz: int
+    total_distinct_cols: int
+    tiles_with_nnz: np.ndarray
+
+
+def tile_profile(matrix: CSRMatrix, tile_rows: int, tile_cols: int) -> TileProfile:
+    """The :class:`TileProfile` of ``matrix`` at one tile shape.
+
+    Built from :func:`tile_statistics` on first use and memoised on the
+    matrix by ``(tile_rows, tile_cols)``, so it lives exactly as long as the
+    matrix (whose arrays never change).  Every build counts into the
+    ``gcnax.tile_profile.builds`` counter.
+    """
+    key = (tile_rows, tile_cols)
+    profile = matrix._tile_profiles.get(key)
+    if profile is None:
+        stats = tile_statistics(matrix, tile_rows, tile_cols)
+        profile = matrix._tile_profiles[key] = TileProfile(
+            num_tiles=stats.num_tiles,
+            total_nnz=stats.total_nnz,
+            total_distinct_cols=stats.total_distinct_cols,
+            tiles_with_nnz=np.bincount(stats.nnz_per_tile),
+        )
+        metrics.inc("gcnax.tile_profile.builds")
+    return profile
 
 
 def occupied_tile_counts(

@@ -19,16 +19,23 @@ questions from a rank profile (:mod:`repro.core.hdn_profile`).
 The partitioning reference packs communities into clusters one label at a
 time, finding each community's members with a scan of every node; the
 partitioner groups them with one sort.
+
+The baseline references are the loops the baselines replaced: an LRU cache
+replayed over an ``OrderedDict`` (GAMMA's fiber cache and GROW's
+demand-based HDN cache replay through ``functools.lru_cache``), and GCNAX's
+phase priced tile by tile in floating point from the full tile statistics
+(the simulator prices a memoised tile-size histogram in integers).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.accelerators.base import NNZ_BYTES, PhaseStats
-from repro.accelerators.gamma import simulate_lru_hits
+from repro.accelerators.gcnax import GCNAXConfig
 from repro.accelerators.workload import SpDeGemmPhase
 from repro.core.accelerator import ClusterStats
 from repro.core.config import GrowConfig
@@ -36,6 +43,7 @@ from repro.core.preprocess import GrowPreprocessor, PreprocessPlan
 from repro.core.runahead import RunaheadModel
 from repro.gcn.layer import GCNLayer
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.tiling import tile_statistics
 from repro.sparse.unique import sorted_unique
 
 
@@ -282,6 +290,80 @@ class HDNCache:
         return self.hits / total
 
 
+def lru_hits_reference(column_stream: np.ndarray, capacity_rows: int) -> tuple[int, int]:
+    """Run an LRU cache of ``capacity_rows`` entries over a row-reference stream.
+
+    Returns ``(hits, misses)``, one ``OrderedDict`` operation per reference.
+    """
+    if capacity_rows <= 0:
+        return 0, int(column_stream.size)
+    cache: OrderedDict[int, None] = OrderedDict()
+    hits = 0
+    misses = 0
+    for column in column_stream.tolist():
+        if column in cache:
+            hits += 1
+            cache.move_to_end(column)
+        else:
+            misses += 1
+            cache[column] = None
+            if len(cache) > capacity_rows:
+                cache.popitem(last=False)
+    return hits, misses
+
+
+def gcnax_phase_reference(config: GCNAXConfig, phase: SpDeGemmPhase) -> PhaseStats:
+    """GCNAX's phase, priced tile by tile from the full tile statistics."""
+    arch = config.arch
+    granularity = arch.access_granularity
+    rhs_row_bytes = phase.rhs_row_bytes
+    rhs_row_lines = -(-rhs_row_bytes // granularity)
+
+    tiles = tile_statistics(phase.sparse, config.tile_rows, config.tile_cols)
+    requested_sparse = tiles.total_nnz * NNZ_BYTES
+    if tiles.num_tiles:
+        per_tile_bytes = np.maximum(
+            granularity,
+            np.ceil(tiles.nnz_per_tile * NNZ_BYTES / granularity) * granularity,
+        )
+        transferred_sparse = int(per_tile_bytes.sum())
+    else:
+        transferred_sparse = 0
+
+    if phase.rhs_resident:
+        dense_requested = phase.dense_bytes
+        dense_transferred = -(-phase.dense_bytes // granularity) * granularity
+    else:
+        dense_rows_fetched = tiles.total_distinct_cols
+        dense_requested = dense_rows_fetched * rhs_row_bytes
+        dense_transferred = dense_rows_fetched * rhs_row_lines * granularity
+
+    output_bytes = -(-phase.output_bytes // granularity) * granularity
+    dram_read = transferred_sparse + dense_transferred
+    sparse_util = requested_sparse / transferred_sparse if transferred_sparse else 0.0
+    return PhaseStats(
+        name=phase.name,
+        compute_cycles=phase.mac_operations / arch.num_macs,
+        memory_cycles=(dram_read + output_bytes) / arch.bytes_per_cycle,
+        stall_cycles=tiles.num_tiles * config.tile_fetch_overhead_cycles,
+        mac_operations=phase.mac_operations,
+        dram_read_bytes=dram_read,
+        dram_write_bytes=output_bytes,
+        requested_read_bytes=requested_sparse + dense_requested,
+        sram_access_bytes={
+            "sparse_buffer": transferred_sparse * 2,
+            "dense_buffer": dense_transferred * 2,
+            "output_buffer": phase.output_bytes * 2,
+        },
+        extra={
+            "occupied_tiles": float(tiles.num_tiles),
+            "mean_nnz_per_tile": float(tiles.nnz_per_tile.mean()) if tiles.num_tiles else 0.0,
+            "sparse_bandwidth_utilization": float(min(1.0, sparse_util)),
+            "dense_rows_fetched": float(0 if phase.rhs_resident else tiles.total_distinct_cols),
+        },
+    )
+
+
 def _distinct_sorted(values: np.ndarray) -> int:
     """Number of distinct values in a non-decreasing array."""
     if values.size == 0:
@@ -329,7 +411,7 @@ def streaming_phase_reference(
         if lru:
             # Demand-based alternative (Section VIII): no prefetch, no ID list,
             # and the missed-row count scaled from the miss ratio.
-            hits, misses = simulate_lru_hits(cols, cache_rows) if cols.size else (0, 0)
+            hits, misses = lru_hits_reference(cols, cache_rows) if cols.size else (0, 0)
             missed_rows = (
                 int(round(_distinct_sorted(rows) * (misses / cols.size))) if cols.size else 0
             )

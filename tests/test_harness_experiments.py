@@ -50,6 +50,21 @@ def test_the_evaluation_figures_never_replay_feature_values(small_config):
     assert recorded["counters"]["gcn.features.replays"] == len(small_config.datasets)
 
 
+def test_gcnax_builds_one_tile_profile_per_matrix():
+    """Tile occupancy depends on the matrix and the tile shape only: each
+    dataset's X0, X1 and shared adjacency are profiled once, however many
+    bandwidth points and figures price them.  Fresh seeds, fresh bundles."""
+    config = smoke_config(seed=7_901)
+    with metrics.scoped() as recorded:
+        run_experiment("fig25b_bandwidth_sweep", config=config)
+    assert recorded["counters"]["gcnax.tile_profile.builds"] == 3 * len(config.datasets)
+    config = smoke_config(seed=7_902)
+    with metrics.scoped() as recorded:
+        for name in EVALUATION_FIGURES:
+            run_experiment(name, config=config)
+    assert recorded["counters"]["gcnax.tile_profile.builds"] == 3 * len(config.datasets)
+
+
 def test_table1_rows_and_columns(small_config):
     result = run_experiment("table1_datasets", config=small_config)
     assert [row["dataset"] for row in result.rows] == ["cora", "amazon"]

@@ -22,6 +22,16 @@ replaced (``oracles.streaming_phase_reference``), phase totals and every
 cluster's statistics, on Table I, on the 4-chip shard plans' local plans and
 on hypothesis plans with skipped labels, node-less clusters, empty lists,
 repeated ids and ids past the matrix.
+
+So are the baselines' replacements: the ``functools.lru_cache`` replay of
+:func:`repro.accelerators.gamma.simulate_lru_hits` against the
+``OrderedDict`` loop (``oracles.lru_hits_reference``), on heavy-reuse
+streams at capacities around their distinct count and length and far past
+``sys.maxsize``, and on every Table I stream GAMMA and GROW's LRU HDN cache
+replay; and GCNAX priced from its memoised tile profile against the per-tile
+float pricing over the full tile statistics
+(``oracles.gcnax_phase_reference``), on hypothesis matrices with duplicate
+entries and on every Table I LHS, at three DRAM access granularities.
 """
 
 from __future__ import annotations
@@ -36,6 +46,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.accelerators.base import NNZ_BYTES, AcceleratorConfig
+from repro.accelerators.gamma import GAMMAConfig, simulate_lru_hits
+from repro.accelerators.gcnax import GCNAXConfig, GCNAXSimulator
 from repro.accelerators.hygcn import HyGCNSimulator, _nonzero_fraction
 from repro.accelerators.workload import SpDeGemmPhase
 from repro.core.accelerator import GrowSimulator
@@ -57,9 +70,14 @@ from repro.obs import metrics
 from repro.scaleout.shard import _cluster_graph, build_shard_plan, chip_workloads
 from repro.sparse import COOMatrix, CSRMatrix, sorted_unique, tile_statistics
 from repro.sparse.convert import coo_to_csr, dense_to_csr
-from repro.sparse.tiling import occupied_tile_counts
+from repro.sparse.tiling import occupied_tile_counts, tile_profile
 
-from oracles import HDNIdList, streaming_phase_reference
+from oracles import (
+    HDNIdList,
+    gcnax_phase_reference,
+    lru_hits_reference,
+    streaming_phase_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +185,30 @@ def assert_tiles_match_oracle(sparse, tile_rows, tile_cols) -> None:
     assert_identical(counts, nnz)
 
 
+def assert_lru_matches_reference(stream: np.ndarray, capacity) -> None:
+    assert simulate_lru_hits(stream, capacity) == lru_hits_reference(stream, capacity)
+
+
+def assert_gcnax_matches_per_tile_pricing(phase, tile_rows, tile_cols, granularity) -> None:
+    """The tile profile holds the statistics' totals and tile-size histogram,
+    and GCNAX prices it exactly as it priced every tile."""
+    stats = tile_statistics(phase.sparse, tile_rows, tile_cols)
+    profile = tile_profile(phase.sparse, tile_rows, tile_cols)
+    assert (profile.num_tiles, profile.total_nnz, profile.total_distinct_cols) == (
+        stats.num_tiles,
+        stats.total_nnz,
+        stats.total_distinct_cols,
+    )
+    assert_identical(profile.tiles_with_nnz, np.bincount(stats.nnz_per_tile))
+    config = GCNAXConfig(
+        arch=AcceleratorConfig(access_granularity=granularity),
+        tile_rows=tile_rows,
+        tile_cols=tile_cols,
+    )
+    # Sparse bytes, tile count, mean and distinct columns all reach PhaseStats.
+    assert GCNAXSimulator(config).run_phase(phase) == gcnax_phase_reference(config, phase)
+
+
 def rows_config(rows: int, row_bytes: int, **overrides) -> GrowConfig:
     """A configuration whose HDN cache pins exactly ``rows`` rows."""
     return GrowConfig(
@@ -196,6 +238,29 @@ def csr_matrices(draw, max_dim: int = 24, shape: tuple[int, int] | None = None):
         start = draw(st.integers(0, shape[0] - 1))
         dense[start:draw(st.integers(start, shape[0]))] = False
     return dense_to_csr(dense.astype(np.float64))
+
+
+@st.composite
+def csr_with_duplicates(draw, max_dim: int = 24):
+    """Patterns whose rows repeat columns, in any order."""
+    n_rows, n_cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    columns = st.lists(st.integers(0, n_cols - 1), max_size=10) if n_cols else st.just([])
+    rows = [draw(columns) for _ in range(n_rows)]
+    indptr = np.concatenate([[0], np.cumsum([len(row) for row in rows], dtype=np.int64)])
+    indices = np.array([col for row in rows for col in row], dtype=np.int64)
+    return CSRMatrix(shape=(n_rows, n_cols), indptr=indptr, indices=indices, data=None)
+
+
+@st.composite
+def lru_streams(draw):
+    """Row-reference streams with heavy reuse, and the capacities to replay
+    them at: none, tiny, around the distinct count and the length, past
+    ``sys.maxsize``, and a numpy integer."""
+    ids = st.integers(0, 9) | st.integers(0, 2**40)
+    stream = draw(hnp.arrays(np.int64, st.integers(0, 300), elements=ids))
+    distinct = len(set(stream.tolist()))
+    capacities = [0, 1, 2, distinct - 1, distinct, stream.size, stream.size + 1, 2**70]
+    return stream, capacities + [np.int64(max(distinct - 1, 1))]
 
 
 @st.composite
@@ -272,6 +337,39 @@ def test_sorted_unique_matches_np_unique(keys):
 @settings(max_examples=300, deadline=None)
 def test_tile_statistics_match_oracle(sparse, tile_rows, tile_cols):
     assert_tiles_match_oracle(sparse, tile_rows, tile_cols)
+
+
+# ---------------------------------------------------------------------------
+# The baselines: GCNAX's tile profile vs per-tile pricing, LRU vs OrderedDict
+
+
+@given(
+    csr_matrices() | csr_with_duplicates(),
+    tile_dims,
+    tile_dims,
+    st.sampled_from([32, 64, 128]),
+    st.integers(1, 40),
+    st.booleans(),
+)
+@example(dense_to_csr(np.zeros((0, 0))), 1, 1, 64, 1, False)
+@example(dense_to_csr(np.zeros((5, 7))), 2, 3, 32, 4, False)
+@settings(max_examples=300, deadline=None)
+def test_gcnax_tile_profile_pricing_matches_per_tile_loop(
+    sparse, tile_rows, tile_cols, granularity, rhs_cols, resident
+):
+    phase = SpDeGemmPhase(
+        "aggregation", sparse, dense_shape=(sparse.n_cols, rhs_cols), rhs_resident=resident
+    )
+    assert_gcnax_matches_per_tile_pricing(phase, tile_rows, tile_cols, granularity)
+
+
+@given(lru_streams())
+@example((np.empty(0, dtype=np.int64), [0, 1, 2**70, np.int64(3)]))
+@settings(max_examples=300, deadline=None)
+def test_lru_replay_matches_ordered_dict(case):
+    stream, capacities = case
+    for capacity in capacities:
+        assert_lru_matches_reference(stream, capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +540,38 @@ def test_table1_tile_statistics_match_oracle(bundle, tile):
     for layer in bundle.workloads:
         for phase in layer.phases:
             assert_tiles_match_oracle(phase.sparse, *tile)
+
+
+@pytest.mark.parametrize("tile", [(32, 32), (16, 64)])
+def test_table1_gcnax_pricing_matches_per_tile_loop(bundle, tile):
+    for layer in bundle.workloads:
+        for phase in layer.phases:
+            for granularity in (32, 64, 128):
+                assert_gcnax_matches_per_tile_pricing(phase, *tile, granularity)
+
+
+def test_table1_lru_replays_match_ordered_dict(bundle):
+    # GAMMA's fiber cache replays the shared adjacency's column stream at each
+    # layer's default capacity.
+    adjacency = bundle.workloads[0].aggregation.sparse
+    fiber_cache_bytes = GAMMAConfig().fiber_cache_bytes
+    for layer in bundle.workloads:
+        assert layer.aggregation.sparse is adjacency
+        capacity = fiber_cache_bytes // (layer.aggregation.rhs_cols * NNZ_BYTES)
+        assert_lru_matches_reference(adjacency.indices, capacity)
+
+    # GROW's demand-based HDN cache replays every cluster's stream at each
+    # layer's cache_rows.
+    replayed = []
+
+    def checked(cols, cache_rows):
+        assert_lru_matches_reference(cols, cache_rows)
+        replayed.append(cols.size)
+        return simulate_lru_hits(cols, cache_rows)
+
+    with mock.patch("repro.core.accelerator.simulate_lru_hits", side_effect=checked):
+        GrowSimulator(GrowConfig(hdn_replacement="lru")).run_model(bundle.workloads, bundle.plan)
+    assert sum(replayed) == len(bundle.workloads) * adjacency.nnz
 
 
 @pytest.mark.parametrize("partitioned", [True, False])
