@@ -163,7 +163,6 @@ class GrowBackend:
         from repro.accelerators.base import AcceleratorResult
         from repro.core.accelerator import GrowSimulator
         from repro.scaleout.engine import get_shard_plan
-        from repro.scaleout.shard import chip_workloads
 
         spec = request.chip
         shard_plan = get_shard_plan(
@@ -173,10 +172,10 @@ class GrowBackend:
         workload_name = f"{request.dataset}[chip{spec.chip_id}/{spec.num_chips}]"
         if shard.empty:
             return AcceleratorResult(accelerator="grow", workload=workload_name)
+        # The chip's clusters keep their rows, row order and HDN lists, so
+        # its counts are sums of the bundle plan's per-cluster counts.
         return GrowSimulator(grow_config).run_model(
-            chip_workloads(bundle.workloads, shard),
-            shard.local_plan(),
-            name=workload_name,
+            bundle.workloads, bundle.plan, name=workload_name, clusters=shard.clusters
         )
 
 

@@ -45,9 +45,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.cache import ResultCache
 
 #: Process-wide memo of run payloads, keyed by the request's cache key.
-#: Consulted even by cache-disabled sessions (mirroring the scale-out
-#: engine's historical chip memo); cleared via :func:`clear_memo`.
-_RUN_MEMO: dict[str, dict] = {}
+#: Each payload is kept once, as its JSON text, and every hit decodes a
+#: fresh dict, so no caller shares nested state with the memo or with
+#: another caller.  Consulted even by cache-disabled sessions (mirroring
+#: the scale-out engine's historical chip memo); cleared via
+#: :func:`clear_memo`.
+_RUN_MEMO: dict[str, str] = {}
 
 #: Memo entry bound: payloads carry full per-phase detail, so an unbounded
 #: memo would grow with every distinct request for the life of the process
@@ -64,11 +67,12 @@ def clear_memo() -> None:
 
 
 def _memoise(key: str, payload: dict) -> None:
-    """Insert one payload, evicting least-recent entries past :data:`_MEMO_LIMIT`."""
+    """Insert one (normalised) payload as JSON text, evicting least-recent
+    entries past :data:`_MEMO_LIMIT`."""
     _RUN_MEMO.pop(key, None)  # repro: allow(CONC001) per-process LRU memo; detached workers rebuild payloads deterministically, never share it back
     while len(_RUN_MEMO) >= _MEMO_LIMIT:
         _RUN_MEMO.pop(next(iter(_RUN_MEMO)))  # repro: allow(CONC001) per-process LRU memo eviction; see above
-    _RUN_MEMO[key] = payload  # repro: allow(CONC001) per-process LRU memo insert; see above
+    _RUN_MEMO[key] = json.dumps(payload)  # repro: allow(CONC001) per-process LRU memo insert; see above
 
 
 def _normalise(payload: dict) -> dict:
@@ -160,13 +164,15 @@ class Session:
         if self.force:
             return None
         key = request.cache_key()
-        payload = _RUN_MEMO.get(key) if self.memoize else None
-        memo_hit = payload is not None
-        if payload is not None:
+        text = _RUN_MEMO.get(key) if self.memoize else None
+        memo_hit = text is not None
+        payload = None
+        if text is not None:
             # Refresh recency so a repeatedly-hit entry survives eviction
             # pressure (the memo is LRU, not FIFO).
             _RUN_MEMO[key] = _RUN_MEMO.pop(key)  # repro: allow(CONC001) per-process LRU recency refresh; a worker's reorder affects only its own memo
             metrics.inc("session.memo_hits")
+            payload = json.loads(text)
         if payload is None and self.cache is not None:
             payload = self.cache.get(self._entry_name(request), request.to_dict())
             if payload is not None:
@@ -176,10 +182,9 @@ class Session:
         if payload is None:
             return None
         self._record_ledger(request, "memo" if memo_hit else "disk", payload)
-        # Deep copy: the payload's nested dicts live in the process-wide
-        # memo (or the cache entry); a caller mutating a returned detail
-        # dict must not poison later hits of the same request.
-        result = RunResult.from_dict(copy.deepcopy(payload))
+        # A memo hit decodes a fresh dict and a disk hit parsed its own, so
+        # a caller mutating a returned detail dict cannot poison later hits.
+        result = RunResult.from_dict(payload)
         result.status = "cached"
         result.seconds = 0.0
         return result
@@ -187,7 +192,7 @@ class Session:
     def _admit(self, request: SimRequest, payload: dict) -> RunResult:
         """Memoise and persist a freshly produced (normalised) payload."""
         if self.memoize:
-            _memoise(request.cache_key(), copy.deepcopy(payload))
+            _memoise(request.cache_key(), payload)
         if self.cache is not None:
             self.cache.put(self._entry_name(request), request.to_dict(), payload)
         return RunResult.from_dict(payload)

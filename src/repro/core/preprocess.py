@@ -13,6 +13,7 @@ directly from an adjacency matrix); the GROW simulator consumes the plan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Hashable, TypeVar
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from repro.graph.partition import PartitionResult, partition_graph
 from repro.obs import trace
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.unique import sorted_unique
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -47,7 +50,7 @@ class PreprocessPlan:
     hdn_list_capacity: int
     partitioned: bool
     preprocessing_seconds: float = 0.0
-    _hdn_profiles: dict[int, HDNProfile] = field(
+    _derived: dict[tuple, tuple[object, object]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -55,18 +58,22 @@ class PreprocessPlan:
     def num_clusters(self) -> int:
         return len(self.clusters)
 
-    def hdn_profile(self, lhs: CSRMatrix) -> HDNProfile:
-        """The HDN rank profile of the aggregation LHS ``lhs`` under this plan.
+    def derived(self, kind: Hashable, matrix: CSRMatrix, build: Callable[[], T]) -> T:
+        """What ``build`` derives from this plan and ``matrix``, built once.
 
-        Built on first use and memoised on the plan by the LHS's identity,
-        so a bundle plan's profiles live as long as the bundle and a chip's
-        local plan's as long as its request.
+        Memoised on the plan by ``kind`` and the matrix's identity, so a
+        bundle plan's derived values live as long as the bundle.  The entry
+        holds the matrix, so no other object can take its id meanwhile.
         """
-        profile = self._hdn_profiles.get(id(lhs))
-        if profile is None:
-            # The profile holds the LHS, so no other object can take its id.
-            profile = self._hdn_profiles[id(lhs)] = HDNProfile(lhs, self)
-        return profile
+        key = (kind, id(matrix))
+        entry = self._derived.get(key)
+        if entry is None:
+            entry = self._derived[key] = (matrix, build())
+        return entry[1]
+
+    def hdn_profile(self, lhs: CSRMatrix) -> HDNProfile:
+        """The HDN rank profile of the aggregation LHS ``lhs`` under this plan."""
+        return self.derived("hdn_profile", lhs, lambda: HDNProfile(lhs, self))
 
     def hdn_storage_bytes(self) -> int:
         """DRAM footprint of all clusters' HDN ID lists (3 bytes per id)."""

@@ -45,7 +45,6 @@ from repro.scaleout.shard import (
     ChipShard,
     ShardPlan,
     build_shard_plan,
-    chip_workloads,
 )
 from repro.scaleout.topology import TOPOLOGY_KINDS, ChipTopology, make_topology
 
@@ -56,7 +55,6 @@ __all__ = [
     "ChipShard",
     "ShardPlan",
     "build_shard_plan",
-    "chip_workloads",
     "SHARD_METHODS",
     "InterconnectModel",
     "ExchangeReport",

@@ -5,12 +5,12 @@ scaleout`` and the ``scaling_out`` experiment family.  For one dataset it
 
 1. builds the workload bundle and shards the preprocessing plan's clusters
    across the topology's chips (:mod:`repro.scaleout.shard`),
-2. runs one single-chip GROW simulation per non-empty shard over that
-   chip's row-sliced workloads, each expressed as a chip-sliced ``grow``
-   :class:`~repro.api.request.SimRequest` and executed through the
-   caller's API :class:`~repro.api.session.Session` — which supplies the
-   process-pool fan-out, the in-process memo and the on-disk
-   :class:`~repro.harness.cache.ResultCache`,
+2. runs one single-chip GROW simulation per non-empty shard, priced from
+   the bundle plan's counts of that chip's clusters, each expressed as a
+   chip-sliced ``grow`` :class:`~repro.api.request.SimRequest` and
+   executed through the caller's API :class:`~repro.api.session.Session`
+   — which supplies the process-pool fan-out, the in-process memo and the
+   on-disk :class:`~repro.harness.cache.ResultCache`,
 3. prices the per-layer halo/reduction exchanges on the interconnect
    (:mod:`repro.scaleout.interconnect`), and
 4. composes per-layer system cycles: chips run between per-layer barriers,

@@ -4,7 +4,9 @@ The scale-out system reuses GROW's own preprocessing artefact — the
 :class:`~repro.core.preprocess.PreprocessPlan` produced by graph
 partitioning — as its unit of distribution: whole clusters are assigned to
 chips, never individual nodes, so each chip keeps the intra-cluster locality
-the HDN cache depends on.
+the HDN cache depends on, and a chip's GROW run is priced from its clusters'
+counts in the plan (:meth:`~repro.core.accelerator.GrowSimulator.run_model`
+with ``clusters=``).
 
 Two assignment methods are provided, mirroring :mod:`repro.graph.partition`:
 
@@ -17,9 +19,12 @@ Two assignment methods are provided, mirroring :mod:`repro.graph.partition`:
   non-zero count (the PE-array scheduling rule shared with
   :mod:`repro.core.multi_pe`), balancing load but ignoring coupling.
 
+A non-zero that crosses chips also crosses clusters, so one pass over the
+adjacency (:class:`ClusterCoupling`, memoised on the plan) holds what every
+chip count needs: the cluster graph, each cluster's non-zeros, and the
+distinct cross-cluster pairs the halos and reductions are counted from.
 From the assignment the planner derives, per chip, the owned node set, the
-per-chip renumbered :class:`PreprocessPlan`, the row-sliced per-chip
-workloads, and the *halo*: remote nodes whose dense (XW) rows the chip's
+owned clusters and the *halo*: remote nodes whose dense (XW) rows the chip's
 aggregation references.  Two exchange patterns are quantified as chip-pair
 matrices:
 
@@ -32,17 +37,16 @@ matrices:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.accelerators.workload import LayerWorkload, SpDeGemmPhase
 from repro.core.multi_pe import greedy_longest_first
 from repro.core.preprocess import PreprocessPlan
 from repro.graph.graph import Graph
 from repro.graph.partition import partition_graph
+from repro.obs import metrics
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.unique import sorted_unique
 
@@ -58,17 +62,15 @@ class ChipShard:
         chip_id: the chip this shard belongs to.
         nodes: global node ids owned by the chip, ascending (these are the
             output rows the chip computes).
-        clusters: owned clusters as global-node-id arrays, in the global
-            plan's cluster order.
-        hdn_lists: per owned cluster, the global ids of its HDN columns.
+        clusters: indices of the owned clusters in the source plan,
+            ascending (the plan's processing order).
         halo_nodes: global ids of remote nodes referenced by the chip's
             adjacency rows (their dense rows must arrive over the fabric).
     """
 
     chip_id: int
     nodes: np.ndarray
-    clusters: list[np.ndarray]
-    hdn_lists: list[np.ndarray]
+    clusters: np.ndarray
     halo_nodes: np.ndarray
 
     @property
@@ -79,30 +81,6 @@ class ChipShard:
     def empty(self) -> bool:
         """True when the chip owns no nodes (more chips than clusters)."""
         return self.nodes.size == 0
-
-    def local_plan(self) -> PreprocessPlan:
-        """The chip's preprocessing plan in *local row* coordinates.
-
-        Rows are renumbered to ``0 .. num_nodes - 1`` in ascending global-id
-        order (matching :meth:`chip_workloads` row slicing); HDN lists keep
-        global column ids because the dense RHS keeps its global indexing.
-        """
-        cluster_of_node = np.zeros(self.num_nodes, dtype=np.int64)
-        local_clusters: list[np.ndarray] = []
-        for local_cluster_id, members in enumerate(self.clusters):
-            # ``nodes`` is ascending and holds every member: a member's local
-            # id is its position there.
-            local_members = np.searchsorted(self.nodes, members)
-            local_clusters.append(local_members)
-            cluster_of_node[local_members] = local_cluster_id
-        return PreprocessPlan(
-            num_nodes=self.num_nodes,
-            cluster_of_node=cluster_of_node,
-            clusters=local_clusters,
-            hdn_lists=[lst.copy() for lst in self.hdn_lists],
-            hdn_list_capacity=max((lst.size for lst in self.hdn_lists), default=0) or 1,
-            partitioned=len(local_clusters) > 1,
-        )
 
 
 @dataclass
@@ -171,52 +149,93 @@ class ShardPlan:
         }
 
 
-def _cluster_graph(adjacency, cluster_of_node: np.ndarray, num_clusters: int) -> Graph:
-    """The cluster-coupling graph: one vertex per cluster, edges where
-    adjacency non-zeros cross cluster boundaries."""
-    row_ids = np.repeat(np.arange(adjacency.n_rows), adjacency.row_nnz())
-    src_clusters = cluster_of_node[row_ids]
-    dst_clusters = cluster_of_node[adjacency.indices]
-    cross = src_clusters != dst_clusters
-    # Distinct (src, dst) pairs in lexicographic order, as one int64 key each.
-    keys = sorted_unique(src_clusters[cross] * np.int64(num_clusters) + dst_clusters[cross])
-    return Graph(
-        num_nodes=num_clusters,
-        src=keys // num_clusters,
-        dst=keys % num_clusters,
-        name="cluster-graph",
-        undirected=False,
-    )
+class ClusterCoupling:
+    """How a plan's clusters couple through an adjacency, for any chip count.
+
+    Chips own whole clusters, so a non-zero that crosses chips also crosses
+    clusters: the distinct cross-cluster pairs below are all a shard plan
+    reads of the adjacency, and they are far fewer than its non-zeros.
+
+    Attributes:
+        cluster_of_node: dense cluster id (plan order) of every node.
+        cluster_nnz: adjacency non-zeros per cluster (float64, LPT weights).
+        halo_pairs: distinct ``row cluster * n + column`` keys of the
+            cross-cluster non-zeros, ascending.
+        partial_pairs: distinct ``column cluster * n + row`` keys of the
+            cross-cluster non-zeros, ascending.
+        cluster_graph: one vertex per cluster, an edge per distinct
+            cross-cluster (row cluster, column cluster) pair.
+    """
+
+    def __init__(self, adjacency: CSRMatrix, plan: PreprocessPlan) -> None:
+        n = adjacency.n_rows
+        num_clusters = plan.num_clusters
+        sizes = np.array([members.size for members in plan.clusters], dtype=np.int64)
+        self.cluster_of_node = np.zeros(n, dtype=np.int64)
+        self.cluster_of_node[
+            np.concatenate([np.empty(0, dtype=np.int64)] + plan.clusters)
+        ] = np.repeat(np.arange(num_clusters), sizes)
+        row_nnz = adjacency.row_nnz()
+        self.cluster_nnz = np.bincount(
+            self.cluster_of_node, weights=row_nnz, minlength=num_clusters
+        )
+        row_cluster = np.repeat(self.cluster_of_node, row_nnz)
+        col_cluster = self.cluster_of_node[adjacency.indices]
+        cross = row_cluster != col_cluster
+        rows = np.repeat(np.arange(n), row_nnz)[cross]
+        cols = adjacency.indices[cross]
+        row_cluster, col_cluster = row_cluster[cross], col_cluster[cross]
+        self.halo_pairs = sorted_unique(row_cluster * n + cols)
+        self.partial_pairs = sorted_unique(col_cluster * n + rows)
+        # Distinct (src, dst) cluster pairs in lexicographic order, as one
+        # int64 key each.
+        keys = sorted_unique(row_cluster * num_clusters + col_cluster)
+        self.cluster_graph = Graph(
+            num_nodes=num_clusters,
+            src=keys // num_clusters,
+            dst=keys % num_clusters,
+            name="cluster-graph",
+            undirected=False,
+        )
+        metrics.inc("scaleout.coupling.builds")
+
+    @property
+    def num_clusters(self) -> int:
+        return int(self.cluster_nnz.size)
 
 
 def _assign_clusters(
-    adjacency,
-    plan: PreprocessPlan,
-    num_chips: int,
-    method: str,
-    seed: int,
+    coupling: ClusterCoupling, num_chips: int, method: str, seed: int
 ) -> np.ndarray:
-    """Chip id of every cluster of ``plan``."""
-    if method not in SHARD_METHODS:
-        raise ValueError(f"unknown shard method {method!r}; choose from {SHARD_METHODS}")
-    num_clusters = plan.num_clusters
-    row_nnz = adjacency.row_nnz()
-    cluster_nnz = np.array(
-        [int(row_nnz[members].sum()) for members in plan.clusters], dtype=np.float64
-    )
+    """Chip id of every cluster."""
     if num_chips == 1:
-        return np.zeros(num_clusters, dtype=np.int64)
-    if method == "greedy" or num_clusters <= num_chips:
+        return np.zeros(coupling.num_clusters, dtype=np.int64)
+    if method == "greedy" or coupling.num_clusters <= num_chips:
         # One cluster per chip (or fewer clusters than chips): LPT packing is
         # optimal and the cluster graph degenerates, so skip partitioning.
-        return greedy_longest_first(cluster_nnz, num_chips)
-    # Renumber plan clusters densely (cluster_of_node may skip empty ids).
-    dense_cluster_of_node = np.zeros(plan.num_nodes, dtype=np.int64)
-    for dense_id, members in enumerate(plan.clusters):
-        dense_cluster_of_node[members] = dense_id
-    graph = _cluster_graph(adjacency, dense_cluster_of_node, num_clusters)
-    partition = partition_graph(graph, num_chips, seed=seed)
-    return partition.assignment
+        return greedy_longest_first(coupling.cluster_nnz, num_chips)
+    return partition_graph(coupling.cluster_graph, num_chips, seed=seed).assignment
+
+
+def _owned(chip_of: np.ndarray, num_chips: int) -> list[np.ndarray]:
+    """Each chip's indices into ``chip_of``, ascending."""
+    order = np.argsort(chip_of, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(chip_of, minlength=num_chips))])
+    return [order[bounds[chip] : bounds[chip + 1]] for chip in range(num_chips)]
+
+
+def _split(keys: np.ndarray, num_chips: int, n: int) -> list[np.ndarray]:
+    """Ascending ``chip * n + node`` keys -> each chip's nodes, ascending."""
+    bounds = np.searchsorted(keys, np.arange(num_chips + 1) * n)
+    nodes = keys % n
+    return [nodes[bounds[chip] : bounds[chip + 1]] for chip in range(num_chips)]
+
+
+def _pair_counts(src: np.ndarray, dst: np.ndarray, num_chips: int) -> np.ndarray:
+    """``[src, dst]`` occurrence counts of chip pairs."""
+    return np.bincount(src * num_chips + dst, minlength=num_chips * num_chips).reshape(
+        num_chips, num_chips
+    )
 
 
 def build_shard_plan(
@@ -239,110 +258,54 @@ def build_shard_plan(
     """
     if num_chips < 1:
         raise ValueError("num_chips must be at least 1")
+    if method not in SHARD_METHODS:
+        raise ValueError(f"unknown shard method {method!r}; choose from {SHARD_METHODS}")
+    # One coupling pass per (plan, adjacency), memoised on the plan: it
+    # lives as long as the bundle and serves every chip count.
     adjacency = graph.adjacency()
-    chip_of_cluster = _assign_clusters(adjacency, plan, num_chips, method, seed)
+    coupling = plan.derived("cluster_coupling", adjacency, lambda: ClusterCoupling(adjacency, plan))
+    n = plan.num_nodes
+    chip_of_cluster = _assign_clusters(coupling, num_chips, method, seed)
+    chip_of_node = chip_of_cluster[coupling.cluster_of_node]
 
-    chip_of_node = np.zeros(plan.num_nodes, dtype=np.int64)
-    for cluster_id, members in enumerate(plan.clusters):
-        chip_of_node[members] = chip_of_cluster[cluster_id]
+    nodes = _owned(chip_of_node, num_chips)
+    clusters = _owned(chip_of_cluster, num_chips)
 
-    shards: list[ChipShard] = []
-    for chip in range(num_chips):
-        clusters = [
-            members
-            for cluster_id, members in enumerate(plan.clusters)
-            if chip_of_cluster[cluster_id] == chip
-        ]
-        hdn_lists = [
-            plan.hdn_lists[cluster_id]
-            for cluster_id in range(plan.num_clusters)
-            if chip_of_cluster[cluster_id] == chip
-        ]
-        nodes = (
-            np.sort(np.concatenate(clusters), kind="stable")
-            if clusters
-            else np.empty(0, dtype=np.int64)
-        )
-        referenced = adjacency.select_rows(nodes).indices
-        halo = sorted_unique(referenced[chip_of_node[referenced] != chip])
-        shards.append(
-            ChipShard(
-                chip_id=chip,
-                nodes=nodes,
-                clusters=clusters,
-                hdn_lists=hdn_lists,
-                halo_nodes=halo,
-            )
-        )
-
-    halo_counts = np.zeros((num_chips, num_chips), dtype=np.int64)
-    for shard in shards:
-        if shard.halo_nodes.size:
-            owners, counts = np.unique(chip_of_node[shard.halo_nodes], return_counts=True)
-            halo_counts[owners, shard.chip_id] = counts
+    # Halo: distinct (requesting chip, remote column) pairs.
+    halo_chip = chip_of_cluster[coupling.halo_pairs // n]
+    halo_col = coupling.halo_pairs % n
+    remote = chip_of_node[halo_col] != halo_chip
+    halo_keys = sorted_unique(halo_chip[remote] * n + halo_col[remote])
+    halo_nodes = _split(halo_keys, num_chips, n)
+    halo_counts = _pair_counts(chip_of_node[halo_keys % n], halo_keys // n, num_chips)
 
     # Distributed-reduction pairs: one partial row per (column-owner chip,
     # output row) pair whose column owner differs from the row owner.
-    partial_counts = np.zeros((num_chips, num_chips), dtype=np.int64)
-    if adjacency.nnz and num_chips > 1:
-        row_ids = np.repeat(np.arange(adjacency.n_rows), adjacency.row_nnz())
-        row_chip = chip_of_node[row_ids]
-        col_chip = chip_of_node[adjacency.indices]
-        cross = row_chip != col_chip
-        if cross.any():
-            # Unique (column owner, output row) pairs, then count per chip pair.
-            key = col_chip[cross].astype(np.int64) * plan.num_nodes + row_ids[cross]
-            unique_keys = sorted_unique(key)
-            src = unique_keys // plan.num_nodes
-            dst = chip_of_node[unique_keys % plan.num_nodes]
-            pair_key = src * num_chips + dst
-            pairs, counts = np.unique(pair_key, return_counts=True)
-            partial_counts[pairs // num_chips, pairs % num_chips] = counts
+    partial_chip = chip_of_cluster[coupling.partial_pairs // n]
+    partial_row = coupling.partial_pairs % n
+    remote = chip_of_node[partial_row] != partial_chip
+    partial_keys = sorted_unique(partial_chip[remote] * n + partial_row[remote])
+    partial_counts = _pair_counts(
+        partial_keys // n, chip_of_node[partial_keys % n], num_chips
+    )
 
     shard_plan = ShardPlan(
         num_chips=num_chips,
         num_nodes=plan.num_nodes,
         chip_of_node=chip_of_node,
         chip_of_cluster=chip_of_cluster,
-        shards=shards,
+        shards=[
+            ChipShard(
+                chip_id=chip,
+                nodes=nodes[chip],
+                clusters=clusters[chip],
+                halo_nodes=halo_nodes[chip],
+            )
+            for chip in range(num_chips)
+        ],
         halo_counts=halo_counts,
         partial_counts=partial_counts,
         method=method,
     )
     shard_plan.validate()
     return shard_plan
-
-
-def chip_workloads(workloads: list[LayerWorkload], shard: ChipShard) -> list[LayerWorkload]:
-    """Row-slice a model's layer workloads down to one chip's owned rows.
-
-    The chip computes the output rows of its owned nodes: its combination
-    streams the owned rows of X against the (replicated) weight matrix, and
-    its aggregation streams the owned rows of A against the full dense XW.
-    Remote XW rows are staged into the chip's local memory by the halo
-    exchange before the layer runs, so the per-chip simulation still reads
-    every referenced row from local DRAM — the fabric transfer and the
-    local reads are separate physical channels, both priced (see the
-    modeling note in :mod:`repro.scaleout.engine`).  Slicing every row
-    (the one-chip case) reproduces the original workload exactly.
-
-    Each distinct LHS is sliced once: the layers' aggregation phases share
-    one adjacency, and so do their slices, which lets the chip's plan reuse
-    one HDN profile for every layer.
-    """
-    slices: dict[int, CSRMatrix] = {}
-
-    def owned(phase: SpDeGemmPhase) -> SpDeGemmPhase:
-        # ``workloads`` keeps every LHS alive, so ids stay unique meanwhile.
-        if id(phase.sparse) not in slices:
-            slices[id(phase.sparse)] = phase.sparse.select_rows(shard.nodes)
-        return dataclasses.replace(phase, sparse=slices[id(phase.sparse)])
-
-    return [
-        LayerWorkload(
-            name=layer.name,
-            combination=owned(layer.combination),
-            aggregation=owned(layer.aggregation),
-        )
-        for layer in workloads
-    ]

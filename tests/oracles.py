@@ -25,10 +25,20 @@ replayed over an ``OrderedDict`` (GAMMA's fiber cache and GROW's
 demand-based HDN cache replay through ``functools.lru_cache``), and GCNAX's
 phase priced tile by tile in floating point from the full tile statistics
 (the simulator prices a memoised tile-size histogram in integers).
+
+The scale-out references are the chip path the engine replaced: each chip
+row-slices the workloads (:func:`chip_workloads`) and renumbers its clusters
+into a local plan (:func:`local_plan`) before a GROW run, and each chip
+count's shard plan rescans the adjacency for its cluster graph
+(:func:`cluster_graph_reference`) and every chip's halo
+(:func:`build_shard_plan_reference`).  The simulator prices a chip from the
+bundle plan's per-cluster counts, and derives every chip count's shard plan
+from one memoised cluster-coupling pass.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -36,12 +46,16 @@ import numpy as np
 
 from repro.accelerators.base import NNZ_BYTES, PhaseStats
 from repro.accelerators.gcnax import GCNAXConfig
-from repro.accelerators.workload import SpDeGemmPhase
+from repro.accelerators.workload import LayerWorkload, SpDeGemmPhase
 from repro.core.accelerator import ClusterStats
 from repro.core.config import GrowConfig
+from repro.core.multi_pe import greedy_longest_first
 from repro.core.preprocess import GrowPreprocessor, PreprocessPlan
 from repro.core.runahead import RunaheadModel
 from repro.gcn.layer import GCNLayer
+from repro.graph.graph import Graph
+from repro.graph.partition import partition_graph
+from repro.scaleout.shard import SHARD_METHODS, ChipShard, ShardPlan
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.tiling import tile_statistics
 from repro.sparse.unique import sorted_unique
@@ -512,3 +526,153 @@ def pack_communities_reference(
             loads[target] += chunk.size
             offset += chunk.size
     return assignment
+
+
+def chip_workloads(workloads: list[LayerWorkload], shard: ChipShard) -> list[LayerWorkload]:
+    """Row-slice a model's layer workloads down to one chip's owned rows.
+
+    The chip's combination streams the owned rows of X against the
+    (replicated) weight matrix, and its aggregation streams the owned rows
+    of A against the full dense XW.  Each distinct LHS is sliced once, so
+    the layers' aggregation slices share one adjacency slice.
+    """
+    slices: dict[int, CSRMatrix] = {}
+
+    def owned(phase: SpDeGemmPhase) -> SpDeGemmPhase:
+        # ``workloads`` keeps every LHS alive, so ids stay unique meanwhile.
+        if id(phase.sparse) not in slices:
+            slices[id(phase.sparse)] = phase.sparse.select_rows(shard.nodes)
+        return dataclasses.replace(phase, sparse=slices[id(phase.sparse)])
+
+    return [
+        LayerWorkload(
+            name=layer.name,
+            combination=owned(layer.combination),
+            aggregation=owned(layer.aggregation),
+        )
+        for layer in workloads
+    ]
+
+
+def local_plan(plan: PreprocessPlan, shard: ChipShard) -> PreprocessPlan:
+    """The chip's preprocessing plan in *local row* coordinates.
+
+    Rows are renumbered to ``0 .. num_nodes - 1`` in ascending global-id
+    order (matching :func:`chip_workloads`); HDN lists keep global column
+    ids because the dense RHS keeps its global indexing.
+    """
+    members = [plan.clusters[cluster] for cluster in shard.clusters]
+    hdn_lists = [plan.hdn_lists[cluster] for cluster in shard.clusters]
+    cluster_of_node = np.zeros(shard.num_nodes, dtype=np.int64)
+    local_clusters: list[np.ndarray] = []
+    for local_cluster_id, nodes in enumerate(members):
+        # ``shard.nodes`` is ascending and holds every member: a member's
+        # local id is its position there.
+        local_members = np.searchsorted(shard.nodes, nodes)
+        local_clusters.append(local_members)
+        cluster_of_node[local_members] = local_cluster_id
+    return PreprocessPlan(
+        num_nodes=shard.num_nodes,
+        cluster_of_node=cluster_of_node,
+        clusters=local_clusters,
+        hdn_lists=[lst.copy() for lst in hdn_lists],
+        hdn_list_capacity=max((lst.size for lst in hdn_lists), default=0) or 1,
+        partitioned=len(local_clusters) > 1,
+    )
+
+
+def cluster_graph_reference(
+    adjacency: CSRMatrix, cluster_of_node: np.ndarray, num_clusters: int
+) -> Graph:
+    """The cluster-coupling graph from a scan of every adjacency non-zero."""
+    row_ids = np.repeat(np.arange(adjacency.n_rows), adjacency.row_nnz())
+    src_clusters = cluster_of_node[row_ids]
+    dst_clusters = cluster_of_node[adjacency.indices]
+    cross = src_clusters != dst_clusters
+    keys = sorted_unique(src_clusters[cross] * np.int64(num_clusters) + dst_clusters[cross])
+    return Graph(
+        num_nodes=num_clusters,
+        src=keys // num_clusters,
+        dst=keys % num_clusters,
+        name="cluster-graph",
+        undirected=False,
+    )
+
+
+def build_shard_plan_reference(
+    graph: Graph, plan: PreprocessPlan, num_chips: int, method: str = "metis", seed: int = 0
+) -> ShardPlan:
+    """A shard plan built per chip count from the adjacency: the cluster
+    graph rescanned, and each chip's halo from its own rows' slice."""
+    if method not in SHARD_METHODS:
+        raise ValueError(f"unknown shard method {method!r}; choose from {SHARD_METHODS}")
+    adjacency = graph.adjacency()
+    num_clusters = plan.num_clusters
+    row_nnz = adjacency.row_nnz()
+    cluster_nnz = np.array(
+        [int(row_nnz[members].sum()) for members in plan.clusters], dtype=np.float64
+    )
+    if num_chips == 1:
+        chip_of_cluster = np.zeros(num_clusters, dtype=np.int64)
+    elif method == "greedy" or num_clusters <= num_chips:
+        chip_of_cluster = greedy_longest_first(cluster_nnz, num_chips)
+    else:
+        dense_cluster_of_node = np.zeros(plan.num_nodes, dtype=np.int64)
+        for dense_id, members in enumerate(plan.clusters):
+            dense_cluster_of_node[members] = dense_id
+        cluster_graph = cluster_graph_reference(adjacency, dense_cluster_of_node, num_clusters)
+        chip_of_cluster = partition_graph(cluster_graph, num_chips, seed=seed).assignment
+
+    chip_of_node = np.zeros(plan.num_nodes, dtype=np.int64)
+    for cluster_id, members in enumerate(plan.clusters):
+        chip_of_node[members] = chip_of_cluster[cluster_id]
+
+    shards: list[ChipShard] = []
+    for chip in range(num_chips):
+        owned = [c for c in range(num_clusters) if chip_of_cluster[c] == chip]
+        nodes = (
+            np.sort(np.concatenate([plan.clusters[c] for c in owned]), kind="stable")
+            if owned
+            else np.empty(0, dtype=np.int64)
+        )
+        referenced = adjacency.select_rows(nodes).indices
+        shards.append(
+            ChipShard(
+                chip_id=chip,
+                nodes=nodes,
+                clusters=np.array(owned, dtype=np.int64),
+                halo_nodes=sorted_unique(referenced[chip_of_node[referenced] != chip]),
+            )
+        )
+
+    halo_counts = np.zeros((num_chips, num_chips), dtype=np.int64)
+    for shard in shards:
+        if shard.halo_nodes.size:
+            owners, counts = np.unique(chip_of_node[shard.halo_nodes], return_counts=True)
+            halo_counts[owners, shard.chip_id] = counts
+
+    partial_counts = np.zeros((num_chips, num_chips), dtype=np.int64)
+    if adjacency.nnz and num_chips > 1:
+        row_ids = np.repeat(np.arange(adjacency.n_rows), adjacency.row_nnz())
+        row_chip = chip_of_node[row_ids]
+        col_chip = chip_of_node[adjacency.indices]
+        cross = row_chip != col_chip
+        if cross.any():
+            # Unique (column owner, output row) pairs, then count per chip pair.
+            key = col_chip[cross].astype(np.int64) * plan.num_nodes + row_ids[cross]
+            unique_keys = sorted_unique(key)
+            src = unique_keys // plan.num_nodes
+            dst = chip_of_node[unique_keys % plan.num_nodes]
+            pairs, counts = np.unique(src * num_chips + dst, return_counts=True)
+            partial_counts[pairs // num_chips, pairs % num_chips] = counts
+
+    return ShardPlan(
+        num_chips=num_chips,
+        num_nodes=plan.num_nodes,
+        chip_of_node=chip_of_node,
+        chip_of_cluster=chip_of_cluster,
+        shards=shards,
+        halo_counts=halo_counts,
+        partial_counts=partial_counts,
+        method=method,
+    )

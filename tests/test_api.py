@@ -408,6 +408,24 @@ def test_cached_results_are_isolated_from_caller_mutation(config, session):
     assert second.total_cycles > 0
 
 
+def test_disk_hits_are_isolated_from_caller_mutation(config, tmp_path):
+    clear_memo()
+    request = request_for(config, "amazon")
+    Session(results_dir=tmp_path).run(request)
+    clear_memo()  # the next run must come from the disk entry
+    session = Session(results_dir=tmp_path)
+    from_disk = session.run(request)
+    assert from_disk.status == "cached"
+    reference = json.loads(json.dumps(from_disk.to_dict()))
+    from_disk.detail["result"]["phases"].clear()
+    from_disk.metrics["cycles"] = -1.0
+    # The disk hit was memoised: the next hit comes from the memo, intact.
+    from_memo = session.run(request)
+    assert from_memo.status == "cached"
+    assert from_memo.to_dict() == reference
+    clear_memo()
+
+
 def test_duplicate_override_keys_collapse_to_the_last_value():
     duplicated = SimRequest(dataset="cora", overrides=(("a", 1), ("a", 2)))
     collapsed = SimRequest(dataset="cora", overrides={"a": 2})

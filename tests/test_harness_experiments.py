@@ -65,6 +65,17 @@ def test_gcnax_builds_one_tile_profile_per_matrix():
     assert recorded["counters"]["gcnax.tile_profile.builds"] == 3 * len(config.datasets)
 
 
+def test_strong_scaling_builds_one_hdn_profile_per_dataset():
+    """A chip is priced from its bundle plan's per-cluster counts: every
+    chip of every chip count reads the bundle plan's one rank profile of
+    the shared adjacency.  Fresh seed, fresh bundles."""
+    config = smoke_config(seed=7_903)
+    with metrics.scoped() as recorded:
+        run_experiment("scaleout_strong_scaling", config=config)
+    assert recorded["counters"]["grow.hdn_profile.builds"] == len(config.datasets)
+    assert recorded["counters"]["scaleout.coupling.builds"] == len(config.datasets)
+
+
 def test_table1_rows_and_columns(small_config):
     result = run_experiment("table1_datasets", config=small_config)
     assert [row["dataset"] for row in result.rows] == ["cora", "amazon"]

@@ -23,6 +23,15 @@ cluster's statistics, on Table I, on the 4-chip shard plans' local plans and
 on hypothesis plans with skipped labels, node-less clusters, empty lists,
 repeated ids and ids past the matrix.
 
+So is the scale-out chip path: every chip of every Table I shard plan, at
+seven GROW configurations and under both shard methods, priced from the
+bundle plan's per-cluster counts against the row-sliced workloads and
+renumbered local plan it replaced (``oracles.chip_workloads`` and
+``oracles.local_plan``), and every shard plan built from the memoised
+cluster coupling against the per-chip-count adjacency scan
+(``oracles.build_shard_plan_reference``), on Table I and on hypothesis
+graphs and plans.
+
 So are the baselines' replacements: the ``functools.lru_cache`` replay of
 :func:`repro.accelerators.gamma.simulate_lru_hits` against the
 ``OrderedDict`` loop (``oracles.lru_hits_reference``), on heavy-reuse
@@ -36,6 +45,7 @@ entries and on every Table I LHS, at three DRAM access granularities.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import tracemalloc
 from unittest import mock
@@ -46,11 +56,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.accelerators.base import NNZ_BYTES, AcceleratorConfig
+from repro.accelerators.base import NNZ_BYTES, AcceleratorConfig, AcceleratorResult
 from repro.accelerators.gamma import GAMMAConfig, simulate_lru_hits
 from repro.accelerators.gcnax import GCNAXConfig, GCNAXSimulator
 from repro.accelerators.hygcn import HyGCNSimulator, _nonzero_fraction
 from repro.accelerators.workload import SpDeGemmPhase
+from repro.api import ChipSpec, SimRequest
+from repro.api.backends import GrowBackend
 from repro.core.accelerator import GrowSimulator
 from repro.core.config import GrowConfig
 from repro.core.preprocess import PreprocessPlan
@@ -67,14 +79,18 @@ from repro.harness import default_config
 from repro.harness.config import ExperimentConfig
 from repro.harness.workloads import get_bundle
 from repro.obs import metrics
-from repro.scaleout.shard import _cluster_graph, build_shard_plan, chip_workloads
+from repro.scaleout.shard import SHARD_METHODS, ClusterCoupling, build_shard_plan
 from repro.sparse import COOMatrix, CSRMatrix, sorted_unique, tile_statistics
 from repro.sparse.convert import coo_to_csr, dense_to_csr
 from repro.sparse.tiling import occupied_tile_counts, tile_profile
 
 from oracles import (
     HDNIdList,
+    build_shard_plan_reference,
+    chip_workloads,
+    cluster_graph_reference,
     gcnax_phase_reference,
+    local_plan,
     lru_hits_reference,
     streaming_phase_reference,
 )
@@ -183,6 +199,41 @@ def assert_tiles_match_oracle(sparse, tile_rows, tile_cols) -> None:
     tile_ids, counts = occupied_tile_counts(sparse, tile_rows, tile_cols)
     assert_identical(tile_ids, occupied)
     assert_identical(counts, nnz)
+
+
+def assert_shard_plans_identical(actual, expected) -> None:
+    assert (actual.num_chips, actual.num_nodes, actual.method) == (
+        expected.num_chips,
+        expected.num_nodes,
+        expected.method,
+    )
+    assert_identical(actual.chip_of_node, expected.chip_of_node)
+    assert_identical(actual.chip_of_cluster, expected.chip_of_cluster)
+    assert_identical(actual.halo_counts, expected.halo_counts)
+    assert_identical(actual.partial_counts, expected.partial_counts)
+    assert len(actual.shards) == len(expected.shards)
+    for shard, reference in zip(actual.shards, expected.shards):
+        assert shard.chip_id == reference.chip_id
+        assert_identical(shard.nodes, reference.nodes)
+        assert_identical(shard.clusters, reference.clusters)
+        assert_identical(shard.halo_nodes, reference.halo_nodes)
+    assert actual.fingerprint() == expected.fingerprint()
+
+
+def plan_of_labels(labels: np.ndarray, num_clusters: int | None = None) -> PreprocessPlan:
+    """A plan whose clusters are the nodes of each label, in label order:
+    every label in ``0 .. num_clusters - 1`` (empty ones included), or
+    only the labels present, as the preprocessor keeps them."""
+    present = sorted_unique(labels.copy()) if num_clusters is None else np.arange(num_clusters)
+    clusters = [np.flatnonzero(labels == label) for label in present]
+    return PreprocessPlan(
+        num_nodes=labels.size,
+        cluster_of_node=labels,
+        clusters=clusters,
+        hdn_lists=[np.empty(0, dtype=np.int64) for _ in clusters],
+        hdn_list_capacity=1,
+        partitioned=len(clusters) > 1,
+    )
 
 
 def assert_lru_matches_reference(stream: np.ndarray, capacity) -> None:
@@ -456,10 +507,29 @@ def clustered_adjacency(draw):
 @settings(max_examples=100, deadline=None)
 def test_cluster_pairs_match_unique_rows(case):
     adjacency, cluster_of_node = case
-    graph = _cluster_graph(adjacency, cluster_of_node, 6)
+    coupling = ClusterCoupling(adjacency, plan_of_labels(cluster_of_node, 6))
     pairs = oracle_cluster_pairs(adjacency, cluster_of_node)
-    assert_identical(graph.src, pairs[:, 0])
-    assert_identical(graph.dst, pairs[:, 1])
+    for graph in (coupling.cluster_graph, cluster_graph_reference(adjacency, cluster_of_node, 6)):
+        assert_identical(graph.src, pairs[:, 0])
+        assert_identical(graph.dst, pairs[:, 1])
+
+
+@st.composite
+def sharded_graphs(draw):
+    """A graph, a plan over it with skipped labels, a chip count and method."""
+    graph = draw(graphs())
+    labels = draw(hnp.arrays(np.int64, graph.num_nodes, elements=st.integers(0, 7)))
+    return graph, plan_of_labels(labels), draw(st.integers(1, 10)), draw(st.sampled_from(SHARD_METHODS))
+
+
+@given(sharded_graphs())
+@settings(max_examples=150, deadline=None)
+def test_shard_plans_match_the_per_chip_count_scan(case):
+    graph, plan, num_chips, method = case
+    assert_shard_plans_identical(
+        build_shard_plan(graph, plan, num_chips, method=method),
+        build_shard_plan_reference(graph, plan, num_chips, method=method),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +631,8 @@ def test_table1_lru_replays_match_ordered_dict(bundle):
         assert_lru_matches_reference(adjacency.indices, capacity)
 
     # GROW's demand-based HDN cache replays every cluster's stream at each
-    # layer's cache_rows.
+    # distinct cache_rows of the layers (the plan memoises a replay per
+    # capacity, which layers with equal capacities share).
     replayed = []
 
     def checked(cols, cache_rows):
@@ -569,9 +640,13 @@ def test_table1_lru_replays_match_ordered_dict(bundle):
         replayed.append(cols.size)
         return simulate_lru_hits(cols, cache_rows)
 
+    # A fresh copy of the plan: the bundle plan memoises its replays.
+    plan = dataclasses.replace(bundle.plan)
+    config = GrowConfig(hdn_replacement="lru")
+    capacities = {config.hdn_cache_rows(layer.aggregation.rhs_row_bytes) for layer in bundle.workloads}
     with mock.patch("repro.core.accelerator.simulate_lru_hits", side_effect=checked):
-        GrowSimulator(GrowConfig(hdn_replacement="lru")).run_model(bundle.workloads, bundle.plan)
-    assert sum(replayed) == len(bundle.workloads) * adjacency.nnz
+        GrowSimulator(config).run_model(bundle.workloads, plan)
+    assert sum(replayed) == len(capacities) * adjacency.nnz
 
 
 @pytest.mark.parametrize("partitioned", [True, False])
@@ -608,7 +683,7 @@ def test_table1_chip_profiles_match_cache_loop(bundle):
             continue
         workloads = chip_workloads(bundle.workloads, shard)
         assert len({id(layer.aggregation.sparse) for layer in workloads}) == 1
-        local = shard.local_plan()
+        local = local_plan(bundle.plan, shard)
         with metrics.scoped() as recorded:
             GrowSimulator(GrowConfig()).run_model(workloads, local)
         assert recorded["counters"]["grow.hdn_profile.builds"] == 1
@@ -622,10 +697,11 @@ def test_table1_shard_plan_matches_oracles(bundle):
     dense_cluster_of_node = np.zeros(plan.num_nodes, dtype=np.int64)
     for dense_id, members in enumerate(plan.clusters):
         dense_cluster_of_node[members] = dense_id
-    cluster_graph = _cluster_graph(adjacency, dense_cluster_of_node, plan.num_clusters)
+    coupling = ClusterCoupling(adjacency, plan)
+    assert_identical(coupling.cluster_of_node, dense_cluster_of_node)
     pairs = oracle_cluster_pairs(adjacency, dense_cluster_of_node)
-    assert_identical(cluster_graph.src, pairs[:, 0])
-    assert_identical(cluster_graph.dst, pairs[:, 1])
+    assert_identical(coupling.cluster_graph.src, pairs[:, 0])
+    assert_identical(coupling.cluster_graph.dst, pairs[:, 1])
 
     shard_plan = build_shard_plan(graph, plan, num_chips=4)
     for shard in shard_plan.shards:
@@ -638,10 +714,70 @@ def test_table1_shard_plan_matches_oracles(bundle):
         assert_identical(shard.halo_nodes, np.unique(remote))
         # Local plan: the dict from global to local ids it replaced.
         local_of_global = {int(node): i for i, node in enumerate(shard.nodes)}
-        local = shard.local_plan()
-        for members, local_members in zip(shard.clusters, local.clusters):
+        local = local_plan(plan, shard)
+        for cluster, local_members in zip(shard.clusters, local.clusters):
+            members = plan.clusters[cluster]
             expected = np.array([local_of_global[int(n)] for n in members], dtype=np.int64)
             assert_identical(local_members, expected)
+
+
+#: The GROW configurations the chip path is checked under: the default, the
+#: cache's edge sizes, no cache, no runahead and the LRU cache.
+CHIP_CONFIGS = [
+    {},
+    {"hdn_cache_bytes": 0},
+    {"hdn_cache_bytes": 4096},
+    {"hdn_cache_bytes": 2**30},
+    {"enable_hdn_cache": False},
+    {"runahead_degree": 1},
+    {"hdn_replacement": "lru"},
+]
+
+
+def table1_chip_counts(plan):
+    """Fewer chips than clusters, and more (surplus chips stay empty)."""
+    return (1, 2, 3, 4, 8, 16, plan.num_clusters + 3)
+
+
+@pytest.mark.parametrize("method", SHARD_METHODS)
+def test_table1_shard_plans_match_the_per_chip_count_scan(bundle, method):
+    graph, plan = bundle.dataset.graph, bundle.plan
+    for num_chips in table1_chip_counts(plan):
+        assert_shard_plans_identical(
+            build_shard_plan(graph, plan, num_chips, method=method),
+            build_shard_plan_reference(graph, plan, num_chips, method=method),
+        )
+
+
+@pytest.mark.parametrize("method", SHARD_METHODS)
+def test_table1_chip_runs_match_the_row_sliced_path(bundle, method):
+    config = default_config()
+    dataset = bundle.dataset.name
+    for num_chips in table1_chip_counts(bundle.plan):
+        shard_plan = build_shard_plan_reference(
+            bundle.dataset.graph, bundle.plan, num_chips, method=method, seed=config.seed
+        )
+        for shard in shard_plan.shards:
+            name = f"{dataset}[chip{shard.chip_id}/{num_chips}]"
+            # One slice and one local plan per chip, shared by every config.
+            workloads = chip_workloads(bundle.workloads, shard)
+            local = local_plan(bundle.plan, shard)
+            for overrides in CHIP_CONFIGS:
+                expected = (
+                    AcceleratorResult(accelerator="grow", workload=name)
+                    if shard.empty
+                    else GrowSimulator(config.grow_config(**overrides)).run_model(
+                        workloads, local, name=name
+                    )
+                )
+                request = SimRequest.from_experiment(
+                    config,
+                    dataset,
+                    backend="grow",
+                    overrides=overrides,
+                    chip=ChipSpec(num_chips=num_chips, chip_id=shard.chip_id, shard_method=method),
+                )
+                assert GrowBackend().run(request).detail["result"] == expected.to_dict()
 
 
 def test_table1_construction_matches_dense_first_path(bundle):

@@ -2,22 +2,29 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.accelerators.gamma import simulate_lru_hits
 from repro.api import Session, clear_memo
 from repro.core.accelerator import GrowSimulator
 from repro.harness import smoke_config
 from repro.harness.workloads import get_bundle
+from repro.obs import metrics
 from repro.scaleout import (
+    SHARD_METHODS,
     ChipTopology,
     InterconnectModel,
     ScaleOutSimulator,
     build_shard_plan,
-    chip_workloads,
+    get_shard_plan,
     make_topology,
 )
 from repro.scaleout.engine import clear_shard_cache
+
+from oracles import chip_workloads, local_plan
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +135,18 @@ def test_unknown_shard_method_rejected(bundle):
         build_shard_plan(bundle.dataset.graph, bundle.plan, 8, method="random")
 
 
+def test_every_chip_count_and_method_shares_one_coupling_pass():
+    """The cluster coupling is chip-count independent: one adjacency pass
+    per bundle plan serves every chip count under both methods."""
+    config = smoke_config(seed=7_904)
+    with metrics.scoped() as recorded:
+        for dataset in config.datasets:
+            for method in SHARD_METHODS:
+                for num_chips in (1, 2, 3, 4, 8, 16):
+                    get_shard_plan(dataset, config, num_chips, method)
+    assert recorded["counters"]["scaleout.coupling.builds"] == len(config.datasets)
+
+
 def test_chip_workloads_slice_rows(bundle):
     plan = build_shard_plan(bundle.dataset.graph, bundle.plan, 4)
     shard = next(s for s in plan.shards if not s.empty)
@@ -149,7 +168,7 @@ def test_local_plan_is_consistent(bundle):
     for shard in plan.shards:
         if shard.empty:
             continue
-        local = shard.local_plan()
+        local = local_plan(bundle.plan, shard)
         local.validate()
         assert local.num_nodes == shard.num_nodes
         assert local.num_clusters == len(shard.clusters)
@@ -237,6 +256,31 @@ def test_multi_chip_system_reports_traffic_and_efficiency(config):
     assert len(system.chip_cycles) == 4
     assert system.area_mm2 > 0
     assert system.energy_nj > system.interconnect_energy_nj > 0
+
+
+def test_an_lru_sweep_replays_each_cluster_once_per_capacity():
+    """Chips share the bundle plan's per-cluster LRU replays: a strong-scaling
+    sweep replays each cluster's stream once per distinct cache capacity,
+    not once per chip or chip count.  Fresh seed, fresh bundle."""
+    config = smoke_config(datasets=("amazon",), seed=7_905)
+    bundle = get_bundle("amazon", config)
+    grow_config = config.grow_config(hdn_replacement="lru")
+    capacities = {
+        grow_config.hdn_cache_rows(layer.aggregation.rhs_row_bytes) for layer in bundle.workloads
+    }
+    row_nnz = bundle.workloads[0].aggregation.sparse.row_nnz()
+    streamed = sum(1 for members in bundle.plan.clusters if row_nnz[members].sum())
+    with mock.patch(
+        "repro.core.accelerator.simulate_lru_hits", side_effect=simulate_lru_hits
+    ) as replay:
+        for num_chips in (1, 2, 4, 8, 16):
+            ScaleOutSimulator(
+                config=config,
+                topology=ChipTopology(num_chips),
+                grow_overrides={"hdn_replacement": "lru"},
+                session=Session(use_cache=False),
+            ).run("amazon")
+    assert replay.call_count == streamed * len(capacities)
 
 
 def test_serial_parallel_and_cached_runs_are_identical(config, tmp_path):
