@@ -808,7 +808,9 @@ def _cmd_dse(args) -> int:
 
 
 def _cmd_scaleout(args) -> int:
-    from repro.scaleout import ChipTopology, ScaleOutSimulator
+    from repro.api import SimRequest
+    from repro.harness.report import json_default
+    from repro.scaleout import ChipTopology, ScaleOutResult, ScaleOutSimulator
 
     if args.chips < 1:
         raise SystemExit("--chips must be at least 1")
@@ -821,52 +823,43 @@ def _cmd_scaleout(args) -> int:
         )
     except ValueError as error:
         raise SystemExit(str(error)) from error
+    # The simulator only renders the reports: every system runs as one
+    # 'scaleout' request, so the session caches, fans out and forces it.
     simulator = ScaleOutSimulator(
         config=_config_from_args(args),
         topology=topology,
         exchange=args.exchange,
         shard_method=args.shard_method,
-        session=_session_from_args(args),
         results_dir=args.results_dir,
     )
+    fabric = _fabric_from_args(args)
+    requests = [
+        SimRequest.from_experiment(simulator.config, dataset, backend="scaleout", fabric=fabric)
+        for dataset in simulator.config.datasets
+    ]
+    session = _session_from_args(args)
 
     if not args.json:
         print(
             f"simulating a {args.chips}-chip {args.topology} system "
             f"({args.link_bandwidth:g} GB/s links, {args.link_latency} cycles/hop, "
-            f"exchange={args.exchange}) with {simulator.session.jobs} job(s); "
+            f"exchange={args.exchange}) with {session.jobs} job(s); "
             f"reports -> {args.results_dir}"
         )
 
-    def progress(system) -> None:
-        cached = sum(1 for s in system.chip_statuses if s == "cached")
-        ran = sum(1 for s in system.chip_statuses if s == "ran")
+    def progress(run) -> None:
+        system = run.system_dict()
         print(
-            f"  {system.dataset}: {system.system_cycles:.3e} cycles, "
-            f"{system.interchip_bytes / 1e6:.2f} MB inter-chip, "
-            f"efficiency {system.scaling_efficiency:.2f} "
-            f"({ran} chip(s) ran, {cached} cached)"
+            f"  {system['dataset']}: {system['system_cycles']:.3e} cycles, "
+            f"{system['interchip_bytes'] / 1e6:.2f} MB inter-chip, "
+            f"efficiency {system['scaling_efficiency']:.2f} ({run.status})"
         )
 
-    results = simulator.run_all(progress=None if args.json else progress)
+    runs = session.run_batch(requests, progress=None if args.json else progress)
+    results = [ScaleOutResult.from_dict(run.system_dict()) for run in runs]
     simulator.write_reports(results)
     if args.json:
-        # The canonical API payloads: each system wrapped exactly as the
-        # facade's 'scaleout' backend would return it.
-        from repro.api import SimRequest, scaleout_run_result
-        from repro.harness.report import json_default
-
-        fabric = _fabric_from_args(args)
-        payloads = [
-            scaleout_run_result(
-                SimRequest.from_experiment(
-                    simulator.config, system.dataset, backend="scaleout", fabric=fabric
-                ),
-                system,
-            ).to_dict()
-            for system in results
-        ]
-        print(json.dumps(payloads, indent=2, default=json_default))
+        print(json.dumps([run.to_dict() for run in runs], indent=2, default=json_default))
         return 0
     print()
     print(simulator.report(results).to_table())

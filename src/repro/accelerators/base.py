@@ -197,12 +197,8 @@ class AcceleratorResult:
         return self.total_dram_bytes / baseline.total_dram_bytes
 
     def to_dict(self) -> dict:
-        """JSON-safe form that round-trips through :meth:`from_dict`.
-
-        The scale-out engine stores per-chip runs in the on-disk
-        :class:`~repro.harness.cache.ResultCache` in this form, so cached
-        re-runs compose bit-identical system results.
-        """
+        """JSON-safe form that round-trips through :meth:`from_dict` (the
+        ``detail["result"]`` payload of an API accelerator run)."""
         return {
             "accelerator": self.accelerator,
             "workload": self.workload,

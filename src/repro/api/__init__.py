@@ -23,9 +23,8 @@ resolves it through the in-process memo, the on-disk
 (:func:`list_backends`).  Multi-chip systems are requests too — give the
 ``scaleout`` backend a :class:`ScaleOutSpec` fabric.
 
-Every layer of the repository — the experiment harness, the DSE objective
-evaluation, the scale-out engine's per-chip runs and the ``sim``/``run``/
-``scaleout`` CLI verbs — routes through this facade.
+The experiment harness, the DSE objective evaluation and the ``sim``/
+``run``/``scaleout`` CLI verbs route through this facade.
 """
 
 from repro.api.backends import (
@@ -34,17 +33,15 @@ from repro.api.backends import (
     known_backend,
     list_backends,
     register_backend,
-    scaleout_run_result,
     suggest_backends,
 )
 from repro.api.errors import RequestError, UnknownBackendError, suggest_names
-from repro.api.request import ChipSpec, ScaleOutSpec, SimRequest
+from repro.api.request import ScaleOutSpec, SimRequest
 from repro.api.result import METRIC_NAMES, RunResult
 from repro.api.session import Session, clear_memo, get_session
 
 __all__ = [
     "Backend",
-    "ChipSpec",
     "METRIC_NAMES",
     "RequestError",
     "RunResult",
@@ -58,7 +55,6 @@ __all__ = [
     "known_backend",
     "list_backends",
     "register_backend",
-    "scaleout_run_result",
     "suggest_backends",
     "suggest_names",
 ]

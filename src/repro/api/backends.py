@@ -5,8 +5,7 @@ A *backend* turns a validated :class:`~repro.api.request.SimRequest` into a
 every engine in the repository:
 
 ========== ==================================================================
-``grow``       the paper's single-PE GROW simulator (full dataset, or one
-               shard slice when the request carries a chip spec)
+``grow``       the paper's single-PE GROW simulator
 ``multipe``    the multi-PE aggregation scaling model (Figure 24)
 ``gcnax``      the GCNAX loop-optimised SpDeGEMM baseline
 ``hygcn``      the HyGCN two-engine ``(A X) W`` baseline
@@ -16,20 +15,16 @@ every engine in the repository:
 ========== ==================================================================
 
 Backends import their simulator stacks at call time, so ``repro.api`` stays
-importable from every layer (the scale-out engine itself routes its per-chip
-runs back through this registry).
+importable from every layer (the scale-out engine imports this module).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import Any, Protocol
 
 from repro.api.errors import UnknownBackendError, suggest_names, unknown_name_message
-from repro.api.request import ScaleOutSpec, SimRequest
+from repro.api.request import SimRequest
 from repro.api.result import RunResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.session import Session
 
 
 class Backend(Protocol):
@@ -37,7 +32,7 @@ class Backend(Protocol):
 
     name: str
 
-    def run(self, request: SimRequest, session: "Session | None" = None) -> RunResult:
+    def run(self, request: SimRequest) -> RunResult:
         """Execute the request and return a fresh (``status="ran"``) result."""
         ...
 
@@ -137,45 +132,21 @@ def _bundle_for(request: SimRequest):
 
 
 class GrowBackend:
-    """The single-PE GROW simulator; honours ``partitioned`` and chip specs."""
+    """The single-PE GROW simulator; honours ``partitioned``."""
 
     name = "grow"
 
-    def run(self, request: SimRequest, session: "Session | None" = None) -> RunResult:
+    def run(self, request: SimRequest) -> RunResult:
         from repro.core.accelerator import GrowSimulator
 
         bundle, config = _bundle_for(request)
         grow_config = config.grow_config(**request.override_dict())
-        if request.chip is not None:
-            result = self._run_chip(request, bundle, config, grow_config)
-        else:
-            plan = bundle.plan if request.partitioned else bundle.plan_unpartitioned
-            result = GrowSimulator(grow_config).run_model(bundle.workloads, plan)
+        plan = bundle.plan if request.partitioned else bundle.plan_unpartitioned
+        result = GrowSimulator(grow_config).run_model(bundle.workloads, plan)
         return RunResult(
             request=request,
             metrics=accelerator_metrics([result], grow_area_mm2(grow_config)),
             detail={"result": result.to_dict()},
-        )
-
-    def _run_chip(self, request: SimRequest, bundle, config, grow_config):
-        """One shard slice: the scale-out engine's per-chip unit of work."""
-        # Imported at call time: the scale-out engine imports this module.
-        from repro.accelerators.base import AcceleratorResult
-        from repro.core.accelerator import GrowSimulator
-        from repro.scaleout.engine import get_shard_plan
-
-        spec = request.chip
-        shard_plan = get_shard_plan(
-            request.dataset, config, spec.num_chips, spec.shard_method
-        )
-        shard = shard_plan.shards[spec.chip_id]
-        workload_name = f"{request.dataset}[chip{spec.chip_id}/{spec.num_chips}]"
-        if shard.empty:
-            return AcceleratorResult(accelerator="grow", workload=workload_name)
-        # The chip's clusters keep their rows, row order and HDN lists, so
-        # its counts are sums of the bundle plan's per-cluster counts.
-        return GrowSimulator(grow_config).run_model(
-            bundle.workloads, bundle.plan, name=workload_name, clusters=shard.clusters
         )
 
 
@@ -191,7 +162,7 @@ class MultiPEBackend:
 
     name = "multipe"
 
-    def run(self, request: SimRequest, session: "Session | None" = None) -> RunResult:
+    def run(self, request: SimRequest) -> RunResult:
         from repro.core.multi_pe import MultiPEGrowSimulator
 
         bundle, config = _bundle_for(request)
@@ -225,7 +196,7 @@ class GCNAXBackend:
 
     name = "gcnax"
 
-    def run(self, request: SimRequest, session: "Session | None" = None) -> RunResult:
+    def run(self, request: SimRequest) -> RunResult:
         from repro.accelerators.gcnax import GCNAXSimulator
         from repro.energy.area import GCNAX_AREA_MM2_40NM, scale_area
 
@@ -250,7 +221,7 @@ class _LayerwiseBaselineBackend:
     def _run_layers(self, request: SimRequest):
         raise NotImplementedError
 
-    def run(self, request: SimRequest, session: "Session | None" = None) -> RunResult:
+    def run(self, request: SimRequest) -> RunResult:
         result = self._run_layers(request)
         return RunResult(
             request=request,
@@ -302,60 +273,40 @@ class GAMMABackend(_LayerwiseBaselineBackend):
         return simulator.run_model(bundle.workloads)
 
 
-def scaleout_run_result(
-    request: SimRequest, system, status: str = "ran", seconds: float = 0.0
-) -> RunResult:
-    """Wrap one :class:`~repro.scaleout.engine.ScaleOutResult` in the
-    canonical envelope (shared by the backend and the ``scaleout --json``
-    CLI path, so both emit byte-identical payloads)."""
-    metrics = {
-        "cycles": float(system.system_cycles),
-        "dram_bytes": float(system.dram_bytes),
-        "energy_nj": float(system.energy_nj),
-        "area_mm2": float(system.area_mm2),
-    }
-    return RunResult(
-        request=request,
-        status=status,
-        seconds=seconds,
-        metrics=metrics,
-        detail={"system": system.to_dict()},
-    )
-
-
 class ScaleOutBackend:
     """The multi-chip system engine; consumes the request's fabric spec.
 
-    The engine's per-chip GROW runs come back through this registry (as
-    ``grow`` requests carrying chip specs) on the dispatching session, so
-    they share its jobs, memo, cache and ``force``, and a fabric sweep over
-    the same system re-simulates nothing.  A detached worker (``session``
-    of ``None``) runs them on the process's memo-only default session.
+    The engine prices its chips in process, so the session caches, fans
+    out and forces whole systems.
     """
 
     name = "scaleout"
 
-    def run(self, request: SimRequest, session: "Session | None" = None) -> RunResult:
+    def run(self, request: SimRequest) -> RunResult:
         from repro.scaleout.engine import ScaleOutSimulator
         from repro.scaleout.topology import ChipTopology
 
-        fabric = request.fabric if request.fabric is not None else ScaleOutSpec()
+        fabric = request.fabric
         topology = ChipTopology(
             num_chips=fabric.num_chips,
             kind=fabric.topology,
             link_bandwidth_gbps=fabric.link_bandwidth_gbps,
             link_latency_cycles=fabric.link_latency_cycles,
         )
-        simulator = ScaleOutSimulator(
+        system = ScaleOutSimulator(
             config=request.experiment_config(),
             topology=topology,
             exchange=fabric.exchange,
             shard_method=fabric.shard_method,
             grow_overrides=request.override_dict(),
-            session=session,
-        )
-        system = simulator.run(request.dataset)
-        return scaleout_run_result(request, system)
+        ).run(request.dataset)
+        metrics = {
+            "cycles": float(system.system_cycles),
+            "dram_bytes": float(system.dram_bytes),
+            "energy_nj": float(system.energy_nj),
+            "area_mm2": float(system.area_mm2),
+        }
+        return RunResult(request=request, metrics=metrics, detail={"system": system.to_dict()})
 
 
 for _backend in (

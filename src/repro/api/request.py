@@ -124,42 +124,6 @@ class ScaleOutSpec:
 
 
 @dataclass(frozen=True)
-class ChipSpec:
-    """One shard slice of a dataset: chip ``chip_id`` of an ``num_chips``-way
-    partition.  Used by the scale-out engine to route its per-chip GROW runs
-    through the same facade (and the same caches) as whole-dataset runs.
-
-    Deliberately independent of the fabric's link parameters: a chip's
-    simulation depends only on the shard, so bandwidth/latency/topology
-    sweeps over the same system share every per-chip cache entry.
-    """
-
-    num_chips: int
-    chip_id: int
-    shard_method: str = "metis"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "num_chips", _coerce_int(self.num_chips, "num_chips", 1))
-        object.__setattr__(self, "chip_id", _coerce_int(self.chip_id, "chip_id", 0))
-        if self.chip_id >= self.num_chips:
-            raise RequestError(
-                f"chip_id {self.chip_id} out of range for a {self.num_chips}-chip system"
-            )
-        _choice(self.shard_method, "shard method", SHARD_METHODS)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "num_chips": self.num_chips,
-            "chip_id": self.chip_id,
-            "shard_method": self.shard_method,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ChipSpec":
-        return cls(**{k: data[k] for k in cls.__dataclass_fields__ if k in data})
-
-
-@dataclass(frozen=True)
 class SimRequest:
     """One simulation, fully described.
 
@@ -180,7 +144,6 @@ class SimRequest:
             canonically as a sorted tuple of pairs.
         fabric: the inter-chip fabric; required meaningfully only by (and
             only allowed with) the ``scaleout`` backend.
-        chip: restrict the run to one shard slice (``grow`` backend only).
         scenario: the full synthetic-workload definition when ``dataset`` is
             not one of the paper's built-ins — a
             :class:`~repro.graph.registry.DatasetSpec` or a declarative
@@ -202,7 +165,6 @@ class SimRequest:
     partitioned: bool = True
     overrides: tuple[tuple[str, Any], ...] = ()
     fabric: ScaleOutSpec | None = None
-    chip: ChipSpec | None = None
     scenario: DatasetSpec | None = None
 
     def __post_init__(self) -> None:
@@ -246,8 +208,6 @@ class SimRequest:
 
         if isinstance(self.fabric, Mapping):
             object.__setattr__(self, "fabric", ScaleOutSpec.from_dict(self.fabric))
-        if isinstance(self.chip, Mapping):
-            object.__setattr__(self, "chip", ChipSpec.from_dict(self.chip))
 
         self._canonicalise_scenario()
         self._validate_names()
@@ -305,10 +265,6 @@ class SimRequest:
                 f"a fabric spec only applies to the 'scaleout' backend, "
                 f"not {self.backend!r}"
             )
-        if self.chip is not None and self.backend != "grow":
-            raise RequestError(
-                f"a chip spec only applies to the 'grow' backend, not {self.backend!r}"
-            )
 
     def _canonicalise_irrelevant_fields(self) -> None:
         """Reset fields the chosen backend provably ignores to their defaults.
@@ -317,11 +273,11 @@ class SimRequest:
         :meth:`cache_key`, so knobs with no effect on the outcome cannot be
         allowed into the canonical form: a ``scaleout`` request with no
         fabric means the default fabric; ``partitioned`` only reaches the
-        plan selection of whole-dataset GROW-family runs (baselines never
-        load a plan, scale-out and chip slices always shard the partitioned
-        one); ``gcnax_tile`` only reaches the ``gcnax`` backend; a
-        ``num_nodes`` override equal to the embedded scenario's own size
-        describes the same workload as no override.
+        plan selection of GROW-family runs (baselines never load a plan,
+        scale-out always shards the partitioned one); ``gcnax_tile`` only
+        reaches the ``gcnax`` backend; a ``num_nodes`` override equal to
+        the embedded scenario's own size describes the same workload as no
+        override.
         """
         if self.backend == "scaleout" and self.fabric is None:
             object.__setattr__(self, "fabric", ScaleOutSpec())
@@ -331,7 +287,7 @@ class SimRequest:
         ):
             # An override equal to the scenario's own size is the default.
             object.__setattr__(self, "num_nodes", None)
-        if self.backend not in ("grow", "multipe") or self.chip is not None:
+        if self.backend not in ("grow", "multipe"):
             object.__setattr__(self, "partitioned", True)
         if self.backend != "gcnax":
             default_tile = type(self).__dataclass_fields__["gcnax_tile"].default
@@ -353,7 +309,6 @@ class SimRequest:
             "partitioned": self.partitioned,
             "overrides": dict(self.overrides),
             "fabric": self.fabric.to_dict() if self.fabric is not None else None,
-            "chip": self.chip.to_dict() if self.chip is not None else None,
             "scenario": (
                 registry.scenario_to_dict(self.scenario)
                 if self.scenario is not None
@@ -373,8 +328,6 @@ class SimRequest:
             )
         if known.get("fabric") is not None:
             known["fabric"] = ScaleOutSpec.from_dict(known["fabric"])
-        if known.get("chip") is not None:
-            known["chip"] = ChipSpec.from_dict(known["chip"])
         return cls(**known)
 
     def canonical_json(self) -> str:
@@ -417,7 +370,6 @@ class SimRequest:
         overrides: Mapping[str, Any] | None = None,
         partitioned: bool = True,
         fabric: ScaleOutSpec | None = None,
-        chip: ChipSpec | None = None,
     ) -> "SimRequest":
         """Build the request equivalent to running ``dataset`` under an
         existing experiment configuration (the bridge the harness, DSE and
@@ -435,6 +387,5 @@ class SimRequest:
             partitioned=partitioned,
             overrides=dict(overrides or {}),
             fabric=fabric,
-            chip=chip,
             scenario=config.scenario_for(dataset),
         )

@@ -1,13 +1,13 @@
 """The session: one ``run(request) -> RunResult`` entry point for everything.
 
 :class:`Session` is the facade every consumer in the repository goes
-through — the experiment harness, the DSE objective evaluation, the
-scale-out engine's per-chip runs and the ``sim``/``scaleout`` CLI verbs.
+through — the experiment harness, the DSE objective evaluation and the
+``sim``/``scaleout`` CLI verbs.
 It layers three levels of reuse under a single dispatch path:
 
 1. an **in-process memo** keyed by the request's canonical cache key, so
    repeated identical runs inside one process (sweeps, suite experiments
-   sharing a baseline, the scale-out 1-chip reference) never re-simulate;
+   sharing a baseline) never re-simulate;
 2. the harness **on-disk** :class:`~repro.harness.cache.ResultCache`
    (when the session is given one, or a ``results_dir`` to build one in),
    keyed by the same canonical request plus the source-tree version, so
@@ -47,15 +47,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Process-wide memo of run payloads, keyed by the request's cache key.
 #: Each payload is kept once, as its JSON text, and every hit decodes a
 #: fresh dict, so no caller shares nested state with the memo or with
-#: another caller.  Consulted even by cache-disabled sessions (mirroring
-#: the scale-out engine's historical chip memo); cleared via
+#: another caller.  Consulted even by cache-disabled sessions; cleared via
 #: :func:`clear_memo`.
 _RUN_MEMO: dict[str, str] = {}
 
 #: Memo entry bound: payloads carry full per-phase detail, so an unbounded
 #: memo would grow with every distinct request for the life of the process
 #: (e.g. a long DSE search).  Least-recently-used eviction keeps the hot
-#: working set — sweeps, shared baselines, the 1-chip reference — resident:
+#: working set — sweeps, shared baselines — resident:
 #: insertion order is recency order, and :meth:`Session._lookup` refreshes
 #: an entry's position on every memo hit.
 _MEMO_LIMIT = 4096
@@ -87,10 +86,8 @@ def _execute_request(request_dict: dict, telemetry: bool = False) -> dict:
     """Run one request in a worker; module-level so it pickles across.
 
     Workers rebuild the (memoised) bundles and shard plans from the request,
-    which is deterministic — the same mechanism the suite, DSE and scale-out
-    executors rely on.  They run detached (``session=None``): composite
-    backends fall back to serial, memo-only execution, and the parent
-    session persists the whole-run payload on their behalf.
+    which is deterministic — the same mechanism the suite and DSE executors
+    rely on.  Only the parent session memoises and persists the payload.
 
     With ``telemetry`` the worker records its spans and metrics locally and
     ships them home under :data:`~repro.obs.TELEMETRY_KEY`, attached *after*
@@ -101,7 +98,7 @@ def _execute_request(request_dict: dict, telemetry: bool = False) -> dict:
     request = SimRequest.from_dict(request_dict)
     if not telemetry:
         start = time.perf_counter()  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
-        result = get_backend(request.backend).run(request, session=None)
+        result = get_backend(request.backend).run(request)
         result.seconds = time.perf_counter() - start  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
         return _normalise(result.to_dict())
     # Start from a clean slate: a forked worker inherits the parent's (or a
@@ -113,7 +110,7 @@ def _execute_request(request_dict: dict, telemetry: bool = False) -> dict:
             "session.execute", backend=request.backend, dataset=request.dataset
         ):
             start = time.perf_counter()  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
-            result = get_backend(request.backend).run(request, session=None)
+            result = get_backend(request.backend).run(request)
             result.seconds = time.perf_counter() - start  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
         metrics.observe("session.execute_seconds", result.seconds)
     payload = _normalise(result.to_dict())
@@ -232,11 +229,9 @@ class Session:
     def _execute_in_process(self, request: SimRequest) -> tuple[dict, dict]:
         """Run one request inline; returns ``(payload, phases)``.
 
-        The backend is handed this session so composite backends
-        (``scaleout``) inherit its jobs/cache wiring.  The per-phase
-        breakdown is collected — via the nesting-safe ``trace.collect``,
-        which leaves user-enabled tracing untouched — only while the run
-        ledger is recording, and is empty otherwise.
+        The per-phase breakdown is collected — via the nesting-safe
+        ``trace.collect``, which leaves user-enabled tracing untouched —
+        only while the run ledger is recording, and is empty otherwise.
         """
         if not run_ledger.ledger_enabled():
             return self._execute_body(request), {}
@@ -249,7 +244,7 @@ class Session:
             "session.execute", backend=request.backend, dataset=request.dataset
         ):
             start = time.perf_counter()  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
-            result = get_backend(request.backend).run(request, session=self)
+            result = get_backend(request.backend).run(request)
             result.seconds = time.perf_counter() - start  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
         metrics.observe("session.execute_seconds", result.seconds)
         return _normalise(result.to_dict())
@@ -269,9 +264,8 @@ class Session:
         repeats within the batch are simulated once (later copies report
         ``cached``).  With ``jobs > 1`` the misses fan out across worker
         processes (:func:`~repro.api.pool.fan_out`); serial and parallel
-        batches produce identical results (workers run detached — composite
-        backends execute serially inside them, and only the parent writes
-        the disk cache).  The first failure is raised after its ledger
+        batches produce identical results (only the parent writes the disk
+        cache).  The first failure is raised after its ledger
         ``failed`` line; a worker that died raises
         :class:`~repro.api.pool.WorkerDied` naming the request.
         ``progress`` (when given) is called once per request as its

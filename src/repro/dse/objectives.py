@@ -271,10 +271,10 @@ def _scaleout_candidate_metrics(
     ``cycles``/``dram_bytes``/``energy_nj`` sum the system results over the
     configuration's datasets (interconnect traffic is priced inside the
     engine's energy, not counted as DRAM); ``area_mm2`` is the chip area
-    times the chip count.  Each per-dataset system run routes through the
-    API facade's ``scaleout`` backend (the DSE engine caches whole candidate
-    evaluations; the facade's memo additionally shares per-chip runs across
-    candidates that only differ in link parameters).
+    times the chip count.  Each per-dataset system is one request to the
+    API facade's ``scaleout`` backend, so the facade's memo shares it with
+    any other caller asking for the same system; the fabric keys the
+    candidate leaves out take :class:`~repro.api.ScaleOutSpec`'s defaults.
     """
     from repro.api import ScaleOutSpec, SimRequest, get_session
 
@@ -282,13 +282,7 @@ def _scaleout_candidate_metrics(
     grow_overrides = _provision_ldn(
         {k: v for k, v in overrides.items() if k not in _SCALEOUT_KEYS}
     )
-    spec = ScaleOutSpec(
-        num_chips=int(fabric.get("num_chips", 1)),
-        topology=fabric.get("topology", "ring"),
-        link_bandwidth_gbps=float(fabric.get("link_bandwidth_gbps", 32.0)),
-        link_latency_cycles=int(fabric.get("link_latency_cycles", 50)),
-        exchange=fabric.get("exchange", "halo"),
-    )
+    spec = ScaleOutSpec(**fabric)
     session = get_session()
     runs = [
         session.run(

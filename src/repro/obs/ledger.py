@@ -12,7 +12,7 @@ Durability model:
 * **One line, one write.**  A record is serialised to a single
   newline-terminated JSON line and written with one ``os.write`` on a file
   descriptor opened ``O_APPEND``, so concurrent appends from pool workers
-  (DSE candidate evaluations, suite experiments, scale-out chip runs all
+  (DSE candidate evaluations, suite experiments and session requests all
   execute in worker processes) never interleave or truncate each other.
 * **Crash-tolerant loads.**  A process dying mid-write can leave at most
   one damaged line; :func:`load_ledger` reports and skips undecodable

@@ -28,13 +28,7 @@ Quick use::
     print(system.system_cycles, system.interchip_bytes, system.scaling_efficiency)
 """
 
-from repro.scaleout.engine import (
-    ChipOutcome,
-    ScaleOutResult,
-    ScaleOutSimulator,
-    clear_shard_cache,
-    get_shard_plan,
-)
+from repro.scaleout.engine import ScaleOutResult, ScaleOutSimulator, get_shard_plan
 from repro.scaleout.interconnect import (
     EXCHANGE_PATTERNS,
     ExchangeReport,
@@ -61,7 +55,5 @@ __all__ = [
     "EXCHANGE_PATTERNS",
     "ScaleOutSimulator",
     "ScaleOutResult",
-    "ChipOutcome",
     "get_shard_plan",
-    "clear_shard_cache",
 ]

@@ -1,16 +1,14 @@
 """The scale-out simulator: compose per-chip GROW runs into system results.
 
 :class:`ScaleOutSimulator` is the one entry point behind ``python -m repro
-scaleout`` and the ``scaling_out`` experiment family.  For one dataset it
+scaleout``, the API's ``scaleout`` backend and the ``scaling_out``
+experiment family.  For one dataset it
 
 1. builds the workload bundle and shards the preprocessing plan's clusters
    across the topology's chips (:mod:`repro.scaleout.shard`),
-2. runs one single-chip GROW simulation per non-empty shard, priced from
-   the bundle plan's counts of that chip's clusters, each expressed as a
-   chip-sliced ``grow`` :class:`~repro.api.request.SimRequest` and
-   executed through the caller's API :class:`~repro.api.session.Session`
-   — which supplies the process-pool fan-out, the in-process memo and the
-   on-disk :class:`~repro.harness.cache.ResultCache`,
+2. prices one single-chip GROW run per non-empty shard, in process, from
+   the bundle plan's counts of that chip's clusters (an empty shard is an
+   empty result),
 3. prices the per-layer halo/reduction exchanges on the interconnect
    (:mod:`repro.scaleout.interconnect`), and
 4. composes per-layer system cycles: chips run between per-layer barriers,
@@ -18,14 +16,10 @@ scaleout`` and the ``scaling_out`` experiment family.  For one dataset it
    farthest active exchange's hop latency is exposed — the same
    overlap-then-expose shape as runahead over DRAM.
 
-Because per-chip runs are deterministic functions of ``(dataset, config,
-shard, chip)`` and the session normalises every fresh result through its
-JSON form before composition, serial, parallel and cached re-runs of the
-same system produce identical :class:`ScaleOutResult` objects.  Chip
-requests deliberately omit the fabric's link parameters, so chip-count/
-topology/bandwidth sweeps and the 1-chip baseline share every per-chip
-cache entry.  A one-chip system degenerates to exactly the single-chip
-simulator's cycles and DRAM traffic.
+A system is a deterministic function of ``(dataset, config, fabric)``; the
+API :class:`~repro.api.session.Session` caches, fans out and forces whole
+systems (``scaleout`` requests), never single chips.  A one-chip system
+degenerates to exactly the single-chip simulator's cycles and DRAM traffic.
 
 Modeling note — halo rows touch *two* channels, deliberately: the exchange
 moves each remote XW row across the fabric once (link cycles + link
@@ -43,11 +37,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.accelerators.base import AcceleratorResult, merge_sram_events
-from repro.api import ChipSpec, Session, SimRequest, get_session
 from repro.api.backends import grow_area_mm2
+from repro.core.accelerator import GrowSimulator
 from repro.energy.energy_model import estimate_energy
 from repro.harness.config import ExperimentConfig, default_config
 from repro.harness.report import ExperimentResult
@@ -61,56 +55,24 @@ from repro.scaleout.topology import ChipTopology
 #: Short topology tags used in report/file names.
 _KIND_TAGS = {"ring": "ring", "mesh": "mesh", "fully-connected": "fc"}
 
-#: Per-process memo of shard plans (mirrors the workload-bundle memo).
-_SHARD_CACHE: dict[tuple, ShardPlan] = {}
-
-
-def _shard_cache_key(
-    dataset: str, config: ExperimentConfig, num_chips: int, method: str
-) -> tuple:
-    return (
-        dataset,
-        config.seed,
-        config.num_nodes_override.get(dataset),
-        config.target_cluster_nodes,
-        num_chips,
-        method,
-        # Scenario datasets shard by their full definition, not just a name
-        # (including registry-resolved scenarios the config does not carry).
-        config.effective_scenario(dataset),
-    )
-
 
 def get_shard_plan(
     dataset: str, config: ExperimentConfig, num_chips: int, method: str = "metis"
 ) -> ShardPlan:
-    """Build (or fetch from the per-process memo) one dataset's shard plan."""
-    key = _shard_cache_key(dataset, config, num_chips, method)
-    if key not in _SHARD_CACHE:
-        bundle = get_bundle(dataset, config)
+    """One dataset's shard plan, memoised on its bundle plan (by chip count
+    and method), so it lives exactly as long as the bundle."""
+    bundle = get_bundle(dataset, config)
+    adjacency = bundle.dataset.graph.adjacency()
+
+    def build() -> ShardPlan:
         with trace.span(
             "scaleout.shard_plan", dataset=dataset, chips=num_chips, method=method
         ):
-            # repro: allow(CONC001) per-process shard-plan memo; workers rebuild plans deterministically from (dataset, config, chips, method)
-            _SHARD_CACHE[key] = build_shard_plan(
+            return build_shard_plan(
                 bundle.dataset.graph, bundle.plan, num_chips, method=method, seed=config.seed
             )
-    return _SHARD_CACHE[key]
 
-
-def clear_shard_cache() -> None:
-    """Drop memoised shard plans (used by tests that vary global state)."""
-    _SHARD_CACHE.clear()
-
-
-@dataclass
-class ChipOutcome:
-    """What happened to one chip of a scale-out run."""
-
-    chip_id: int
-    status: str  # "ran", "cached" or "empty"
-    result: AcceleratorResult
-    seconds: float = 0.0
+    return bundle.plan.derived(("shard_plan", num_chips, method), adjacency, build)
 
 
 @dataclass
@@ -130,7 +92,6 @@ class ScaleOutResult:
         scaling_efficiency: speedup divided by the chip count (strong
             scaling efficiency; 1.0 for one chip by construction).
         chip_cycles: per-chip total cycles, indexed by chip id.
-        chip_statuses: per-chip ``ran``/``cached``/``empty``.
         dram_bytes: DRAM traffic summed over chips (local channels).
         interchip_bytes: bytes injected into the inter-chip fabric.
         interchip_hop_bytes: bytes x hops (link occupancy).
@@ -153,7 +114,6 @@ class ScaleOutResult:
     speedup_vs_single_chip: float
     scaling_efficiency: float
     chip_cycles: list[float]
-    chip_statuses: list[str]
     dram_bytes: int
     interchip_bytes: int
     interchip_hop_bytes: int
@@ -169,8 +129,7 @@ class ScaleOutResult:
         return int(self.topology["num_chips"])
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-safe form (identical across serial/parallel/cached runs,
-        except for the ran-vs-cached chip statuses)."""
+        """JSON-safe form (identical across serial/parallel/cached runs)."""
         return {
             "dataset": self.dataset,
             "topology": dict(self.topology),
@@ -181,7 +140,6 @@ class ScaleOutResult:
             "speedup_vs_single_chip": self.speedup_vs_single_chip,
             "scaling_efficiency": self.scaling_efficiency,
             "chip_cycles": list(self.chip_cycles),
-            "chip_statuses": list(self.chip_statuses),
             "dram_bytes": self.dram_bytes,
             "interchip_bytes": self.interchip_bytes,
             "interchip_hop_bytes": self.interchip_hop_bytes,
@@ -199,13 +157,6 @@ class ScaleOutResult:
         ``detail["system"]`` payload of an API ``scaleout`` run)."""
         known = {k: data[k] for k in cls.__dataclass_fields__ if k in data}
         return cls(**known)
-
-    def comparable_dict(self) -> dict[str, Any]:
-        """:meth:`to_dict` minus execution provenance (chip statuses), i.e.
-        the fields serial, parallel and cached re-runs must agree on."""
-        data = self.to_dict()
-        data.pop("chip_statuses")
-        return data
 
     def as_row(self) -> dict[str, Any]:
         """Flat summary row for :class:`~repro.harness.report.ExperimentResult`."""
@@ -236,9 +187,6 @@ class ScaleOutSimulator:
         shard_method: cluster-to-chip assignment (``"metis"`` or ``"greedy"``).
         grow_overrides: per-chip :class:`~repro.core.config.GrowConfig`
             field overrides (e.g. ``runahead_degree=32``).
-        session: the API session every per-chip run goes through — its
-            jobs, memo, on-disk cache and ``force`` apply to the chips
-            (:func:`~repro.api.get_session`, memo-only, when omitted).
         results_dir: where ``scaleout_*.{json,md}`` reports are written by
             :meth:`write_reports`; ``None`` skips report files.
     """
@@ -250,7 +198,6 @@ class ScaleOutSimulator:
         exchange: str = "halo",
         shard_method: str = "metis",
         grow_overrides: dict | None = None,
-        session: Session | None = None,
         results_dir: str | Path | None = None,
     ):
         self.config = config if config is not None else default_config()
@@ -261,60 +208,33 @@ class ScaleOutSimulator:
         self.exchange = exchange
         self.shard_method = shard_method
         self.grow_overrides = dict(grow_overrides or {})
-        self.session = session if session is not None else get_session()
         self.results_dir = Path(results_dir) if results_dir is not None else None
 
     # -- per-chip evaluation ----------------------------------------------
 
-    def _chip_request(self, dataset: str, num_chips: int, chip_id: int) -> SimRequest:
-        """The chip-sliced ``grow`` request of one shard.
-
-        Deliberately independent of the fabric's link parameters: the
-        per-chip simulation only depends on the shard (dataset, chip count,
-        method) and the GROW configuration, so bandwidth/latency/topology
-        sweeps over the same system share every chip entry.
-        """
-        return SimRequest.from_experiment(
-            self.config,
-            dataset,
-            backend="grow",
-            overrides=self.grow_overrides,
-            chip=ChipSpec(
-                num_chips=num_chips, chip_id=chip_id, shard_method=self.shard_method
-            ),
-        )
-
-    def _evaluate_chips(
-        self, dataset: str, num_chips: int, shard_plan: ShardPlan
-    ) -> list[ChipOutcome]:
-        """One outcome per chip, in chip order; empty shards skip simulation."""
-        outcomes: list[ChipOutcome | None] = [None] * num_chips
-        to_run: list[int] = []
-        for chip_id, shard in enumerate(shard_plan.shards):
+    def _chip_results(
+        self, dataset: str, shard_plan: ShardPlan
+    ) -> list[AcceleratorResult]:
+        """One GROW result per chip, in chip order; empty shards are empty
+        results.  The chip's clusters keep their rows, row order and HDN
+        lists, so its counts are sums of the bundle plan's per-cluster
+        counts."""
+        bundle = get_bundle(dataset, self.config)
+        simulator = GrowSimulator(self.config.grow_config(**self.grow_overrides))
+        results = []
+        for shard in shard_plan.shards:
+            name = f"{dataset}[chip{shard.chip_id}/{shard_plan.num_chips}]"
             if shard.empty:
-                outcomes[chip_id] = ChipOutcome(
-                    chip_id=chip_id,
-                    status="empty",
-                    result=AcceleratorResult(
-                        accelerator="grow", workload=f"{dataset}[chip{chip_id}/{num_chips}]"
-                    ),
-                )
+                obs_metrics.inc("scaleout.chips_empty")
+                results.append(AcceleratorResult(accelerator="grow", workload=name))
             else:
-                to_run.append(chip_id)
-
-        runs = self.session.run_batch(
-            [self._chip_request(dataset, num_chips, chip_id) for chip_id in to_run]
-        )
-        for chip_id, run in zip(to_run, runs):
-            outcomes[chip_id] = ChipOutcome(
-                chip_id=chip_id,
-                status=run.status,
-                result=run.accelerator_result(),
-                seconds=run.seconds,
-            )
-        for outcome in outcomes:
-            obs_metrics.inc(f"scaleout.chips_{outcome.status}")
-        return outcomes  # every slot is filled by construction
+                obs_metrics.inc("scaleout.chips_ran")
+                results.append(
+                    simulator.run_model(
+                        bundle.workloads, bundle.plan, name=name, clusters=shard.clusters
+                    )
+                )
+        return results
 
     # -- composition -------------------------------------------------------
 
@@ -322,7 +242,7 @@ class ScaleOutSimulator:
         self,
         dataset: str,
         shard_plan: ShardPlan,
-        outcomes: Sequence[ChipOutcome],
+        chips: Sequence[AcceleratorResult],
         single_chip_cycles: float,
     ) -> ScaleOutResult:
         bundle = get_bundle(dataset, self.config)
@@ -340,8 +260,8 @@ class ScaleOutSimulator:
         ):
             for layer_index in range(num_layers):
                 chip_layer_cycles = []
-                for outcome in outcomes:
-                    phases = outcome.result.phases[2 * layer_index : 2 * layer_index + 2]
+                for chip in chips:
+                    phases = chip.phases[2 * layer_index : 2 * layer_index + 2]
                     chip_layer_cycles.append(sum(phase.total_cycles for phase in phases))
                 exchange = self.interconnect.layer_exchange(
                     shard_plan, bundle.workloads[layer_index].aggregation.rhs_row_bytes
@@ -368,9 +288,9 @@ class ScaleOutSimulator:
         obs_metrics.inc("scaleout.interchip_hop_bytes", int(interchip_hop_bytes))
 
         # -- energy over the whole system.
-        mac_operations = sum(o.result.total_mac_operations for o in outcomes)
-        dram_bytes = sum(o.result.total_dram_bytes for o in outcomes)
-        sram_events = merge_sram_events([o.result for o in outcomes])
+        mac_operations = sum(chip.total_mac_operations for chip in chips)
+        dram_bytes = sum(chip.total_dram_bytes for chip in chips)
+        sram_events = merge_sram_events(list(chips))
         area_mm2 = grow_area_mm2(self.config.grow_config(**self.grow_overrides)) * num_chips
         chip_energy = estimate_energy(
             mac_operations=mac_operations,
@@ -391,8 +311,7 @@ class ScaleOutSimulator:
             single_chip_cycles=float(single_chip_cycles),
             speedup_vs_single_chip=float(speedup),
             scaling_efficiency=float(speedup / num_chips),
-            chip_cycles=[float(o.result.total_cycles) for o in outcomes],
-            chip_statuses=[o.status for o in outcomes],
+            chip_cycles=[float(chip.total_cycles) for chip in chips],
             dram_bytes=int(dram_bytes),
             interchip_bytes=int(interchip_bytes),
             interchip_hop_bytes=int(interchip_hop_bytes),
@@ -405,13 +324,6 @@ class ScaleOutSimulator:
         )
 
     # -- entry points ------------------------------------------------------
-
-    def _single_chip_total_cycles(self, dataset: str) -> float:
-        """The one-chip baseline, via the same cached per-chip machinery so a
-        chip-count sweep pays for it once."""
-        shard_plan = get_shard_plan(dataset, self.config, 1, self.shard_method)
-        outcome = self._evaluate_chips(dataset, 1, shard_plan)[0]
-        return float(outcome.result.total_cycles)
 
     def run(self, dataset: str) -> ScaleOutResult:
         """Simulate one dataset on the configured system."""
@@ -427,13 +339,14 @@ class ScaleOutSimulator:
                 shard_plan = get_shard_plan(
                     dataset, self.config, num_chips, self.shard_method
                 )
-                outcomes = self._evaluate_chips(dataset, num_chips, shard_plan)
-                if num_chips == 1:
-                    single_chip_cycles = float(outcomes[0].result.total_cycles)
+                chips = self._chip_results(dataset, shard_plan)
+                if num_chips > 1:
+                    single_chip = get_shard_plan(dataset, self.config, 1, self.shard_method)
+                    baseline = self._chip_results(dataset, single_chip)[0]
                 else:
-                    single_chip_cycles = self._single_chip_total_cycles(dataset)
+                    baseline = chips[0]
                 result = self._compose(
-                    dataset, shard_plan, outcomes, single_chip_cycles
+                    dataset, shard_plan, chips, float(baseline.total_cycles)
                 )
         except Exception:
             record_run(
@@ -460,18 +373,6 @@ class ScaleOutSimulator:
             },
         )
         return result
-
-    def run_all(
-        self, progress: Callable[[ScaleOutResult], None] | None = None
-    ) -> list[ScaleOutResult]:
-        """Simulate every dataset of the configuration, in order."""
-        results = []
-        for dataset in self.config.datasets:
-            result = self.run(dataset)
-            results.append(result)
-            if progress:
-                progress(result)
-        return results
 
     # -- reporting ---------------------------------------------------------
 
@@ -513,10 +414,7 @@ class ScaleOutSimulator:
                 "exchange": self.exchange,
                 "shard_method": self.shard_method,
                 "grow_overrides": dict(self.grow_overrides),
-                # comparable_dict: report artefacts must be identical across
-                # serial, parallel and cached re-runs, so the ran-vs-cached
-                # provenance stays out of them.
-                "systems": [r.comparable_dict() for r in results],
+                "systems": [r.to_dict() for r in results],
             },
         )
         for system in results:

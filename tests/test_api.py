@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.api import (
-    ChipSpec,
     RequestError,
     RunResult,
     ScaleOutSpec,
@@ -94,19 +93,6 @@ def test_distinct_requests_have_distinct_keys():
     )
 
 
-def test_chip_requests_are_independent_of_link_parameters(config):
-    # The scale-out cache-sharing contract: a chip slice's identity has no
-    # fabric in it, so link/topology sweeps share every per-chip entry.
-    chip = ChipSpec(num_chips=4, chip_id=1)
-    request = request_for(config, chip=chip)
-    assert "link" not in request.canonical_json()
-    assert request.to_dict()["chip"] == {
-        "num_chips": 4,
-        "chip_id": 1,
-        "shard_method": "metis",
-    }
-
-
 def test_experiment_config_round_trip(config):
     request = request_for(config, "amazon")
     bound = request.experiment_config()
@@ -142,8 +128,6 @@ def test_field_range_validation():
         SimRequest(dataset="cora", bandwidth_gbps=0)
     with pytest.raises(RequestError, match="num_macs must be at least 1"):
         SimRequest(dataset="cora", num_macs=0)
-    with pytest.raises(RequestError, match="chip_id 4 out of range"):
-        ChipSpec(num_chips=4, chip_id=4)
     with pytest.raises(RequestError, match="did you mean ring"):
         ScaleOutSpec(topology="rng")
     with pytest.raises(RequestError, match="shard method"):
@@ -153,10 +137,6 @@ def test_field_range_validation():
 def test_field_combination_validation():
     with pytest.raises(RequestError, match="fabric spec only applies"):
         SimRequest(dataset="cora", backend="grow", fabric=ScaleOutSpec())
-    with pytest.raises(RequestError, match="chip spec only applies"):
-        SimRequest(
-            dataset="cora", backend="gcnax", chip=ChipSpec(num_chips=2, chip_id=0)
-        )
     with pytest.raises(RequestError, match="JSON-safe scalar"):
         SimRequest(dataset="cora", overrides={"runahead_degree": [1, 2]})
 
@@ -353,29 +333,32 @@ def test_run_batch_dedups_identical_requests(config, session):
 
 def test_scaleout_requests_share_the_session_cache_with_chip_runs(config, tmp_path):
     clear_memo()
-    session = Session(results_dir=tmp_path, jobs=1)
-    session.run(
-        request_for(
-            config, "amazon", backend="scaleout", fabric=ScaleOutSpec(num_chips=2)
-        )
+    request = request_for(
+        config, "amazon", backend="scaleout", fabric=ScaleOutSpec(num_chips=2)
     )
-    # The engine's per-chip grow runs inherited the session's cache, so the
-    # chip entries landed on disk next to the whole-system entry.
+    Session(results_dir=tmp_path, jobs=1).run(request)
+    # The session caches whole systems: the engine prices its chips in
+    # process, so no chip entry reaches the disk.
     entries = [p.name for p in (tmp_path / "cache").glob("api-*.json")]
-    assert any(name.startswith("api-grow-amazon-") for name in entries)
-    assert any(name.startswith("api-scaleout-amazon-") for name in entries)
-    # A different fabric on a fresh process-state reuses every chip entry.
+    assert [name.split("-")[1] for name in entries] == ["scaleout"]
+    assert entries[0].startswith("api-scaleout-amazon-")
+    # A session with a cleared memo serves the system from its disk entry.
     clear_memo()
-    swept = Session(results_dir=tmp_path, jobs=1).run(
-        request_for(
-            config,
-            "amazon",
-            backend="scaleout",
-            fabric=ScaleOutSpec(num_chips=2, link_bandwidth_gbps=64.0),
-        )
+    assert Session(results_dir=tmp_path, jobs=1).run(request).status == "cached"
+
+
+@pytest.mark.parametrize("num_chips", [1, 2, 4, 16])
+def test_a_scaleout_request_is_one_session_request(config, num_chips):
+    """A system is one request and one fresh run, whatever its chip count."""
+    clear_memo()
+    request = request_for(
+        config, "amazon", backend="scaleout", fabric=ScaleOutSpec(num_chips=num_chips)
     )
-    assert swept.status == "ran"
-    assert swept.system_dict()["chip_statuses"] == ["cached", "cached"]
+    with metrics.scoped() as recorded:
+        result = Session(use_cache=False).run(request)
+    assert result.status == "ran"
+    assert recorded["counters"]["session.requests"] == 1
+    assert recorded["counters"]["session.fresh_runs"] == 1
 
 
 def test_memo_eviction_keeps_the_memo_bounded(config):
@@ -442,10 +425,8 @@ def test_memoize_false_reaches_scaleout_chip_runs(config):
     session = Session(use_cache=False, memoize=False)
     first = session.run(request)
     second = session.run(request)
-    # Nothing is served from the global memo — not the system run, and not
-    # the per-chip runs inside the engine either.
+    # Nothing is served from the global memo.
     assert first.status == second.status == "ran"
-    assert second.system_dict()["chip_statuses"] == ["ran", "ran"]
 
 
 def test_a_cache_and_runahead_sweep_builds_one_hdn_profile_per_plan():

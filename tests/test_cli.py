@@ -207,9 +207,10 @@ def test_scaleout_smoke_writes_reports_and_caches(tmp_path, capsys):
     first = json.loads(report_path.read_text())
     assert [row["dataset"] for row in first["rows"]] == ["cora", "amazon"]
 
-    # Second run: every chip comes from the cache, the report is identical.
+    # Second run: every system comes from the cache, the report is identical.
     assert main(argv) == 0
-    assert "0 chip(s) ran" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.count("(cached)") == 2 and "(ran)" not in out
     assert json.loads(report_path.read_text()) == first
 
     # And ``report`` re-renders the stored system results without recomputing.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.accelerators.base import KB
+from repro.api import ScaleOutSpec, Session, SimRequest, clear_memo
 from repro.dse import (
     Categorical,
     Conditional,
@@ -273,6 +274,35 @@ def test_cache_reuse_across_identical_searches(tmp_path, search_config):
     assert frontier_rows(first) == frontier_rows(second)
     assert (tmp_path / "results" / "dse_test-tiny.json").exists()
     assert (tmp_path / "results" / "dse_test-tiny.md").exists()
+
+
+def test_scaleout_smoke_search_sums_each_systems_requests(tmp_path):
+    """A ``scaleout`` candidate's metrics are its system's ``scaleout``
+    requests summed over the datasets (area is one system's), and serial,
+    parallel and cached searches find the same frontier."""
+    config = smoke_config()
+    space = get_space("scaleout-smoke")
+    clear_memo()
+    serial = run_search(space, config, use_cache=True, results_dir=tmp_path)
+    parallel = run_search(space, config, jobs=2)
+    cached = run_search(space, config, use_cache=True, results_dir=tmp_path)
+    assert space.size == 4
+    assert serial.num_ran == parallel.num_ran == cached.num_cached == 4
+    for evaluation in serial.evaluations:
+        fabric = ScaleOutSpec(**evaluation.candidate)
+        runs = Session(use_cache=False, memoize=False).run_batch(
+            [
+                SimRequest.from_experiment(config, name, backend="scaleout", fabric=fabric)
+                for name in config.datasets
+            ]
+        )
+        assert evaluation.metrics == {
+            "cycles": sum(run.total_cycles for run in runs),
+            "dram_bytes": float(sum(run.dram_bytes for run in runs)),
+            "energy_nj": sum(run.energy_nj for run in runs),
+            "area_mm2": runs[0].area_mm2,
+        }
+    assert frontier_rows(serial) == frontier_rows(parallel) == frontier_rows(cached)
 
 
 def test_constraints_mark_candidates_infeasible(search_config):

@@ -24,8 +24,9 @@ on hypothesis plans with skipped labels, node-less clusters, empty lists,
 repeated ids and ids past the matrix.
 
 So is the scale-out chip path: every chip of every Table I shard plan, at
-seven GROW configurations and under both shard methods, priced from the
-bundle plan's per-cluster counts against the row-sliced workloads and
+seven GROW configurations and under both shard methods, priced in process
+by the engine from the bundle plan's per-cluster counts against the
+row-sliced workloads and
 renumbered local plan it replaced (``oracles.chip_workloads`` and
 ``oracles.local_plan``), and every shard plan built from the memoised
 cluster coupling against the per-chip-count adjacency scan
@@ -61,8 +62,6 @@ from repro.accelerators.gamma import GAMMAConfig, simulate_lru_hits
 from repro.accelerators.gcnax import GCNAXConfig, GCNAXSimulator
 from repro.accelerators.hygcn import HyGCNSimulator, _nonzero_fraction
 from repro.accelerators.workload import SpDeGemmPhase
-from repro.api import ChipSpec, SimRequest
-from repro.api.backends import GrowBackend
 from repro.core.accelerator import GrowSimulator
 from repro.core.config import GrowConfig
 from repro.core.preprocess import PreprocessPlan
@@ -79,6 +78,7 @@ from repro.harness import default_config
 from repro.harness.config import ExperimentConfig
 from repro.harness.workloads import get_bundle
 from repro.obs import metrics
+from repro.scaleout import ScaleOutSimulator, get_shard_plan
 from repro.scaleout.shard import SHARD_METHODS, ClusterCoupling, build_shard_plan
 from repro.sparse import COOMatrix, CSRMatrix, sorted_unique, tile_statistics
 from repro.sparse.convert import coo_to_csr, dense_to_csr
@@ -757,27 +757,30 @@ def test_table1_chip_runs_match_the_row_sliced_path(bundle, method):
         shard_plan = build_shard_plan_reference(
             bundle.dataset.graph, bundle.plan, num_chips, method=method, seed=config.seed
         )
-        for shard in shard_plan.shards:
-            name = f"{dataset}[chip{shard.chip_id}/{num_chips}]"
-            # One slice and one local plan per chip, shared by every config.
-            workloads = chip_workloads(bundle.workloads, shard)
-            local = local_plan(bundle.plan, shard)
-            for overrides in CHIP_CONFIGS:
-                expected = (
-                    AcceleratorResult(accelerator="grow", workload=name)
-                    if shard.empty
-                    else GrowSimulator(config.grow_config(**overrides)).run_model(
+        # One slice and one local plan per chip, shared by every config.
+        sliced = {
+            shard.chip_id: (chip_workloads(bundle.workloads, shard), local_plan(bundle.plan, shard))
+            for shard in shard_plan.shards
+            if not shard.empty
+        }
+        for overrides in CHIP_CONFIGS:
+            engine = ScaleOutSimulator(
+                config=config, topology=num_chips, shard_method=method, grow_overrides=overrides
+            )
+            chips = engine._chip_results(
+                dataset, get_shard_plan(dataset, config, num_chips, method)
+            )
+            assert len(chips) == num_chips
+            for shard, chip in zip(shard_plan.shards, chips):
+                name = f"{dataset}[chip{shard.chip_id}/{num_chips}]"
+                if shard.empty:
+                    expected = AcceleratorResult(accelerator="grow", workload=name)
+                else:
+                    workloads, local = sliced[shard.chip_id]
+                    expected = GrowSimulator(config.grow_config(**overrides)).run_model(
                         workloads, local, name=name
                     )
-                )
-                request = SimRequest.from_experiment(
-                    config,
-                    dataset,
-                    backend="grow",
-                    overrides=overrides,
-                    chip=ChipSpec(num_chips=num_chips, chip_id=shard.chip_id, shard_method=method),
-                )
-                assert GrowBackend().run(request).detail["result"] == expected.to_dict()
+                assert chip.to_dict() == expected.to_dict()
 
 
 def test_table1_construction_matches_dense_first_path(bundle):

@@ -8,21 +8,21 @@ import numpy as np
 import pytest
 
 from repro.accelerators.gamma import simulate_lru_hits
-from repro.api import Session, clear_memo
+from repro.api import ScaleOutSpec, Session, SimRequest, clear_memo
 from repro.core.accelerator import GrowSimulator
 from repro.harness import smoke_config
-from repro.harness.workloads import get_bundle
+from repro.harness.workloads import clear_caches, get_bundle
 from repro.obs import metrics
 from repro.scaleout import (
     SHARD_METHODS,
     ChipTopology,
     InterconnectModel,
+    ScaleOutResult,
     ScaleOutSimulator,
     build_shard_plan,
     get_shard_plan,
     make_topology,
 )
-from repro.scaleout.engine import clear_shard_cache
 
 from oracles import chip_workloads, local_plan
 
@@ -145,6 +145,24 @@ def test_every_chip_count_and_method_shares_one_coupling_pass():
                 for num_chips in (1, 2, 3, 4, 8, 16):
                     get_shard_plan(dataset, config, num_chips, method)
     assert recorded["counters"]["scaleout.coupling.builds"] == len(config.datasets)
+
+
+def test_shard_plans_live_as_long_as_their_bundle():
+    """A shard plan is memoised on its bundle plan: the same object until
+    the bundle memo is cleared, then one built for the new bundle."""
+    config = smoke_config(datasets=("amazon",), seed=7_906)
+    first = get_shard_plan("amazon", config, 4, "metis")
+    assert get_shard_plan("amazon", config, 4, "metis") is first
+    assert get_shard_plan("amazon", config, 4, "greedy") is not first
+    clear_caches()
+    with mock.patch(
+        "repro.scaleout.engine.build_shard_plan", side_effect=build_shard_plan
+    ) as build:
+        second = get_shard_plan("amazon", config, 4, "metis")
+        assert get_shard_plan("amazon", config, 4, "metis") is second
+    assert second is not first
+    assert build.call_count == 1
+    assert build.call_args.args[1] is get_bundle("amazon", config).plan
 
 
 def test_chip_workloads_slice_rows(bundle):
@@ -278,63 +296,75 @@ def test_an_lru_sweep_replays_each_cluster_once_per_capacity():
                 config=config,
                 topology=ChipTopology(num_chips),
                 grow_overrides={"hdn_replacement": "lru"},
-                session=Session(use_cache=False),
             ).run("amazon")
     assert replay.call_count == streamed * len(capacities)
 
 
 def test_serial_parallel_and_cached_runs_are_identical(config, tmp_path):
-    clear_shard_cache()
     clear_memo()  # the serial run must really execute, not hit the memo
-    topology = ChipTopology(4, kind="ring")
-    serial = ScaleOutSimulator(
-        config=config, topology=topology, session=Session(results_dir=tmp_path, jobs=1)
-    ).run("amazon")
-    parallel = ScaleOutSimulator(
-        config=config,
-        topology=topology,
-        session=Session(results_dir=tmp_path, jobs=4, force=True),
-    ).run("amazon")
-    # Clearing the in-memory memo forces the third run through the on-disk
-    # cache entries the first two runs wrote.
+    requests = [
+        SimRequest.from_experiment(
+            config, dataset, backend="scaleout", fabric=ScaleOutSpec(num_chips=4)
+        )
+        for dataset in config.datasets
+    ]
+    serial = Session(results_dir=tmp_path, jobs=1).run_batch(requests)
+    parallel = Session(results_dir=tmp_path, jobs=2, force=True).run_batch(requests)
+    # Clearing the in-memory memo forces the third batch through the
+    # on-disk entries the first two wrote.
     clear_memo()
-    cached = ScaleOutSimulator(
-        config=config, topology=topology, session=Session(results_dir=tmp_path, jobs=1)
-    ).run("amazon")
-    assert cached.chip_statuses == ["cached"] * 4
-    assert serial.comparable_dict() == parallel.comparable_dict()
-    assert serial.comparable_dict() == cached.comparable_dict()
+    cached = Session(results_dir=tmp_path, jobs=1).run_batch(requests)
+    assert [run.status for run in serial + parallel] == ["ran"] * 4
+    assert [run.status for run in cached] == ["cached"] * 2
+
+    def systems(runs):
+        return [ScaleOutResult.from_dict(run.system_dict()).to_dict() for run in runs]
+
+    assert systems(serial) == systems(parallel) == systems(cached)
 
 
-def test_chip_cache_is_shared_across_link_parameter_sweeps(config, tmp_path):
-    clear_memo()  # force the first run to write real disk entries
-    ScaleOutSimulator(
-        config=config,
-        topology=ChipTopology(4, link_bandwidth_gbps=16.0),
-        session=Session(results_dir=tmp_path),
+def _sweep_prices_the_same_chips(config, first, topologies):
+    """Run ``topologies`` over amazon; every system must price ``first``'s
+    chips from the bundle plan's memos, building no shard plan, coupling
+    pass or HDN profile again."""
+    with metrics.scoped() as recorded, mock.patch(
+        "repro.scaleout.engine.build_shard_plan", side_effect=build_shard_plan
+    ) as build:
+        for topology in topologies:
+            swept = ScaleOutSimulator(config=config, topology=topology).run("amazon")
+            assert swept.chip_cycles == first.chip_cycles
+            assert swept.dram_bytes == first.dram_bytes
+    assert build.call_count == 0
+    counters = recorded["counters"]
+    assert counters.get("scaleout.coupling.builds", 0) == 0
+    assert counters.get("grow.hdn_profile.builds", 0) == 0
+    assert counters["scaleout.chips_ran"] + counters.get("scaleout.chips_empty", 0) == (
+        len(topologies) * (first.num_chips + 1)
+    )
+
+
+def test_chip_cache_is_shared_across_link_parameter_sweeps(config):
+    """Chips depend on the shard and the GROW configuration only: a link
+    bandwidth or latency sweep shares the bundle plan's shard plans and
+    per-cluster counts, and prices the same chips."""
+    first = ScaleOutSimulator(
+        config=config, topology=ChipTopology(4, link_bandwidth_gbps=16.0)
     ).run("amazon")
-    clear_memo()
-    swept = ScaleOutSimulator(
-        config=config,
-        topology=ChipTopology(4, link_bandwidth_gbps=64.0),
-        session=Session(results_dir=tmp_path),
-    ).run("amazon")
-    # Same shard, same chips: the faster fabric reuses every per-chip entry.
-    assert swept.chip_statuses == ["cached"] * 4
+    _sweep_prices_the_same_chips(
+        config,
+        first,
+        (ChipTopology(4, link_bandwidth_gbps=64.0), ChipTopology(4, link_latency_cycles=500)),
+    )
 
 
 def test_chip_memo_avoids_resimulation_without_a_disk_cache(config):
-    clear_memo()
+    """With no session and no disk cache, a topology sweep in the same
+    process re-prices its chips from the bundle plan's memos: nothing of
+    GROW's offline pass runs again, and the chip cycles are identical."""
     first = ScaleOutSimulator(config=config, topology=ChipTopology(4)).run("amazon")
-    assert "ran" in first.chip_statuses
-    # A second uncached simulator in the same process serves every chip from
-    # the in-memory memo (this is what keeps the suite's sweep experiments
-    # from re-simulating the shared 1-chip baseline per sweep point).
-    second = ScaleOutSimulator(config=config, topology=ChipTopology(4, kind="mesh")).run(
-        "amazon"
+    _sweep_prices_the_same_chips(
+        config, first, (ChipTopology(4, kind="mesh"), ChipTopology(4, kind="fully-connected"))
     )
-    assert second.chip_statuses == ["cached"] * 4
-    assert second.chip_cycles == first.chip_cycles
 
 
 def test_unknown_dataset_rejected(config):
@@ -345,7 +375,7 @@ def test_unknown_dataset_rejected(config):
 
 def test_report_has_one_row_per_dataset(config):
     simulator = ScaleOutSimulator(config=config, topology=ChipTopology(2))
-    results = simulator.run_all()
+    results = [simulator.run(dataset) for dataset in config.datasets]
     report = simulator.report(results)
     assert report.name == "scaleout_ring2"
     assert [row["dataset"] for row in report.rows] == list(config.datasets)
