@@ -27,9 +27,10 @@ from repro.accelerators.base import (
 from repro.accelerators.workload import LayerWorkload
 from repro.gcn.layer import GCNLayer
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.pattern import SparsityPattern
 
 
-def _nonzero_fraction(matrix: CSRMatrix) -> float:
+def _nonzero_fraction(matrix: CSRMatrix | SparsityPattern) -> float:
     """Fraction of a matrix's cells that hold a non-zero.
 
     The same float as the mean of the dense form's ``!= 0`` mask: an exact
@@ -37,7 +38,10 @@ def _nonzero_fraction(matrix: CSRMatrix) -> float:
     only, so its count is its ``nnz``.
     """
     cells = matrix.n_rows * matrix.n_cols
-    nonzeros = matrix.nnz if matrix.data is None else np.count_nonzero(matrix.data)
+    if isinstance(matrix, SparsityPattern):
+        nonzeros = matrix.nnz
+    else:
+        nonzeros = np.count_nonzero(matrix.data)
     return nonzeros / cells if cells else 0.0
 
 

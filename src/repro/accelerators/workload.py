@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.gcn.layer import GCNLayer, GCNModel
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.pattern import SparsityPattern
 
 
 @dataclass
@@ -25,14 +26,15 @@ class SpDeGemmPhase:
 
     Attributes:
         name: ``"combination"`` or ``"aggregation"``.
-        sparse: the LHS matrix in CSR form (A for aggregation, X for combination).
+        sparse: the LHS matrix in CSR form (A for aggregation, X for
+            combination), or its sparsity pattern.
         dense_shape: shape of the dense RHS matrix (K, N).
         rhs_resident: True when the RHS is small enough to be pinned on-chip
             for the whole phase (the weight matrix W during combination).
     """
 
     name: str
-    sparse: CSRMatrix
+    sparse: CSRMatrix | SparsityPattern
     dense_shape: tuple[int, int]
     rhs_resident: bool = False
 

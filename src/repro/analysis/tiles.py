@@ -13,11 +13,12 @@ import numpy as np
 from repro.accelerators.base import NNZ_BYTES
 from repro.obs import trace
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.pattern import SparsityPattern
 from repro.sparse.tiling import occupied_tile_counts, tile_nnz_histogram
 
 
 def tile_nnz_bins(
-    matrix: CSRMatrix,
+    matrix: CSRMatrix | SparsityPattern,
     tile_rows: int = 32,
     tile_cols: int = 32,
     bin_edges: tuple[int, ...] = (1, 2, 8, 16),
@@ -30,7 +31,7 @@ def tile_nnz_bins(
 
 
 def effective_bandwidth_utilization(
-    matrix: CSRMatrix,
+    matrix: CSRMatrix | SparsityPattern,
     tile_rows: int = 32,
     tile_cols: int = 32,
     access_granularity: int = 64,

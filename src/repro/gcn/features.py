@@ -8,7 +8,7 @@ published sparsity structure.
 
 The simulators read only where X's non-zeros are, so workloads are built
 from :func:`generate_feature_pattern`, which takes the dense generator's
-draws but keeps their positions only; :class:`FeatureDraws` replays the
+draws but keeps one bit per cell; :class:`FeatureDraws` replays the
 values, bit for bit, for the reference paths that multiply by X.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import metrics
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.pattern import SparsityPattern
 
 
 def generate_feature_matrix(
@@ -55,15 +55,14 @@ def generate_feature_pattern(
     num_cols: int,
     density: float,
     rng: np.random.Generator | None = None,
-) -> CSRMatrix:
+) -> SparsityPattern:
     """The sparsity pattern of :func:`generate_feature_matrix`, without its values.
 
-    Returns the ``indptr`` and ``indices`` of
-    ``dense_to_csr(generate_feature_matrix(...))`` exactly, ``data=None``.
-    It takes the same draws in the same order (every normal, then the
-    uniforms), so the generator ends in the same state.  The draws leave one
-    bit per cell and a count per row, so the column indices fill an array
-    allocated once at its final size.
+    The pattern's ``indptr`` and derived ``indices`` are those of
+    ``dense_to_csr(generate_feature_matrix(...))`` exactly.  It takes the
+    same draws in the same order (every normal, then the uniforms), so the
+    generator ends in the same state, and keeps what they leave: one bit
+    per cell and a count per row.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -76,11 +75,7 @@ def generate_feature_pattern(
     kept_bits, row_counts = _draw_kept_cells(rng, (num_rows, num_cols), density, blocks)
     indptr = np.zeros(num_rows + 1, dtype=np.int64)
     np.cumsum(row_counts, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    for start, stop in blocks:
-        kept = np.unpackbits(kept_bits[start:stop], axis=1, count=num_cols).view(bool)
-        np.remainder(np.flatnonzero(kept), num_cols, out=indices[indptr[start]:indptr[stop]])
-    return CSRMatrix(shape=(num_rows, num_cols), indptr=indptr, indices=indices, data=None)
+    return SparsityPattern(shape=(num_rows, num_cols), indptr=indptr, bits=kept_bits)
 
 
 def _draw_kept_cells(

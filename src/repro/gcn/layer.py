@@ -18,7 +18,8 @@ from repro.gcn.features import FeatureDraws, generate_feature_pattern, generate_
 from repro.graph.datasets import SyntheticDataset
 from repro.graph.graph import Graph
 from repro.sparse.convert import dense_to_csr
-from repro.sparse.csr import CSRMatrix, PatternValuesError
+from repro.sparse.csr import CSRMatrix
+from repro.sparse.pattern import PatternValuesError, SparsityPattern
 
 
 @dataclass(init=False)
@@ -27,9 +28,10 @@ class GCNLayer:
 
     The simulators price X by where its non-zeros are, never by what they
     hold, so a model built by :func:`build_model_for_dataset` keeps X as a
-    sparsity pattern (a CSR with ``data=None``) plus the generator state its
-    draws began at.  Only the reference paths read values (:attr:`features`,
-    :meth:`combination`, :meth:`forward`); each access replays the draws.
+    :class:`~repro.sparse.pattern.SparsityPattern` plus the generator state
+    its draws began at.  Only the reference paths read values
+    (:attr:`features`, :meth:`combination`, :meth:`forward`); each access
+    replays the draws.
 
     Attributes:
         adjacency: normalised adjacency matrix A in CSR form.
@@ -44,7 +46,7 @@ class GCNLayer:
     """
 
     adjacency: CSRMatrix
-    features_csr: CSRMatrix
+    features_csr: CSRMatrix | SparsityPattern
     weight: np.ndarray
     name: str
     apply_relu: bool
@@ -53,14 +55,18 @@ class GCNLayer:
     def __init__(
         self,
         adjacency: CSRMatrix,
-        features: CSRMatrix | np.ndarray,
+        features: CSRMatrix | SparsityPattern | np.ndarray,
         weight: np.ndarray,
         name: str = "layer",
         apply_relu: bool = True,
         feature_draws: FeatureDraws | None = None,
     ) -> None:
         self.adjacency = adjacency
-        self.features_csr = features if isinstance(features, CSRMatrix) else dense_to_csr(features)
+        self.features_csr = (
+            features
+            if isinstance(features, (CSRMatrix, SparsityPattern))
+            else dense_to_csr(features)
+        )
         self.weight = np.asarray(weight, dtype=np.float64)
         self.name = name
         self.apply_relu = apply_relu
@@ -97,7 +103,7 @@ class GCNLayer:
         A pattern's values are replayed from :attr:`feature_draws`; a
         pattern without them raises :class:`PatternValuesError`.
         """
-        if self.features_csr.data is not None:
+        if isinstance(self.features_csr, CSRMatrix):
             return self.features_csr.to_dense()
         if self.feature_draws is None:
             raise PatternValuesError(

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.gcn.layer import GCNLayer, GCNModel
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.pattern import SparsityPattern
 
 
 class ExecutionOrder(str, Enum):
@@ -29,7 +30,7 @@ def _spmm_macs(lhs_nnz: int, rhs_cols: int) -> int:
     return int(lhs_nnz) * int(rhs_cols)
 
 
-def _spsp_macs(lhs: CSRMatrix, rhs: CSRMatrix) -> int:
+def _spsp_macs(lhs: CSRMatrix, rhs: CSRMatrix | SparsityPattern) -> int:
     """MACs of a sparse-sparse product: pairs of non-zeros that actually meet.
 
     For every non-zero ``A[i, k]``, one MAC is performed for every non-zero

@@ -15,12 +15,16 @@ dominate.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import pairwise
+from typing import Iterator
 
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.sparse.unique import run_starts
+from repro.sparse.csr import CSRMatrix
+from repro.sparse.unique import run_starts, sorted_unique
 
 
 @dataclass
@@ -58,17 +62,41 @@ def _single_cluster_result(num_nodes: int) -> PartitionResult:
     )
 
 
-def _adjacency_lists(graph: Graph) -> list[list[int]]:
-    """Python adjacency lists of a graph (plain ints, one list per node).
+#: Adjacency entries the partitioner converts, or decides, per row block.
+_BLOCK_ENTRIES = 1 << 16
 
-    Extracted once per partitioning call and shared between the label
-    propagation and refinement sweeps, which both iterate neighbourhoods
-    node-at-a-time.
+
+def _row_blocks(indptr: np.ndarray, entries: int) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges ``[lo, hi)`` holding at most ``entries`` entries.
+
+    A row with more entries than that is a block of its own.
     """
-    adj = graph.adjacency()
-    indptr = adj.indptr.tolist()
-    flat_indices = adj.indices.tolist()
-    return [flat_indices[indptr[i] : indptr[i + 1]] for i in range(graph.num_nodes)]
+    num_rows = indptr.size - 1
+    lo = 0
+    while lo < num_rows:
+        hi = int(np.searchsorted(indptr, indptr[lo] + entries, side="right")) - 1
+        hi = min(max(hi, lo + 1), num_rows)
+        yield lo, hi
+        lo = hi
+
+
+def _adjacency_lists(adjacency: CSRMatrix, nodes: list[int]) -> list[list[int]]:
+    """Python adjacency lists whose entries are ``nodes``' own ints.
+
+    Every entry naming node ``i`` points at ``nodes[i]``, so the lists cost
+    one pointer per entry and one int per node, where slices of
+    ``indices.tolist()`` would hold a fresh int per entry.  They are built
+    one row block at a time, with no full-length temporary.
+    """
+    indptr = adjacency.indptr
+    node = nodes.__getitem__
+    lists: list[list[int]] = []
+    for lo, hi in _row_blocks(indptr, _BLOCK_ENTRIES):
+        base = indptr[lo]
+        shared = list(map(node, adjacency.indices[base:indptr[hi]].tolist()))
+        bounds = (indptr[lo : hi + 1] - base).tolist()
+        lists.extend(shared[start:stop] for start, stop in pairwise(bounds))
+    return lists
 
 
 def _label_propagation(
@@ -76,7 +104,6 @@ def _label_propagation(
     rng: np.random.Generator,
     max_sweeps: int = 10,
     max_label_size: float | None = None,
-    neighbor_lists: list[list[int]] | None = None,
 ) -> np.ndarray:
     """Community detection by size-constrained asynchronous label propagation.
 
@@ -96,8 +123,9 @@ def _label_propagation(
     cap = float("inf") if max_label_size is None else max_label_size
     # The sweep is asynchronous (every decision sees the labels left by the
     # previous one), so it cannot be batched into array ops without changing
-    # results.  Instead the whole sweep runs on plain Python ints over a
-    # pre-extracted adjacency list, with per-element work pushed into C.
+    # results.  Instead the whole sweep runs on plain Python ints over
+    # adjacency lists that share the initial labels' ints, with per-element
+    # work pushed into C; the lists live only as long as this call.
     #
     # Every decision is identical to the original array formulation — the
     # winner is the neighbourhood's most common label, ties broken by the
@@ -127,9 +155,8 @@ def _label_propagation(
         def count_into(mapping, iterable):
             mapping.update(Counter(iterable))
 
-    if neighbor_lists is None:
-        neighbor_lists = _adjacency_lists(graph)
     labels = list(range(n))
+    neighbor_lists = _adjacency_lists(graph.adjacency(), labels)
     label_sizes = [1] * n
     label_of = labels.__getitem__
     counts_of: list[dict[int, int]] | None = None
@@ -278,91 +305,104 @@ def _refine_boundary(
     num_clusters: int,
     capacity: float,
     passes: int = 2,
-    neighbor_lists: list[list[int]] | None = None,
 ) -> np.ndarray:
-    """Greedy boundary refinement: move nodes that reduce the edge cut."""
-    # Like label propagation, each move is visible to every later decision,
-    # so the sweep stays sequential — but runs on Python ints (O(degree) per
-    # node) instead of one O(num_clusters) ``np.bincount`` per node.  The
-    # winning cluster is the lowest id among those with the most neighbour
-    # votes, exactly as ``np.argmax`` over the dense vote vector chose it.
-    #
-    # Later passes skip nodes that provably repeat their previous "stay"
-    # decision: votes are unchanged when no neighbour moved since the node's
-    # last evaluation (``nb_stamp``, valid on symmetric adjacencies), and a
-    # stay forced purely by the capacity bound repeats while the blocking
-    # cluster is still at capacity.  The signed ``last_eval`` stamp encodes
-    # the cases exactly as in ``_label_propagation``.
-    from collections import Counter
+    """Greedy boundary refinement: move nodes that reduce the edge cut.
 
-    count_into = getattr(__import__("collections"), "_count_elements", None)
-    if count_into is None:  # pragma: no cover - non-CPython fallback
-        def count_into(mapping, iterable):
-            mapping.update(Counter(iterable))
-
-    n = graph.num_nodes
-    if neighbor_lists is None:
-        neighbor_lists = _adjacency_lists(graph)
-    labels = assignment.tolist()
+    A pass visits the nodes in ascending order.  A node moves to the
+    cluster holding most of its neighbours (the lowest id among ties) when
+    that cluster out-votes the node's own and has room below ``capacity``;
+    every later decision sees the move.  Passes stop early once one moves
+    nothing.
+    """
+    # The pass is decided one row block at a time, from the labels the
+    # block starts with, then walked in node order.  That is exact: a
+    # node's votes read its neighbours' labels, so they change only when a
+    # neighbour moves, and the room check reads the loads at the node's
+    # turn.  Every row before a block's first mover sees the block's start
+    # state; after a move, only the mover's in-neighbours later in the
+    # block are decided again, when their turn comes.  Later blocks are
+    # decided after the moves before them.
+    adjacency = graph.adjacency()
+    indptr, indices = adjacency.indptr, adjacency.indices
+    in_indptr, in_indices = (indptr, indices) if graph.undirected else _transpose(adjacency)
+    labels = np.array(assignment, dtype=np.int64)
     loads = np.bincount(assignment, minlength=num_clusters).tolist()
-    label_of = labels.__getitem__
-    track = graph.undirected
-    nb_stamp = [0] * n
-    last_eval = [0] * n
-    cap_of = [0] * n
-    step = 0
     for _sweep in range(passes):
         moved = 0
-        for node in range(n):
-            step += 1
-            le = last_eval[node]
-            if le > 0:
-                if nb_stamp[node] < le:
+        for lo, hi in _row_blocks(indptr, _BLOCK_ENTRIES):
+            movers, targets = _refinement_votes(indptr, indices, labels, lo, hi, num_clusters)
+            queue = movers.tolist()
+            target_of = dict(zip(queue, targets.tolist()))
+            stale: set[int] = set()
+            while queue:
+                node = heapq.heappop(queue)
+                if node in stale:
+                    _mover, target = _refinement_votes(
+                        indptr, indices, labels, node, node + 1, num_clusters
+                    )
+                    if not target.size:
+                        continue
+                    best = int(target[0])
+                else:
+                    best = target_of[node]
+                if loads[best] + 1 > capacity:
                     continue
-            elif le < 0:
-                if nb_stamp[node] < -le and loads[cap_of[node]] + 1 > capacity:
-                    continue
-            neighbors = neighbor_lists[node]
-            if not neighbors:
-                continue
-            current = labels[node]
-            votes: dict[int, int] = {}
-            count_into(votes, map(label_of, neighbors))
-            if len(votes) == 1:
-                # Uniform neighbourhood: the sole candidate only wins when it
-                # differs from the current cluster (then votes.get(current)
-                # is 0, so the move condition reduces to the capacity check).
-                (best,) = votes
-                best_votes = votes[best]
-            else:
-                best = -1
-                best_votes = 0
-                for cluster, count in votes.items():
-                    if count > best_votes or (count == best_votes and cluster < best):
-                        best = cluster
-                        best_votes = count
-            if best != current and best_votes > votes.get(current, 0):
-                if loads[best] + 1 <= capacity:
-                    labels[node] = best
-                    loads[current] -= 1
-                    loads[best] += 1
-                    moved += 1
-                    last_eval[node] = 0
-                    if track:
-                        for m in neighbors:
-                            nb_stamp[m] = step
-                    continue
-                if track:
-                    # Stay forced only by capacity: repeatable while the
-                    # winning cluster stays full.
-                    last_eval[node] = -step
-                    cap_of[node] = best
-                continue
-            if track:
-                last_eval[node] = step
+                loads[labels[node]] -= 1
+                loads[best] += 1
+                labels[node] = best
+                moved += 1
+                for m in in_indices[in_indptr[node] : in_indptr[node + 1]].tolist():
+                    if node < m < hi and m not in stale:
+                        stale.add(m)
+                        if m not in target_of:
+                            heapq.heappush(queue, m)
         if moved == 0:
             break
-    return np.asarray(labels, dtype=np.int64)
+    return labels
+
+
+def _refinement_votes(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    labels: np.ndarray,
+    lo: int,
+    hi: int,
+    num_clusters: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``lo .. hi - 1`` that want to move under ``labels``, and where to.
+
+    A row's winner is the cluster with the most neighbour votes, the lowest
+    id among ties; the row wants to move when the winner has more votes
+    than the row's own cluster.  One sort of the block's (row, neighbour
+    cluster) keys counts every vote.
+    """
+    counts = np.diff(indptr[lo : hi + 1])
+    keys = np.repeat(np.arange(lo, hi, dtype=np.int64) * num_clusters, counts)
+    keys += labels[indices[indptr[lo] : indptr[hi]]]
+    pairs, votes = sorted_unique(keys, return_counts=True)
+    rows = pairs // num_clusters
+    firsts = run_starts(rows)
+    if not firsts.size:
+        return firsts, firsts
+    top = np.maximum.reduceat(votes, firsts)
+    # A row's pairs ascend by cluster, so its first top-vote pair is the winner.
+    tops = np.flatnonzero(votes == np.repeat(top, np.diff(firsts, append=pairs.size)))
+    winners = pairs[tops[run_starts(rows[tops])]]
+    voters = rows[firsts]
+    own = voters * num_clusters + labels[voters]
+    at = np.minimum(np.searchsorted(pairs, own), pairs.size - 1)
+    own_votes = np.where(pairs[at] == own, votes[at], 0)
+    wants = top > own_votes
+    return voters[wants], winners[wants] - voters[wants] * num_clusters
+
+
+def _transpose(adjacency: CSRMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``indptr`` and ``indices`` of the transpose: each node's in-neighbours."""
+    n = adjacency.n_rows
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(adjacency.indices, minlength=n), out=indptr[1:])
+    rows = np.repeat(np.arange(n, dtype=np.int64), adjacency.row_nnz())
+    return indptr, rows[np.argsort(adjacency.indices, kind="stable")]
 
 
 def metis_like_partition(
@@ -389,18 +429,10 @@ def metis_like_partition(
         return _single_cluster_result(n)
     rng = np.random.default_rng(seed)
     capacity = balance_slack * n / num_clusters
-    neighbor_lists = _adjacency_lists(graph)
-    labels = _label_propagation(
-        graph, rng, max_label_size=capacity, neighbor_lists=neighbor_lists
-    )
+    labels = _label_propagation(graph, rng, max_label_size=capacity)
     assignment = _pack_communities(labels, num_clusters, capacity)
     assignment = _refine_boundary(
-        graph,
-        assignment,
-        num_clusters,
-        capacity,
-        passes=refinement_passes,
-        neighbor_lists=neighbor_lists,
+        graph, assignment, num_clusters, capacity, passes=refinement_passes
     )
     permutation, sizes = _build_permutation(assignment, num_clusters)
     return PartitionResult(

@@ -32,8 +32,8 @@ def _scaleout(config: ExperimentConfig, num_chips: int, kind: str = "ring"):
     # scale-out stack into every worker process.
     from repro.scaleout import ChipTopology, ScaleOutSimulator
 
-    # The default memo-only session: the suite's own ResultCache covers
-    # this experiment.
+    # Chips are priced in process and never cached; the suite's own
+    # ResultCache covers this experiment.
     return ScaleOutSimulator(config=config, topology=ChipTopology(num_chips, kind=kind))
 
 

@@ -34,7 +34,6 @@ rounds away.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -47,7 +46,7 @@ from repro.harness.config import ExperimentConfig, default_config
 from repro.harness.report import ExperimentResult
 from repro.harness.workloads import get_bundle
 from repro.obs import metrics as obs_metrics
-from repro.obs import record_run, trace
+from repro.obs import trace
 from repro.scaleout.interconnect import InterconnectModel
 from repro.scaleout.shard import ShardPlan, build_shard_plan
 from repro.scaleout.topology import ChipTopology
@@ -333,45 +332,15 @@ class ScaleOutSimulator:
                 f"{list(self.config.datasets)}"
             )
         num_chips = self.topology.num_chips
-        started = time.perf_counter()  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
-        try:
-            with trace.span("scaleout.run", dataset=dataset, chips=num_chips):
-                shard_plan = get_shard_plan(
-                    dataset, self.config, num_chips, self.shard_method
-                )
-                chips = self._chip_results(dataset, shard_plan)
-                if num_chips > 1:
-                    single_chip = get_shard_plan(dataset, self.config, 1, self.shard_method)
-                    baseline = self._chip_results(dataset, single_chip)[0]
-                else:
-                    baseline = chips[0]
-                result = self._compose(
-                    dataset, shard_plan, chips, float(baseline.total_cycles)
-                )
-        except Exception:
-            record_run(
-                "scaleout",
-                f"{self.report_name}:{dataset}",
-                outcome="failed",
-                wall_seconds=time.perf_counter() - started,  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
-                backend="scaleout",
-                dataset=dataset,
-            )
-            raise
-        record_run(
-            "scaleout",
-            f"{self.report_name}:{dataset}",
-            outcome="ok",
-            wall_seconds=time.perf_counter() - started,  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
-            backend="scaleout",
-            dataset=dataset,
-            metrics={
-                "chips": num_chips,
-                "system_cycles": result.system_cycles,
-                "interchip_bytes": result.interchip_bytes,
-                "scaling_efficiency": result.scaling_efficiency,
-            },
-        )
+        with trace.span("scaleout.run", dataset=dataset, chips=num_chips):
+            shard_plan = get_shard_plan(dataset, self.config, num_chips, self.shard_method)
+            chips = self._chip_results(dataset, shard_plan)
+            if num_chips > 1:
+                single_chip = get_shard_plan(dataset, self.config, 1, self.shard_method)
+                baseline = self._chip_results(dataset, single_chip)[0]
+            else:
+                baseline = chips[0]
+            result = self._compose(dataset, shard_plan, chips, float(baseline.total_cycles))
         return result
 
     # -- reporting ---------------------------------------------------------

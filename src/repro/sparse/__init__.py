@@ -1,15 +1,17 @@
 """Sparse-matrix substrate.
 
 This package provides the compressed sparse formats used by the paper's
-accelerators (COO and CSR) and the conversions between them, the tile
+accelerators (COO and CSR) and the conversions between them, the bit-packed
+sparsity pattern of a matrix whose values no simulator reads, the tile
 statistics used by the GCNAX baseline and the Figure 5/6
 characterisation, and the sorted-unique helper the engine layers use in
 place of ``np.unique``.
 """
 
 from repro.sparse.coo import COOMatrix
-from repro.sparse.csr import CSRMatrix, PatternValuesError
+from repro.sparse.csr import CSRMatrix
 from repro.sparse.convert import coo_to_csr, csr_to_coo, dense_to_csr
+from repro.sparse.pattern import PatternValuesError, SparsityPattern
 from repro.sparse.tiling import (
     TileStatistics,
     tile_grid_shape,
@@ -22,6 +24,7 @@ __all__ = [
     "COOMatrix",
     "CSRMatrix",
     "PatternValuesError",
+    "SparsityPattern",
     "coo_to_csr",
     "csr_to_coo",
     "dense_to_csr",

@@ -24,7 +24,6 @@ def coo_to_csr(coo: COOMatrix) -> CSRMatrix:
 
 def csr_to_coo(csr: CSRMatrix) -> COOMatrix:
     """Convert a CSR matrix to COO."""
-    csr.require_values("csr_to_coo")
     row_ids = np.repeat(np.arange(csr.n_rows), csr.row_nnz())
     return COOMatrix(shape=csr.shape, rows=row_ids, cols=csr.indices.copy(), vals=csr.data.copy())
 

@@ -3,12 +3,8 @@
 CSR is the format GROW uses for the left-hand-side sparse matrices (A and X):
 all non-zeros of consecutive rows are packed densely, which is what gives the
 row-wise product dataflow its high effective memory-bandwidth utilisation
-(paper Section V-B, Figure 10).
-
-A CSR whose ``data`` is ``None`` is a *sparsity pattern*: where the
-non-zeros are, not what they hold.  Everything that counts non-zeros, rows,
-tiles or bytes works on a pattern; reading values raises
-:class:`PatternValuesError`.
+(paper Section V-B, Figure 10).  Structure without values is a
+:class:`~repro.sparse.pattern.SparsityPattern`.
 """
 
 from __future__ import annotations
@@ -22,10 +18,6 @@ if TYPE_CHECKING:
     from repro.sparse.tiling import TileProfile
 
 
-class PatternValuesError(ValueError):
-    """A value was read from a sparsity pattern, which stores none."""
-
-
 @dataclass
 class CSRMatrix:
     """A sparse matrix in compressed sparse row format.
@@ -35,8 +27,7 @@ class CSRMatrix:
         indptr: array of length ``n_rows + 1``; row ``i`` owns the non-zeros
             in the half-open slice ``[indptr[i], indptr[i + 1])``.
         indices: column index of each stored non-zero.
-        data: value of each stored non-zero, or ``None`` for a sparsity
-            pattern.
+        data: value of each stored non-zero.
 
     A CSR's arrays are never modified after construction: what is derived
     from them may be memoised on the matrix, as GCNAX's tile profiles are
@@ -46,7 +37,7 @@ class CSRMatrix:
     shape: tuple[int, int]
     indptr: np.ndarray
     indices: np.ndarray
-    data: np.ndarray | None
+    data: np.ndarray
     _tile_profiles: dict[tuple[int, int], "TileProfile"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -54,8 +45,7 @@ class CSRMatrix:
     def __post_init__(self) -> None:
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
         self.indices = np.asarray(self.indices, dtype=np.int64)
-        if self.data is not None:
-            self.data = np.asarray(self.data, dtype=np.float64)
+        self.data = np.asarray(self.data, dtype=np.float64)
         n_rows, n_cols = self.shape
         if self.indptr.size != n_rows + 1:
             raise ValueError(
@@ -65,7 +55,7 @@ class CSRMatrix:
             raise ValueError("indptr must start at 0 and end at nnz")
         if np.any(np.diff(self.indptr) < 0):
             raise ValueError("indptr must be non-decreasing")
-        if self.data is not None and self.indices.size != self.data.size:
+        if self.indices.shape != self.data.shape:
             raise ValueError("indices and data must have the same length")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n_cols):
             raise ValueError("column index out of bounds")
@@ -91,13 +81,6 @@ class CSRMatrix:
             return 0.0
         return self.nnz / total
 
-    def require_values(self, operation: str) -> None:
-        """Raise :class:`PatternValuesError` if ``operation`` runs on a pattern."""
-        if self.data is None:
-            raise PatternValuesError(
-                f"{operation} reads values, but this {self.shape} CSR is a sparsity pattern"
-            )
-
     @classmethod
     def empty(cls, shape: tuple[int, int]) -> "CSRMatrix":
         """Create an all-zero matrix of the given shape."""
@@ -121,7 +104,6 @@ class CSRMatrix:
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(column_indices, values)`` of row ``i``."""
-        self.require_values("row")
         if not 0 <= i < self.n_rows:
             raise IndexError(f"row index {i} out of range [0, {self.n_rows})")
         start, end = self.indptr[i], self.indptr[i + 1]
@@ -129,12 +111,10 @@ class CSRMatrix:
 
     def iter_rows(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Yield ``(row_index, column_indices, values)`` for every row."""
-        self.require_values("iter_rows")
         return ((i, *self.row(i)) for i in range(self.n_rows))
 
     def to_dense(self) -> np.ndarray:
         """Materialise the matrix as a dense 2-D array."""
-        self.require_values("to_dense")
         dense = np.zeros(self.shape, dtype=np.float64)
         row_ids = np.repeat(np.arange(self.n_rows), self.row_nnz())
         np.add.at(dense, (row_ids, self.indices), self.data)
@@ -154,7 +134,6 @@ class CSRMatrix:
 
     def matmul_dense(self, dense: np.ndarray) -> np.ndarray:
         """Multiply this sparse matrix by a dense matrix (reference kernel)."""
-        self.require_values("matmul_dense")
         dense = np.asarray(dense, dtype=np.float64)
         if dense.shape[0] != self.n_cols:
             raise ValueError(
@@ -170,7 +149,7 @@ class CSRMatrix:
         return out
 
     def select_rows(self, row_ids: np.ndarray) -> "CSRMatrix":
-        """Return a new CSR matrix (a pattern, for a pattern) of the given rows, in order."""
+        """Return a new CSR matrix of the given rows, in order."""
         row_ids = np.asarray(row_ids, dtype=np.int64)
         counts = self.row_nnz()[row_ids]
         indptr = np.concatenate([[0], np.cumsum(counts)])
@@ -186,5 +165,5 @@ class CSRMatrix:
             shape=(row_ids.size, self.n_cols),
             indptr=indptr,
             indices=self.indices[take],
-            data=None if self.data is None else self.data[take],
+            data=self.data[take],
         )

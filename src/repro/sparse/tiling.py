@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.obs import metrics
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.pattern import SparsityPattern
 from repro.sparse.unique import run_starts, sorted_unique
 
 
@@ -59,7 +60,9 @@ class TileStatistics:
         return int(self.distinct_cols_per_tile.sum())
 
 
-def tile_statistics(matrix: CSRMatrix, tile_rows: int, tile_cols: int) -> TileStatistics:
+def tile_statistics(
+    matrix: CSRMatrix | SparsityPattern, tile_rows: int, tile_cols: int
+) -> TileStatistics:
     """Occupied tiles, their non-zeros and their distinct columns, in one sort.
 
     The non-zeros are keyed by (row strip, column) and sorted once.  The
@@ -68,7 +71,8 @@ def tile_statistics(matrix: CSRMatrix, tile_rows: int, tile_cols: int) -> TileSt
     runs of equal tile id give each tile's distinct columns and, summed, its
     non-zeros.  Never materialises the full grid, so it stays O(nnz log nnz)
     even when the grid has billions of cells (million-node graphs with small
-    tiles).  An empty matrix yields empty arrays.
+    tiles).  An empty matrix yields empty arrays.  A pattern's column
+    indices are derived for the call and dropped after it.
     """
     _grid_rows, grid_cols = tile_grid_shape(matrix.shape, tile_rows, tile_cols)
     n_cols = np.int64(matrix.n_cols)
@@ -102,7 +106,9 @@ class TileProfile:
     tiles_with_nnz: np.ndarray
 
 
-def tile_profile(matrix: CSRMatrix, tile_rows: int, tile_cols: int) -> TileProfile:
+def tile_profile(
+    matrix: CSRMatrix | SparsityPattern, tile_rows: int, tile_cols: int
+) -> TileProfile:
     """The :class:`TileProfile` of ``matrix`` at one tile shape.
 
     Built from :func:`tile_statistics` on first use and memoised on the
@@ -125,7 +131,7 @@ def tile_profile(matrix: CSRMatrix, tile_rows: int, tile_cols: int) -> TileProfi
 
 
 def occupied_tile_counts(
-    matrix: CSRMatrix, tile_rows: int, tile_cols: int
+    matrix: CSRMatrix | SparsityPattern, tile_rows: int, tile_cols: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(flat_tile_ids, counts)``: the non-zero counts of the occupied tiles.
 
@@ -137,7 +143,7 @@ def occupied_tile_counts(
 
 
 def tile_nnz_histogram(
-    matrix: CSRMatrix,
+    matrix: CSRMatrix | SparsityPattern,
     tile_rows: int,
     tile_cols: int,
     bin_edges: tuple[int, ...] = (1, 2, 8, 16),

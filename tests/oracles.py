@@ -16,9 +16,14 @@ list, the pinned HDN cache, and the per-cluster loop that fills both at each
 cluster's start and looks up every non-zero.  The simulator answers the same
 questions from a rank profile (:mod:`repro.core.hdn_profile`).
 
-The partitioning reference packs communities into clusters one label at a
-time, finding each community's members with a scan of every node; the
-partitioner groups them with one sort.
+The partitioning references pack communities into clusters one label at a
+time, finding each community's members with a scan of every node (the
+partitioner groups them with one sort), and refine the cluster boundaries
+with the Python sweep over fresh-int adjacency lists that the partitioner's
+block-decided walk over the CSR replaced.
+
+:func:`pattern_of` packs a CSR's stored positions into the
+:class:`~repro.sparse.pattern.SparsityPattern` a bundle keeps for X.
 
 The baseline references are the loops the baselines replaced: an LRU cache
 replayed over an ``OrderedDict`` (GAMMA's fiber cache and GROW's
@@ -57,6 +62,7 @@ from repro.graph.graph import Graph
 from repro.graph.partition import partition_graph
 from repro.scaleout.shard import SHARD_METHODS, ChipShard, ShardPlan
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.pattern import SparsityPattern
 from repro.sparse.tiling import tile_statistics
 from repro.sparse.unique import sorted_unique
 
@@ -504,6 +510,14 @@ def streaming_phase_reference(
     return stats, cluster_stats
 
 
+def pattern_of(csr: CSRMatrix) -> SparsityPattern:
+    """The sparsity pattern of ``csr``'s stored positions, packed from a dense mask."""
+    mask = np.zeros(csr.shape, dtype=bool)
+    mask[np.repeat(np.arange(csr.n_rows), csr.row_nnz()), csr.indices] = True
+    indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+    return SparsityPattern(shape=csr.shape, indptr=indptr, bits=np.packbits(mask, axis=1))
+
+
 def pack_communities_reference(
     labels: np.ndarray, num_clusters: int, capacity: float
 ) -> np.ndarray:
@@ -526,6 +540,117 @@ def pack_communities_reference(
             loads[target] += chunk.size
             offset += chunk.size
     return assignment
+
+
+def adjacency_lists_reference(graph: Graph) -> list[list[int]]:
+    """Python adjacency lists of a graph (plain ints, one list per node).
+
+    Slices of one ``indices.tolist()``: a fresh int per entry.  The
+    partitioner's lists share one int per node instead.
+    """
+    adj = graph.adjacency()
+    indptr = adj.indptr.tolist()
+    flat_indices = adj.indices.tolist()
+    return [flat_indices[indptr[i] : indptr[i + 1]] for i in range(graph.num_nodes)]
+
+
+def refine_boundary_reference(
+    graph: Graph,
+    assignment: np.ndarray,
+    num_clusters: int,
+    capacity: float,
+    passes: int = 2,
+    neighbor_lists: list[list[int]] | None = None,
+) -> np.ndarray:
+    """Greedy boundary refinement as a Python sweep over adjacency lists.
+
+    Every node in order, votes counted per node; later passes skip nodes
+    whose "stay" provably repeats.  The partitioner decides the votes of a
+    row block at once from the CSR and re-decides only a mover's later
+    in-neighbours.
+    """
+    # Like label propagation, each move is visible to every later decision,
+    # so the sweep stays sequential — but runs on Python ints (O(degree) per
+    # node) instead of one O(num_clusters) ``np.bincount`` per node.  The
+    # winning cluster is the lowest id among those with the most neighbour
+    # votes, exactly as ``np.argmax`` over the dense vote vector chose it.
+    #
+    # Later passes skip nodes that provably repeat their previous "stay"
+    # decision: votes are unchanged when no neighbour moved since the node's
+    # last evaluation (``nb_stamp``, valid on symmetric adjacencies), and a
+    # stay forced purely by the capacity bound repeats while the blocking
+    # cluster is still at capacity.  The signed ``last_eval`` stamp encodes
+    # the cases exactly as in ``_label_propagation``.
+    from collections import Counter
+
+    count_into = getattr(__import__("collections"), "_count_elements", None)
+    if count_into is None:  # pragma: no cover - non-CPython fallback
+        def count_into(mapping, iterable):
+            mapping.update(Counter(iterable))
+
+    n = graph.num_nodes
+    if neighbor_lists is None:
+        neighbor_lists = adjacency_lists_reference(graph)
+    labels = assignment.tolist()
+    loads = np.bincount(assignment, minlength=num_clusters).tolist()
+    label_of = labels.__getitem__
+    track = graph.undirected
+    nb_stamp = [0] * n
+    last_eval = [0] * n
+    cap_of = [0] * n
+    step = 0
+    for _sweep in range(passes):
+        moved = 0
+        for node in range(n):
+            step += 1
+            le = last_eval[node]
+            if le > 0:
+                if nb_stamp[node] < le:
+                    continue
+            elif le < 0:
+                if nb_stamp[node] < -le and loads[cap_of[node]] + 1 > capacity:
+                    continue
+            neighbors = neighbor_lists[node]
+            if not neighbors:
+                continue
+            current = labels[node]
+            votes: dict[int, int] = {}
+            count_into(votes, map(label_of, neighbors))
+            if len(votes) == 1:
+                # Uniform neighbourhood: the sole candidate only wins when it
+                # differs from the current cluster (then votes.get(current)
+                # is 0, so the move condition reduces to the capacity check).
+                (best,) = votes
+                best_votes = votes[best]
+            else:
+                best = -1
+                best_votes = 0
+                for cluster, count in votes.items():
+                    if count > best_votes or (count == best_votes and cluster < best):
+                        best = cluster
+                        best_votes = count
+            if best != current and best_votes > votes.get(current, 0):
+                if loads[best] + 1 <= capacity:
+                    labels[node] = best
+                    loads[current] -= 1
+                    loads[best] += 1
+                    moved += 1
+                    last_eval[node] = 0
+                    if track:
+                        for m in neighbors:
+                            nb_stamp[m] = step
+                    continue
+                if track:
+                    # Stay forced only by capacity: repeatable while the
+                    # winning cluster stays full.
+                    last_eval[node] = -step
+                    cap_of[node] = best
+                continue
+            if track:
+                last_eval[node] = step
+        if moved == 0:
+            break
+    return np.asarray(labels, dtype=np.int64)
 
 
 def chip_workloads(workloads: list[LayerWorkload], shard: ChipShard) -> list[LayerWorkload]:

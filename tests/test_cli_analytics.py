@@ -224,3 +224,20 @@ def test_bench_no_ledger_flag_suppresses_records(tmp_path, monkeypatch):
     ])
     assert code == 0
     assert not ledger_path.exists()
+
+
+def test_a_scaleout_simulation_leaves_one_ledger_line(tmp_path, monkeypatch, capsys):
+    """The session records the system run; the engine records nothing of its own."""
+    ledger_path = tmp_path / "ledger.jsonl"
+    ledger_path.touch()
+    monkeypatch.setenv(ledger.LEDGER_ENV, str(ledger_path))
+    assert main([
+        "sim", "--backend", "scaleout", "--chips", "2", "--smoke", "--datasets", "amazon",
+        "--results-dir", str(tmp_path / "results"),
+    ]) == 0
+    capsys.readouterr()
+    records, bad = ledger.load_ledger(ledger_path)
+    assert bad == []
+    assert [(record["kind"], record["name"]) for record in records] == [
+        ("session", "scaleout:amazon")
+    ]

@@ -10,6 +10,7 @@ from repro.gcn.features import (
     generate_weight_matrix,
 )
 from repro.sparse.convert import dense_to_csr
+from repro.sparse.pattern import SparsityPattern
 
 
 @pytest.mark.parametrize("density", [0.01, 0.1, 0.5, 1.0])
@@ -39,7 +40,7 @@ def test_feature_csr_matches_dense_density(rng):
     pattern_rng, dense_rng = np.random.default_rng(0), np.random.default_rng(0)
     pattern = generate_feature_pattern(200, 30, 0.2, pattern_rng)
     expected = dense_to_csr(generate_feature_matrix(200, 30, 0.2, dense_rng))
-    assert pattern.data is None
+    assert isinstance(pattern, SparsityPattern)
     np.testing.assert_array_equal(pattern.indptr, expected.indptr)
     np.testing.assert_array_equal(pattern.indices, expected.indices)
     assert pattern_rng.random() == dense_rng.random()

@@ -7,9 +7,9 @@ from repro.gcn.features import generate_feature_matrix, generate_weight_matrix
 from repro.gcn.layer import GCNLayer, GCNModel, build_model_for_dataset
 from repro.obs import metrics
 from repro.sparse.convert import dense_to_csr
-from repro.sparse.csr import CSRMatrix, PatternValuesError
+from repro.sparse.pattern import PatternValuesError, SparsityPattern
 
-from oracles import gcn_layer_forward, layer_output_reference, relu
+from oracles import gcn_layer_forward, layer_output_reference, pattern_of, relu
 
 
 @pytest.fixture
@@ -142,7 +142,7 @@ def test_built_layers_keep_a_pattern_and_replay_the_dense_draws(small_dataset):
         )
         weight = generate_weight_matrix(*layer.weight.shape, rng)
         np.testing.assert_array_equal(layer.weight, weight)
-        assert layer.features_csr.data is None
+        assert isinstance(layer.features_csr, SparsityPattern)
         # Every access replays the same values from a fresh generator.
         np.testing.assert_array_equal(layer.features, expected)
         np.testing.assert_array_equal(layer.features, expected)
@@ -150,8 +150,7 @@ def test_built_layers_keep_a_pattern_and_replay_the_dense_draws(small_dataset):
 
 
 def test_a_pattern_without_recorded_draws_has_no_values(toy_layer):
-    csr = toy_layer.features_csr
-    pattern = CSRMatrix(shape=csr.shape, indptr=csr.indptr, indices=csr.indices, data=None)
+    pattern = pattern_of(toy_layer.features_csr)
     layer = GCNLayer(toy_layer.adjacency, pattern, toy_layer.weight, name="bare")
     assert layer.feature_density == toy_layer.feature_density
     with pytest.raises(PatternValuesError, match="bare"):

@@ -81,7 +81,9 @@ from repro.obs import metrics
 from repro.scaleout import ScaleOutSimulator, get_shard_plan
 from repro.scaleout.shard import SHARD_METHODS, ClusterCoupling, build_shard_plan
 from repro.sparse import COOMatrix, CSRMatrix, sorted_unique, tile_statistics
+from repro.sparse import pattern as sparsity_pattern
 from repro.sparse.convert import coo_to_csr, dense_to_csr
+from repro.sparse.pattern import SparsityPattern
 from repro.sparse.tiling import occupied_tile_counts, tile_profile
 
 from oracles import (
@@ -92,6 +94,7 @@ from oracles import (
     gcnax_phase_reference,
     local_plan,
     lru_hits_reference,
+    pattern_of,
     streaming_phase_reference,
 )
 
@@ -181,9 +184,9 @@ def assert_csr_identical(actual: CSRMatrix, expected: CSRMatrix) -> None:
     assert_identical(actual.data, expected.data)
 
 
-def assert_pattern_identical(pattern: CSRMatrix, expected: CSRMatrix) -> None:
-    """``pattern`` is ``expected``'s structure, with no values."""
-    assert pattern.data is None
+def assert_pattern_identical(pattern: SparsityPattern, expected: CSRMatrix) -> None:
+    """``pattern`` is ``expected``'s structure, with no values; positions derived."""
+    assert isinstance(pattern, SparsityPattern)
     assert pattern.shape == expected.shape
     assert_identical(pattern.indptr, expected.indptr)
     assert_identical(pattern.indices, expected.indices)
@@ -293,13 +296,15 @@ def csr_matrices(draw, max_dim: int = 24, shape: tuple[int, int] | None = None):
 
 @st.composite
 def csr_with_duplicates(draw, max_dim: int = 24):
-    """Patterns whose rows repeat columns, in any order."""
+    """Matrices whose rows repeat columns, in any order."""
     n_rows, n_cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
     columns = st.lists(st.integers(0, n_cols - 1), max_size=10) if n_cols else st.just([])
     rows = [draw(columns) for _ in range(n_rows)]
     indptr = np.concatenate([[0], np.cumsum([len(row) for row in rows], dtype=np.int64)])
     indices = np.array([col for row in rows for col in row], dtype=np.int64)
-    return CSRMatrix(shape=(n_rows, n_cols), indptr=indptr, indices=indices, data=None)
+    return CSRMatrix(
+        shape=(n_rows, n_cols), indptr=indptr, indices=indices, data=np.ones(indices.size)
+    )
 
 
 @st.composite
@@ -570,7 +575,11 @@ def test_feature_csr_matches_dense_generator(rows, cols, density, block_cells, s
     with mock.patch.object(features, "_BLOCK_CELLS", block_cells):
         pattern = generate_feature_pattern(rows, cols, density, rng)
     oracle_rng = np.random.default_rng(seed)
-    assert_pattern_identical(pattern, oracle_feature_csr(rows, cols, density, oracle_rng))
+    expected = oracle_feature_csr(rows, cols, density, oracle_rng)
+    # Positions derived in blocks of the same size, and in one block.
+    with mock.patch.object(sparsity_pattern, "_UNPACK_CELLS", block_cells):
+        assert_pattern_identical(pattern, expected)
+    assert_pattern_identical(pattern, expected)
     # Same draws in the same order: the generator ends in the same state.
     assert rng.random() == oracle_rng.random()
 
@@ -592,7 +601,7 @@ def test_hygcn_density_matches_dense_mask(sparse):
     dense = sparse.to_dense()
     assert _nonzero_fraction(sparse) == (float((dense != 0).mean()) if dense.size else 0.0)
     # A pattern stores non-zeros only: every stored entry counts.
-    pattern = CSRMatrix(shape=sparse.shape, indptr=sparse.indptr, indices=sparse.indices, data=None)
+    pattern = pattern_of(sparse)
     assert _nonzero_fraction(pattern) == (sparse.nnz / dense.size if dense.size else 0.0)
 
 

@@ -4,17 +4,22 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.graph import partition as partition_module
 from repro.graph import registry
-from repro.graph.datasets import load_dataset
+from repro.graph.datasets import DATASET_NAMES, load_dataset
 from repro.graph.graph import Graph
 from repro.graph.partition import metis_like_partition, partition_edge_cut, partition_graph
+from repro.harness import default_config
 
-from oracles import pack_communities_reference
+from oracles import (
+    adjacency_lists_reference,
+    pack_communities_reference,
+    refine_boundary_reference,
+)
 
 
 def _assert_valid(partition, num_nodes, num_clusters):
@@ -151,20 +156,25 @@ def test_community_packing_matches_the_per_community_scan(labels, num_clusters, 
     )
 
 
-def test_community_packing_matches_the_scan_on_100k_lp_labels():
-    """The labels label propagation leaves on the 100k-node bench graph,
-    partitioned as a default-config request partitions it."""
+def _bench_graph(name: str, num_nodes: int) -> Graph:
+    """A ``repro bench`` rung's chung-lu graph, as perfbench builds it."""
     spec = registry.scenario_from_dict(
         {
-            "name": "bench-grow-100k",
+            "name": name,
             "generator": "chung-lu",
-            "num_nodes": 100_000,
+            "num_nodes": num_nodes,
             "average_degree": 16,
             "num_communities": 64,
             "feature_lengths": [128, 64, 16],
         }
     )
-    graph = load_dataset(spec.name, seed=0, spec=spec).graph
+    return load_dataset(spec.name, seed=0, spec=spec).graph
+
+
+def test_community_packing_matches_the_scan_on_100k_lp_labels():
+    """The labels label propagation leaves on the 100k-node bench graph,
+    partitioned as a default-config request partitions it."""
+    graph = _bench_graph("bench-grow-100k", 100_000)
     captured = []
 
     def capture(labels, num_clusters, capacity):
@@ -180,3 +190,97 @@ def test_community_packing_matches_the_scan_on_100k_lp_labels():
         partition_module._pack_communities(labels, num_clusters, capacity),
         pack_communities_reference(labels, num_clusters, capacity),
     )
+
+
+@st.composite
+def refinement_inputs(draw):
+    """A graph (directed or not; isolated nodes, self-loops and duplicate
+    edges allowed), a cluster assignment and a capacity from below every
+    load (each winner blocked) to above the node count."""
+    num_nodes = draw(st.integers(1, 40))
+    node = st.integers(0, num_nodes - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=4 * num_nodes))
+    graph = Graph.from_edge_list(num_nodes, edges, undirected=draw(st.booleans()))
+    num_clusters = draw(st.integers(1, 6))
+    assignment = draw(
+        hnp.arrays(np.int64, num_nodes, elements=st.integers(0, num_clusters - 1))
+    )
+    capacity = draw(st.floats(0.5, num_nodes + 1.0))
+    return graph, assignment, num_clusters, capacity
+
+
+# An alternating path: node 0's move flips node 1's decision, so the walk
+# must decide node 1 again.  Node 4 ties clusters 0 and 1 and stays.
+_ALTERNATING_PATH = (
+    Graph.from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 5)]),
+    np.array([0, 1, 0, 1, 0, 1]),
+    2,
+    6.0,
+)
+
+
+@given(refinement_inputs(), st.sampled_from([1, 2]), st.sampled_from([1, 3, 16, 1 << 16]))
+@example(_ALTERNATING_PATH, 2, 1 << 16)
+@example(_ALTERNATING_PATH, 1, 1)
+@settings(max_examples=500, deadline=None)
+def test_refinement_matches_the_python_sweep(inputs, passes, block_entries):
+    graph, assignment, num_clusters, capacity = inputs
+    with mock.patch.object(partition_module, "_BLOCK_ENTRIES", block_entries):
+        refined = partition_module._refine_boundary(
+            graph, assignment, num_clusters, capacity, passes=passes
+        )
+    expected = refine_boundary_reference(graph, assignment, num_clusters, capacity, passes=passes)
+    assert refined.dtype == expected.dtype
+    np.testing.assert_array_equal(refined, expected)
+
+
+def _refinement_call(graph: Graph, num_clusters: int) -> tuple:
+    """The arguments partitioning passes to the boundary refinement."""
+    captured = []
+    refine = partition_module._refine_boundary
+
+    def capture(*args, **kwargs):
+        captured.append((args, kwargs))
+        return refine(*args, **kwargs)
+
+    with mock.patch.object(partition_module, "_refine_boundary", capture):
+        partition_graph(graph, num_clusters, seed=0)
+    (args, kwargs), = captured
+    return args, kwargs
+
+
+def _assert_refinement_matches_the_sweep(graph: Graph, num_clusters: int) -> None:
+    args, kwargs = _refinement_call(graph, num_clusters)
+    for passes in (1, kwargs["passes"]):
+        np.testing.assert_array_equal(
+            partition_module._refine_boundary(*args, passes=passes),
+            refine_boundary_reference(*args, passes=passes),
+        )
+
+
+@pytest.mark.parametrize("name", DATASET_NAMES)
+def test_refinement_matches_the_python_sweep_on_table1(name):
+    """Each graph at a default bundle's cluster count; cora, which a
+    default bundle leaves whole, at two clusters."""
+    config = default_config()
+    graph = load_dataset(name, seed=config.seed, spec=config.effective_scenario(name)).graph
+    _assert_refinement_matches_the_sweep(
+        graph, max(2, graph.num_nodes // config.target_cluster_nodes)
+    )
+
+
+def test_refinement_matches_the_python_sweep_on_the_30k_fanout_graph():
+    _assert_refinement_matches_the_sweep(_bench_graph("bench-fanout-30k", 30_000), 30_000 // 600)
+
+
+@pytest.mark.parametrize("block_entries", [7, 1 << 16])
+def test_adjacency_list_entries_are_the_shared_node_ints(block_entries):
+    graph = _bench_graph("bench-adjacency-2k", 2_000)
+    nodes = list(range(graph.num_nodes))
+    with mock.patch.object(partition_module, "_BLOCK_ENTRIES", block_entries):
+        lists = partition_module._adjacency_lists(graph.adjacency(), nodes)
+    expected = adjacency_lists_reference(graph)
+    assert lists == expected
+    assert all(entry is nodes[entry] for neighbours in lists for entry in neighbours)
+    # Ints past CPython's small-int cache: fresh ones would fail the check.
+    assert not all(entry is nodes[entry] for neighbours in expected for entry in neighbours)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.sparse.csr import CSRMatrix, PatternValuesError
+from repro.sparse.csr import CSRMatrix
 from repro.sparse.convert import csr_to_coo, dense_to_csr
+from repro.sparse.pattern import SparsityPattern
+
+from oracles import pattern_of
 
 
 def test_round_trip(small_dense):
@@ -106,33 +109,46 @@ def test_from_dense_classmethod(small_dense):
     np.testing.assert_allclose(CSRMatrix.from_dense(small_dense).to_dense(), small_dense)
 
 
-def _pattern_of(csr):
-    return CSRMatrix(shape=csr.shape, indptr=csr.indptr, indices=csr.indices, data=None)
-
-
 def test_pattern_counts_structure_without_values(small_csr):
-    pattern = _pattern_of(small_csr)
-    assert pattern.data is None
+    pattern = pattern_of(small_csr)
     assert pattern.nnz == small_csr.nnz
     assert pattern.density == small_csr.density
     np.testing.assert_array_equal(pattern.row_nnz(), small_csr.row_nnz())
-    assert pattern.total_bytes() == small_csr.total_bytes()
+    np.testing.assert_array_equal(pattern.indices, small_csr.indices)
+    # Nine columns: two bytes a row, whatever the row holds.
+    assert pattern.bits.shape == (small_csr.n_rows, 2)
     rows = np.array([3, 0, 7])
     subset, expected = pattern.select_rows(rows), small_csr.select_rows(rows)
-    assert subset.data is None
+    assert isinstance(subset, SparsityPattern)
     np.testing.assert_array_equal(subset.indptr, expected.indptr)
     np.testing.assert_array_equal(subset.indices, expected.indices)
 
 
-def test_pattern_rejects_every_value_read(small_csr, rng):
-    pattern = _pattern_of(small_csr)
-    reads = {
-        "to_dense": pattern.to_dense,
-        "matmul_dense": lambda: pattern.matmul_dense(rng.standard_normal((pattern.n_cols, 2))),
-        "row": lambda: pattern.row(0),
-        "iter_rows": pattern.iter_rows,
-        "csr_to_coo": lambda: csr_to_coo(pattern),
-    }
-    for name, read in reads.items():
-        with pytest.raises(PatternValuesError, match=name):
-            read()
+def test_pattern_rejects_every_value_read(small_csr):
+    # A CSR always holds values; a pattern has nothing to hold or read one.
+    with pytest.raises(ValueError, match="same length"):
+        CSRMatrix(
+            shape=small_csr.shape, indptr=small_csr.indptr, indices=small_csr.indices, data=None
+        )
+    pattern = pattern_of(small_csr)
+    for name in ("data", "to_dense", "matmul_dense", "row", "iter_rows"):
+        assert not hasattr(pattern, name)
+    with pytest.raises(AttributeError):
+        csr_to_coo(pattern)
+
+
+def test_pattern_bits_must_match_indptr(small_csr):
+    pattern = pattern_of(small_csr)
+    shifted = pattern.indptr.copy()
+    shifted[1:] += 1
+    with pytest.raises(ValueError, match="set bits"):
+        SparsityPattern(shape=pattern.shape, indptr=shifted, bits=pattern.bits)
+    with pytest.raises(ValueError, match="shape"):
+        SparsityPattern(shape=(12, 17), indptr=pattern.indptr, bits=pattern.bits)
+    # A set padding bit (past column 8) counted in indptr is still refused.
+    bits = pattern.bits.copy()
+    bits[0, 1] |= 0x01
+    padded = pattern.indptr.copy()
+    padded[1:] += 1
+    with pytest.raises(ValueError, match="padding"):
+        SparsityPattern(shape=pattern.shape, indptr=padded, bits=bits)

@@ -15,6 +15,7 @@ from repro.graph import registry
 from repro.harness.config import ExperimentConfig
 from repro.harness.workloads import get_bundle
 from repro.sparse.convert import dense_to_csr
+from repro.sparse.pattern import SparsityPattern
 
 
 def test_build_layer_workload_shapes(small_model):
@@ -78,15 +79,17 @@ def _csr_bytes(csr) -> int:
 
 
 def test_bundle_construction_memory_is_bounded():
-    """A bundle keeps X's structure only: no values, dense X, normals or XW.
+    """A bundle keeps X's structure as bits: no indices, values, dense X or XW.
 
-    numpy reports its buffers to tracemalloc, so both figures are the sizes
-    of the arrays themselves on any host.  What a bundle keeps is its
-    adjacency pair and its feature patterns (plus graph, plans and weights,
-    in the slack).  Its peak adds only row-block transients, and
-    partitioning's adjacency lists, which peak before the features are
-    drawn (the larger slack).  Feature values in the bundle, or an n x F0
-    normals block, exceed both bounds.
+    numpy reports its buffers to tracemalloc, and Python its objects, so
+    both figures are the sizes of what was allocated on any host.  What a
+    bundle keeps is its graph's edge list and adjacency pair and its
+    feature patterns, indptr plus one bit per cell (plus plans and
+    weights, in the slack); an int64 index per kept feature cell, which
+    outweighs all of that, exceeds the first bound.  The peak is label
+    propagation's: its adjacency lists, one pointer per entry sharing one
+    int per node, and its per-node label histograms, within five pointers
+    an entry.  A fresh int per entry (28 bytes more) exceeds the second.
     """
     get_bundle("memory-probe-300", _scenario_config(300))  # imports, registries
     config = _scenario_config(10_000)
@@ -98,12 +101,17 @@ def test_bundle_construction_memory_is_bounded():
     finally:
         tracemalloc.stop()
     layers = bundle.model.layers
+    graph = bundle.dataset.graph
+    assert all(isinstance(layer.features_csr, SparsityPattern) for layer in layers)
+    for layer in layers:
+        assert layer.features_csr.bits.nbytes == layer.num_nodes * -(-layer.in_features // 8)
     pattern_bytes = sum(
-        layer.features_csr.indptr.nbytes + layer.features_csr.indices.nbytes for layer in layers
+        layer.features_csr.indptr.nbytes + layer.features_csr.bits.nbytes for layer in layers
     )
-    adjacency_bytes = _csr_bytes(bundle.dataset.graph.adjacency()) + _csr_bytes(layers[0].adjacency)
-    assert retained <= 1.25 * (pattern_bytes + adjacency_bytes)
-    assert peak <= 1.3 * (pattern_bytes + adjacency_bytes)
-    assert all(layer.features_csr.data is None for layer in layers)
+    adjacency_bytes = _csr_bytes(graph.adjacency()) + _csr_bytes(layers[0].adjacency)
+    structure = pattern_bytes + adjacency_bytes + graph.src.nbytes + graph.dst.nbytes
+    pointer_bytes = 8 * graph.adjacency().nnz
+    assert retained <= 1.2 * structure
+    assert peak <= 1.2 * structure + 5 * pointer_bytes
     # A phase holds shapes only: it has no field a dense RHS could live in.
     assert "dense" not in {field.name for field in dataclasses.fields(SpDeGemmPhase)}
