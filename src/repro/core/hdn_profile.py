@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.obs import metrics
+from repro.sparse import blocks
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.unique import sorted_unique
 
@@ -72,7 +73,8 @@ class ClusterStream:
         cluster_of_row = cluster_of_label[cluster_of_node]
 
         # A stable sort keeps each cluster's rows ascending; their non-zeros
-        # are gathered with one fancy index (an arange shifted per row).
+        # are gathered a row block at a time, each block with one fancy
+        # index (an arange shifted per row).
         row_order = np.argsort(cluster_of_row, kind="stable")
         row_bounds = np.concatenate(
             [[0], np.cumsum(np.bincount(cluster_of_row, minlength=num_clusters + 1))]
@@ -84,9 +86,11 @@ class ClusterStream:
         if np.array_equal(streamed, np.arange(lhs.n_rows)):
             cols = lhs.indices
         else:
-            take = np.repeat(starts - offsets[:-1], lengths)
-            take += np.arange(int(offsets[-1]))
-            cols = lhs.indices[take]
+            cols = np.empty(int(offsets[-1]), dtype=lhs.indices.dtype)
+            for lo, hi in blocks.row_blocks(offsets):
+                take = np.repeat(starts[lo:hi] - offsets[lo:hi], lengths[lo:hi])
+                take += np.arange(offsets[lo], offsets[hi])
+                cols[offsets[lo] : offsets[hi]] = lhs.indices[take]
         touched = lengths > 0
         touched_before = np.concatenate([[0], np.cumsum(touched)])
         return cls(
@@ -146,9 +150,15 @@ def _stream_ranks(
 
 
 def _below(values: np.ndarray, longest: int) -> np.ndarray:
-    """``[R] -> how many values are below R``, for ``R = 0 .. longest``."""
-    histogram = np.bincount(values, minlength=longest + 1)[:longest]
-    return np.concatenate([[0], np.cumsum(histogram)]).astype(np.int64)
+    """``[R] -> how many values are below R``, for ``R = 0 .. longest``.
+
+    Counted a block at a time: ``np.bincount`` copies narrower integers to
+    ``intp`` first, and the values are as many as a phase's non-zeros.
+    """
+    histogram = np.zeros(longest + 1, dtype=np.int64)
+    for lo, hi in blocks.spans(values.size):
+        histogram += np.bincount(values[lo:hi], minlength=longest + 1)
+    return np.concatenate([[0], np.cumsum(histogram[:longest])]).astype(np.int64)
 
 
 def _segment_sums(flags: np.ndarray, bounds: np.ndarray) -> np.ndarray:

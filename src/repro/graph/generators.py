@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.sparse.unique import sorted_unique
+from repro.sparse import blocks
+from repro.sparse.unique import sorted_unique, unique_in_place
 
 
 def _edgeless_graph(name: str, communities: np.ndarray | None = None) -> Graph:
@@ -148,38 +149,6 @@ def chung_lu_graph(
         community_members.append(members)
         community_cdfs.append(cdf)
 
-    def _sample_batch(batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sample one batch of candidate edges (may contain duplicates)."""
-        src = np.searchsorted(global_cdf, rng.random(batch_size)).astype(np.int64)
-        dst = np.empty(batch_size, dtype=np.int64)
-        intra = rng.random(batch_size) < intra_community_prob
-        inter_mask = ~intra if num_communities > 1 else np.ones(batch_size, dtype=bool)
-        n_inter = int(inter_mask.sum())
-        if n_inter:
-            dst[inter_mask] = np.searchsorted(global_cdf, rng.random(n_inter))
-        if num_communities > 1:
-            # One stable sort groups the intra-community draws by their
-            # source's community, each group in ascending batch order: the
-            # positions a per-community mask would select, in its order.
-            intra_at = np.flatnonzero(intra)
-            intra_community = community[src[intra_at]]
-            grouped = intra_at[np.argsort(intra_community, kind="stable")]
-            bounds = np.cumsum(np.bincount(intra_community, minlength=num_communities))
-            for c in range(num_communities):
-                start = bounds[c - 1] if c else 0
-                count = int(bounds[c] - start)
-                if count == 0:
-                    continue
-                picks = np.searchsorted(community_cdfs[c], rng.random(count))
-                dst[grouped[start:start + count]] = community_members[c][picks]
-        # Remove self loops by redirecting them to a random other node.
-        loops = src == dst
-        if loops.any():
-            dst[loops] = (
-                dst[loops] + 1 + rng.integers(0, num_nodes - 1, size=int(loops.sum()))
-            ) % num_nodes
-        return src, dst
-
     # Degree-proportional sampling concentrates edges on hub nodes, so many
     # draws collide with already-sampled edges.  Sample in rounds until the
     # number of *unique* undirected edges reaches the target implied by the
@@ -191,15 +160,24 @@ def chung_lu_graph(
         if remaining <= 0:
             break
         batch = max(256, int(remaining * 1.5))
-        src, dst = _sample_batch(batch)
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        keys = lo * np.int64(num_nodes) + hi
-        unique_keys = sorted_unique(np.concatenate([unique_keys, keys]))
+        src, dst = _sample_batch(
+            rng, batch, global_cdf, community, community_members, community_cdfs,
+            intra_community_prob,
+        )
+        # Each candidate's undirected key, lo * n + hi, written over its source.
+        for lo, hi in blocks.spans(batch):
+            low = np.minimum(src[lo:hi], dst[lo:hi])
+            np.maximum(src[lo:hi], dst[lo:hi], out=src[lo:hi])
+            low *= num_nodes
+            src[lo:hi] += low
+        del dst
+        keys = np.concatenate([unique_keys, src]) if unique_keys.size else src
+        unique_keys = unique_in_place(keys)
     if unique_keys.size > target_edges:
-        unique_keys = rng.permutation(unique_keys)[:target_edges]
-    src = (unique_keys // num_nodes).astype(np.int64)
-    dst = (unique_keys % num_nodes).astype(np.int64)
+        # In place, the draws and order of rng.permutation(unique_keys).
+        rng.shuffle(unique_keys)
+        unique_keys = unique_keys[:target_edges]
+    src, dst = np.divmod(unique_keys, num_nodes)
     return Graph(
         num_nodes=num_nodes,
         src=src,
@@ -208,6 +186,66 @@ def chung_lu_graph(
         undirected=True,
         communities=community.astype(np.int64),
     )
+
+
+def _sample_batch(
+    rng: np.random.Generator,
+    batch_size: int,
+    global_cdf: np.ndarray,
+    community: np.ndarray,
+    community_members: list[np.ndarray],
+    community_cdfs: list[np.ndarray],
+    intra_community_prob: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample one batch of Chung-Lu candidate edges (may contain duplicates).
+
+    Sources come from ``global_cdf``; a fraction ``intra_community_prob`` of
+    destinations from the source's community, when there is more than one.
+    Each purpose's uniforms are drawn in the order and number that one call
+    per purpose draws them, a block at a time: ``Generator.random`` fills
+    its output one double after another, so the stream is the same and the
+    scratch is block-sized.
+    """
+    num_nodes = community.size
+    clustered = len(community_cdfs) > 1
+    src = np.empty(batch_size, dtype=np.int64)
+    for lo, hi in blocks.spans(batch_size):
+        src[lo:hi] = np.searchsorted(global_cdf, rng.random(hi - lo))
+    intra = np.empty(batch_size, dtype=bool)
+    for lo, hi in blocks.spans(batch_size):
+        np.less(rng.random(hi - lo), intra_community_prob, out=intra[lo:hi])
+    dst = np.empty(batch_size, dtype=np.int64)
+    for lo, hi in blocks.spans(batch_size):
+        inter = np.flatnonzero(~intra[lo:hi]) + lo if clustered else np.arange(lo, hi)
+        dst[inter] = np.searchsorted(global_cdf, rng.random(inter.size))
+    if clustered:
+        # The intra draws grouped by their source's community, ascending
+        # batch position within each (the order a stable sort by community
+        # gives): one sort of (community, position) keys.
+        grouped = np.empty(np.count_nonzero(intra), dtype=np.int64)
+        filled = 0
+        for lo, hi in blocks.spans(batch_size):
+            at = np.flatnonzero(intra[lo:hi]) + lo
+            slot = grouped[filled : filled + at.size]
+            np.multiply(community[src[at]], batch_size, out=slot)
+            slot += at
+            filled += at.size
+        grouped.sort()
+        ends = np.searchsorted(grouped, np.arange(1, len(community_cdfs) + 1) * batch_size)
+        np.remainder(grouped, batch_size, out=grouped)
+        start = 0
+        for members, cdf, end in zip(community_members, community_cdfs, ends.tolist()):
+            for lo, hi in blocks.spans(end - start):
+                picks = np.searchsorted(cdf, rng.random(hi - lo))
+                dst[grouped[start + lo : start + hi]] = members[picks]
+            start = end
+    # Remove self loops by redirecting them to a random other node.
+    loops = src == dst
+    if loops.any():
+        dst[loops] = (
+            dst[loops] + 1 + rng.integers(0, num_nodes - 1, size=int(loops.sum()))
+        ) % num_nodes
+    return src, dst
 
 
 def erdos_renyi_graph(

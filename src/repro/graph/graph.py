@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.sparse.blocks import row_blocks
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.unique import sorted_unique
+from repro.sparse.unique import unique_in_place
 
 
 @dataclass
@@ -69,21 +70,31 @@ class Graph:
         return self.num_edges / self.num_nodes
 
     def adjacency(self) -> CSRMatrix:
-        """The (binary, deduplicated) adjacency matrix in CSR format."""
+        """The (binary, deduplicated) adjacency matrix in CSR format.
+
+        A binary matrix stores no values: ``data`` is a read-only
+        zero-stride view of one 1.0.
+        """
         if self._adjacency_cache is None:
-            n = self.num_nodes
-            keys = self.src * n + self.dst
+            n, m = self.num_nodes, self.src.size
+            # Packed row-major keys, both directions of an undirected edge in
+            # one array: their sorted distinct values are the CSR order, and
+            # duplicate edges collapse to one binary entry.
+            keys = np.empty(2 * m if self.undirected else m, dtype=np.int64)
+            np.multiply(self.src, n, out=keys[:m])
+            keys[:m] += self.dst
             if self.undirected:
-                keys = np.concatenate([keys, self.dst * n + self.src])
-            # Packed row-major keys: their sorted distinct values are the CSR
-            # order, and duplicate edges collapse to one binary entry.
-            keys = sorted_unique(keys)
-            indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+                np.multiply(self.dst, n, out=keys[m:])
+                keys[m:] += self.src
+            indices = unique_in_place(keys)
+            if indices.size < keys.size:
+                indices = indices.copy()
+            indptr = np.searchsorted(indices, np.arange(n + 1) * n)
             self._adjacency_cache = CSRMatrix(
                 shape=(n, n),
                 indptr=indptr,
-                indices=np.remainder(keys, n, out=keys),
-                data=np.ones(keys.size),
+                indices=np.remainder(indices, n, out=indices),
+                data=np.broadcast_to(np.float64(1.0), indices.shape),
             )
         return self._adjacency_cache
 
@@ -98,32 +109,44 @@ class Graph:
         preprocessing step; we do the same and cache the result.  The
         diagonal is merged into the already sorted CSR: a self-loop already
         in A becomes 2.0, every other row gains a 1.0 at its sorted place.
+        Rows are merged and scaled one block at a time, straight into the
+        result's arrays.
         """
         if self._normalized_cache is not None and add_self_loops:
             return self._normalized_cache
         adj = self.adjacency()
         n = self.num_nodes
-        indptr, cols, vals = adj.indptr.copy(), adj.indices.copy(), adj.data.copy()
-        if add_self_loops:
-            # Where each diagonal entry (i, i) sorts among the row-major
-            # keys of the non-zeros, and whether it is already one of them.
-            keys = np.repeat(np.arange(n) * n, adj.row_nnz()) + cols
-            diagonal = np.arange(n)
-            at = np.searchsorted(keys, diagonal * (n + 1))
-            present = at < keys.size
-            present[present] = keys[at[present]] == diagonal[present] * (n + 1)
-            vals[at[present]] += 1.0
-            missing = ~present
-            cols = np.insert(cols, at[missing], diagonal[missing])
-            vals = np.insert(vals, at[missing], 1.0)
-            indptr = indptr + np.concatenate([[0], np.cumsum(missing)])
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        degree = np.bincount(rows, weights=vals, minlength=n)
+        row_nnz = adj.row_nnz()
+        # A is binary, so row i of A + I sums to its non-zeros plus one.
+        degree = (row_nnz + int(add_self_loops)).astype(np.float64)
         inv_sqrt = np.zeros(n)
         nonzero = degree > 0
         inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
-        normalized_vals = vals * inv_sqrt[rows] * inv_sqrt[cols]
-        result = CSRMatrix(shape=(n, n), indptr=indptr, indices=cols, data=normalized_vals)
+
+        # The rows that gain a diagonal entry: every row but a self-loop's.
+        missing = np.full(n, add_self_loops)
+        missing[self.src[self.src == self.dst]] = False
+        indptr = adj.indptr + np.concatenate([[0], np.cumsum(missing)])
+        indices = np.empty(int(indptr[-1]), dtype=np.int64)
+        data = np.empty(indices.size)
+        for lo, hi in row_blocks(adj.indptr):
+            cols = adj.indices[adj.indptr[lo] : adj.indptr[hi]]
+            rows = np.repeat(np.arange(lo, hi), row_nnz[lo:hi])
+            vals = np.ones(cols.size)
+            if add_self_loops:
+                # Where each row's diagonal entry sorts among the block's
+                # row-major keys: on it, or where it goes.
+                at = np.searchsorted(rows * n + cols, np.arange(lo, hi) * (n + 1))
+                vals[at[~missing[lo:hi]]] += 1.0
+                add = np.flatnonzero(missing[lo:hi])
+                cols = np.insert(cols, at[add], lo + add)
+                rows = np.insert(rows, at[add], lo + add)
+                vals = np.insert(vals, at[add], 1.0)
+            out = slice(indptr[lo], indptr[hi])
+            indices[out] = cols
+            np.multiply(vals, inv_sqrt[rows], out=data[out])
+            data[out] *= inv_sqrt[cols]
+        result = CSRMatrix(shape=(n, n), indptr=indptr, indices=indices, data=data)
         if add_self_loops:
             self._normalized_cache = result
         return result

@@ -18,11 +18,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Iterator
 
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.sparse.blocks import row_blocks
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.unique import run_starts, sorted_unique
 
@@ -66,20 +66,6 @@ def _single_cluster_result(num_nodes: int) -> PartitionResult:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _row_blocks(indptr: np.ndarray, entries: int) -> Iterator[tuple[int, int]]:
-    """Consecutive row ranges ``[lo, hi)`` holding at most ``entries`` entries.
-
-    A row with more entries than that is a block of its own.
-    """
-    num_rows = indptr.size - 1
-    lo = 0
-    while lo < num_rows:
-        hi = int(np.searchsorted(indptr, indptr[lo] + entries, side="right")) - 1
-        hi = min(max(hi, lo + 1), num_rows)
-        yield lo, hi
-        lo = hi
-
-
 def _adjacency_lists(adjacency: CSRMatrix, nodes: list[int]) -> list[list[int]]:
     """Python adjacency lists whose entries are ``nodes``' own ints.
 
@@ -91,7 +77,7 @@ def _adjacency_lists(adjacency: CSRMatrix, nodes: list[int]) -> list[list[int]]:
     indptr = adjacency.indptr
     node = nodes.__getitem__
     lists: list[list[int]] = []
-    for lo, hi in _row_blocks(indptr, _BLOCK_ENTRIES):
+    for lo, hi in row_blocks(indptr, _BLOCK_ENTRIES):
         base = indptr[lo]
         shared = list(map(node, adjacency.indices[base:indptr[hi]].tolist()))
         bounds = (indptr[lo : hi + 1] - base).tolist()
@@ -329,7 +315,7 @@ def _refine_boundary(
     loads = np.bincount(assignment, minlength=num_clusters).tolist()
     for _sweep in range(passes):
         moved = 0
-        for lo, hi in _row_blocks(indptr, _BLOCK_ENTRIES):
+        for lo, hi in row_blocks(indptr, _BLOCK_ENTRIES):
             movers, targets = _refinement_votes(indptr, indices, labels, lo, hi, num_clusters)
             queue = movers.tolist()
             target_of = dict(zip(queue, targets.tolist()))

@@ -79,11 +79,9 @@ def get_bundle(name: str, config: ExperimentConfig) -> WorkloadBundle:
                 seed=config.seed,
                 spec=config.effective_scenario(name),
             )
-        # Sparse-first order: A-hat, then both plans, then the features, so
-        # the partitioner's per-node containers are freed before the feature
-        # arrays exist.  A-hat is part of the model's build phase.
-        with trace.span("workload.build_model", dataset=name):
-            dataset.graph.normalized_adjacency()
+        # Sparse-first order: both plans, then the model (A-hat, then the
+        # features), so the partitioner's per-node containers are freed
+        # before A-hat or a feature array exists.
         preprocessor = GrowPreprocessor(
             target_cluster_nodes=config.target_cluster_nodes, seed=config.seed
         )

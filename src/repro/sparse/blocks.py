@@ -1,0 +1,39 @@
+"""Block-wise passes: scratch of a fixed size, whatever the input's size.
+
+The cold path's inputs are as long as a graph's edge count (an adjacency's
+non-zeros, a batch of candidate edges), and an array of temporaries that
+long per pass is what sets a pass's memory.  A pass that walks its input
+in blocks of :data:`BLOCK_ENTRIES` entries holds its output and
+block-sized scratch instead.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+import numpy as np
+
+#: Entries a block-wise pass handles at once.
+BLOCK_ENTRIES = 1 << 16
+
+
+def spans(size: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ``[lo, hi)`` ranges of ``BLOCK_ENTRIES`` covering ``size``, the last shorter."""
+    block = BLOCK_ENTRIES
+    return ((lo, min(lo + block, size)) for lo in range(0, size, block))
+
+
+def row_blocks(indptr: np.ndarray, entries: int | None = None) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges ``[lo, hi)`` holding at most ``entries`` entries.
+
+    ``entries`` defaults to :data:`BLOCK_ENTRIES`.  A row with more entries
+    than that is a block of its own.
+    """
+    entries = BLOCK_ENTRIES if entries is None else entries
+    num_rows = indptr.size - 1
+    lo = 0
+    while lo < num_rows:
+        hi = int(np.searchsorted(indptr, indptr[lo] + entries, side="right")) - 1
+        hi = min(max(hi, lo + 1), num_rows)
+        yield lo, hi
+        lo = hi

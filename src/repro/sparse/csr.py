@@ -27,7 +27,8 @@ class CSRMatrix:
         indptr: array of length ``n_rows + 1``; row ``i`` owns the non-zeros
             in the half-open slice ``[indptr[i], indptr[i + 1])``.
         indices: column index of each stored non-zero.
-        data: value of each stored non-zero.
+        data: value of each stored non-zero (a binary matrix's may be a
+            read-only zero-stride view of one 1.0, as a graph's adjacency is).
 
     A CSR's arrays are never modified after construction: what is derived
     from them may be memoised on the matrix, as GCNAX's tile profiles are
@@ -119,18 +120,6 @@ class CSRMatrix:
         row_ids = np.repeat(np.arange(self.n_rows), self.row_nnz())
         np.add.at(dense, (row_ids, self.indices), self.data)
         return dense
-
-    def row_bytes(self, i: int, value_bytes: int = 8, index_bytes: int = 4) -> int:
-        """Storage footprint of row ``i`` in the CSR stream (values + indices)."""
-        nnz = int(self.indptr[i + 1] - self.indptr[i])
-        return nnz * (value_bytes + index_bytes)
-
-    def total_bytes(self, value_bytes: int = 8, index_bytes: int = 4) -> int:
-        """Total compressed storage footprint (values + indices + indptr)."""
-        return (
-            self.nnz * (value_bytes + index_bytes)
-            + self.indptr.size * index_bytes
-        )
 
     def matmul_dense(self, dense: np.ndarray) -> np.ndarray:
         """Multiply this sparse matrix by a dense matrix (reference kernel)."""

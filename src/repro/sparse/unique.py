@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.sparse import blocks
+
 
 def run_starts(values: np.ndarray) -> np.ndarray:
     """Positions where a run of equal values begins in a non-decreasing array."""
@@ -36,3 +38,26 @@ def sorted_unique(keys: np.ndarray, return_counts: bool = False):
     if return_counts:
         return keys[starts], np.diff(starts, append=keys.size)
     return keys[starts]
+
+
+def unique_in_place(keys: np.ndarray) -> np.ndarray:
+    """``sorted_unique(keys)`` in ``keys``' own buffer: a prefix view of it.
+
+    Sorts ``keys``, then moves each run's first value left one block at a
+    time, so the scratch is block-sized where :func:`sorted_unique` holds
+    the run starts and a copy of the distinct values, each as long as the
+    input.  Moving left never overwrites a value not yet read.
+    """
+    keys.sort()
+    size = 0
+    previous = None
+    for lo, hi in blocks.spans(keys.size):
+        block = keys[lo:hi]
+        first = np.empty(block.size, dtype=bool)
+        first[0] = previous is None or block[0] != previous
+        np.not_equal(block[1:], block[:-1], out=first[1:])
+        previous = block[-1]
+        kept = block[first]
+        keys[size : size + kept.size] = kept
+        size += kept.size
+    return keys[:size]

@@ -25,6 +25,12 @@ block-decided walk over the CSR replaced.
 :func:`pattern_of` packs a CSR's stored positions into the
 :class:`~repro.sparse.pattern.SparsityPattern` a bundle keeps for X.
 
+The cold-path construction references hold whole-length scratch where the
+code they were replaced by holds block-sized scratch: the normalisation
+merged over arrays as long as A (:func:`normalized_adjacency_reference`),
+and the Chung-Lu batch sampler drawing each purpose's uniforms in one call
+(:func:`sample_batch_reference`).
+
 The baseline references are the loops the baselines replaced: an LRU cache
 replayed over an ``OrderedDict`` (GAMMA's fiber cache and GROW's
 demand-based HDN cache replay through ``functools.lru_cache``), and GCNAX's
@@ -516,6 +522,87 @@ def pattern_of(csr: CSRMatrix) -> SparsityPattern:
     mask[np.repeat(np.arange(csr.n_rows), csr.row_nnz()), csr.indices] = True
     indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
     return SparsityPattern(shape=csr.shape, indptr=indptr, bits=np.packbits(mask, axis=1))
+
+
+def normalized_adjacency_reference(graph: Graph, add_self_loops: bool = True) -> CSRMatrix:
+    """``D^-1/2 (A + I) D^-1/2`` merged over whole-matrix arrays.
+
+    The body of ``Graph.normalized_adjacency`` before it wrote block by
+    block into the result's arrays: the row-major keys, two ``np.insert``
+    copies, the row of every entry and the values, each as long as A.
+    """
+    adj = graph.adjacency()
+    n = graph.num_nodes
+    indptr, cols, vals = adj.indptr.copy(), adj.indices.copy(), adj.data.copy()
+    if add_self_loops:
+        # Where each diagonal entry (i, i) sorts among the row-major
+        # keys of the non-zeros, and whether it is already one of them.
+        keys = np.repeat(np.arange(n) * n, adj.row_nnz()) + cols
+        diagonal = np.arange(n)
+        at = np.searchsorted(keys, diagonal * (n + 1))
+        present = at < keys.size
+        present[present] = keys[at[present]] == diagonal[present] * (n + 1)
+        vals[at[present]] += 1.0
+        missing = ~present
+        cols = np.insert(cols, at[missing], diagonal[missing])
+        vals = np.insert(vals, at[missing], 1.0)
+        indptr = indptr + np.concatenate([[0], np.cumsum(missing)])
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    degree = np.bincount(rows, weights=vals, minlength=n)
+    inv_sqrt = np.zeros(n)
+    nonzero = degree > 0
+    inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
+    normalized_vals = vals * inv_sqrt[rows] * inv_sqrt[cols]
+    return CSRMatrix(shape=(n, n), indptr=indptr, indices=cols, data=normalized_vals)
+
+
+def sample_batch_reference(
+    rng: np.random.Generator,
+    batch_size: int,
+    global_cdf: np.ndarray,
+    community: np.ndarray,
+    community_members: list[np.ndarray],
+    community_cdfs: list[np.ndarray],
+    intra_community_prob: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One batch of Chung-Lu candidate edges, each purpose's uniforms in one call.
+
+    The sampler nested in ``chung_lu_graph`` before its draws were chunked,
+    with its enclosing function's names as parameters: every draw as long
+    as the batch, and the intra-community draws grouped by a stable
+    argsort of their sources' communities.
+    """
+    num_nodes = community.size
+    num_communities = len(community_cdfs)
+    src = np.searchsorted(global_cdf, rng.random(batch_size)).astype(np.int64)
+    dst = np.empty(batch_size, dtype=np.int64)
+    intra = rng.random(batch_size) < intra_community_prob
+    inter_mask = ~intra if num_communities > 1 else np.ones(batch_size, dtype=bool)
+    n_inter = int(inter_mask.sum())
+    if n_inter:
+        dst[inter_mask] = np.searchsorted(global_cdf, rng.random(n_inter))
+    if num_communities > 1:
+        # One stable sort groups the intra-community draws by their
+        # source's community, each group in ascending batch order: the
+        # positions a per-community mask would select, in its order.
+        intra_at = np.flatnonzero(intra)
+        intra_community = community[src[intra_at]]
+        grouped = intra_at[np.argsort(intra_community, kind="stable")]
+        bounds = np.cumsum(np.bincount(intra_community, minlength=num_communities))
+        for c in range(num_communities):
+            start = bounds[c - 1] if c else 0
+            count = int(bounds[c] - start)
+            if count == 0:
+                continue
+            picks = np.searchsorted(community_cdfs[c], rng.random(count))
+            dst[grouped[start:start + count]] = community_members[c][picks]
+    # Remove self loops by redirecting them to a random other node.
+    loops = src == dst
+    if loops.any():
+        dst[loops] = (
+            dst[loops] + 1 + rng.integers(0, num_nodes - 1, size=int(loops.sum()))
+        ) % num_nodes
+    return src, dst
 
 
 def pack_communities_reference(

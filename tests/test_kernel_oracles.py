@@ -8,7 +8,12 @@ lookup of the HDN ID list oracle, ``np.unique(..., axis=0)`` for the scale-out
 cluster-pair dedup, and the dense-first workload construction: the COO
 round trips behind ``Graph.adjacency`` and ``Graph.normalized_adjacency``,
 the dense feature generator behind ``generate_feature_pattern`` (and behind
-the values a layer replays) and HyGCN's densified X.  Hypothesis drives
+the values a layer replays) and HyGCN's densified X.  The block-wise cold
+path is checked against the whole-array code it replaced, at block sizes
+down to one entry: ``oracles.normalized_adjacency_reference`` for the
+normalisation (also on every Table I graph and the 10k, 30k and 100k bench
+graphs), ``oracles.sample_batch_reference`` for the Chung-Lu batch
+sampler's chunked draws, and ``np.unique`` for ``unique_in_place``.  Hypothesis drives
 them over random inputs (empty matrices, empty row strips, non-square
 shapes, 1x1 tiles and tiles larger than the matrix; duplicate edges,
 self-loops and isolated nodes; feature blocks that do not divide the row
@@ -71,8 +76,8 @@ from repro.gcn.features import (
     generate_feature_pattern,
     generate_weight_matrix,
 )
-from repro.graph import registry
-from repro.graph.datasets import DATASET_NAMES
+from repro.graph import generators, registry
+from repro.graph.datasets import DATASET_NAMES, load_dataset
 from repro.graph.graph import Graph
 from repro.harness import default_config
 from repro.harness.config import ExperimentConfig
@@ -80,7 +85,14 @@ from repro.harness.workloads import get_bundle
 from repro.obs import metrics
 from repro.scaleout import ScaleOutSimulator, get_shard_plan
 from repro.scaleout.shard import SHARD_METHODS, ClusterCoupling, build_shard_plan
-from repro.sparse import COOMatrix, CSRMatrix, sorted_unique, tile_statistics
+from repro.sparse import (
+    COOMatrix,
+    CSRMatrix,
+    blocks,
+    sorted_unique,
+    tile_statistics,
+    unique_in_place,
+)
 from repro.sparse import pattern as sparsity_pattern
 from repro.sparse.convert import coo_to_csr, dense_to_csr
 from repro.sparse.pattern import SparsityPattern
@@ -94,7 +106,9 @@ from oracles import (
     gcnax_phase_reference,
     local_plan,
     lru_hits_reference,
+    normalized_adjacency_reference,
     pattern_of,
+    sample_batch_reference,
     streaming_phase_reference,
 )
 
@@ -371,10 +385,15 @@ int64_keys = hnp.arrays(
 # sorted_unique vs np.unique
 
 
-@given(int64_keys)
+@given(int64_keys, st.sampled_from([1, 2, 3, 1 << 16]))
 @settings(max_examples=200, deadline=None)
-def test_sorted_unique_matches_np_unique(keys):
+def test_sorted_unique_matches_np_unique(keys, block_entries):
     assert_identical(sorted_unique(keys.copy()), np.unique(keys))
+    in_place = keys.copy()
+    with mock.patch.object(blocks, "BLOCK_ENTRIES", block_entries):
+        distinct = unique_in_place(in_place)
+    assert_identical(distinct, np.unique(keys))
+    assert np.shares_memory(distinct, in_place) or not distinct.size
     values, counts = sorted_unique(keys.copy(), return_counts=True)
     expected_values, expected_counts = np.unique(keys, return_counts=True)
     assert_identical(values, expected_values)
@@ -457,15 +476,17 @@ def test_hdn_lookup_matches_isin(ids, columns):
     st.integers(1, 4),
     st.sampled_from(["pinned", "lru"]),
     st.booleans(),
+    st.sampled_from([1, 3, 1 << 16]),
 )
 @settings(max_examples=300, deadline=None)
-def test_hdn_profile_matches_cache_loop(case, rows, rhs_cols, replacement, enabled):
+def test_hdn_profile_matches_cache_loop(case, rows, rhs_cols, replacement, enabled, block_entries):
     adjacency, plan = case
     phase = SpDeGemmPhase("aggregation", adjacency, (adjacency.n_cols, rhs_cols))
     config = rows_config(
         rows, phase.rhs_row_bytes, hdn_replacement=replacement, enable_hdn_cache=enabled
     )
-    assert_profile_matches_loop(config, phase, plan)
+    with mock.patch.object(blocks, "BLOCK_ENTRIES", block_entries):
+        assert_profile_matches_loop(config, phase, plan)
 
 
 def test_hdn_profile_retains_neither_a_per_nonzero_nor_a_per_slot_array():
@@ -541,13 +562,15 @@ def test_shard_plans_match_the_per_chip_count_scan(case):
 # Sparse-first construction vs the COO round trips and the dense generator
 
 
-@given(graphs())
-@example(Graph.from_edge_list(1, [], undirected=True))
-@example(Graph.from_edge_list(3, [(0, 1), (0, 1), (1, 0), (2, 2)], undirected=True))
-@example(Graph.from_edge_list(3, [(0, 1), (0, 1), (1, 0), (2, 2)], undirected=False))
+@given(graphs(), st.sampled_from([1, 2, 3, 1 << 16]))
+@example(Graph.from_edge_list(1, [], undirected=True), 1 << 16)
+@example(Graph.from_edge_list(3, [(0, 1), (0, 1), (1, 0), (2, 2)], undirected=True), 1)
+@example(Graph.from_edge_list(3, [(0, 1), (0, 1), (1, 0), (2, 2)], undirected=False), 2)
 @settings(max_examples=300, deadline=None)
-def test_adjacency_matches_coo_path(graph):
-    assert_csr_identical(graph.adjacency(), oracle_adjacency(graph))
+def test_adjacency_matches_coo_path(graph, block_entries):
+    with mock.patch.object(blocks, "BLOCK_ENTRIES", block_entries):
+        adjacency = graph.adjacency()
+    assert_csr_identical(adjacency, oracle_adjacency(graph))
 
 
 @given(graphs(), st.booleans())
@@ -560,6 +583,55 @@ def test_adjacency_matches_coo_path(graph):
 def test_normalized_adjacency_matches_coo_path(graph, add_self_loops):
     normalized = graph.normalized_adjacency(add_self_loops=add_self_loops)
     assert_csr_identical(normalized, oracle_normalized_adjacency(graph, add_self_loops))
+
+
+@given(graphs(), st.booleans(), st.sampled_from([1, 2, 3, 1 << 16]))
+@example(Graph.from_edge_list(7, [(2, 2)], undirected=True), True, 1)
+@example(Graph.from_edge_list(6, [(5, 0), (1, 1), (1, 1), (3, 2)], undirected=False), True, 1)
+@example(Graph.from_edge_list(5, [(0, 0), (0, 1), (3, 3), (4, 1)], undirected=True), False, 2)
+@settings(max_examples=300, deadline=None)
+def test_normalized_adjacency_matches_the_whole_array_merge(graph, add_self_loops, block_entries):
+    """Merged and scaled a row block at a time, at any block size, A-hat is
+    the whole-array merge's, bit for bit (an empty row's diagonal sorts
+    where the next row's entries start)."""
+    with mock.patch.object(blocks, "BLOCK_ENTRIES", block_entries):
+        normalized = graph.normalized_adjacency(add_self_loops=add_self_loops)
+    assert_csr_identical(normalized, normalized_adjacency_reference(graph, add_self_loops))
+
+
+def endpoint_distributions(num_nodes: int, num_communities: int, rng):
+    """Valid sampler inputs: a global CDF, communities, their members and CDFs."""
+    global_cdf = np.cumsum(rng.random(num_nodes) + 0.01)
+    global_cdf /= global_cdf[-1]
+    community = rng.integers(0, num_communities, size=num_nodes)
+    members, cdfs = [], []
+    for c in range(num_communities):
+        nodes = np.flatnonzero(community == c)
+        nodes = nodes if nodes.size else np.arange(num_nodes)
+        cdf = np.cumsum(np.sqrt(rng.random(nodes.size) + 0.01))
+        members.append(nodes)
+        cdfs.append(cdf / cdf[-1])
+    return global_cdf, community, members, cdfs
+
+
+@pytest.mark.parametrize("block_entries", [16, None])
+@pytest.mark.parametrize("num_communities", [1, 2, 64])
+@pytest.mark.parametrize("intra_prob", [0.0, 0.8, 1.0])
+def test_chunked_batch_draws_match_one_call_per_purpose(block_entries, num_communities, intra_prob):
+    """Batches below, at and across the draw chunk: same edges, same stream after."""
+    chunk = block_entries or blocks.BLOCK_ENTRIES
+    # Five nodes make self-loops, and so the redirection draw, common.
+    for num_nodes in (5, 300):
+        setup_rng = np.random.default_rng(num_nodes)
+        inputs = endpoint_distributions(num_nodes, num_communities, setup_rng)
+        for batch in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            rng, oracle_rng = np.random.default_rng(batch), np.random.default_rng(batch)
+            with mock.patch.object(blocks, "BLOCK_ENTRIES", chunk):
+                src, dst = generators._sample_batch(rng, batch, *inputs, intra_prob)
+            expected = sample_batch_reference(oracle_rng, batch, *inputs, intra_prob)
+            assert_identical(src, expected[0])
+            assert_identical(dst, expected[1])
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 @given(
@@ -798,6 +870,11 @@ def test_table1_construction_matches_dense_first_path(bundle):
     assert_csr_identical(
         bundle.model.layers[0].adjacency, oracle_normalized_adjacency(graph, add_self_loops=True)
     )
+    for add_self_loops in (True, False):
+        assert_csr_identical(
+            graph.normalized_adjacency(add_self_loops=add_self_loops),
+            normalized_adjacency_reference(graph, add_self_loops),
+        )
     # The model's draw sequence: each layer's features, then its weights.
     rng = np.random.default_rng(default_config().seed)
     for index, (layer, workload) in enumerate(zip(bundle.model.layers, bundle.workloads)):
@@ -809,6 +886,23 @@ def test_table1_construction_matches_dense_first_path(bundle):
         # The values come back from the recorded state, bit for bit.
         assert_identical(layer.features, expected)
         assert workload.combination.sparse is layer.features_csr
+
+
+@pytest.mark.parametrize("num_nodes", [10_000, 30_000, 100_000])
+def test_bench_scenario_normalized_adjacency_matches_the_whole_array_merge(num_nodes):
+    """The ``repro bench`` grow rungs' graphs, at the default block size."""
+    spec = registry.scenario_from_dict(
+        {
+            "name": f"bench-grow-{num_nodes // 1000}k",
+            "generator": "chung-lu",
+            "num_nodes": num_nodes,
+            "average_degree": 16,
+            "num_communities": 64,
+            "feature_lengths": [128, 64, 16],
+        }
+    )
+    graph = load_dataset(spec.name, seed=0, spec=spec).graph
+    assert_csr_identical(graph.normalized_adjacency(), normalized_adjacency_reference(graph))
 
 
 def test_table1_hygcn_matches_dense_x_path(bundle):

@@ -65,12 +65,6 @@ def test_matmul_dense_dimension_mismatch(small_csr, rng):
         small_csr.matmul_dense(rng.standard_normal((small_csr.n_cols + 1, 3)))
 
 
-def test_row_bytes_and_total_bytes(small_csr):
-    per_row = sum(small_csr.row_bytes(i) for i in range(small_csr.n_rows))
-    assert per_row == small_csr.nnz * 12
-    assert small_csr.total_bytes() == small_csr.nnz * 12 + (small_csr.n_rows + 1) * 4
-
-
 def test_select_rows(small_dense):
     csr = dense_to_csr(small_dense)
     rows = np.array([3, 0, 7])

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.accelerators.workload import (
@@ -11,9 +12,12 @@ from repro.accelerators.workload import (
     build_layer_workload,
     build_model_workloads,
 )
+from repro.core.preprocess import GrowPreprocessor
 from repro.graph import registry
+from repro.graph.datasets import load_dataset
 from repro.harness.config import ExperimentConfig
 from repro.harness.workloads import get_bundle
+from repro.sparse import blocks
 from repro.sparse.convert import dense_to_csr
 from repro.sparse.pattern import SparsityPattern
 
@@ -60,8 +64,8 @@ def test_build_model_workloads(small_model):
     assert all(w.num_nodes == small_model.num_nodes for w in workloads)
 
 
-def _scenario_config(num_nodes: int) -> ExperimentConfig:
-    spec = registry.scenario_from_dict(
+def _scenario_spec(num_nodes: int):
+    return registry.scenario_from_dict(
         {
             "name": f"memory-probe-{num_nodes}",
             "generator": "chung-lu",
@@ -71,11 +75,32 @@ def _scenario_config(num_nodes: int) -> ExperimentConfig:
             "feature_lengths": [128, 64, 16],
         }
     )
+
+
+def _scenario_config(num_nodes: int) -> ExperimentConfig:
+    spec = _scenario_spec(num_nodes)
     return ExperimentConfig(datasets=(spec.name,), scenarios=(spec,))
 
 
+def _storage_bytes(array: np.ndarray) -> int:
+    """Bytes an array stores: a zero-stride view stores one element."""
+    return array.itemsize if array.ndim == 1 and array.strides == (0,) else array.nbytes
+
+
 def _csr_bytes(csr) -> int:
-    return csr.indptr.nbytes + csr.indices.nbytes + csr.data.nbytes
+    return sum(_storage_bytes(array) for array in (csr.indptr, csr.indices, csr.data))
+
+
+def _traced(build):
+    """``build()``, with the bytes it left allocated and its peak, from zero."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        built = build()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return built, retained, peak
 
 
 def test_bundle_construction_memory_is_bounded():
@@ -85,21 +110,17 @@ def test_bundle_construction_memory_is_bounded():
     both figures are the sizes of what was allocated on any host.  What a
     bundle keeps is its graph's edge list and adjacency pair and its
     feature patterns, indptr plus one bit per cell (plus plans and
-    weights, in the slack); an int64 index per kept feature cell, which
-    outweighs all of that, exceeds the first bound.  The peak is label
-    propagation's: its adjacency lists, one pointer per entry sharing one
-    int per node, and its per-node label histograms, within five pointers
-    an entry.  A fresh int per entry (28 bytes more) exceeds the second.
+    weights, in the slack); A's values are one shared 1.0.  An int64 index
+    per kept feature cell, which outweighs all of that, exceeds the first
+    bound.  The peak is label propagation's, which runs before A-hat and
+    the features exist: its adjacency lists, one pointer per entry sharing
+    one int per node, and its per-node label histograms, within three
+    pointers an entry.  A fresh int per entry (28 bytes more) exceeds the
+    second, and so does A-hat built before the partitioner.
     """
     get_bundle("memory-probe-300", _scenario_config(300))  # imports, registries
     config = _scenario_config(10_000)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        bundle = get_bundle("memory-probe-10000", config)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    bundle, retained, peak = _traced(lambda: get_bundle("memory-probe-10000", config))
     layers = bundle.model.layers
     graph = bundle.dataset.graph
     assert all(isinstance(layer.features_csr, SparsityPattern) for layer in layers)
@@ -112,6 +133,55 @@ def test_bundle_construction_memory_is_bounded():
     structure = pattern_bytes + adjacency_bytes + graph.src.nbytes + graph.dst.nbytes
     pointer_bytes = 8 * graph.adjacency().nnz
     assert retained <= 1.2 * structure
-    assert peak <= 1.2 * structure + 5 * pointer_bytes
+    assert peak <= 1.2 * structure + 3 * pointer_bytes
     # A phase holds shapes only: it has no field a dense RHS could live in.
     assert "dense" not in {field.name for field in dataclasses.fields(SpDeGemmPhase)}
+
+
+def test_cold_path_stages_peak_at_their_output_plus_blocks(monkeypatch):
+    """Each cold-path stage holds what it builds plus block-sized scratch.
+
+    Blocks of 2**12 entries make an array as long as A (160k entries at
+    10k nodes) forty blocks long, so one such temporary outweighs the
+    allowance of blocks; a node-long array (degrees, CDFs, per-row flags)
+    is the other unit.  Generation's output is its candidate batch: 1.5
+    candidates per kept edge, each with a source, a destination and, when
+    drawn in its community, a grouped position, within 2.5 times the kept
+    edge list.  The HDN profile keeps counts indexed by capacity; it builds
+    them from its stream, a column and a 32-bit rank per non-zero.
+    """
+    monkeypatch.setattr(blocks, "BLOCK_ENTRIES", 1 << 12)
+    block_bytes = 8 * blocks.BLOCK_ENTRIES
+    preprocessor = GrowPreprocessor(target_cluster_nodes=512)
+
+    def stages(num_nodes: int):
+        spec = _scenario_spec(num_nodes)
+        dataset, _, generate_peak = _traced(lambda: load_dataset(spec.name, spec=spec))
+        graph = dataset.graph
+        adjacency, adjacency_retained, adjacency_peak = _traced(graph.adjacency)
+        plan = preprocessor.plan_from_graph(graph)
+        normalized, _, normalize_peak = _traced(graph.normalized_adjacency)
+        _profile, _, profile_peak = _traced(lambda: plan.hdn_profile(normalized))
+        return graph, adjacency, normalized, {
+            "generate": generate_peak,
+            "adjacency": adjacency_peak,
+            "adjacency retained": adjacency_retained,
+            "normalize": normalize_peak,
+            "profile": profile_peak,
+        }
+
+    stages(300)  # imports, registries
+    graph, adjacency, normalized, peaks = stages(10_000)
+    node_bytes = 8 * graph.num_nodes
+    assert adjacency.nnz >= 32 * blocks.BLOCK_ENTRIES
+    edge_bytes = graph.src.nbytes + graph.dst.nbytes
+    assert peaks["generate"] <= 2.5 * edge_bytes + 8 * node_bytes + 8 * block_bytes
+    assert peaks["adjacency retained"] <= 1.01 * _csr_bytes(adjacency)
+    assert peaks["adjacency"] <= _csr_bytes(adjacency) + 3 * node_bytes + 4 * block_bytes
+    assert peaks["normalize"] <= _csr_bytes(normalized) + 8 * node_bytes + 4 * block_bytes
+    assert peaks["profile"] <= 12 * normalized.nnz + 8 * node_bytes + 4 * block_bytes
+    # A stores no values: a read-only view of one 1.0.
+    assert adjacency.data.strides == (0,)
+    assert np.array_equal(adjacency.data, np.ones(adjacency.nnz))
+    with pytest.raises(ValueError):
+        adjacency.data[0] = 2.0
