@@ -30,8 +30,8 @@ Commands:
   determinism, cache-identity, pool-safety, exception-hygiene,
   worker-purity and vectorization-contract rules, the latter two
   whole-program over the pool call graph (``--json``, ``--sarif``,
-  ``--changed``, ``--rules``; exits 1 on unsuppressed findings, 2 on
-  parse/usage errors).
+  ``--rules``; exits 1 on unsuppressed findings, 2 on parse/usage
+  errors).
 * ``trace <file>``               — summarise a trace written by ``--trace``:
   top spans, phase breakdown, cache hit rates.
 * ``stats``                      — query the persistent run ledger

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.accelerators.base import (
     KB,
     NNZ_BYTES,
@@ -86,15 +84,8 @@ class GCNAXSimulator:
         # --- Sparse LHS traffic: one fetch per occupied tile, rounded up to
         # whole DRAM lines.  This is where the bandwidth waste of Figure 6
         # comes from: a tile with one or two non-zeros still moves 64 bytes.
-        # A tile of k non-zeros moves max(g, ceil(k * NNZ_BYTES / g) * g)
-        # bytes, a multiple of the access granularity g, so pricing the
-        # profile's tile-size histogram in int64 is exact.
         requested_sparse = tiles.total_nnz * NNZ_BYTES
-        nnz_in_tile = np.arange(tiles.tiles_with_nnz.size, dtype=np.int64)
-        tile_bytes = np.maximum(
-            granularity, -(-nnz_in_tile * NNZ_BYTES // granularity) * granularity
-        )
-        transferred_sparse = int(tiles.tiles_with_nnz @ tile_bytes)
+        transferred_sparse = tiles.fetched_bytes(NNZ_BYTES, granularity)
 
         # --- Dense RHS traffic.
         if phase.rhs_resident:

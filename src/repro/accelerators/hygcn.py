@@ -25,7 +25,6 @@ from repro.accelerators.base import (
     PhaseStats,
 )
 from repro.accelerators.workload import LayerWorkload
-from repro.gcn.layer import GCNLayer
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import SparsityPattern
 
@@ -143,23 +142,6 @@ class HyGCNSimulator:
             requested_read_bytes=dram_read,
             sram_access_bytes={"combination_buffer": dram_read},
         )
-
-    def run_layer_from_gcn(self, layer: GCNLayer) -> AcceleratorResult:
-        """Simulate one GCN layer directly (HyGCN needs X, not XW)."""
-        agg = self._aggregation_engine(
-            layer.adjacency, layer.in_features, _nonzero_fraction(layer.features_csr)
-        )
-        comb = self._combination_engine(layer.num_nodes, layer.in_features, layer.out_features)
-        # The two engines are pipelined; the slower one bounds throughput and
-        # the imbalance is reported for analysis.
-        slower = max(agg.total_cycles, comb.total_cycles)
-        imbalance = abs(agg.total_cycles - comb.total_cycles) / max(slower, 1.0)
-        result = AcceleratorResult(accelerator=self.name, workload=layer.name)
-        result.phases = [agg, comb]
-        result.extra["pipeline_cycles"] = slower
-        result.extra["load_imbalance"] = imbalance
-        result.sram_capacities = {"buffer": self.config.buffer_bytes}
-        return result
 
     def run_layer(self, workload: LayerWorkload) -> AcceleratorResult:
         """Simulate a layer given the standard workload description.

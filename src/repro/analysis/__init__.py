@@ -4,21 +4,18 @@ from repro.analysis.sparsity import (
     DatasetCharacterization,
     characterize_dataset,
     layer_matrix_densities,
-    partition_diagonal_fraction,
 )
 from repro.analysis.tiles import (
     effective_bandwidth_utilization,
     tile_nnz_bins,
 )
-from repro.analysis.breakdown import latency_breakdown, phase_fraction
+from repro.analysis.breakdown import latency_breakdown
 
 __all__ = [
     "DatasetCharacterization",
     "characterize_dataset",
     "layer_matrix_densities",
-    "partition_diagonal_fraction",
     "effective_bandwidth_utilization",
     "tile_nnz_bins",
     "latency_breakdown",
-    "phase_fraction",
 ]

@@ -12,11 +12,3 @@ def latency_breakdown(result: AcceleratorResult) -> dict[str, float]:
         "combination": result.phase_cycles("combination"),
         "total": result.total_cycles,
     }
-
-
-def phase_fraction(result: AcceleratorResult, phase_keyword: str) -> float:
-    """Fraction of end-to-end latency spent in phases matching a keyword."""
-    total = result.total_cycles
-    if total == 0:
-        return 0.0
-    return result.phase_cycles(phase_keyword) / total

@@ -3,9 +3,7 @@
 The heterogeneous sparsity of the two SpDeGEMMs — the adjacency matrix A is
 orders of magnitude sparser than the feature matrix X, while XW and W are
 fully dense — is the observation motivating GROW.  These helpers measure the
-densities of all four matrices for any dataset/model pair, plus the
-block-diagonal concentration metric that stands in for the paper's Figure 14
-spy plots.
+densities of all four matrices for any dataset/model pair.
 """
 
 from __future__ import annotations
@@ -16,9 +14,6 @@ import numpy as np
 
 from repro.gcn.layer import GCNModel
 from repro.graph.datasets import SyntheticDataset
-from repro.graph.graph import Graph
-from repro.graph.partition import PartitionResult
-from repro.sparse.csr import CSRMatrix
 
 
 @dataclass
@@ -97,27 +92,3 @@ def layer_matrix_densities(model: GCNModel, layer: int = 0) -> dict[str, float]:
         "XW": _density(xw),
         "W": _density(target.weight),
     }
-
-
-def partition_diagonal_fraction(
-    graph: Graph, partition: PartitionResult
-) -> float:
-    """Fraction of adjacency non-zeros that fall inside diagonal cluster blocks.
-
-    After cluster-by-cluster renumbering the non-zeros of a well-partitioned
-    graph concentrate around the block diagonal (paper Figure 14); this metric
-    is the numeric stand-in for those spy plots: 1.0 means every edge is
-    intra-cluster.
-    """
-    adjacency = graph.adjacency()
-    assignment = partition.assignment
-    row_of_nnz = np.repeat(np.arange(adjacency.n_rows), adjacency.row_nnz())
-    if row_of_nnz.size == 0:
-        return 0.0
-    intra = assignment[row_of_nnz] == assignment[adjacency.indices]
-    return float(intra.sum()) / row_of_nnz.size
-
-
-def adjacency_density(adjacency: CSRMatrix) -> float:
-    """Density of an adjacency matrix (convenience wrapper)."""
-    return adjacency.density

@@ -8,13 +8,11 @@ a 64-byte minimum access granularity (Figure 6).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.accelerators.base import NNZ_BYTES
 from repro.obs import trace
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import SparsityPattern
-from repro.sparse.tiling import occupied_tile_counts, tile_nnz_histogram
+from repro.sparse.tiling import tile_nnz_histogram, tile_profile
 
 
 def tile_nnz_bins(
@@ -40,18 +38,14 @@ def effective_bandwidth_utilization(
 
     Every occupied tile is fetched as at least one DRAM line; the effectual
     bytes are the tile's non-zeros (value + index).  This is how the paper
-    measures the Figure 6 utilisation.
+    measures the Figure 6 utilisation.  Read from the matrix's memoised
+    tile profile, the one GCNAX prices it by.
     """
     with trace.span(
         "analysis.tiling", nnz=matrix.nnz, tile_rows=tile_rows, tile_cols=tile_cols
     ):
-        _tile_ids, counts = occupied_tile_counts(matrix, tile_rows, tile_cols)
-    if counts.size == 0:
-        return 0.0
-    tile_bytes = counts * NNZ_BYTES
-    requested = int(tile_bytes.sum())
-    lines = np.maximum(1, -(-tile_bytes // access_granularity))
-    transferred = int(lines.sum()) * access_granularity
+        profile = tile_profile(matrix, tile_rows, tile_cols)
+    transferred = profile.fetched_bytes(NNZ_BYTES, access_granularity)
     if transferred == 0:
         return 0.0
-    return min(1.0, requested / transferred)
+    return min(1.0, profile.total_nnz * NNZ_BYTES / transferred)

@@ -8,7 +8,7 @@ root is derived from this file's location rather than by importing the
 
 Exit codes: ``0`` clean (inline-suppressed findings are reported but do
 not fail), ``1`` unsuppressed findings, ``2`` usage or configuration
-errors (bad root, unknown rule, a git failure under ``--changed``) *and*
+errors (bad root, unknown rule) *and*
 parse errors — a file the checker cannot parse silently truncates the
 whole-program analysis, so it is a configuration failure, not a finding;
 every parseable module is still checked and reported first.
@@ -22,7 +22,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analyze.changed import ChangedError
 from repro.analyze.engine import run_check
 from repro.analyze.project import ProjectError
 from repro.analyze.sarif import write_sarif
@@ -73,16 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'LAY' or 'DET001,EXC'; default: every rule",
     )
     parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help="scope the report to modules that differ from git REF "
-        "(default HEAD) plus everything that transitively imports them; "
-        "the whole tree is still parsed so whole-program rules stay exact",
-    )
-    parser.add_argument(
         "--sarif",
         type=Path,
         default=None,
@@ -120,12 +109,6 @@ def _print_human(report) -> None:
     if report.parse_errors:
         for error in report.parse_errors:
             print(f"parse error: {error}", file=sys.stderr)
-    if report.scope is not None:
-        print(
-            f"scope (--changed {report.scope['ref']}): "
-            f"{len(report.scope['changed'])} changed module(s), "
-            f"{len(report.scope['scope'])} in the reverse-import closure"
-        )
     print(
         f"checked {report.files_scanned} file(s) under {report.root} "
         f"with {len(report.rules)} rule(s): {len(report.findings)} finding(s), "
@@ -158,8 +141,8 @@ def main(argv: list[str] | None = None) -> int:
 
     root = (args.root if args.root is not None else _default_root()).resolve()
     try:
-        report = run_check(root, rule_names=selectors, changed_ref=args.changed)
-    except (ProjectError, ChangedError) as error:
+        report = run_check(root, rule_names=selectors)
+    except ProjectError as error:
         print(str(error), file=sys.stderr)
         return 2
 

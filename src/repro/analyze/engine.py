@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.analyze.changed import changed_scope
 from repro.analyze.contracts import DEFAULT_CONFIG, CheckConfig
 from repro.analyze.findings import Finding
 from repro.analyze.project import Project
@@ -23,7 +22,8 @@ from repro.analyze.rules import Rule, select_rules
 
 #: 2: added the ``scope`` key (``--changed`` runs; ``None`` otherwise).
 #: 3: dropped the ``baselined`` and ``stale_baseline`` keys.
-REPORT_SCHEMA = 3
+#: 4: dropped the ``scope`` key with ``--changed``.
+REPORT_SCHEMA = 4
 
 
 @dataclass
@@ -41,9 +41,6 @@ class CheckReport:
     suppressed: list[Finding] = field(default_factory=list)
     reasonless_suppressions: list[dict[str, Any]] = field(default_factory=list)
     parse_errors: list[str] = field(default_factory=list)
-    #: ``--changed`` scope (``ChangedScope.to_dict()``); ``None`` for
-    #: whole-tree runs.
-    scope: dict[str, Any] | None = None
 
     @property
     def ok(self) -> bool:
@@ -60,7 +57,6 @@ class CheckReport:
             "suppressed": [f.to_dict() for f in self.suppressed],
             "reasonless_suppressions": list(self.reasonless_suppressions),
             "parse_errors": list(self.parse_errors),
-            "scope": dict(self.scope) if self.scope is not None else None,
         }
 
 
@@ -96,35 +92,21 @@ def run_check(
     root: Path,
     rule_names: list[str] | None = None,
     config: CheckConfig = DEFAULT_CONFIG,
-    changed_ref: str | None = None,
 ) -> CheckReport:
     """Run the invariant checker over ``root``.
 
-    With ``changed_ref`` the whole tree is still parsed (the
-    whole-program rules need the full call graph) but the reported
-    findings are scoped to the modules that differ from the git ref plus
-    their reverse-import closure — see :mod:`repro.analyze.changed`.
-
     Raises :class:`~repro.analyze.project.ProjectError` for unusable
-    roots and :class:`~repro.analyze.changed.ChangedError` when the change
-    set cannot be determined — the CLI turns both into actionable
-    messages.  Unknown rule selectors raise ``KeyError`` (see
+    roots, which the CLI turns into an actionable message.  Unknown rule
+    selectors raise ``KeyError`` (see
     :func:`repro.analyze.rules.select_rules`).
     """
     project = Project.load(Path(root))
     rules = select_rules(rule_names)
-    scope = None
-    if changed_ref is not None:
-        scope = changed_scope(project, changed_ref)
-    raw = run_rules(project, rules, config)
-    if scope is not None:
-        raw = [finding for finding in raw if finding.path in scope.scope]
-    kept, suppressed = apply_suppressions(project, raw)
+    kept, suppressed = apply_suppressions(project, run_rules(project, rules, config))
     reasonless = [
         {"path": module.rel, "line": line, "comment": comment}
         for module in project.modules
         for line, comment in module.suppressions.missing_reason
-        if scope is None or module.rel in scope.scope
     ]
     return CheckReport(
         root=str(project.root),
@@ -134,5 +116,4 @@ def run_check(
         suppressed=suppressed,
         reasonless_suppressions=reasonless,
         parse_errors=list(project.parse_errors),
-        scope=scope.to_dict() if scope is not None else None,
     )

@@ -33,7 +33,7 @@ from repro.accelerators.gamma import simulate_lru_hits
 from repro.accelerators.workload import LayerWorkload, SpDeGemmPhase
 from repro.core.config import GrowConfig
 from repro.core.hdn_profile import ClusterCounts, ClusterStream
-from repro.core.preprocess import GrowPreprocessor, PreprocessPlan
+from repro.core.preprocess import PreprocessPlan
 from repro.obs import trace
 from repro.sparse.csr import CSRMatrix
 
@@ -116,15 +116,14 @@ class GrowSimulator:
     def run_phase(
         self,
         phase: SpDeGemmPhase,
-        plan: PreprocessPlan | None = None,
+        plan: PreprocessPlan,
         clusters: np.ndarray | None = None,
     ) -> PhaseStats:
         """Simulate one SpDeGEMM phase.
 
         Aggregation phases use the preprocessing ``plan`` (clusters + HDN
-        lists); when none is supplied, a single-cluster plan with globally
-        selected HDNs is built on the fly (the "w/o graph partitioning"
-        configuration).  Combination phases keep the RHS on chip and never
+        lists); the "w/o graph partitioning" configuration is a plan with
+        one cluster.  Combination phases keep the RHS on chip and never
         consult the plan's HDN lists.  With ``clusters`` (indices into
         ``plan.clusters``) the phase covers only those clusters' rows.
         """
@@ -136,13 +135,11 @@ class GrowSimulator:
             return self._price_streaming_phase(self._count_streaming_phase(phase, plan, clusters))
 
     @staticmethod
-    def _owned_rows(plan: PreprocessPlan | None, clusters: np.ndarray) -> np.ndarray:
-        if plan is None:
-            raise ValueError("a cluster selection needs the plan it indexes")
+    def _owned_rows(plan: PreprocessPlan, clusters: np.ndarray) -> np.ndarray:
         return np.concatenate([np.empty(0, dtype=np.int64)] + [plan.clusters[c] for c in clusters])
 
     def _count_resident_phase(
-        self, phase: SpDeGemmPhase, plan: PreprocessPlan | None, clusters: np.ndarray | None
+        self, phase: SpDeGemmPhase, plan: PreprocessPlan, clusters: np.ndarray | None
     ) -> PhaseCounts:
         if clusters is None:
             return PhaseCounts(phase, nnz=phase.sparse.nnz, rows=phase.sparse.n_rows)
@@ -185,12 +182,6 @@ class GrowSimulator:
             extra={"hdn_hit_rate": 1.0, "num_clusters": 1.0},
         )
 
-    def _plan_for(self, phase: SpDeGemmPhase, plan: PreprocessPlan | None) -> PreprocessPlan:
-        if plan is not None:
-            return plan
-        preprocessor = GrowPreprocessor(hdn_list_capacity=self.config.hdn_id_capacity)
-        return preprocessor.plan_without_partitioning(phase.sparse)
-
     def _uses_lru(self) -> bool:
         return self.config.hdn_replacement == "lru" and self.config.enable_hdn_cache
 
@@ -212,9 +203,8 @@ class GrowSimulator:
         return plan.hdn_profile(phase.sparse).cluster_counts(cache_rows)
 
     def _count_streaming_phase(
-        self, phase: SpDeGemmPhase, plan: PreprocessPlan | None, clusters: np.ndarray | None
+        self, phase: SpDeGemmPhase, plan: PreprocessPlan, clusters: np.ndarray | None
     ) -> PhaseCounts:
-        plan = self._plan_for(phase, plan)
         cache_rows = self.config.hdn_cache_rows(phase.rhs_row_bytes)
         if clusters is not None:
             counts = self._cluster_counts(phase, plan, cache_rows)
@@ -320,7 +310,7 @@ class GrowSimulator:
     def run_layer(
         self,
         workload: LayerWorkload,
-        plan: PreprocessPlan | None = None,
+        plan: PreprocessPlan,
         clusters: np.ndarray | None = None,
     ) -> AcceleratorResult:
         """Simulate the combination and aggregation phases of one layer."""
@@ -335,7 +325,7 @@ class GrowSimulator:
     def run_model(
         self,
         workloads: list[LayerWorkload],
-        plan: PreprocessPlan | None = None,
+        plan: PreprocessPlan,
         name: str | None = None,
         clusters: np.ndarray | None = None,
     ) -> AcceleratorResult:
@@ -359,9 +349,7 @@ class GrowSimulator:
         combined.extra["hdn_hit_rate"] = hits / lookups if lookups else 0.0
         return combined
 
-    def cluster_breakdown(
-        self, phase: SpDeGemmPhase, plan: PreprocessPlan | None = None
-    ) -> list[ClusterStats]:
+    def cluster_breakdown(self, phase: SpDeGemmPhase, plan: PreprocessPlan) -> list[ClusterStats]:
         """Per-cluster statistics of an aggregation phase (multi-PE scheduling)."""
         if phase.rhs_resident:
             raise ValueError("cluster breakdown is only defined for aggregation phases")
@@ -369,7 +357,6 @@ class GrowSimulator:
         granularity = arch.access_granularity
         row_bytes = phase.rhs_row_bytes
         row_lines = -(-row_bytes // granularity)
-        plan = self._plan_for(phase, plan)
         counts = self._cluster_counts(phase, plan, self.config.hdn_cache_rows(row_bytes))
         misses = counts.nnz - counts.hits
         nodes = np.array([members.size for members in plan.clusters], dtype=np.int64)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.accelerators.base import KB, AcceleratorConfig
 from repro.core.runahead import RunaheadModel
@@ -26,7 +26,6 @@ class GrowConfig:
         runahead_degree: number of output rows concurrently in flight
             (the multi-row stationary window).
         ldn_table_entries: MSHR-like table tracking outstanding HDN misses.
-        lhs_id_table_entries: table tracking LHS values waiting on misses.
         enable_hdn_cache: ablation switch for HDN caching.
         enable_runahead: ablation switch for runahead execution.
         num_pes: number of processing engines (Figure 24 scalability study).
@@ -43,7 +42,6 @@ class GrowConfig:
     output_buffer_bytes: int = 2 * KB
     runahead_degree: int = 16
     ldn_table_entries: int = 16
-    lhs_id_table_entries: int = 64
     enable_hdn_cache: bool = True
     enable_runahead: bool = True
     num_pes: int = 1
@@ -82,7 +80,3 @@ class GrowConfig:
             dram_latency_cycles=self.arch.dram_latency_cycles,
             ldn_entries=self.ldn_table_entries,
         )
-
-    def with_arch(self, arch: AcceleratorConfig) -> "GrowConfig":
-        """Copy of this config with different shared architecture parameters."""
-        return replace(self, arch=arch)

@@ -85,17 +85,8 @@ class MultiPEGrowSimulator:
             total += runahead.exposed_stall_cycles(cluster.rows_with_miss)
         return total
 
-    def single_pe_cycles(self, workload: LayerWorkload, plan: PreprocessPlan | None = None) -> float:
-        """Aggregation latency with one PE: clusters execute sequentially."""
-        return self._sequential_cycles(
-            self._single_pe.cluster_breakdown(workload.aggregation, plan)
-        )
-
     def run_aggregation(
-        self,
-        workload: LayerWorkload,
-        num_pes: int,
-        plan: PreprocessPlan | None = None,
+        self, workload: LayerWorkload, num_pes: int, plan: PreprocessPlan
     ) -> MultiPEResult:
         """Aggregation latency with ``num_pes`` PEs and proportional bandwidth."""
         if num_pes < 1:

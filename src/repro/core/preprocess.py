@@ -75,10 +75,6 @@ class PreprocessPlan:
         """The HDN rank profile of the aggregation LHS ``lhs`` under this plan."""
         return self.derived("hdn_profile", lhs, lambda: HDNProfile(lhs, self))
 
-    def hdn_storage_bytes(self) -> int:
-        """DRAM footprint of all clusters' HDN ID lists (3 bytes per id)."""
-        return sum(int(lst.size) * 3 for lst in self.hdn_lists)
-
     def validate(self) -> None:
         """Check internal consistency (every node in exactly one cluster)."""
         seen = np.concatenate(self.clusters) if self.clusters else np.empty(0, dtype=np.int64)
@@ -158,16 +154,14 @@ class GrowPreprocessor:
         return plan
 
     def plan_from_partition(
-        self, adjacency: CSRMatrix, partition: PartitionResult, intra_only: bool = False
+        self, adjacency: CSRMatrix, partition: PartitionResult
     ) -> PreprocessPlan:
         """Plan built from an existing partition of the adjacency matrix.
 
         For every cluster the HDN list holds the columns most referenced by
-        that cluster's rows.  With ``intra_only`` the candidates are
-        restricted to the cluster's own nodes (the strictest reading of the
-        paper); the default also admits heavily referenced external hub
-        nodes, which degrades gracefully on graphs with weak community
-        structure (e.g. Reddit) and never lowers the hit rate.
+        that cluster's rows.  Heavily referenced hub nodes outside the
+        cluster are candidates too, which degrades gracefully on graphs with
+        weak community structure (e.g. Reddit).
         """
         with trace.span(
             "preprocess.hdn_select",
@@ -195,13 +189,6 @@ class GrowPreprocessor:
             unique_pairs, pair_counts = np.unique(pair_keys, return_counts=True)
             pair_cluster = unique_pairs // n_cols
             pair_col = unique_pairs % n_cols
-            if intra_only:
-                in_range = pair_col < assignment.size
-                keep = in_range.copy()
-                keep[in_range] = assignment[pair_col[in_range]] == pair_cluster[in_range]
-                pair_cluster = pair_cluster[keep]
-                pair_col = pair_col[keep]
-                pair_counts = pair_counts[keep]
             candidate_order = np.lexsort((pair_col, -pair_counts, pair_cluster))
             cand_cluster = pair_cluster[candidate_order]
             cand_col = pair_col[candidate_order]

@@ -40,9 +40,8 @@ from repro.dse.space import (
     get_space,
     list_spaces,
     register_space,
-    unregister_space,
 )
-from repro.dse.pareto import dominates, non_dominated_sort, pareto_indices, pareto_ranks
+from repro.dse.pareto import dominates, non_dominated_sort, pareto_indices
 from repro.dse.objectives import (
     METRIC_NAMES,
     Constraint,
@@ -72,11 +71,9 @@ __all__ = [
     "get_space",
     "list_spaces",
     "register_space",
-    "unregister_space",
     "dominates",
     "non_dominated_sort",
     "pareto_indices",
-    "pareto_ranks",
     "METRIC_NAMES",
     "Objective",
     "Constraint",

@@ -74,14 +74,3 @@ def pareto_indices(
     if not vectors:
         return []
     return non_dominated_sort(vectors, directions)[0]
-
-
-def pareto_ranks(
-    vectors: Sequence[Sequence[float]], directions: Sequence[str]
-) -> list[int]:
-    """Front index (0 = non-dominated) of every vector, in input order."""
-    ranks = [0] * len(vectors)
-    for rank, front in enumerate(non_dominated_sort(vectors, directions)):
-        for index in front:
-            ranks[index] = rank
-    return ranks

@@ -345,11 +345,6 @@ def register_space(space: ParameterSpace) -> ParameterSpace:
     return space
 
 
-def unregister_space(name: str) -> None:
-    """Remove a space from the registry (primarily for tests)."""
-    _SPACES.pop(name, None)
-
-
 def list_spaces() -> list[str]:
     """Names of all registered spaces, sorted."""
     return sorted(_SPACES)

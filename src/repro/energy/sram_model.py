@@ -69,8 +69,3 @@ class SRAMEnergyModel:
     def dynamic_energy_nj(self, num_accesses: int) -> float:
         """Dynamic energy of ``num_accesses`` accesses, in nanojoules."""
         return self.access_energy_pj * num_accesses / 1e3
-
-    def leakage_energy_nj(self, runtime_cycles: float, frequency_ghz: float = 1.0) -> float:
-        """Leakage energy over a runtime, in nanojoules."""
-        seconds = runtime_cycles / (frequency_ghz * 1e9)
-        return self.leakage_mw * 1e-3 * seconds * 1e9

@@ -2,13 +2,7 @@
 
 from repro.gcn.features import generate_feature_matrix, generate_weight_matrix
 from repro.gcn.layer import GCNLayer, GCNModel, build_model_for_dataset
-from repro.gcn.ops_count import (
-    ExecutionOrder,
-    layer_mac_counts,
-    mac_count_a_xw,
-    mac_count_ax_w,
-    model_mac_counts,
-)
+from repro.gcn.ops_count import layer_mac_counts, mac_count_a_xw, mac_count_ax_w
 
 __all__ = [
     "generate_feature_matrix",
@@ -16,9 +10,7 @@ __all__ = [
     "GCNLayer",
     "GCNModel",
     "build_model_for_dataset",
-    "ExecutionOrder",
     "layer_mac_counts",
     "mac_count_ax_w",
     "mac_count_a_xw",
-    "model_mac_counts",
 ]

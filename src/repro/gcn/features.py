@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import metrics
+from repro.sparse import blocks
 from repro.sparse.pattern import SparsityPattern
 
 
@@ -46,10 +47,6 @@ def generate_feature_matrix(
     return matrix
 
 
-#: Cells :func:`generate_feature_pattern` draws per row block.
-_BLOCK_CELLS = 1 << 16
-
-
 def generate_feature_pattern(
     num_rows: int,
     num_cols: int,
@@ -68,11 +65,12 @@ def generate_feature_pattern(
         rng = np.random.default_rng(0)
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
-    block_rows = max(1, _BLOCK_CELLS // max(1, num_cols))
-    blocks = [
+    # Row blocks of at most ``BLOCK_ENTRIES`` cells (a wider row is a block).
+    block_rows = max(1, blocks.BLOCK_ENTRIES // max(1, num_cols))
+    row_ranges = [
         (start, min(start + block_rows, num_rows)) for start in range(0, num_rows, block_rows)
     ]
-    kept_bits, row_counts = _draw_kept_cells(rng, (num_rows, num_cols), density, blocks)
+    kept_bits, row_counts = _draw_kept_cells(rng, (num_rows, num_cols), density, row_ranges)
     indptr = np.zeros(num_rows + 1, dtype=np.int64)
     np.cumsum(row_counts, out=indptr[1:])
     return SparsityPattern(shape=(num_rows, num_cols), indptr=indptr, bits=kept_bits)
@@ -82,7 +80,7 @@ def _draw_kept_cells(
     rng: np.random.Generator,
     shape: tuple[int, int],
     density: float,
-    blocks: list[tuple[int, int]],
+    row_ranges: list[tuple[int, int]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The cells :func:`generate_feature_matrix` keeps, packed one bit each, and per-row counts.
 
@@ -93,9 +91,9 @@ def _draw_kept_cells(
     """
     num_rows, num_cols = shape
     # The first block is the largest.
-    buffer = np.empty((blocks[0][1] if blocks else 0, num_cols))
+    buffer = np.empty((row_ranges[0][1] if row_ranges else 0, num_cols))
     zero_cells = [np.empty(0, dtype=np.int64)]
-    for start, stop in blocks:
+    for start, stop in row_ranges:
         normals = buffer[: stop - start]
         rng.standard_normal(out=normals)
         if not normals.all():
@@ -103,7 +101,7 @@ def _draw_kept_cells(
     zeros = np.concatenate(zero_cells)
     kept_bits = np.empty((num_rows, (num_cols + 7) // 8), dtype=np.uint8)
     row_counts = np.empty(num_rows, dtype=np.int64)
-    for start, stop in blocks:
+    for start, stop in row_ranges:
         if density < 1.0:
             uniforms = buffer[: stop - start]
             rng.random(out=uniforms)

@@ -9,20 +9,12 @@ density of the intermediate products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from repro.gcn.layer import GCNLayer, GCNModel
+from repro.gcn.layer import GCNLayer
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import SparsityPattern
-
-
-class ExecutionOrder(str, Enum):
-    """The two possible orders of the two-stage GCN matrix multiplication."""
-
-    AX_THEN_W = "(AX)W"
-    A_THEN_XW = "A(XW)"
 
 
 def _spmm_macs(lhs_nnz: int, rhs_cols: int) -> int:
@@ -87,10 +79,3 @@ def layer_mac_counts(layer: GCNLayer) -> LayerMacCounts:
         ax_then_w=mac_count_ax_w(layer),
         a_then_xw=mac_count_a_xw(layer),
     )
-
-
-def model_mac_counts(model: GCNModel) -> LayerMacCounts:
-    """Aggregate MAC counts of a whole model under both execution orders."""
-    ax_w = sum(mac_count_ax_w(layer) for layer in model.layers)
-    a_xw = sum(mac_count_a_xw(layer) for layer in model.layers)
-    return LayerMacCounts(layer_name=model.name, ax_then_w=ax_w, a_then_xw=a_xw)

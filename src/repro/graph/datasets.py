@@ -154,12 +154,6 @@ class SyntheticDataset:
     def num_nodes(self) -> int:
         return self.graph.num_nodes
 
-    def layer_dims(self, layer: int) -> tuple[int, int]:
-        """Input and output feature width of GCN layer ``layer`` (0-based)."""
-        if not 0 <= layer < len(self.feature_lengths) - 1:
-            raise IndexError(f"layer {layer} out of range")
-        return self.feature_lengths[layer], self.feature_lengths[layer + 1]
-
     @property
     def num_layers(self) -> int:
         return len(self.feature_lengths) - 1
@@ -223,7 +217,6 @@ def load_dataset(
     name: str | None = None,
     num_nodes: int | None = None,
     seed: int = 0,
-    max_input_features: int = _MAX_SYNTHETIC_INPUT_FEATURES,
     spec: DatasetSpec | None = None,
 ) -> SyntheticDataset:
     """Materialise a registered dataset (built-in or runtime scenario).
@@ -234,8 +227,6 @@ def load_dataset(
         num_nodes: override the synthetic node count (default: the spec's
             ``synthetic_nodes``).
         seed: RNG seed so datasets are reproducible.
-        max_input_features: cap on the input feature width; hidden and output
-            widths are never shrunk.
         spec: explicit spec to materialise (skips the registry lookup; used
             by harness configurations that carry their scenario definitions
             across process boundaries).
@@ -257,7 +248,8 @@ def load_dataset(
     name_offset = sum(ord(ch) * (i + 1) for i, ch in enumerate(spec.name))
     rng = np.random.default_rng(seed + name_offset)
     graph = _generate_graph(spec, n, degree, rng)
-    input_width = min(spec.feature_lengths[0], max_input_features)
+    # The input width is capped; hidden and output widths are never shrunk.
+    input_width = min(spec.feature_lengths[0], _MAX_SYNTHETIC_INPUT_FEATURES)
     feature_lengths = (input_width,) + tuple(spec.feature_lengths[1:])
     return SyntheticDataset(
         spec=spec,

@@ -10,11 +10,13 @@ can mimic each of the paper's eight workloads.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.graph.graph import Graph
 from repro.sparse import blocks
-from repro.sparse.unique import sorted_unique, unique_in_place
+from repro.sparse.unique import unique_in_place
 
 
 def _edgeless_graph(name: str, communities: np.ndarray | None = None) -> Graph:
@@ -150,34 +152,17 @@ def chung_lu_graph(
         community_cdfs.append(cdf)
 
     # Degree-proportional sampling concentrates edges on hub nodes, so many
-    # draws collide with already-sampled edges.  Sample in rounds until the
-    # number of *unique* undirected edges reaches the target implied by the
-    # requested average degree (bounded to avoid pathological loops).
-    target_edges = max(1, int(round(num_nodes * average_degree / 2)))
-    unique_keys = np.empty(0, dtype=np.int64)
-    for _round in range(12):
-        remaining = target_edges - unique_keys.size
-        if remaining <= 0:
-            break
-        batch = max(256, int(remaining * 1.5))
-        src, dst = _sample_batch(
+    # draws collide with already-sampled edges.
+    src, dst = _unique_edges(
+        rng,
+        num_nodes,
+        average_degree,
+        oversample=1.5,
+        sample_batch=lambda batch: _sample_batch(
             rng, batch, global_cdf, community, community_members, community_cdfs,
             intra_community_prob,
-        )
-        # Each candidate's undirected key, lo * n + hi, written over its source.
-        for lo, hi in blocks.spans(batch):
-            low = np.minimum(src[lo:hi], dst[lo:hi])
-            np.maximum(src[lo:hi], dst[lo:hi], out=src[lo:hi])
-            low *= num_nodes
-            src[lo:hi] += low
-        del dst
-        keys = np.concatenate([unique_keys, src]) if unique_keys.size else src
-        unique_keys = unique_in_place(keys)
-    if unique_keys.size > target_edges:
-        # In place, the draws and order of rng.permutation(unique_keys).
-        rng.shuffle(unique_keys)
-        unique_keys = unique_keys[:target_edges]
-    src, dst = np.divmod(unique_keys, num_nodes)
+        ),
+    )
     return Graph(
         num_nodes=num_nodes,
         src=src,
@@ -248,6 +233,44 @@ def _sample_batch(
     return src, dst
 
 
+def _unique_edges(
+    rng: np.random.Generator,
+    num_nodes: int,
+    average_degree: float,
+    oversample: float,
+    sample_batch: Callable[[int], tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sources and destinations of the distinct undirected edges a sampler draws.
+
+    Samples in rounds until the number of *unique* undirected edges reaches
+    the target implied by ``average_degree`` (at most 12 rounds), each
+    round ``oversample`` candidates per missing edge, then cuts a random
+    subset down to the target.  Each candidate's key, ``lo * n + hi``, is
+    written over its source, and the keys are deduplicated in place, so a
+    round holds its batch and the kept keys, not copies of them.
+    """
+    target_edges = max(1, int(round(num_nodes * average_degree / 2)))
+    unique_keys = np.empty(0, dtype=np.int64)
+    for _round in range(12):
+        remaining = target_edges - unique_keys.size
+        if remaining <= 0:
+            break
+        src, dst = sample_batch(max(256, int(remaining * oversample)))
+        for lo, hi in blocks.spans(src.size):
+            low = np.minimum(src[lo:hi], dst[lo:hi])
+            np.maximum(src[lo:hi], dst[lo:hi], out=src[lo:hi])
+            low *= num_nodes
+            src[lo:hi] += low
+        del dst
+        keys = np.concatenate([unique_keys, src]) if unique_keys.size else src
+        unique_keys = unique_in_place(keys)
+    if unique_keys.size > target_edges:
+        # In place, the draws and order of rng.permutation(unique_keys).
+        rng.shuffle(unique_keys)
+        unique_keys = unique_keys[:target_edges]
+    return np.divmod(unique_keys, num_nodes)
+
+
 def erdos_renyi_graph(
     num_nodes: int,
     average_degree: float,
@@ -270,17 +293,22 @@ def erdos_renyi_graph(
     return Graph(num_nodes=num_nodes, src=src, dst=dst, name=name, undirected=True)
 
 
+#: Probability that a Holme-Kim newcomer's next edge closes a triangle.
+_TRIANGLE_PROB = 0.3
+
+
 def powerlaw_cluster_graph(
     num_nodes: int,
     average_degree: float,
-    triangle_prob: float = 0.3,
     rng: np.random.Generator | None = None,
     name: str = "powerlaw-cluster",
 ) -> Graph:
     """Holme-Kim style preferential-attachment graph with triangle closure.
 
     Produces both a power-law degree distribution and high clustering, which
-    is representative of citation networks (Cora/Citeseer/Pubmed).
+    is representative of citation networks (Cora/Citeseer/Pubmed).  After a
+    newcomer's first edge, each further edge closes a triangle with
+    probability ``_TRIANGLE_PROB``.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -310,7 +338,7 @@ def powerlaw_cluster_graph(
         chosen: set[int] = set()
         first_target: int | None = None
         while len(chosen) < m:
-            if first_target is not None and rng.random() < triangle_prob and repeated_size:
+            if first_target is not None and rng.random() < _TRIANGLE_PROB and repeated_size:
                 # Triangle step: connect to a random neighbour of the previous target.
                 neighbor_pool = out_neighbors[first_target] + in_neighbors[first_target]
                 if neighbor_pool:
@@ -380,48 +408,49 @@ def rmat_graph(
     if num_nodes == 1:
         return _edgeless_graph(name, communities=np.zeros(1, dtype=np.int64))
     levels = max(1, int(np.ceil(np.log2(num_nodes))))
-    target_edges = max(1, int(round(num_nodes * average_degree / 2)))
 
     def _sample_batch(batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-        src = np.zeros(batch_size, dtype=np.int64)
-        dst = np.zeros(batch_size, dtype=np.int64)
-        draws = rng.random((batch_size, levels))
-        for level in range(levels):
-            r = draws[:, level]
-            # Quadrants in probability order: a=(0,0), b=(0,1), c=(1,0), d=(1,1).
-            src_bit = (r >= a + b).astype(np.int64)
-            dst_bit = (((r >= a) & (r < a + b)) | (r >= a + b + c)).astype(np.int64)
-            src = (src << 1) | src_bit
-            dst = (dst << 1) | dst_bit
-        in_range = (src < num_nodes) & (dst < num_nodes)
-        src, dst = src[in_range], dst[in_range]
+        """The in-range candidates of ``batch_size`` R-MAT draws, in draw order.
+
+        The uniforms are drawn a row block at a time: ``Generator.random``
+        fills row-major, so the stream is that of one ``(batch_size,
+        levels)`` call.  The self-loop redirection draws after all of them.
+        """
+        src = np.empty(batch_size, dtype=np.int64)
+        dst = np.empty(batch_size, dtype=np.int64)
+        filled = 0
+        block_rows = max(1, blocks.BLOCK_ENTRIES // levels)
+        for start in range(0, batch_size, block_rows):
+            draws = rng.random((min(block_rows, batch_size - start), levels))
+            block_src = np.zeros(draws.shape[0], dtype=np.int64)
+            block_dst = np.zeros(draws.shape[0], dtype=np.int64)
+            for level in range(levels):
+                r = draws[:, level]
+                # Quadrants in probability order: a=(0,0), b=(0,1), c=(1,0), d=(1,1).
+                block_src <<= 1
+                block_src |= r >= a + b
+                block_dst <<= 1
+                block_dst |= ((r >= a) & (r < a + b)) | (r >= a + b + c)
+            in_range = (block_src < num_nodes) & (block_dst < num_nodes)
+            kept = np.count_nonzero(in_range)
+            src[filled : filled + kept] = block_src[in_range]
+            dst[filled : filled + kept] = block_dst[in_range]
+            filled += kept
+        src, dst = src[:filled], dst[:filled]
         loops = src == dst
         if loops.any():
-            dst = dst.copy()
             dst[loops] = (
                 dst[loops] + 1 + rng.integers(0, num_nodes - 1, size=int(loops.sum()))
             ) % num_nodes
         return src, dst
 
-    # Same unique-undirected-edge accumulation as the Chung-Lu sampler: the
-    # recursion concentrates draws on hub quadrants, so duplicates are common.
-    unique_keys = np.empty(0, dtype=np.int64)
-    for _round in range(12):
-        remaining = target_edges - unique_keys.size
-        if remaining <= 0:
-            break
-        batch = max(256, int(remaining * 2))
-        src, dst = _sample_batch(batch)
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        keys = lo * np.int64(num_nodes) + hi
-        unique_keys = sorted_unique(np.concatenate([unique_keys, keys]))
-    if unique_keys.size > target_edges:
-        unique_keys = rng.permutation(unique_keys)[:target_edges]
+    # The recursion concentrates draws on hub quadrants, so duplicates are
+    # common.
+    src, dst = _unique_edges(rng, num_nodes, average_degree, 2.0, _sample_batch)
     return Graph(
         num_nodes=num_nodes,
-        src=(unique_keys // num_nodes).astype(np.int64),
-        dst=(unique_keys % num_nodes).astype(np.int64),
+        src=src,
+        dst=dst,
         name=name,
         undirected=True,
         communities=communities,

@@ -102,7 +102,7 @@ class Graph:
         """Out-degree of every node (row non-zero counts of the adjacency)."""
         return self.adjacency().row_nnz()
 
-    def normalized_adjacency(self, add_self_loops: bool = True) -> CSRMatrix:
+    def normalized_adjacency(self) -> CSRMatrix:
         """Symmetrically normalised adjacency ``D^{-1/2}(A + I)D^{-1/2}``.
 
         The paper performs this normalisation offline as a one-time
@@ -112,19 +112,16 @@ class Graph:
         Rows are merged and scaled one block at a time, straight into the
         result's arrays.
         """
-        if self._normalized_cache is not None and add_self_loops:
+        if self._normalized_cache is not None:
             return self._normalized_cache
         adj = self.adjacency()
         n = self.num_nodes
         row_nnz = adj.row_nnz()
         # A is binary, so row i of A + I sums to its non-zeros plus one.
-        degree = (row_nnz + int(add_self_loops)).astype(np.float64)
-        inv_sqrt = np.zeros(n)
-        nonzero = degree > 0
-        inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
+        inv_sqrt = 1.0 / np.sqrt((row_nnz + 1).astype(np.float64))
 
         # The rows that gain a diagonal entry: every row but a self-loop's.
-        missing = np.full(n, add_self_loops)
+        missing = np.full(n, True)
         missing[self.src[self.src == self.dst]] = False
         indptr = adj.indptr + np.concatenate([[0], np.cumsum(missing)])
         indices = np.empty(int(indptr[-1]), dtype=np.int64)
@@ -133,48 +130,20 @@ class Graph:
             cols = adj.indices[adj.indptr[lo] : adj.indptr[hi]]
             rows = np.repeat(np.arange(lo, hi), row_nnz[lo:hi])
             vals = np.ones(cols.size)
-            if add_self_loops:
-                # Where each row's diagonal entry sorts among the block's
-                # row-major keys: on it, or where it goes.
-                at = np.searchsorted(rows * n + cols, np.arange(lo, hi) * (n + 1))
-                vals[at[~missing[lo:hi]]] += 1.0
-                add = np.flatnonzero(missing[lo:hi])
-                cols = np.insert(cols, at[add], lo + add)
-                rows = np.insert(rows, at[add], lo + add)
-                vals = np.insert(vals, at[add], 1.0)
+            # Where each row's diagonal entry sorts among the block's
+            # row-major keys: on it, or where it goes.
+            at = np.searchsorted(rows * n + cols, np.arange(lo, hi) * (n + 1))
+            vals[at[~missing[lo:hi]]] += 1.0
+            add = np.flatnonzero(missing[lo:hi])
+            cols = np.insert(cols, at[add], lo + add)
+            rows = np.insert(rows, at[add], lo + add)
+            vals = np.insert(vals, at[add], 1.0)
             out = slice(indptr[lo], indptr[hi])
             indices[out] = cols
             np.multiply(vals, inv_sqrt[rows], out=data[out])
             data[out] *= inv_sqrt[cols]
-        result = CSRMatrix(shape=(n, n), indptr=indptr, indices=indices, data=data)
-        if add_self_loops:
-            self._normalized_cache = result
-        return result
-
-    def relabel(self, permutation: np.ndarray, name_suffix: str = "-relabel") -> "Graph":
-        """Return a new graph with node ids renumbered by ``permutation``.
-
-        ``permutation[i]`` is the new id of old node ``i``.  This is the
-        operation that graph partitioning performs: the topology is unchanged,
-        only node ids (hence the adjacency-matrix layout) change.
-        """
-        permutation = np.asarray(permutation, dtype=np.int64)
-        if permutation.size != self.num_nodes:
-            raise ValueError("permutation length must equal num_nodes")
-        if np.sort(permutation, kind="stable").tolist() != list(range(self.num_nodes)):
-            raise ValueError("permutation must be a bijection over node ids")
-        communities = None
-        if self.communities is not None:
-            communities = np.empty_like(self.communities)
-            communities[permutation] = self.communities
-        return Graph(
-            num_nodes=self.num_nodes,
-            src=permutation[self.src],
-            dst=permutation[self.dst],
-            name=self.name + name_suffix,
-            undirected=self.undirected,
-            communities=communities,
-        )
+        self._normalized_cache = CSRMatrix(shape=(n, n), indptr=indptr, indices=indices, data=data)
+        return self._normalized_cache
 
     @classmethod
     def from_edge_list(

@@ -34,36 +34,21 @@ class PartitionResult:
     Attributes:
         assignment: ``assignment[i]`` is the cluster id of node ``i``.
         num_clusters: number of clusters actually produced.
-        permutation: ``permutation[i]`` is the new node id of old node ``i``
-            after cluster-by-cluster renumbering (cluster 0's nodes first).
-        cluster_sizes: number of nodes in each cluster.
     """
 
     assignment: np.ndarray
     num_clusters: int
-    permutation: np.ndarray
-    cluster_sizes: np.ndarray
 
 
-def _build_permutation(assignment: np.ndarray, num_clusters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Derive the renumbering permutation and cluster sizes from an assignment."""
-    order = np.argsort(assignment, kind="stable")
-    permutation = np.empty_like(order)
-    permutation[order] = np.arange(order.size)
-    sizes = np.bincount(assignment, minlength=num_clusters)
-    return permutation, sizes
+#: Cluster capacity as a multiple of the ideal size, ``n / num_clusters``.
+_BALANCE_SLACK = 1.25
 
+#: Boundary-refinement passes; they stop early once one moves nothing.
+_REFINEMENT_PASSES = 2
 
-def _single_cluster_result(num_nodes: int) -> PartitionResult:
-    assignment = np.zeros(num_nodes, dtype=np.int64)
-    permutation, sizes = _build_permutation(assignment, 1)
-    return PartitionResult(
-        assignment=assignment, num_clusters=1, permutation=permutation, cluster_sizes=sizes
-    )
-
-
-#: Adjacency entries the partitioner converts, or decides, per row block.
-_BLOCK_ENTRIES = 1 << 16
+#: Label-propagation sweeps; they stop early once one moves fewer than
+#: ``max(1, n // 200)`` nodes.
+_MAX_SWEEPS = 10
 
 
 def _adjacency_lists(adjacency: CSRMatrix, nodes: list[int]) -> list[list[int]]:
@@ -77,7 +62,7 @@ def _adjacency_lists(adjacency: CSRMatrix, nodes: list[int]) -> list[list[int]]:
     indptr = adjacency.indptr
     node = nodes.__getitem__
     lists: list[list[int]] = []
-    for lo, hi in row_blocks(indptr, _BLOCK_ENTRIES):
+    for lo, hi in row_blocks(indptr):
         base = indptr[lo]
         shared = list(map(node, adjacency.indices[base:indptr[hi]].tolist()))
         bounds = (indptr[lo : hi + 1] - base).tolist()
@@ -88,7 +73,6 @@ def _adjacency_lists(adjacency: CSRMatrix, nodes: list[int]) -> list[list[int]]:
 def _label_propagation(
     graph: Graph,
     rng: np.random.Generator,
-    max_sweeps: int = 10,
     max_label_size: float | None = None,
 ) -> np.ndarray:
     """Community detection by size-constrained asynchronous label propagation.
@@ -150,8 +134,8 @@ def _label_propagation(
     last_eval = [0] * n
     cap_of = [0] * n
     step = 0
-    fresh_sweeps = 2 if graph.undirected else max_sweeps
-    for _sweep in range(max_sweeps):
+    fresh_sweeps = 2 if graph.undirected else _MAX_SWEEPS
+    for _sweep in range(_MAX_SWEEPS):
         if _sweep == fresh_sweeps:
             # Build the persistent histograms and reset the stamps: skips
             # are only valid for evaluations made while deltas are tracked.
@@ -290,7 +274,6 @@ def _refine_boundary(
     assignment: np.ndarray,
     num_clusters: int,
     capacity: float,
-    passes: int = 2,
 ) -> np.ndarray:
     """Greedy boundary refinement: move nodes that reduce the edge cut.
 
@@ -313,9 +296,9 @@ def _refine_boundary(
     in_indptr, in_indices = (indptr, indices) if graph.undirected else _transpose(adjacency)
     labels = np.array(assignment, dtype=np.int64)
     loads = np.bincount(assignment, minlength=num_clusters).tolist()
-    for _sweep in range(passes):
+    for _sweep in range(_REFINEMENT_PASSES):
         moved = 0
-        for lo, hi in row_blocks(indptr, _BLOCK_ENTRIES):
+        for lo, hi in row_blocks(indptr):
             movers, targets = _refinement_votes(indptr, indices, labels, lo, hi, num_clusters)
             queue = movers.tolist()
             target_of = dict(zip(queue, targets.tolist()))
@@ -391,39 +374,28 @@ def _transpose(adjacency: CSRMatrix) -> tuple[np.ndarray, np.ndarray]:
     return indptr, rows[np.argsort(adjacency.indices, kind="stable")]
 
 
-def metis_like_partition(
-    graph: Graph,
-    num_clusters: int,
-    seed: int = 0,
-    balance_slack: float = 1.25,
-    refinement_passes: int = 2,
-) -> PartitionResult:
+def metis_like_partition(graph: Graph, num_clusters: int, seed: int = 0) -> PartitionResult:
     """Community-preserving balanced partitioning (the METIS stand-in).
 
     Three stages: (1) label propagation finds the graph's communities,
     (2) communities are packed into ``num_clusters`` clusters of roughly equal
     size (communities larger than a cluster are split), (3) a boundary
     refinement pass moves individual nodes that have more neighbours in
-    another cluster, subject to a balance constraint of ``balance_slack``
-    times the ideal cluster size.
+    another cluster, subject to a capacity of ``_BALANCE_SLACK`` times the
+    ideal cluster size.
     """
     if num_clusters <= 0:
         raise ValueError("num_clusters must be positive")
     n = graph.num_nodes
     num_clusters = min(num_clusters, n)
     if num_clusters == 1:
-        return _single_cluster_result(n)
+        return PartitionResult(assignment=np.zeros(n, dtype=np.int64), num_clusters=1)
     rng = np.random.default_rng(seed)
-    capacity = balance_slack * n / num_clusters
+    capacity = _BALANCE_SLACK * n / num_clusters
     labels = _label_propagation(graph, rng, max_label_size=capacity)
     assignment = _pack_communities(labels, num_clusters, capacity)
-    assignment = _refine_boundary(
-        graph, assignment, num_clusters, capacity, passes=refinement_passes
-    )
-    permutation, sizes = _build_permutation(assignment, num_clusters)
-    return PartitionResult(
-        assignment=assignment, num_clusters=num_clusters, permutation=permutation, cluster_sizes=sizes
-    )
+    assignment = _refine_boundary(graph, assignment, num_clusters, capacity)
+    return PartitionResult(assignment=assignment, num_clusters=num_clusters)
 
 
 def partition_graph(graph: Graph, num_clusters: int, seed: int = 0) -> PartitionResult:

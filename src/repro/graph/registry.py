@@ -89,11 +89,6 @@ class DatasetSpec:
         """Density of the adjacency matrix implied by the counts."""
         return self.num_edges / (self.num_nodes ** 2)
 
-    @property
-    def synthetic_density(self) -> float:
-        """Adjacency density of the default synthetic stand-in."""
-        return self.synthetic_degree / self.synthetic_nodes
-
 
 # -- the registry -----------------------------------------------------------
 

@@ -40,11 +40,10 @@ from repro.scaleout.shard import (
     ShardPlan,
     build_shard_plan,
 )
-from repro.scaleout.topology import TOPOLOGY_KINDS, ChipTopology, make_topology
+from repro.scaleout.topology import TOPOLOGY_KINDS, ChipTopology
 
 __all__ = [
     "ChipTopology",
-    "make_topology",
     "TOPOLOGY_KINDS",
     "ChipShard",
     "ShardPlan",

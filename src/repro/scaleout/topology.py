@@ -120,19 +120,6 @@ class ChipTopology:
                 matrix[src, dst] = self.hops(src, dst)
         return matrix
 
-    @property
-    def max_hops(self) -> int:
-        """Network diameter (0 for a single chip)."""
-        return int(self.hop_matrix.max()) if self.num_chips > 1 else 0
-
-    @property
-    def average_hops(self) -> float:
-        """Mean hop count over all ordered chip pairs (0 for a single chip)."""
-        n = self.num_chips
-        if n <= 1:
-            return 0.0
-        return float(self.hop_matrix.sum()) / (n * (n - 1))
-
     # -- link parameters ---------------------------------------------------
 
     @property
@@ -150,8 +137,3 @@ class ChipTopology:
             "link_energy_pj_per_byte": self.link_energy_pj_per_byte,
             "frequency_ghz": self.frequency_ghz,
         }
-
-
-def make_topology(num_chips: int, kind: str = "ring", **link_params) -> ChipTopology:
-    """Build a :class:`ChipTopology`, validating the kind early."""
-    return ChipTopology(num_chips=num_chips, kind=kind, **link_params)

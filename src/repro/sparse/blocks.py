@@ -13,7 +13,8 @@ from typing import Iterator
 
 import numpy as np
 
-#: Entries a block-wise pass handles at once.
+#: Entries (or cells) a block-wise pass handles at once: the one block size
+#: of the cold path's passes, read at call time.
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -23,13 +24,12 @@ def spans(size: int) -> Iterator[tuple[int, int]]:
     return ((lo, min(lo + block, size)) for lo in range(0, size, block))
 
 
-def row_blocks(indptr: np.ndarray, entries: int | None = None) -> Iterator[tuple[int, int]]:
-    """Consecutive row ranges ``[lo, hi)`` holding at most ``entries`` entries.
+def row_blocks(indptr: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges ``[lo, hi)`` holding at most ``BLOCK_ENTRIES`` entries.
 
-    ``entries`` defaults to :data:`BLOCK_ENTRIES`.  A row with more entries
-    than that is a block of its own.
+    A row with more entries than that is a block of its own.
     """
-    entries = BLOCK_ENTRIES if entries is None else entries
+    entries = BLOCK_ENTRIES
     num_rows = indptr.size - 1
     lo = 0
     while lo < num_rows:

@@ -16,6 +16,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.sparse import blocks
+
 if TYPE_CHECKING:
     from repro.sparse.tiling import TileProfile
 
@@ -23,9 +25,6 @@ if TYPE_CHECKING:
 class PatternValuesError(ValueError):
     """A value was read from a sparsity pattern, which stores none."""
 
-
-#: Cells :attr:`SparsityPattern.indices` unpacks per row block.
-_UNPACK_CELLS = 1 << 16
 
 #: Set bits in each byte value.
 _BYTE_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
@@ -107,13 +106,13 @@ class SparsityPattern:
     def indices(self) -> np.ndarray:
         """Column index of each non-zero, in CSR order: derived on every read.
 
-        Unpacks the bits one row block at a time into an array allocated
-        once at its final size, 8 bytes per non-zero, which the pattern
-        does not keep.
+        Unpacks the bits one row block of at most ``BLOCK_ENTRIES`` cells
+        at a time into an array allocated once at its final size, 8 bytes
+        per non-zero, which the pattern does not keep.
         """
         n_rows, n_cols = self.shape
         indices = np.empty(self.nnz, dtype=np.int64)
-        block_rows = max(1, _UNPACK_CELLS // max(1, n_cols))
+        block_rows = max(1, blocks.BLOCK_ENTRIES // max(1, n_cols))
         for start in range(0, n_rows, block_rows):
             stop = min(start + block_rows, n_rows)
             kept = np.unpackbits(self.bits[start:stop], axis=1, count=n_cols).view(bool)

@@ -4,9 +4,9 @@ GCNAX partitions the sparse LHS matrix into rectangular tiles and fetches the
 CSC-compressed non-zeros of one tile at a time (paper Figure 4).  The paper's
 Figures 5 and 6 characterise how many non-zeros land in each tile and how much
 of the fetched DRAM traffic is effectual; the helpers here produce exactly
-those statistics.  GCNAX itself prices a matrix from its :class:`TileProfile`,
-which no bandwidth or cache size changes and which is built once per tile
-shape and memoised on the matrix.
+those statistics.  GCNAX and both figures read a matrix's
+:class:`TileProfile`, which no bandwidth or cache size changes and which is
+built once per tile shape and memoised on the matrix.
 """
 
 from __future__ import annotations
@@ -105,6 +105,14 @@ class TileProfile:
     total_distinct_cols: int
     tiles_with_nnz: np.ndarray
 
+    def fetched_bytes(self, entry_bytes: int, granularity: int) -> int:
+        """DRAM bytes a tile-by-tile fetch moves: every occupied tile's
+        ``entry_bytes`` per non-zero, rounded up to whole ``granularity``
+        lines, at least one.  Exact: priced from the histogram in int64."""
+        nnz_in_tile = np.arange(self.tiles_with_nnz.size, dtype=np.int64)
+        lines = np.maximum(1, -(-nnz_in_tile * entry_bytes // granularity))
+        return int(self.tiles_with_nnz @ lines) * granularity
+
 
 def tile_profile(
     matrix: CSRMatrix | SparsityPattern, tile_rows: int, tile_cols: int
@@ -130,18 +138,6 @@ def tile_profile(
     return profile
 
 
-def occupied_tile_counts(
-    matrix: CSRMatrix | SparsityPattern, tile_rows: int, tile_cols: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(flat_tile_ids, counts)``: the non-zero counts of the occupied tiles.
-
-    The Figure 5/6 view of :func:`tile_statistics`; tile ids ascend in
-    row-major grid order and an empty matrix yields two empty arrays.
-    """
-    stats = tile_statistics(matrix, tile_rows, tile_cols)
-    return stats.tile_ids, stats.nnz_per_tile
-
-
 def tile_nnz_histogram(
     matrix: CSRMatrix | SparsityPattern,
     tile_rows: int,
@@ -154,19 +150,21 @@ def tile_nnz_histogram(
     3-8, 9-16, and more than 16 non-zeros per tile.  The returned dict maps a
     human-readable bin label to the fraction of non-empty tiles in that bin.
     """
-    _tile_ids, occupied = occupied_tile_counts(matrix, tile_rows, tile_cols)
-    if occupied.size == 0:
+    profile = tile_profile(matrix, tile_rows, tile_cols)
+    if profile.num_tiles == 0:
         return {}
+    # ``tiles_with_nnz[k]`` tiles hold exactly ``k`` non-zeros, so a bin's
+    # tiles are one slice of the histogram.
+    tiles = profile.tiles_with_nnz
     edges = list(bin_edges)
     labels: list[str] = []
     fractions: list[float] = []
     prev = 0
     for edge in edges:
-        mask = (occupied > prev) & (occupied <= edge)
         label = str(edge) if edge == prev + 1 else f"{prev + 1}~{edge}"
         labels.append(label)
-        fractions.append(float(mask.sum()) / occupied.size)
+        fractions.append(int(tiles[prev + 1 : edge + 1].sum()) / profile.num_tiles)
         prev = edge
     labels.append(f">{edges[-1]}")
-    fractions.append(float((occupied > edges[-1]).sum()) / occupied.size)
+    fractions.append(int(tiles[edges[-1] + 1 :].sum()) / profile.num_tiles)
     return dict(zip(labels, fractions))

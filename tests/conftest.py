@@ -26,7 +26,6 @@ from repro.graph.datasets import load_dataset
 from repro.graph.generators import chung_lu_graph
 from repro.graph.graph import Graph
 from repro.sparse.convert import dense_to_csr
-from repro.sparse.coo import COOMatrix
 
 
 @pytest.fixture
@@ -47,12 +46,6 @@ def small_dense(rng) -> np.ndarray:
 def small_csr(small_dense):
     """CSR version of the small dense matrix."""
     return dense_to_csr(small_dense)
-
-
-@pytest.fixture
-def small_coo(small_dense):
-    """COO version of the small dense matrix."""
-    return COOMatrix.from_dense(small_dense)
 
 
 @pytest.fixture

@@ -1,5 +1,9 @@
 """Functional references the tests compare against.
 
+:class:`COOMatrix` and :func:`coo_to_csr` are the coordinate format the
+adjacency references build A and Â through: duplicates summed, then
+compressed.
+
 The simulators price a dataflow from shapes and sparsity alone; they never
 compute the product.  These kernels do, one per dataflow the paper
 contrasts, so tests can check that each loop order gives the same answer:
@@ -9,7 +13,10 @@ contrasts, so tests can check that each loop order gives the same answer:
 * row-wise / Gustavson product — one LHS row scales several RHS rows (GROW,
   MatRaptor, GAMMA), plus GROW's multi-row-stationary window.
 
-The GCN references compute ``sigma(A (X W))`` straight from numpy.
+The GCN references compute ``sigma(A (X W))`` straight from numpy;
+:func:`model_mac_counts` sums a model's MAC counts in both execution
+orders, and :func:`relabel` renumbers a graph's nodes, the layout change
+partitioning applies, which no simulated total may notice.
 
 The HDN references are GROW's cache as hardware state: the CAM-like HDN ID
 list, the pinned HDN cache, and the per-cluster loop that fills both at each
@@ -28,8 +35,10 @@ block-decided walk over the CSR replaced.
 The cold-path construction references hold whole-length scratch where the
 code they were replaced by holds block-sized scratch: the normalisation
 merged over arrays as long as A (:func:`normalized_adjacency_reference`),
-and the Chung-Lu batch sampler drawing each purpose's uniforms in one call
-(:func:`sample_batch_reference`).
+the Chung-Lu batch sampler drawing each purpose's uniforms in one call
+(:func:`sample_batch_reference`), and the R-MAT generator drawing each
+batch's uniforms in one call and deduplicating copies of its keys
+(:func:`rmat_graph_reference`).
 
 The baseline references are the loops the baselines replaced: an LRU cache
 replayed over an ``OrderedDict`` (GAMMA's fiber cache and GROW's
@@ -61,16 +70,170 @@ from repro.accelerators.workload import LayerWorkload, SpDeGemmPhase
 from repro.core.accelerator import ClusterStats
 from repro.core.config import GrowConfig
 from repro.core.multi_pe import greedy_longest_first
-from repro.core.preprocess import GrowPreprocessor, PreprocessPlan
+from repro.core.preprocess import PreprocessPlan
 from repro.core.runahead import RunaheadModel
-from repro.gcn.layer import GCNLayer
+from repro.gcn.layer import GCNLayer, GCNModel
+from repro.gcn.ops_count import LayerMacCounts, mac_count_a_xw, mac_count_ax_w
+from repro.graph.generators import _edgeless_graph
 from repro.graph.graph import Graph
 from repro.graph.partition import partition_graph
 from repro.scaleout.shard import SHARD_METHODS, ChipShard, ShardPlan
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import SparsityPattern
 from repro.sparse.tiling import tile_statistics
-from repro.sparse.unique import sorted_unique
+from repro.sparse.unique import run_starts, sorted_unique
+
+
+@dataclass
+class COOMatrix:
+    """A sparse matrix in coordinate format.
+
+    Attributes:
+        shape: ``(n_rows, n_cols)`` of the logical matrix.
+        rows: integer array of row indices, one per non-zero.
+        cols: integer array of column indices, one per non-zero.
+        vals: float array of non-zero values, aligned with ``rows``/``cols``.
+    """
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.rows = np.asarray(self.rows, dtype=np.int64)
+        self.cols = np.asarray(self.cols, dtype=np.int64)
+        self.vals = np.asarray(self.vals, dtype=np.float64)
+        if not (self.rows.shape == self.cols.shape == self.vals.shape):
+            raise ValueError(
+                "rows, cols and vals must have identical shapes, got "
+                f"{self.rows.shape}, {self.cols.shape}, {self.vals.shape}"
+            )
+        n_rows, n_cols = self.shape
+        if self.rows.size:
+            if self.rows.min() < 0 or self.rows.max() >= n_rows:
+                raise ValueError("row index out of bounds")
+            if self.cols.min() < 0 or self.cols.max() >= n_cols:
+                raise ValueError("column index out of bounds")
+
+    @property
+    def nnz(self) -> int:
+        """Number of stored non-zero entries."""
+        return int(self.vals.size)
+
+    @property
+    def density(self) -> float:
+        """Fraction of matrix cells that are non-zero."""
+        n_rows, n_cols = self.shape
+        total = n_rows * n_cols
+        if total == 0:
+            return 0.0
+        return self.nnz / total
+
+    @classmethod
+    def empty(cls, shape: tuple[int, int]) -> "COOMatrix":
+        """Create an all-zero matrix of the given shape."""
+        return cls(
+            shape=shape,
+            rows=np.empty(0, dtype=np.int64),
+            cols=np.empty(0, dtype=np.int64),
+            vals=np.empty(0, dtype=np.float64),
+        )
+
+    @classmethod
+    def from_dense(cls, dense: np.ndarray) -> "COOMatrix":
+        """Build a COO matrix from a dense 2-D array."""
+        dense = np.asarray(dense, dtype=np.float64)
+        if dense.ndim != 2:
+            raise ValueError("from_dense expects a 2-D array")
+        rows, cols = np.nonzero(dense)
+        return cls(shape=dense.shape, rows=rows, cols=cols, vals=dense[rows, cols])
+
+    def to_dense(self) -> np.ndarray:
+        """Materialise the matrix as a dense 2-D array."""
+        dense = np.zeros(self.shape, dtype=np.float64)
+        # np.add.at handles duplicate coordinates by accumulation, matching
+        # the usual sparse-matrix semantics.
+        np.add.at(dense, (self.rows, self.cols), self.vals)
+        return dense
+
+    def deduplicate(self) -> "COOMatrix":
+        """Return a copy with duplicate coordinates summed."""
+        if self.nnz == 0:
+            return COOMatrix.empty(self.shape)
+        n_rows, n_cols = self.shape
+        keys = self.rows * n_cols + self.cols
+        if keys.size == 1 or np.all(np.diff(keys) > 0):
+            # Already sorted row-major with no duplicates (the common case for
+            # matrices straight out of ``from_dense`` or a prior deduplicate):
+            # sorting and summing would reproduce the input exactly.
+            return COOMatrix(
+                shape=self.shape,
+                rows=self.rows.copy(),
+                cols=self.cols.copy(),
+                vals=self.vals.copy(),
+            )
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        vals = self.vals[order]
+        # ``keys`` is sorted now, so the unique keys are the run starts: the
+        # same (unique_keys, first-index) pair ``np.unique(keys,
+        # return_index=True)`` computes, minus its internal re-sort.
+        start = run_starts(keys)
+        unique_keys = keys[start]
+        summed = np.add.reduceat(vals, start)
+        return COOMatrix(
+            shape=self.shape,
+            rows=unique_keys // n_cols,
+            cols=unique_keys % n_cols,
+            vals=summed,
+        )
+
+    def transpose(self) -> "COOMatrix":
+        """Return the transposed matrix (rows and columns swapped)."""
+        return COOMatrix(
+            shape=(self.shape[1], self.shape[0]),
+            rows=self.cols.copy(),
+            cols=self.rows.copy(),
+            vals=self.vals.copy(),
+        )
+
+    def row_counts(self) -> np.ndarray:
+        """Number of non-zero entries in each row."""
+        return np.bincount(self.rows, minlength=self.shape[0]).astype(np.int64)
+
+    def col_counts(self) -> np.ndarray:
+        """Number of non-zero entries in each column."""
+        return np.bincount(self.cols, minlength=self.shape[1]).astype(np.int64)
+
+    def permute(self, row_perm: np.ndarray | None = None, col_perm: np.ndarray | None = None) -> "COOMatrix":
+        """Relabel rows/columns according to permutations.
+
+        ``row_perm[i]`` gives the new index of old row ``i`` (and likewise for
+        columns).  This is the operation graph partitioning applies to the
+        adjacency matrix: nodes are renumbered, values are unchanged.
+        """
+        rows = self.rows if row_perm is None else np.asarray(row_perm)[self.rows]
+        cols = self.cols if col_perm is None else np.asarray(col_perm)[self.cols]
+        return COOMatrix(shape=self.shape, rows=rows, cols=cols, vals=self.vals.copy())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, COOMatrix):
+            return NotImplemented
+        if self.shape != other.shape:
+            return False
+        return np.array_equal(self.deduplicate().to_dense(), other.deduplicate().to_dense())
+
+
+def coo_to_csr(coo: COOMatrix) -> CSRMatrix:
+    """Convert a COO matrix to CSR, summing duplicates and sorting columns."""
+    # deduplicate() returns entries sorted row-major (ascending row, then
+    # ascending column), which is exactly CSR order — no further sort needed.
+    coo = coo.deduplicate()
+    n_rows, n_cols = coo.shape
+    counts = np.bincount(coo.rows, minlength=n_rows)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return CSRMatrix(shape=coo.shape, indptr=indptr, indices=coo.cols.copy(), data=coo.vals.copy())
 
 
 def _checked_rhs(sparse: CSRMatrix, dense: np.ndarray) -> np.ndarray:
@@ -180,6 +343,39 @@ def row_stationary_execute_multi_row(
             if cols.size:
                 out[i] = vals @ dense[cols]
     return out
+
+
+def model_mac_counts(model: GCNModel) -> LayerMacCounts:
+    """Aggregate MAC counts of a whole model under both execution orders."""
+    ax_w = sum(mac_count_ax_w(layer) for layer in model.layers)
+    a_xw = sum(mac_count_a_xw(layer) for layer in model.layers)
+    return LayerMacCounts(layer_name=model.name, ax_then_w=ax_w, a_then_xw=a_xw)
+
+
+def relabel(graph: Graph, permutation: np.ndarray, name_suffix: str = "-relabel") -> Graph:
+    """Return a new graph with node ids renumbered by ``permutation``.
+
+    ``permutation[i]`` is the new id of old node ``i``.  This is the
+    operation that graph partitioning performs: the topology is unchanged,
+    only node ids (hence the adjacency-matrix layout) change.
+    """
+    permutation = np.asarray(permutation, dtype=np.int64)
+    if permutation.size != graph.num_nodes:
+        raise ValueError("permutation length must equal num_nodes")
+    if np.sort(permutation, kind="stable").tolist() != list(range(graph.num_nodes)):
+        raise ValueError("permutation must be a bijection over node ids")
+    communities = None
+    if graph.communities is not None:
+        communities = np.empty_like(graph.communities)
+        communities[permutation] = graph.communities
+    return Graph(
+        num_nodes=graph.num_nodes,
+        src=permutation[graph.src],
+        dst=permutation[graph.dst],
+        name=graph.name + name_suffix,
+        undirected=graph.undirected,
+        communities=communities,
+    )
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -398,7 +594,7 @@ def _distinct_sorted(values: np.ndarray) -> int:
 
 
 def streaming_phase_reference(
-    config: GrowConfig, phase: SpDeGemmPhase, plan: PreprocessPlan | None = None
+    config: GrowConfig, phase: SpDeGemmPhase, plan: PreprocessPlan
 ) -> tuple[PhaseStats, list[ClusterStats]]:
     """GROW's aggregation phase, streamed cluster by cluster through the cache.
 
@@ -409,9 +605,6 @@ def streaming_phase_reference(
     granularity = arch.access_granularity
     row_bytes = phase.rhs_row_bytes
     row_lines = -(-row_bytes // granularity)
-    if plan is None:
-        preprocessor = GrowPreprocessor(hdn_list_capacity=config.hdn_id_capacity)
-        plan = preprocessor.plan_without_partitioning(phase.sparse)
 
     cache = HDNCache(
         capacity_bytes=config.hdn_cache_bytes if config.enable_hdn_cache else 0,
@@ -524,7 +717,7 @@ def pattern_of(csr: CSRMatrix) -> SparsityPattern:
     return SparsityPattern(shape=csr.shape, indptr=indptr, bits=np.packbits(mask, axis=1))
 
 
-def normalized_adjacency_reference(graph: Graph, add_self_loops: bool = True) -> CSRMatrix:
+def normalized_adjacency_reference(graph: Graph) -> CSRMatrix:
     """``D^-1/2 (A + I) D^-1/2`` merged over whole-matrix arrays.
 
     The body of ``Graph.normalized_adjacency`` before it wrote block by
@@ -534,19 +727,18 @@ def normalized_adjacency_reference(graph: Graph, add_self_loops: bool = True) ->
     adj = graph.adjacency()
     n = graph.num_nodes
     indptr, cols, vals = adj.indptr.copy(), adj.indices.copy(), adj.data.copy()
-    if add_self_loops:
-        # Where each diagonal entry (i, i) sorts among the row-major
-        # keys of the non-zeros, and whether it is already one of them.
-        keys = np.repeat(np.arange(n) * n, adj.row_nnz()) + cols
-        diagonal = np.arange(n)
-        at = np.searchsorted(keys, diagonal * (n + 1))
-        present = at < keys.size
-        present[present] = keys[at[present]] == diagonal[present] * (n + 1)
-        vals[at[present]] += 1.0
-        missing = ~present
-        cols = np.insert(cols, at[missing], diagonal[missing])
-        vals = np.insert(vals, at[missing], 1.0)
-        indptr = indptr + np.concatenate([[0], np.cumsum(missing)])
+    # Where each diagonal entry (i, i) sorts among the row-major keys of
+    # the non-zeros, and whether it is already one of them.
+    keys = np.repeat(np.arange(n) * n, adj.row_nnz()) + cols
+    diagonal = np.arange(n)
+    at = np.searchsorted(keys, diagonal * (n + 1))
+    present = at < keys.size
+    present[present] = keys[at[present]] == diagonal[present] * (n + 1)
+    vals[at[present]] += 1.0
+    missing = ~present
+    cols = np.insert(cols, at[missing], diagonal[missing])
+    vals = np.insert(vals, at[missing], 1.0)
+    indptr = indptr + np.concatenate([[0], np.cumsum(missing)])
     rows = np.repeat(np.arange(n), np.diff(indptr))
     degree = np.bincount(rows, weights=vals, minlength=n)
     inv_sqrt = np.zeros(n)
@@ -603,6 +795,86 @@ def sample_batch_reference(
             dst[loops] + 1 + rng.integers(0, num_nodes - 1, size=int(loops.sum()))
         ) % num_nodes
     return src, dst
+
+
+def rmat_graph_reference(
+    num_nodes: int,
+    average_degree: float,
+    a: float = 0.57,
+    b: float = 0.19,
+    c: float = 0.19,
+    rng: np.random.Generator | None = None,
+    name: str = "rmat",
+    num_communities: int = 1,
+) -> Graph:
+    """``rmat_graph`` drawing each batch's uniforms in one ``(batch, levels)``
+    call and deduplicating a concatenated copy of every round's keys.
+
+    The generator before it shared Chung-Lu's in-place edge accumulation and
+    drew its uniforms a row block at a time.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    if num_nodes <= 0:
+        raise ValueError("num_nodes must be positive")
+    d = 1.0 - (a + b + c)
+    if min(a, b, c, d) < 0 or max(a, b, c) <= 0:
+        raise ValueError("quadrant probabilities must be non-negative with a+b+c <= 1")
+    communities = None
+    if num_communities > 1:
+        # Contiguous id ranges: the recursion's high bits.
+        communities = (
+            np.arange(num_nodes, dtype=np.int64) * min(num_communities, num_nodes)
+        ) // num_nodes
+    if num_nodes == 1:
+        return _edgeless_graph(name, communities=np.zeros(1, dtype=np.int64))
+    levels = max(1, int(np.ceil(np.log2(num_nodes))))
+    target_edges = max(1, int(round(num_nodes * average_degree / 2)))
+
+    def _sample_batch(batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+        src = np.zeros(batch_size, dtype=np.int64)
+        dst = np.zeros(batch_size, dtype=np.int64)
+        draws = rng.random((batch_size, levels))
+        for level in range(levels):
+            r = draws[:, level]
+            # Quadrants in probability order: a=(0,0), b=(0,1), c=(1,0), d=(1,1).
+            src_bit = (r >= a + b).astype(np.int64)
+            dst_bit = (((r >= a) & (r < a + b)) | (r >= a + b + c)).astype(np.int64)
+            src = (src << 1) | src_bit
+            dst = (dst << 1) | dst_bit
+        in_range = (src < num_nodes) & (dst < num_nodes)
+        src, dst = src[in_range], dst[in_range]
+        loops = src == dst
+        if loops.any():
+            dst = dst.copy()
+            dst[loops] = (
+                dst[loops] + 1 + rng.integers(0, num_nodes - 1, size=int(loops.sum()))
+            ) % num_nodes
+        return src, dst
+
+    # Same unique-undirected-edge accumulation as the Chung-Lu sampler: the
+    # recursion concentrates draws on hub quadrants, so duplicates are common.
+    unique_keys = np.empty(0, dtype=np.int64)
+    for _round in range(12):
+        remaining = target_edges - unique_keys.size
+        if remaining <= 0:
+            break
+        batch = max(256, int(remaining * 2))
+        src, dst = _sample_batch(batch)
+        lo = np.minimum(src, dst)
+        hi = np.maximum(src, dst)
+        keys = lo * np.int64(num_nodes) + hi
+        unique_keys = sorted_unique(np.concatenate([unique_keys, keys]))
+    if unique_keys.size > target_edges:
+        unique_keys = rng.permutation(unique_keys)[:target_edges]
+    return Graph(
+        num_nodes=num_nodes,
+        src=(unique_keys // num_nodes).astype(np.int64),
+        dst=(unique_keys % num_nodes).astype(np.int64),
+        name=name,
+        undirected=True,
+        communities=communities,
+    )
 
 
 def pack_communities_reference(

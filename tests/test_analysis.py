@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from repro.accelerators.base import AcceleratorResult, PhaseStats
-from repro.analysis.breakdown import latency_breakdown, phase_fraction
-from repro.analysis.sparsity import (
-    characterize_dataset,
-    layer_matrix_densities,
-    partition_diagonal_fraction,
-)
+from repro.analysis.breakdown import latency_breakdown
+from repro.analysis.sparsity import characterize_dataset, layer_matrix_densities
 from repro.analysis.tiles import effective_bandwidth_utilization, tile_nnz_bins
-from repro.graph.partition import metis_like_partition
 from repro.sparse.convert import dense_to_csr
 
 
@@ -33,14 +28,6 @@ def test_layer_matrix_densities(small_model):
     assert densities["A"] < densities["XW"]
     with pytest.raises(IndexError):
         layer_matrix_densities(small_model, layer=9)
-
-
-def test_partition_diagonal_fraction(community_graph):
-    partition = metis_like_partition(community_graph, 6, seed=0)
-    fraction = partition_diagonal_fraction(community_graph, partition)
-    assert 0.0 < fraction <= 1.0
-    single = metis_like_partition(community_graph, 1)
-    assert partition_diagonal_fraction(community_graph, single) == 1.0
 
 
 def test_tile_nnz_bins_wrapper(small_csr):
@@ -78,5 +65,5 @@ def test_latency_breakdown_and_fraction():
     breakdown = latency_breakdown(result)
     assert breakdown["aggregation"] == 300
     assert breakdown["total"] == 400
-    assert phase_fraction(result, "aggregation") == pytest.approx(0.75)
-    assert phase_fraction(_result_with(0, 0), "aggregation") == 0.0
+    assert breakdown["aggregation"] / breakdown["total"] == pytest.approx(0.75)
+    assert latency_breakdown(_result_with(0, 0))["total"] == 0

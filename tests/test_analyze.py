@@ -449,7 +449,8 @@ def test_cli_json_report_schema(tmp_path, capsys):
     code = check_main(["--root", str(root), "--json"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == 3
+    assert payload["schema"] == 4
+    assert "scope" not in payload
     assert payload["ok"] is False
     assert payload["files_scanned"] == 1
     assert [f["rule"] for f in payload["findings"]] == ["DET001"]

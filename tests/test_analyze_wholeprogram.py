@@ -2,8 +2,7 @@
 
 Covers the call graph (``repro.analyze.callgraph``), the three rule
 families built on it (CONC worker purity, VEC vectorization contract,
-KEY003 cache-key flow), the SARIF 2.1.0 export and the git-scoped
-``--changed`` mode.  Fixture trees follow ``tests/test_analyze.py``'s
+KEY003 cache-key flow) and the SARIF 2.1.0 export.  Fixture trees follow ``tests/test_analyze.py``'s
 idiom: first-level package names reuse the real layer names so
 ``DEFAULT_CONFIG`` applies unchanged, and each new family is exercised
 positive / negative / suppressed.
@@ -21,7 +20,6 @@ import pytest
 
 from repro.analyze import run_check
 from repro.analyze.callgraph import graph_for, pool_entry_points
-from repro.analyze.changed import ChangedError, reverse_closure
 from repro.analyze.cli import main as check_main
 from repro.analyze.contracts import DEFAULT_CONFIG
 from repro.analyze.project import Project
@@ -605,104 +603,6 @@ def test_sarif_carries_parse_errors_as_notifications(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# --changed: git-scoped incremental checking
-
-
-def _git(root, *args):
-    subprocess.run(
-        ["git", "-c", "user.email=t@t", "-c", "user.name=t", *args],
-        cwd=root, check=True, capture_output=True, text=True,
-    )
-
-
-def _changed_fixture(tmp_path):
-    """A committed tree where core/a.py is imported by harness/b.py,
-    while sparse/c.py is unrelated and carries its own violation."""
-    root = make_tree(tmp_path, {
-        "core/a.py": "def cost():\n    return 0\n",
-        "harness/b.py": "from repro.core.a import cost\n",
-        "sparse/c.py": "import time\nT = time.time()\n",
-    })
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "add", ".")
-    _git(tmp_path, "commit", "-qm", "seed")
-    return root
-
-
-def test_changed_scope_is_the_reverse_import_closure(tmp_path):
-    root = _changed_fixture(tmp_path)
-    # Introduce a violation in the changed module only.
-    (root / "core" / "a.py").write_text(
-        "import time\ndef cost():\n    return time.time()\n"
-    )
-    report = run_check(root, changed_ref="HEAD")
-    assert report.scope is not None
-    assert report.scope["changed"] == ["repro/core/a.py"]
-    # The importer rides along; the unrelated module does not.
-    assert "repro/harness/b.py" in report.scope["scope"]
-    assert "repro/sparse/c.py" not in report.scope["scope"]
-    # sparse/c.py's pre-existing DET001 is filtered out of the report.
-    assert {f.path for f in report.findings} == {"repro/core/a.py"}
-
-
-def test_changed_scope_includes_untracked_files(tmp_path):
-    root = _changed_fixture(tmp_path)
-    (root / "core" / "fresh.py").write_text("import time\nT = time.time()\n")
-    report = run_check(root, changed_ref="HEAD")
-    assert "repro/core/fresh.py" in report.scope["changed"]
-    assert {f.path for f in report.findings} == {"repro/core/fresh.py"}
-
-
-def test_changed_clean_diff_reports_nothing(tmp_path):
-    root = _changed_fixture(tmp_path)
-    report = run_check(root, changed_ref="HEAD")
-    assert report.findings == []
-    assert report.scope["changed"] == []
-
-
-def test_changed_bad_ref_is_a_usage_error(tmp_path, capsys):
-    root = _changed_fixture(tmp_path)
-    code = check_main([
-        "--root", str(root), "--changed", "no-such-ref",
-    ])
-    assert code == 2
-    assert "git" in capsys.readouterr().err
-
-
-def test_changed_outside_git_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    root = make_tree(tmp_path, {"core/a.py": "X = 1\n"})
-    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
-    monkeypatch.setenv("GIT_DIR", str(tmp_path / "no-such-gitdir"))
-    with pytest.raises(ChangedError):
-        run_check(root, changed_ref="HEAD")
-
-
-def test_reverse_closure_is_transitive(tmp_path):
-    root = make_tree(tmp_path, {
-        "core/a.py": "",
-        "gcn/b.py": "from repro.core import a\n",
-        "harness/c.py": "from repro.gcn import b\n",
-        "sparse/d.py": "",
-    })
-    project = Project.load(root)
-    closure = reverse_closure(project, {"repro.core.a"})
-    assert closure == {"repro.core.a", "repro.gcn.b", "repro.harness.c"}
-
-
-def test_changed_cli_end_to_end(tmp_path, capsys):
-    root = _changed_fixture(tmp_path)
-    (root / "core" / "a.py").write_text(
-        "import time\ndef cost():\n    return time.time()\n"
-    )
-    code = check_main(["--root", str(root), "--changed", "--json"])
-    assert code == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["scope"]["ref"] == "HEAD"
-    assert payload["scope"]["changed"] == ["repro/core/a.py"]
-    assert [f["path"] for f in payload["findings"]] == ["repro/core/a.py"]
-
-
-# ---------------------------------------------------------------------------
 # The checker stays importable on a bare interpreter
 
 
@@ -722,7 +622,6 @@ def test_analyze_package_is_stdlib_only(tmp_path):
         "import repro.analyze\n"
         "import repro.analyze.callgraph\n"
         "import repro.analyze.sarif\n"
-        "import repro.analyze.changed\n"
         "from repro.analyze.cli import main\n"
         "print('ok')\n"
     )

@@ -207,6 +207,14 @@ def test_grow_request_reproduces_direct_simulator_exactly(config, bundle, sessio
     assert rebuilt.extra["hdn_hit_rate"] == reference.extra["hdn_hit_rate"]
 
 
+def test_an_override_no_model_reads_is_rejected(config, session):
+    """Every ``GrowConfig`` field is priced: overriding a name that is not
+    one fails, where an unread field returned the default design's metrics
+    under a cache key of its own."""
+    with pytest.raises(TypeError, match="lhs_id_table_entries"):
+        session.run(request_for(config, overrides={"lhs_id_table_entries": 8}))
+
+
 def test_one_chip_scaleout_request_reproduces_direct_simulator(config, bundle, session):
     result = session.run(
         request_for(config, backend="scaleout", fabric=ScaleOutSpec(num_chips=1))

@@ -13,6 +13,11 @@ from repro.graph.datasets import (
 )
 
 
+def _synthetic_density(spec) -> float:
+    """Adjacency density of a spec's default synthetic stand-in."""
+    return spec.synthetic_degree / spec.synthetic_nodes
+
+
 def test_all_eight_datasets_defined():
     assert len(DATASET_NAMES) == 8
     assert set(SMALL_DATASETS) | set(LARGE_DATASETS) == set(DATASET_NAMES)
@@ -42,9 +47,6 @@ def test_spec_derived_statistics():
     reddit = dataset_spec("reddit")
     assert reddit.average_degree == pytest.approx(114848857 / 232965)
     assert 0 < reddit.adjacency_density < 1
-    assert reddit.synthetic_density == pytest.approx(
-        reddit.synthetic_degree / reddit.synthetic_nodes
-    )
 
 
 def test_load_dataset_default_size():
@@ -79,12 +81,10 @@ def test_feature_lengths_capped(small_dataset):
 
 
 def test_layer_dims_and_density(small_dataset):
-    in_width, out_width = small_dataset.layer_dims(0)
-    assert (in_width, out_width) == small_dataset.feature_lengths[:2]
+    # The input width is capped at 128; hidden and output widths are kept.
+    assert small_dataset.feature_lengths == (128,) + dataset_spec("cora").feature_lengths[1:]
     assert small_dataset.feature_density(0) == dataset_spec("cora").density_x0
     assert small_dataset.feature_density(1) == dataset_spec("cora").density_x1
-    with pytest.raises(IndexError):
-        small_dataset.layer_dims(5)
 
 
 def test_num_layers(small_dataset):
@@ -92,15 +92,13 @@ def test_num_layers(small_dataset):
 
 
 def test_reddit_is_densest_synthetic():
-    densities = {
-        name: dataset_spec(name).synthetic_density for name in DATASET_NAMES
-    }
+    densities = {name: _synthetic_density(dataset_spec(name)) for name in DATASET_NAMES}
     assert max(densities, key=densities.get) == "reddit"
 
 
 def test_large_graphs_are_sparser_than_small():
-    amazon = dataset_spec("amazon").synthetic_density
-    cora = dataset_spec("cora").synthetic_density
+    amazon = _synthetic_density(dataset_spec("amazon"))
+    cora = _synthetic_density(dataset_spec("cora"))
     assert amazon < cora
 
 

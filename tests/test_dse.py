@@ -29,7 +29,6 @@ from repro.dse import (
     get_space,
     non_dominated_sort,
     pareto_indices,
-    pareto_ranks,
 )
 from repro.harness import smoke_config
 
@@ -60,7 +59,6 @@ def test_non_dominated_sort_hand_built_fronts():
     assert fronts[0] == [0, 1, 2]
     assert fronts[1] == [3, 4]
     assert fronts[2] == [5]
-    assert pareto_ranks(vectors, MIN2) == [0, 0, 0, 1, 1, 2]
 
 
 def test_pareto_ties_and_duplicates_share_a_front():

@@ -46,8 +46,8 @@ def test_sram_leakage_linear():
 def test_sram_model_dynamic_and_leakage():
     model = SRAMEnergyModel(capacity_bytes=32 * KB)
     assert model.dynamic_energy_nj(1000) > 0
-    assert model.leakage_energy_nj(runtime_cycles=1e6) > 0
-    assert model.leakage_energy_nj(0) == 0.0
+    assert model.dynamic_energy_nj(0) == 0.0
+    assert model.leakage_mw == pytest.approx(sram_leakage_mw(32 * KB))
 
 
 # ----------------------------------------------------------------------

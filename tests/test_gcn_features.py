@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.gcn import features
 from repro.gcn.features import (
     generate_feature_matrix,
     generate_feature_pattern,
     generate_weight_matrix,
 )
+from repro.sparse import blocks
 from repro.sparse.convert import dense_to_csr
 from repro.sparse.pattern import SparsityPattern
 
@@ -73,7 +73,7 @@ class ZeroingGenerator:
 @pytest.mark.parametrize("density", [0.5, 1.0])
 def test_feature_pattern_drops_exact_zero_normals(density, monkeypatch):
     # Several small blocks, so the zeros fall into different ones.
-    monkeypatch.setattr(features, "_BLOCK_CELLS", 16)
+    monkeypatch.setattr(blocks, "BLOCK_ENTRIES", 16)
     rows, cols, zeros = 13, 7, [0, 5, 17, 48, 49, 90]
     pattern_rng, dense_rng = ZeroingGenerator(3, zeros), ZeroingGenerator(3, zeros)
     pattern = generate_feature_pattern(rows, cols, density, pattern_rng)

@@ -8,9 +8,8 @@ from repro.accelerators.gcnax import GCNAXConfig, GCNAXSimulator
 from repro.accelerators.workload import SpDeGemmPhase
 from repro.core.accelerator import GrowSimulator
 from repro.core.config import GrowConfig
-from repro.core.preprocess import GrowPreprocessor
+from repro.core.preprocess import GrowPreprocessor, PreprocessPlan
 from repro.graph.graph import Graph
-from repro.graph.partition import PartitionResult
 
 from oracles import row_stationary_execute, streaming_phase_reference
 
@@ -26,8 +25,8 @@ def test_functional_output_matches_reference(small_workloads, small_model):
     np.testing.assert_allclose(row_stationary_execute(sparse, xw), sparse.matmul_dense(xw))
 
 
-def test_combination_phase_has_no_misses(grow, small_workloads):
-    stats = grow.run_phase(small_workloads[0].combination)
+def test_combination_phase_has_no_misses(grow, small_workloads, small_plan):
+    stats = grow.run_phase(small_workloads[0].combination, small_plan)
     assert stats.extra["hdn_hit_rate"] == 1.0
     assert stats.stall_cycles == 0.0
 
@@ -37,12 +36,6 @@ def test_aggregation_phase_reports_hit_rate(grow, small_workloads, small_plan):
     assert 0.0 <= stats.extra["hdn_hit_rate"] <= 1.0
     assert stats.extra["num_clusters"] == small_plan.num_clusters
     assert stats.mac_operations == small_workloads[0].aggregation.mac_operations
-
-
-def test_default_plan_built_when_missing(grow, small_workloads):
-    stats = grow.run_phase(small_workloads[0].aggregation, plan=None)
-    assert stats.extra["num_clusters"] == 1.0
-    assert stats.extra["partitioned"] == 0.0
 
 
 def test_traffic_conservation(grow, small_workloads, small_plan):
@@ -135,14 +128,14 @@ def test_cluster_breakdown_consistent_with_phase(grow, large_workloads, large_pl
 def test_a_cluster_with_an_empty_hdn_list_never_hits():
     """Its lookups must not see the ids an earlier cluster left in the ID list."""
     adjacency = Graph.from_edge_list(4, [(0, 1), (2, 1), (3, 1)], undirected=True).adjacency()
-    partition = PartitionResult(
-        assignment=np.array([0, 0, 1, 1]),
-        num_clusters=2,
-        permutation=np.arange(4),
-        cluster_sizes=np.array([2, 2]),
+    plan = PreprocessPlan(
+        num_nodes=4,
+        cluster_of_node=np.array([0, 0, 1, 1]),
+        clusters=[np.array([0, 1]), np.array([2, 3])],
+        hdn_lists=[np.array([0, 1]), np.empty(0, dtype=np.int64)],
+        hdn_list_capacity=4096,
+        partitioned=True,
     )
-    plan = GrowPreprocessor().plan_from_partition(adjacency, partition, intra_only=True)
-    assert [ids.tolist() for ids in plan.hdn_lists] == [[0, 1], []]
     phase = SpDeGemmPhase("aggregation", adjacency, (4, 16))
     config = GrowConfig()
     stats = GrowSimulator(config).run_phase(phase, plan)
@@ -153,9 +146,9 @@ def test_a_cluster_with_an_empty_hdn_list_never_hits():
     assert stats == streaming_phase_reference(config, phase, plan)[0]
 
 
-def test_cluster_breakdown_rejects_combination(grow, small_workloads):
+def test_cluster_breakdown_rejects_combination(grow, small_workloads, small_plan):
     with pytest.raises(ValueError):
-        grow.cluster_breakdown(small_workloads[0].combination)
+        grow.cluster_breakdown(small_workloads[0].combination, small_plan)
 
 
 def test_grow_beats_gcnax_on_power_law_graph(scaled_arch, large_workloads, large_plan):

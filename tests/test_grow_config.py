@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.accelerators.base import KB, AcceleratorConfig
+from repro.accelerators.base import KB
 from repro.core.config import GrowConfig
 
 
@@ -45,13 +45,6 @@ def test_invalid_values_rejected():
         GrowConfig(runahead_degree=0)
     with pytest.raises(ValueError):
         GrowConfig(num_pes=0)
-
-
-def test_with_arch():
-    arch = AcceleratorConfig(bandwidth_gbps=32.0)
-    config = GrowConfig().with_arch(arch)
-    assert config.arch.bandwidth_gbps == 32.0
-    assert config.hdn_cache_bytes == 512 * KB
 
 
 def test_ablation_switches():

@@ -65,6 +65,20 @@ def test_gcnax_builds_one_tile_profile_per_matrix():
     assert recorded["counters"]["gcnax.tile_profile.builds"] == 3 * len(config.datasets)
 
 
+def test_figures_5_and_6_read_the_tile_profiles_gcnax_prices():
+    """Figure 5 profiles each dataset's adjacency and X0, Figure 6 reads the
+    same two profiles, and Figure 7's GCNAX run adds only X1's.  Fresh
+    seed, fresh bundles."""
+    config = smoke_config(seed=7_904)
+    builds = []
+    for names in (["fig5_tile_nnz"], ["fig6_bandwidth_util"], ["fig7_gcnax_breakdown"]):
+        with metrics.scoped() as recorded:
+            for name in names:
+                run_experiment(name, config=config)
+        builds.append(recorded["counters"].get("gcnax.tile_profile.builds", 0))
+    assert builds == [2 * len(config.datasets), 0, len(config.datasets)]
+
+
 def test_strong_scaling_builds_one_hdn_profile_per_dataset():
     """A chip is priced from its bundle plan's per-cluster counts: every
     chip of every chip count reads the bundle plan's one rank profile of

@@ -13,7 +13,7 @@ from repro.graph.datasets import load_dataset
 from repro.sparse.convert import dense_to_csr
 from repro.sparse.pattern import SparsityPattern
 
-from oracles import row_stationary_execute
+from oracles import relabel, row_stationary_execute
 
 
 def test_dataset_to_simulation_pipeline(scaled_arch):
@@ -102,14 +102,18 @@ def test_relabelled_graph_gives_identical_simulation(scaled_arch):
     dataset = load_dataset("pokec", num_nodes=400, seed=5)
     model = build_model_for_dataset(dataset, seed=5)
     workloads = build_model_workloads(model)
-    baseline = GrowSimulator(GrowConfig(arch=scaled_arch)).run_model(workloads)
+    config = GrowConfig(arch=scaled_arch)
+    preprocessor = GrowPreprocessor(hdn_list_capacity=config.hdn_id_capacity)
+    plan = preprocessor.plan_from_graph(dataset.graph, partitioned=False)
+    baseline = GrowSimulator(config).run_model(workloads, plan)
 
     rng = np.random.default_rng(0)
     permutation = rng.permutation(dataset.num_nodes)
-    relabelled_graph = dataset.graph.relabel(permutation)
+    relabelled_graph = relabel(dataset.graph, permutation)
     relabelled_model = build_model_for_dataset(dataset, seed=5, graph=relabelled_graph)
     relabelled_workloads = build_model_workloads(relabelled_model)
-    relabelled = GrowSimulator(GrowConfig(arch=scaled_arch)).run_model(relabelled_workloads)
+    relabelled_plan = preprocessor.plan_from_graph(relabelled_graph, partitioned=False)
+    relabelled = GrowSimulator(config).run_model(relabelled_workloads, relabelled_plan)
 
     assert relabelled.total_mac_operations == baseline.total_mac_operations
     # Global (single-cluster) HDN caching is permutation-invariant.

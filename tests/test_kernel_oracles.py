@@ -70,7 +70,6 @@ from repro.accelerators.workload import SpDeGemmPhase
 from repro.core.accelerator import GrowSimulator
 from repro.core.config import GrowConfig
 from repro.core.preprocess import PreprocessPlan
-from repro.gcn import features
 from repro.gcn.features import (
     generate_feature_matrix,
     generate_feature_pattern,
@@ -86,28 +85,29 @@ from repro.obs import metrics
 from repro.scaleout import ScaleOutSimulator, get_shard_plan
 from repro.scaleout.shard import SHARD_METHODS, ClusterCoupling, build_shard_plan
 from repro.sparse import (
-    COOMatrix,
     CSRMatrix,
     blocks,
     sorted_unique,
     tile_statistics,
     unique_in_place,
 )
-from repro.sparse import pattern as sparsity_pattern
-from repro.sparse.convert import coo_to_csr, dense_to_csr
+from repro.sparse.convert import dense_to_csr
 from repro.sparse.pattern import SparsityPattern
-from repro.sparse.tiling import occupied_tile_counts, tile_profile
+from repro.sparse.tiling import tile_profile
 
 from oracles import (
+    COOMatrix,
     HDNIdList,
     build_shard_plan_reference,
     chip_workloads,
+    coo_to_csr,
     cluster_graph_reference,
     gcnax_phase_reference,
     local_plan,
     lru_hits_reference,
     normalized_adjacency_reference,
     pattern_of,
+    rmat_graph_reference,
     sample_batch_reference,
     streaming_phase_reference,
 )
@@ -155,16 +155,13 @@ def oracle_adjacency(graph):
     )
 
 
-def oracle_normalized_adjacency(graph, add_self_loops):
-    """``D^-1/2 (A + I) D^-1/2`` through COO: A (+ I) deduplicated, then CSR again."""
+def oracle_normalized_adjacency(graph):
+    """``D^-1/2 (A + I) D^-1/2`` through COO: A + I deduplicated, then CSR again."""
     adj = oracle_adjacency(graph)
     n = graph.num_nodes
-    rows = np.repeat(np.arange(n), adj.row_nnz())
-    cols, vals = adj.indices.copy(), adj.data.copy()
-    if add_self_loops:
-        rows = np.concatenate([rows, np.arange(n)])
-        cols = np.concatenate([cols, np.arange(n)])
-        vals = np.concatenate([vals, np.ones(n)])
+    rows = np.concatenate([np.repeat(np.arange(n), adj.row_nnz()), np.arange(n)])
+    cols = np.concatenate([adj.indices, np.arange(n)])
+    vals = np.concatenate([adj.data, np.ones(n)])
     coo = COOMatrix(shape=(n, n), rows=rows, cols=cols, vals=vals).deduplicate()
     degree = np.bincount(coo.rows, weights=coo.vals, minlength=n)
     inv_sqrt = np.zeros(n)
@@ -213,9 +210,6 @@ def assert_tiles_match_oracle(sparse, tile_rows, tile_cols) -> None:
     assert_identical(stats.nnz_per_tile, nnz)
     assert_identical(stats.distinct_cols_per_tile, distinct)
     assert stats.num_tiles == occupied.size
-    tile_ids, counts = occupied_tile_counts(sparse, tile_rows, tile_cols)
-    assert_identical(tile_ids, occupied)
-    assert_identical(counts, nnz)
 
 
 def assert_shard_plans_identical(actual, expected) -> None:
@@ -573,30 +567,28 @@ def test_adjacency_matches_coo_path(graph, block_entries):
     assert_csr_identical(adjacency, oracle_adjacency(graph))
 
 
-@given(graphs(), st.booleans())
-@example(Graph.from_edge_list(4, [], undirected=True), True)
-@example(Graph.from_edge_list(5, [(0, 0), (0, 1), (3, 3), (4, 1)], undirected=True), True)
-@example(Graph.from_edge_list(5, [(0, 0), (0, 1), (3, 3), (4, 1)], undirected=False), True)
-@example(Graph.from_edge_list(5, [(0, 0), (0, 1), (3, 3), (4, 1)], undirected=True), False)
-@example(Graph.from_edge_list(4, [(3, 0), (2, 1)], undirected=False), True)
+@given(graphs())
+@example(Graph.from_edge_list(4, [], undirected=True))
+@example(Graph.from_edge_list(5, [(0, 0), (0, 1), (3, 3), (4, 1)], undirected=True))
+@example(Graph.from_edge_list(5, [(0, 0), (0, 1), (3, 3), (4, 1)], undirected=False))
+@example(Graph.from_edge_list(4, [(3, 0), (2, 1)], undirected=False))
 @settings(max_examples=300, deadline=None)
-def test_normalized_adjacency_matches_coo_path(graph, add_self_loops):
-    normalized = graph.normalized_adjacency(add_self_loops=add_self_loops)
-    assert_csr_identical(normalized, oracle_normalized_adjacency(graph, add_self_loops))
+def test_normalized_adjacency_matches_coo_path(graph):
+    assert_csr_identical(graph.normalized_adjacency(), oracle_normalized_adjacency(graph))
 
 
-@given(graphs(), st.booleans(), st.sampled_from([1, 2, 3, 1 << 16]))
-@example(Graph.from_edge_list(7, [(2, 2)], undirected=True), True, 1)
-@example(Graph.from_edge_list(6, [(5, 0), (1, 1), (1, 1), (3, 2)], undirected=False), True, 1)
-@example(Graph.from_edge_list(5, [(0, 0), (0, 1), (3, 3), (4, 1)], undirected=True), False, 2)
+@given(graphs(), st.sampled_from([1, 2, 3, 1 << 16]))
+@example(Graph.from_edge_list(7, [(2, 2)], undirected=True), 1)
+@example(Graph.from_edge_list(6, [(5, 0), (1, 1), (1, 1), (3, 2)], undirected=False), 1)
+@example(Graph.from_edge_list(5, [(0, 0), (0, 1), (3, 3), (4, 1)], undirected=True), 2)
 @settings(max_examples=300, deadline=None)
-def test_normalized_adjacency_matches_the_whole_array_merge(graph, add_self_loops, block_entries):
+def test_normalized_adjacency_matches_the_whole_array_merge(graph, block_entries):
     """Merged and scaled a row block at a time, at any block size, A-hat is
     the whole-array merge's, bit for bit (an empty row's diagonal sorts
     where the next row's entries start)."""
     with mock.patch.object(blocks, "BLOCK_ENTRIES", block_entries):
-        normalized = graph.normalized_adjacency(add_self_loops=add_self_loops)
-    assert_csr_identical(normalized, normalized_adjacency_reference(graph, add_self_loops))
+        normalized = graph.normalized_adjacency()
+    assert_csr_identical(normalized, normalized_adjacency_reference(graph))
 
 
 def endpoint_distributions(num_nodes: int, num_communities: int, rng):
@@ -634,6 +626,32 @@ def test_chunked_batch_draws_match_one_call_per_purpose(block_entries, num_commu
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+@pytest.mark.parametrize(
+    "num_nodes, block_entries",
+    [(1, 1), (2, 1), (3, 1), (100, 1), (100, 40), (2_000, 1 << 10), (10_000, None)],
+)
+def test_rmat_graph_matches_the_whole_draw_generator(num_nodes, block_entries):
+    """Uniforms in row blocks (one row, several, the default) and keys
+    deduplicated in place: the same graph, and the same stream after."""
+    chunk = block_entries or blocks.BLOCK_ENTRIES
+    for degree, num_communities, seed in ((0.5, 1, 0), (4.0, 4, 7), (16.0, 64, 3)):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with mock.patch.object(blocks, "BLOCK_ENTRIES", chunk):
+            graph = generators.rmat_graph(
+                num_nodes, degree, num_communities=num_communities, rng=rng
+            )
+        expected = rmat_graph_reference(
+            num_nodes, degree, num_communities=num_communities, rng=oracle_rng
+        )
+        assert_identical(graph.src, expected.src)
+        assert_identical(graph.dst, expected.dst)
+        if expected.communities is None:
+            assert graph.communities is None
+        else:
+            assert_identical(graph.communities, expected.communities)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 @given(
     st.integers(0, 40),
     st.integers(0, 12),
@@ -643,13 +661,11 @@ def test_chunked_batch_draws_match_one_call_per_purpose(block_entries, num_commu
 )
 @settings(max_examples=300, deadline=None)
 def test_feature_csr_matches_dense_generator(rows, cols, density, block_cells, seed):
-    rng = np.random.default_rng(seed)
-    with mock.patch.object(features, "_BLOCK_CELLS", block_cells):
-        pattern = generate_feature_pattern(rows, cols, density, rng)
-    oracle_rng = np.random.default_rng(seed)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     expected = oracle_feature_csr(rows, cols, density, oracle_rng)
-    # Positions derived in blocks of the same size, and in one block.
-    with mock.patch.object(sparsity_pattern, "_UNPACK_CELLS", block_cells):
+    with mock.patch.object(blocks, "BLOCK_ENTRIES", block_cells):
+        pattern = generate_feature_pattern(rows, cols, density, rng)
+        # Positions derived in blocks of the same size, and in one block.
         assert_pattern_identical(pattern, expected)
     assert_pattern_identical(pattern, expected)
     # Same draws in the same order: the generator ends in the same state.
@@ -659,7 +675,7 @@ def test_feature_csr_matches_dense_generator(rows, cols, density, block_cells, s
 @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
 def test_feature_csr_matches_dense_generator_at_block_size(density):
     cols = 512
-    rows = 2 * (features._BLOCK_CELLS // cols) + 7
+    rows = 2 * (blocks.BLOCK_ENTRIES // cols) + 7
     rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
     pattern = generate_feature_pattern(rows, cols, density, rng)
     assert_pattern_identical(pattern, oracle_feature_csr(rows, cols, density, oracle_rng))
@@ -867,14 +883,8 @@ def test_table1_chip_runs_match_the_row_sliced_path(bundle, method):
 def test_table1_construction_matches_dense_first_path(bundle):
     graph, dataset = bundle.dataset.graph, bundle.dataset
     assert_csr_identical(graph.adjacency(), oracle_adjacency(graph))
-    assert_csr_identical(
-        bundle.model.layers[0].adjacency, oracle_normalized_adjacency(graph, add_self_loops=True)
-    )
-    for add_self_loops in (True, False):
-        assert_csr_identical(
-            graph.normalized_adjacency(add_self_loops=add_self_loops),
-            normalized_adjacency_reference(graph, add_self_loops),
-        )
+    assert_csr_identical(bundle.model.layers[0].adjacency, oracle_normalized_adjacency(graph))
+    assert_csr_identical(graph.normalized_adjacency(), normalized_adjacency_reference(graph))
     # The model's draw sequence: each layer's features, then its weights.
     rng = np.random.default_rng(default_config().seed)
     for index, (layer, workload) in enumerate(zip(bundle.model.layers, bundle.workloads)):
@@ -912,4 +922,3 @@ def test_table1_hygcn_matches_dense_x_path(bundle):
         assert_pattern_identical(workload.combination.sparse, valued)
         expected = oracle_hygcn_aggregation(simulator, workload.aggregation.sparse, valued)
         assert simulator.run_layer(workload).phases[0] == expected
-        assert simulator.run_layer_from_gcn(layer).phases[0] == expected

@@ -18,9 +18,16 @@ def test_single_pe_matches_baseline_definition(multi_pe, large_workloads, large_
     result = multi_pe.run_aggregation(large_workloads[0], 1, large_plan)
     assert result.num_pes == 1
     assert result.throughput_vs_single == pytest.approx(1.0)
-    assert result.total_cycles == pytest.approx(
-        multi_pe.single_pe_cycles(large_workloads[0], large_plan)
+    # One PE runs the clusters back to back, each bound by compute or memory.
+    config = multi_pe.config
+    clusters = GrowSimulator(config).cluster_breakdown(large_workloads[0].aggregation, large_plan)
+    runahead = config.runahead_model()
+    expected = sum(
+        max(c.compute_cycles, c.memory_bytes / config.arch.bytes_per_cycle)
+        + runahead.exposed_stall_cycles(c.rows_with_miss)
+        for c in clusters
     )
+    assert result.total_cycles == pytest.approx(expected)
 
 
 def test_invalid_pe_count(multi_pe, large_workloads, large_plan):

@@ -57,26 +57,18 @@ def test_hdn_lists_respect_capacity(community_graph):
         community_graph
     )
     assert all(lst.size <= 7 for lst in plan.hdn_lists)
-    assert plan.hdn_storage_bytes() == sum(lst.size * 3 for lst in plan.hdn_lists)
-
-
-def test_intra_only_restricts_candidates(community_graph):
-    adjacency = community_graph.adjacency()
-    partition = metis_like_partition(community_graph, 4, seed=0)
-    preprocessor = GrowPreprocessor(hdn_list_capacity=1000)
-    plan = preprocessor.plan_from_partition(adjacency, partition, intra_only=True)
-    for nodes, hdns in zip(plan.clusters, plan.hdn_lists):
-        assert np.isin(hdns, nodes).all()
 
 
 def test_non_intra_only_can_include_external_hubs(community_graph):
     adjacency = community_graph.adjacency()
     partition = metis_like_partition(community_graph, 4, seed=0)
-    preprocessor = GrowPreprocessor(hdn_list_capacity=1000)
-    loose = preprocessor.plan_from_partition(adjacency, partition, intra_only=False)
-    strict = preprocessor.plan_from_partition(adjacency, partition, intra_only=True)
-    # Dropping the restriction can only grow (or keep) each cluster's list.
-    assert sum(l.size for l in loose.hdn_lists) >= sum(l.size for l in strict.hdn_lists)
+    plan = GrowPreprocessor(hdn_list_capacity=1000).plan_from_partition(adjacency, partition)
+    # Every column a cluster's rows reference is a candidate, its own
+    # nodes' and the other clusters' hubs alike.
+    for nodes, hdns in zip(plan.clusters, plan.hdn_lists):
+        rows = np.isin(np.repeat(np.arange(adjacency.n_rows), adjacency.row_nnz()), nodes)
+        np.testing.assert_array_equal(np.sort(hdns), np.unique(adjacency.indices[rows]))
+    assert any(not np.isin(hdns, nodes).all() for nodes, hdns in zip(plan.clusters, plan.hdn_lists))
 
 
 def test_single_cluster_request_falls_back(community_graph):

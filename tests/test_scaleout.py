@@ -21,7 +21,6 @@ from repro.scaleout import (
     ScaleOutSimulator,
     build_shard_plan,
     get_shard_plan,
-    make_topology,
 )
 
 from oracles import chip_workloads, local_plan
@@ -49,7 +48,7 @@ def test_ring_hops_take_the_shorter_arc():
     assert ring.hops(0, 1) == 1
     assert ring.hops(0, 7) == 1
     assert ring.hops(0, 4) == 4
-    assert ring.max_hops == 4
+    assert ring.hop_matrix.max() == 4
     assert ring.num_links == 16  # 8 chips x 2 directed links
 
 
@@ -65,14 +64,13 @@ def test_fully_connected_is_always_one_hop():
     fc = ChipTopology(6, kind="fully-connected")
     assert all(fc.hops(0, d) == 1 for d in range(1, 6))
     assert fc.num_links == 30
-    assert fc.max_hops == 1
+    assert fc.hop_matrix.max() == 1
 
 
 def test_single_chip_topology_degenerates():
     solo = ChipTopology(1)
     assert solo.num_links == 0
-    assert solo.max_hops == 0
-    assert solo.average_hops == 0.0
+    assert solo.hop_matrix.tolist() == [[0]]
 
 
 def test_topology_validation():
@@ -84,7 +82,6 @@ def test_topology_validation():
         ChipTopology(4, link_bandwidth_gbps=0.0)
     with pytest.raises(ValueError):
         ChipTopology(4).hops(0, 4)
-    assert make_topology(4, "mesh").kind == "mesh"
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Unit tests for the COO sparse-matrix container."""
+"""Unit tests for the COO container the adjacency references are built on."""
 
 import numpy as np
 import pytest
 
-from repro.sparse.coo import COOMatrix
+from oracles import COOMatrix
 
 
 def test_from_dense_round_trip(small_dense):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.convert import csr_to_coo, dense_to_csr
+from repro.sparse.convert import dense_to_csr
 from repro.sparse.pattern import SparsityPattern
 
 from oracles import pattern_of
@@ -127,8 +127,6 @@ def test_pattern_rejects_every_value_read(small_csr):
     pattern = pattern_of(small_csr)
     for name in ("data", "to_dense", "matmul_dense", "row", "iter_rows"):
         assert not hasattr(pattern, name)
-    with pytest.raises(AttributeError):
-        csr_to_coo(pattern)
 
 
 def test_pattern_bits_must_match_indptr(small_csr):

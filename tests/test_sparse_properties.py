@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.sparse.convert import dense_to_csr
-from repro.sparse.coo import COOMatrix
 from repro.sparse.tiling import tile_nnz_histogram, tile_statistics
 
-from oracles import spmm_gustavson, spmm_outer_product
+from oracles import COOMatrix, spmm_gustavson, spmm_outer_product
 
 
 def sparse_dense_arrays(max_rows: int = 12, max_cols: int = 10):

@@ -98,20 +98,14 @@ def test_hygcn_runs_both_engines(scaled_arch, small_workloads):
     assert result.extra["pipeline_cycles"] <= result.total_cycles
 
 
-def test_hygcn_run_layer_from_gcn(scaled_arch, small_model):
-    result = HyGCNSimulator(HyGCNConfig(arch=scaled_arch)).run_layer_from_gcn(small_model.layers[0])
-    assert result.accelerator == "hygcn"
-    assert result.total_cycles > 0
-
-
-def test_hygcn_combination_macs_are_dense(scaled_arch, small_model):
+def test_hygcn_combination_macs_are_dense(scaled_arch, small_model, small_workloads):
     layer = small_model.layers[0]
-    result = HyGCNSimulator(HyGCNConfig(arch=scaled_arch)).run_layer_from_gcn(layer)
+    result = HyGCNSimulator(HyGCNConfig(arch=scaled_arch)).run_layer(small_workloads[0])
     comb = next(p for p in result.phases if p.name == "combination")
     assert comb.mac_operations == layer.num_nodes * layer.in_features * layer.out_features
 
 
-def test_hygcn_window_hit_rate_bounds(scaled_arch, small_model):
-    result = HyGCNSimulator(HyGCNConfig(arch=scaled_arch)).run_layer_from_gcn(small_model.layers[0])
+def test_hygcn_window_hit_rate_bounds(scaled_arch, small_workloads):
+    result = HyGCNSimulator(HyGCNConfig(arch=scaled_arch)).run_layer(small_workloads[0])
     agg = next(p for p in result.phases if p.name == "aggregation")
     assert 0.0 <= agg.extra["window_hit_rate"] <= 1.0

@@ -39,8 +39,11 @@ def test_grow_traffic_and_compute_invariants(seed, n, density, rhs_cols):
     """For any random aggregation phase: requested <= transferred, MACs exact,
     hits + misses == nnz, and the functional output matches the reference."""
     phase, rhs = _random_phase(seed, n, n, density, rhs_cols)
-    simulator = GrowSimulator(GrowConfig(arch=AcceleratorConfig(bandwidth_gbps=16)))
-    stats = simulator.run_phase(phase)
+    config = GrowConfig(arch=AcceleratorConfig(bandwidth_gbps=16))
+    plan = GrowPreprocessor(hdn_list_capacity=config.hdn_id_capacity).plan_without_partitioning(
+        phase.sparse
+    )
+    stats = GrowSimulator(config).run_phase(phase, plan)
     assert stats.requested_read_bytes <= stats.dram_read_bytes
     assert stats.mac_operations == phase.sparse.nnz * rhs_cols
     assert stats.extra["hdn_hits"] + stats.extra["hdn_misses"] == phase.sparse.nnz
@@ -100,7 +103,7 @@ def test_partition_always_valid_and_better_than_random(seed, num_clusters):
     )
     partition = metis_like_partition(graph, num_clusters, seed=seed)
     assert partition.assignment.size == graph.num_nodes
-    assert np.sort(partition.permutation).tolist() == list(range(graph.num_nodes))
+    assert 0 <= partition.assignment.min() <= partition.assignment.max() < num_clusters
     # "On average": a single random assignment can get lucky on small graphs,
     # so compare against the mean cut of several random assignments — and on
     # small dense graphs split into many clusters the heuristic can land a few

@@ -15,6 +15,7 @@ from repro.accelerators.workload import (
 from repro.core.preprocess import GrowPreprocessor
 from repro.graph import registry
 from repro.graph.datasets import load_dataset
+from repro.graph.generators import rmat_graph
 from repro.harness.config import ExperimentConfig
 from repro.harness.workloads import get_bundle
 from repro.sparse import blocks
@@ -147,8 +148,10 @@ def test_cold_path_stages_peak_at_their_output_plus_blocks(monkeypatch):
     is the other unit.  Generation's output is its candidate batch: 1.5
     candidates per kept edge, each with a source, a destination and, when
     drawn in its community, a grouped position, within 2.5 times the kept
-    edge list.  The HDN profile keeps counts indexed by capacity; it builds
-    them from its stream, a column and a 32-bit rank per non-zero.
+    edge list.  R-MAT's batch is 2 candidates per missing edge, a source and
+    a destination each, under the same bound.  The HDN profile keeps counts
+    indexed by capacity; it builds them from its stream, a column and a
+    32-bit rank per non-zero.
     """
     monkeypatch.setattr(blocks, "BLOCK_ENTRIES", 1 << 12)
     block_bytes = 8 * blocks.BLOCK_ENTRIES
@@ -172,10 +175,14 @@ def test_cold_path_stages_peak_at_their_output_plus_blocks(monkeypatch):
 
     stages(300)  # imports, registries
     graph, adjacency, normalized, peaks = stages(10_000)
+    rmat, _, rmat_peak = _traced(lambda: rmat_graph(10_000, 16.0, num_communities=64))
     node_bytes = 8 * graph.num_nodes
     assert adjacency.nnz >= 32 * blocks.BLOCK_ENTRIES
     edge_bytes = graph.src.nbytes + graph.dst.nbytes
     assert peaks["generate"] <= 2.5 * edge_bytes + 8 * node_bytes + 8 * block_bytes
+    rmat_edge_bytes = rmat.src.nbytes + rmat.dst.nbytes
+    assert rmat_edge_bytes >= 16 * block_bytes
+    assert rmat_peak <= 2.5 * rmat_edge_bytes + 8 * node_bytes + 8 * block_bytes
     assert peaks["adjacency retained"] <= 1.01 * _csr_bytes(adjacency)
     assert peaks["adjacency"] <= _csr_bytes(adjacency) + 3 * node_bytes + 4 * block_bytes
     assert peaks["normalize"] <= _csr_bytes(normalized) + 8 * node_bytes + 4 * block_bytes

@@ -12,22 +12,17 @@ from repro.accelerators.gcnax import GCNAXConfig, GCNAXSimulator
 from repro.accelerators.workload import SpDeGemmPhase
 from repro.obs import metrics
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.tiling import (
-    occupied_tile_counts,
-    tile_nnz_histogram,
-    tile_profile,
-    tile_statistics,
-)
+from repro.sparse.tiling import tile_nnz_histogram, tile_profile, tile_statistics
 
 
 def test_occupied_tile_counts_empty_matrix():
     # Regression: the empty matrix used to hit np.repeat with an empty
-    # row_nnz and return ill-typed arrays; it must yield two empty int64
+    # row_nnz and return ill-typed arrays; it must yield empty int64
     # arrays without materialising the (possibly huge) grid.
     matrix = CSRMatrix.empty((1000, 1000))
-    tile_ids, counts = occupied_tile_counts(matrix, 16, 16)
-    assert tile_ids.size == 0 and counts.size == 0
-    assert tile_ids.dtype == np.int64 and counts.dtype == np.int64
+    stats = tile_statistics(matrix, 16, 16)
+    assert stats.tile_ids.size == 0 and stats.nnz_per_tile.size == 0
+    assert stats.tile_ids.dtype == np.int64 and stats.nnz_per_tile.dtype == np.int64
 
 
 def test_tile_stats_and_histogram_empty_matrix():
@@ -41,7 +36,8 @@ def test_occupied_tiles_match_dense_reference():
     rng = np.random.default_rng(0)
     dense = (rng.random((37, 53)) < 0.05).astype(np.float64)
     matrix = CSRMatrix.from_dense(dense)
-    tile_ids, counts = occupied_tile_counts(matrix, 8, 8)
+    stats = tile_statistics(matrix, 8, 8)
+    tile_ids, counts = stats.tile_ids, stats.nnz_per_tile
     # Reference: count non-zeros per tile straight off the dense array.
     grid_cols = (53 + 7) // 8
     expected = {}
