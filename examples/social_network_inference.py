@@ -24,7 +24,7 @@ from repro.accelerators.workload import build_model_workloads
 from repro.core import GrowPreprocessor, GrowSimulator
 from repro.gcn.layer import build_model_for_dataset
 from repro.graph.datasets import load_dataset
-from repro.graph.stats import top_degree_edge_coverage
+from repro.graph.graph import top_degree_edge_coverage
 from repro.harness.config import default_config
 
 

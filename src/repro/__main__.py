@@ -41,13 +41,13 @@ Commands:
   performance dashboard (benchmark trajectory with noise-aware trend
   classification, phase breakdowns, ledger analytics).
 
-The ``sim``, ``run``, ``suite``, ``dse``, ``scaleout`` and ``bench`` verbs
-share three telemetry flags: ``--trace FILE`` records every pipeline span
+The ``sim``, ``run``, ``suite``, ``dse`` and ``scaleout`` verbs share
+three telemetry flags: ``--trace FILE`` records every pipeline span
 (including pool workers') into a Chrome trace-event JSON viewable in
 Perfetto, ``--log-level LEVEL`` turns on the structured JSON logging
 of the ``repro.*`` logger hierarchy, and ``--no-ledger`` skips the run
 ledger (also disabled by ``REPRO_LEDGER=0``, redirected by
-``REPRO_LEDGER=path``).
+``REPRO_LEDGER=path``).  ``bench`` takes the last two.
 
 Examples::
 
@@ -70,7 +70,7 @@ Examples::
     python -m repro report fig20_speedup
     python -m repro report dse_grow-smoke
     python -m repro bench                          # default ladder -> BENCH_<n>.json
-    python -m repro bench --rungs grow-10k --repeats 3   # CI smoke rung
+    python -m repro bench --rungs grow-10k         # CI smoke rung
     python -m repro suite --smoke --trace suite.trace.json
     python -m repro trace suite.trace.json         # phase/cache summary
     python -m repro stats                          # ledger: runs, hit rates
@@ -304,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dash_parser.add_argument(
         "--bench-dir",
         type=Path,
-        default=None,
+        default=Path("benchmarks"),
         help="directory of the BENCH_<n>.json trajectory (default benchmarks)",
     )
     dash_parser.add_argument(
@@ -320,20 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="also write a Markdown twin of the dashboard to FILE",
-    )
-    dash_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="trend tolerance band, e.g. 0.25 = ±25%% (default from repro.obs.trend)",
-    )
-    dash_parser.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        metavar="N",
-        help="baseline window in documents (default from repro.obs.trend)",
     )
 
     report_parser = subparsers.add_parser(
@@ -823,14 +809,13 @@ def _cmd_scaleout(args) -> int:
         )
     except ValueError as error:
         raise SystemExit(str(error)) from error
-    # The simulator only renders the reports: every system runs as one
+    # The simulator only renders the report: every system runs as one
     # 'scaleout' request, so the session caches, fans out and forces it.
     simulator = ScaleOutSimulator(
         config=_config_from_args(args),
         topology=topology,
         exchange=args.exchange,
         shard_method=args.shard_method,
-        results_dir=args.results_dir,
     )
     fabric = _fabric_from_args(args)
     requests = [
@@ -856,13 +841,15 @@ def _cmd_scaleout(args) -> int:
         )
 
     runs = session.run_batch(requests, progress=None if args.json else progress)
-    results = [ScaleOutResult.from_dict(run.system_dict()) for run in runs]
-    simulator.write_reports(results)
+    report = simulator.report(
+        [ScaleOutResult.from_dict(run.system_dict()) for run in runs]
+    )
+    report.write(args.results_dir)
     if args.json:
         print(json.dumps([run.to_dict() for run in runs], indent=2, default=json_default))
         return 0
     print()
-    print(simulator.report(results).to_table())
+    print(report.to_table())
     return 0
 
 
@@ -952,7 +939,11 @@ def _cmd_stats(args) -> int:
             file=sys.stderr,
         )
         return 1
-    records, bad = run_ledger.load_ledger(path)
+    try:
+        records, bad = run_ledger.load_ledger(path)
+    except OSError as error:
+        print(f"cannot read ledger {path}: {error}", file=sys.stderr)
+        return 1
     records = run_ledger.filter_records(
         records,
         kind=args.kind,
@@ -1056,23 +1047,19 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_dash(args) -> int:
-    from repro.obs import dashboard, trend
+    from repro.bench import emit
+    from repro.obs import dashboard
 
-    if args.tolerance is not None and args.tolerance <= 0:
-        raise SystemExit("--tolerance must be positive")
-    if args.window is not None and args.window < 1:
-        raise SystemExit("--window must be at least 1")
-    bench_dir = args.bench_dir if args.bench_dir is not None else Path("benchmarks")
+    try:
+        documents = emit.load_trajectory(args.bench_dir)
+    except emit.BenchSchemaError as error:
+        raise SystemExit(str(error)) from error
     try:
         path = dashboard.write_dashboard(
             args.output,
-            bench_dir=bench_dir,
+            documents,
             ledger_path=args.ledger,
             markdown_path=args.markdown,
-            tolerance=args.tolerance
-            if args.tolerance is not None
-            else trend.DEFAULT_TOLERANCE,
-            window=args.window if args.window is not None else trend.DEFAULT_WINDOW,
         )
     except OSError as error:
         raise SystemExit(f"cannot write dashboard: {error}") from error
@@ -1085,8 +1072,8 @@ def _cmd_dash(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     raw = sys.argv[1:] if argv is None else list(argv)
     if raw and raw[0] == "bench":
-        # The bench verb owns its argument parsing (shared with
-        # benchmarks/perf.py), so hand everything after the verb through.
+        # The bench verb owns its argument parsing, so hand everything
+        # after the verb through.
         from repro.bench.runner import main as bench_main
 
         return bench_main(raw[1:])

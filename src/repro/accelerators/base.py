@@ -94,13 +94,6 @@ class PhaseStats:
         """Total DRAM traffic of the phase."""
         return self.dram_read_bytes + self.dram_write_bytes
 
-    @property
-    def bandwidth_utilization(self) -> float:
-        """Effective read-bandwidth utilisation (requested / transferred)."""
-        if self.dram_read_bytes == 0:
-            return 0.0
-        return min(1.0, self.requested_read_bytes / self.dram_read_bytes)
-
     def to_dict(self) -> dict:
         """JSON-safe form (used by the scale-out engine's result cache)."""
         return {

@@ -5,10 +5,7 @@ from repro.analysis.sparsity import (
     characterize_dataset,
     layer_matrix_densities,
 )
-from repro.analysis.tiles import (
-    effective_bandwidth_utilization,
-    tile_nnz_bins,
-)
+from repro.analysis.tiles import effective_bandwidth_utilization
 from repro.analysis.breakdown import latency_breakdown
 
 __all__ = [
@@ -16,6 +13,5 @@ __all__ = [
     "characterize_dataset",
     "layer_matrix_densities",
     "effective_bandwidth_utilization",
-    "tile_nnz_bins",
     "latency_breakdown",
 ]

@@ -1,9 +1,9 @@
-"""Tile-occupancy and bandwidth-utilisation characterisation (Figures 5 and 6).
+"""Bandwidth-utilisation characterisation (Figure 6).
 
-These helpers reproduce the two characterisation figures that motivate GROW:
-how many non-zeros land in each GCNAX tile of the sparse matrices (Figure 5),
-and how much of the DRAM traffic spent fetching those tiles is effectual under
-a 64-byte minimum access granularity (Figure 6).
+How much of the DRAM traffic GCNAX spends fetching the tiles of the sparse
+matrices is effectual under a 64-byte minimum access granularity, one of the
+characterisation figures that motivate GROW.  (Figure 5's tile occupancy is
+:func:`repro.sparse.tiling.tile_nnz_histogram`.)
 """
 
 from __future__ import annotations
@@ -12,20 +12,7 @@ from repro.accelerators.base import NNZ_BYTES
 from repro.obs import trace
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import SparsityPattern
-from repro.sparse.tiling import tile_nnz_histogram, tile_profile
-
-
-def tile_nnz_bins(
-    matrix: CSRMatrix | SparsityPattern,
-    tile_rows: int = 32,
-    tile_cols: int = 32,
-    bin_edges: tuple[int, ...] = (1, 2, 8, 16),
-) -> dict[str, float]:
-    """Fraction of occupied tiles per non-zero-count bin (one Figure 5 bar)."""
-    with trace.span(
-        "analysis.tiling", nnz=matrix.nnz, tile_rows=tile_rows, tile_cols=tile_cols
-    ):
-        return tile_nnz_histogram(matrix, tile_rows, tile_cols, bin_edges=bin_edges)
+from repro.sparse.tiling import tile_profile
 
 
 def effective_bandwidth_utilization(

@@ -567,11 +567,6 @@ class CallGraph:
         return seen
 
 
-def build_call_graph(project: Project) -> CallGraph:
-    """Build the call graph of a loaded project (one pass per concern)."""
-    return CallGraph(project)
-
-
 def short_name(info: FunctionInfo) -> str:
     """A function's name relative to its module (``Cls.meth`` or ``f``)."""
     prefix = info.module.name + "."

@@ -77,10 +77,6 @@ class CheckConfig:
             stdlib-only telemetry substrate at the bottom of the stack.
         stdlib_only_layers: layers whose modules may import only the
             standard library (and their own layer) at any scope.
-        stdlib_only_exempt: per-layer module basenames exempt from the
-            stdlib-only rule with the internal targets each may reach
-            lazily (the documented consumer split: ``obs.trend`` and
-            ``obs.dashboard`` may import ``bench``).
         determinism_scope: layers where clock/RNG/env reads are flagged.
         engine_layers: layers that must never import orchestration.
         orchestration_layers: the forbidden-at-any-scope target layers.
@@ -96,7 +92,6 @@ class CheckConfig:
 
     layer_deps: dict[str, frozenset[str]] = field(default_factory=dict)
     stdlib_only_layers: frozenset[str] = frozenset()
-    stdlib_only_exempt: dict[str, frozenset[str]] = field(default_factory=dict)
     determinism_scope: frozenset[str] = DETERMINISM_SCOPE
     engine_layers: frozenset[str] = ENGINE_LAYERS
     orchestration_layers: frozenset[str] = ORCHESTRATION_LAYERS
@@ -146,17 +141,12 @@ LAYER_DEPS: dict[str, frozenset[str]] = {
     ),
 }
 
-#: ``obs`` substrate and the analyzer itself are stdlib-only: importable
-#: from any layer (or usable with no third-party deps at all) without
-#: creating cycles.  The documented consumer split exempts ``obs.trend``
-#: and ``obs.dashboard``, which may lazily import the bench layer.
+#: ``obs`` and the analyzer itself are stdlib-only: importable from any
+#: layer (or usable with no third-party deps at all) without creating
+#: cycles.
 STDLIB_ONLY_LAYERS = frozenset({"obs", "analyze"})
-STDLIB_ONLY_EXEMPT: dict[str, frozenset[str]] = {
-    "obs": frozenset({"trend", "dashboard"}),
-}
 
 DEFAULT_CONFIG = CheckConfig(
     layer_deps=LAYER_DEPS,
     stdlib_only_layers=STDLIB_ONLY_LAYERS,
-    stdlib_only_exempt=STDLIB_ONLY_EXEMPT,
 )

@@ -63,10 +63,10 @@ _MUTATOR_METHODS = frozenset(
 )
 
 #: Canonical-name suffixes of process-global telemetry reconfiguration.
-#: Recording calls (``metrics.inc``/``observe``, ``trace.span``) are
+#: Recording calls (``metrics.inc``, ``trace.span``) are
 #: thread- and scope-safe by design and deliberately absent.
 _OBS_MUTATOR_SUFFIXES = (
-    "trace.enable", "trace.disable", "trace.drain", "trace.clear",
+    "trace.enable", "trace.disable", "trace.drain",
     "trace.ingest", "metrics.merge", "metrics.reset", "configure_logging",
 )
 

@@ -77,9 +77,6 @@ class StdlibOnly(Rule):
         for module in project.modules:
             if module.layer not in config.stdlib_only_layers:
                 continue
-            exempt = config.stdlib_only_exempt.get(module.layer, frozenset())
-            if module.basename in exempt:
-                continue
             for edge in module.imports:
                 if edge.internal:
                     if _target_layer(project, edge.target) != module.layer:

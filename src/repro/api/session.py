@@ -82,6 +82,17 @@ def _normalise(payload: dict) -> dict:
     return json.loads(json.dumps(payload, default=json_default))
 
 
+def _execute_body(request: SimRequest) -> dict:
+    """Run one request under a ``session.execute`` span; returns its normalised payload."""
+    with trace.span(
+        "session.execute", backend=request.backend, dataset=request.dataset
+    ):
+        start = time.perf_counter()  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
+        result = get_backend(request.backend).run(request)
+        result.seconds = time.perf_counter() - start  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
+    return _normalise(result.to_dict())
+
+
 def _execute_request(request_dict: dict, telemetry: bool = False) -> dict:
     """Run one request in a worker; module-level so it pickles across.
 
@@ -97,23 +108,13 @@ def _execute_request(request_dict: dict, telemetry: bool = False) -> dict:
     """
     request = SimRequest.from_dict(request_dict)
     if not telemetry:
-        start = time.perf_counter()  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
-        result = get_backend(request.backend).run(request)
-        result.seconds = time.perf_counter() - start  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
-        return _normalise(result.to_dict())
+        return _execute_body(request)
     # Start from a clean slate: a forked worker inherits the parent's (or a
     # previous task's) tracer state, which must not leak into this task.
     trace.disable()  # repro: allow(CONC002) clean-slate reset of inherited tracer state before scoped collection; worker-local by design
     trace.drain()  # repro: allow(CONC002) clean-slate drain of inherited spans; worker-local by design
     with trace.collect() as spans, metrics.scoped() as task_metrics:
-        with trace.span(
-            "session.execute", backend=request.backend, dataset=request.dataset
-        ):
-            start = time.perf_counter()  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
-            result = get_backend(request.backend).run(request)
-            result.seconds = time.perf_counter() - start  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
-        metrics.observe("session.execute_seconds", result.seconds)
-    payload = _normalise(result.to_dict())
+        payload = _execute_body(request)
     payload[TELEMETRY_KEY] = {"spans": spans, "metrics": task_metrics}
     return payload
 
@@ -234,20 +235,10 @@ class Session:
         only while the run ledger is recording, and is empty otherwise.
         """
         if not run_ledger.ledger_enabled():
-            return self._execute_body(request), {}
+            return _execute_body(request), {}
         with trace.collect() as events:
-            payload = self._execute_body(request)
+            payload = _execute_body(request)
         return payload, aggregate_phases(events)
-
-    def _execute_body(self, request: SimRequest) -> dict:
-        with trace.span(
-            "session.execute", backend=request.backend, dataset=request.dataset
-        ):
-            start = time.perf_counter()  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
-            result = get_backend(request.backend).run(request)
-            result.seconds = time.perf_counter() - start  # repro: allow(DET001) wall-time metadata, excluded from byte-identity
-        metrics.observe("session.execute_seconds", result.seconds)
-        return _normalise(result.to_dict())
 
     def run(self, request: SimRequest) -> RunResult:
         """Execute one request (memo -> disk cache -> backend dispatch)."""

@@ -9,12 +9,12 @@ instead of misreading them.
 
 from __future__ import annotations
 
-import datetime
 import json
 import math
 import re
-import subprocess
 from pathlib import Path
+
+from repro.obs.ledger import git_revision, utc_now
 
 #: Bump when the document layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -59,45 +59,13 @@ def next_bench_number(bench_dir: Path | str = DEFAULT_BENCH_DIR) -> int:
     return existing[-1][0] + 1 if existing else 0
 
 
-def latest_bench_path(bench_dir: Path | str = DEFAULT_BENCH_DIR) -> Path | None:
-    """Path of the highest-numbered document, or ``None`` when empty."""
-    existing = bench_files(bench_dir)
-    return existing[-1][1] if existing else None
-
-
-def git_revision() -> str:
-    """Short git revision of the working tree, or ``"unknown"``."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else "unknown"
-
-
-def build_document(
-    samples: list[dict],
-    git_rev: str | None = None,
-    notes: str = "",
-    generated_at: str | None = None,
-) -> dict:
+def build_document(samples: list[dict], notes: str = "") -> dict:
     """Assemble a schema-complete document from per-rung samples."""
-    if generated_at is None:
-        generated_at = (
-            datetime.datetime.now(datetime.timezone.utc)
-            .isoformat(timespec="seconds")
-            .replace("+00:00", "Z")
-        )
     document = {
         "schema_version": SCHEMA_VERSION,
         "bench_id": None,  # assigned by write_bench
-        "git_rev": git_rev if git_rev is not None else git_revision(),
-        "generated_at": generated_at,
+        "git_rev": git_revision(),
+        "generated_at": utc_now(),
         "notes": notes,
         "rungs": list(samples),
     }
@@ -192,3 +160,8 @@ def load_bench(path: Path | str) -> dict:
         raise BenchSchemaError(f"{path} is not valid JSON: {error}") from error
     validate_document(document)
     return document
+
+
+def load_trajectory(bench_dir: Path | str = DEFAULT_BENCH_DIR) -> list[dict]:
+    """Every ``BENCH_<n>.json`` in the directory, validated, ascending by number."""
+    return [load_bench(path) for _, path in bench_files(bench_dir)]

@@ -119,11 +119,6 @@ def scenario_digest(rung: BenchRung | str) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-# Phase aggregation is shared with the session's ledger recording:
-# repro.obs.aggregate_phases (total seconds per span name).
-_aggregate_phases = aggregate_phases
-
-
 def _run_once(rung: BenchRung) -> tuple[float, dict, dict]:
     """Execute one rung once; returns (wall seconds, metrics, phase seconds).
 
@@ -141,8 +136,8 @@ def _run_once(rung: BenchRung) -> tuple[float, dict, dict]:
         registry.register_dataset(
             registry.scenario_from_dict(rung.scenario), replace=True
         )
-        # force=True bypasses the process-wide run memo, so in-process
-        # repeats (and test reruns) measure real executions.
+        # force=True bypasses the process-wide run memo, so test reruns in
+        # one process measure real executions.
         session = Session(use_cache=False, force=True)
         if rung.kind == "scaleout":
             request = SimRequest(
@@ -156,7 +151,7 @@ def _run_once(rung: BenchRung) -> tuple[float, dict, dict]:
             started = time.perf_counter()
             result = session.run(request)
             wall = time.perf_counter() - started
-        return wall, dict(result.metrics), _aggregate_phases(events)
+        return wall, dict(result.metrics), aggregate_phases(events)
 
     if rung.kind == "dse":
         from repro.dse import DSERunner
@@ -178,24 +173,17 @@ def _run_once(rung: BenchRung) -> tuple[float, dict, dict]:
             "evaluations": float(len(report.evaluations)),
             "frontier_points": float(len(report.frontier)),
         }
-        return wall, metrics, _aggregate_phases(events)
+        return wall, metrics, aggregate_phases(events)
 
     raise ValueError(f"unknown rung kind {rung.kind!r}")
 
 
-def run_rung(name: str, repeats: int = 1) -> dict:
-    """Run one rung ``repeats`` times; returns the sample record.
+def run_rung(name: str) -> dict:
+    """Run one rung once in this process; returns the sample record.
 
-    ``wall_seconds`` is the minimum over the repeats — the estimator least
-    affected by scheduling noise — with every raw repeat preserved in
-    ``wall_samples``.  Peak RSS is the process high-water mark (honest
-    when the rung runs in its own worker process, an upper bound when
-    several rungs share one process).
-
-    In-process repeats after the first reuse the per-process dataset and
-    preprocessing memos, so they time only the cycle model; the default
-    driver therefore gives every repeat a fresh worker process instead
-    (``repro.bench.runner``).
+    Peak RSS is the process high-water mark, which belongs to the rung
+    alone only when the rung has the process to itself: the driver
+    (:mod:`repro.bench.runner`) runs each sample in a fresh worker.
     """
     try:
         rung = RUNGS[name]
@@ -203,25 +191,14 @@ def run_rung(name: str, repeats: int = 1) -> dict:
         raise ValueError(
             f"unknown bench rung {name!r}; choose from {sorted(RUNGS)}"
         ) from None
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    walls = []
-    metrics: dict = {}
-    phases: dict = {}
-    for _ in range(repeats):
-        wall, metrics, run_phases = _run_once(rung)
-        # Keep the phase breakdown of the least-disturbed (fastest) repeat,
-        # matching the wall_seconds estimator.
-        if not walls or wall < min(walls):
-            phases = run_phases
-        walls.append(wall)
+    wall, metrics, phases = _run_once(rung)
     return {
         "rung": rung.name,
         "kind": rung.kind,
         "description": rung.description,
         "scenario_digest": scenario_digest(rung),
-        "wall_seconds": min(walls),
-        "wall_samples": walls,
+        "wall_seconds": wall,
+        "wall_samples": [wall],
         "peak_rss_kb": int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
         "metrics": metrics,
         "phases": phases,

@@ -1,11 +1,11 @@
-"""The bench driver shared by ``repro bench`` and ``benchmarks/perf.py``.
+"""The bench driver behind ``repro bench``.
 
-Runs the requested rungs (each in its own worker process by default),
-emits the next ``BENCH_<n>.json``, and checks the result for regressions
-— exiting non-zero on one, so CI can gate on it.  The gate is the
-trajectory gate of :mod:`repro.obs.trend`: every rung is classified
-against a min-over-window baseline of the committed documents with a
-tolerance band, which is robust to single-document noise.
+Measures each requested rung in :data:`SAMPLES_PER_RUNG` fresh worker
+interpreters, emits the next ``BENCH_<n>.json``, and checks the result
+for regressions — exiting non-zero on one, so CI can gate on it.  The
+gate is the trajectory gate of :mod:`repro.obs.trend`: every rung is
+classified against a min-over-window baseline of the committed documents
+with a tolerance band, which is robust to single-document noise.
 
 Each measured rung also appends one ``bench`` record to the run ledger
 (:mod:`repro.obs.ledger`) unless it is disabled.
@@ -21,11 +21,18 @@ import sys
 from pathlib import Path
 
 from repro.bench import emit
-from repro.bench.ladder import DEFAULT_LADDER, RUNGS, run_rung
+from repro.bench.ladder import DEFAULT_LADDER, RUNGS
+from repro.obs import configure_logging, trend
+from repro.obs import ledger as run_ledger
+
+#: Fresh interpreters each rung is measured in.  ``wall_seconds`` is their
+#: minimum: one sample cannot carry the gate's ±25% band on a noisy host.
+SAMPLES_PER_RUNG = 3
 
 
 def _worker_environment() -> dict[str, str]:
-    """Child env with the package's source root on PYTHONPATH."""
+    """Child env with the package's source root on PYTHONPATH and the run
+    ledger off: the driver records the rung's one ``bench`` line."""
     import repro
 
     src_root = str(Path(repro.__file__).resolve().parent.parent)
@@ -33,12 +40,13 @@ def _worker_environment() -> dict[str, str]:
     existing = env.get("PYTHONPATH", "")
     if src_root not in existing.split(os.pathsep):
         env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
+    env[run_ledger.LEDGER_ENV] = "0"
     return env
 
 
 def _run_worker_once(name: str) -> dict:
     """Measure one rung once in a fresh interpreter (see ``repro.bench.worker``)."""
-    command = [sys.executable, "-m", "repro.bench.worker", name, "1"]
+    command = [sys.executable, "-m", "repro.bench.worker", name]
     proc = subprocess.run(
         command, capture_output=True, text=True, env=_worker_environment()
     )
@@ -55,36 +63,29 @@ def _run_worker_once(name: str) -> dict:
     raise RuntimeError(f"bench worker for rung {name!r} printed no sample")
 
 
-def _run_rung_isolated(name: str, repeats: int) -> dict:
-    """Run every repeat in its own interpreter and merge the samples.
+def _measure_rung(name: str) -> dict:
+    """The rung's record from :data:`SAMPLES_PER_RUNG` fresh workers.
 
     A repeat inside one process would rerun only the cycle model — the
-    dataset and preprocessing bundles are memoised per process — so each
-    repeat gets a cold interpreter and the merged record keeps the
-    minimum wall, the maximum RSS and the (identical) metrics.  The phase
-    breakdown follows the wall estimator: the fastest repeat's wins.
+    dataset and preprocessing bundles are memoised per process — so every
+    sample gets a cold interpreter.  The record is the fastest sample's
+    (its wall and phase breakdown) with every sample's wall in
+    ``wall_samples`` and the largest peak RSS; the simulated metrics must
+    agree.
     """
-    merged = _run_worker_once(name)
-    best_wall = min(merged["wall_samples"])
-    for _ in range(repeats - 1):
-        sample = _run_worker_once(name)
-        if sample["metrics"] != merged["metrics"]:
-            raise RuntimeError(
-                f"rung {name!r} is not deterministic: repeat metrics differ"
-            )
-        merged["wall_samples"].extend(sample["wall_samples"])
-        merged["peak_rss_kb"] = max(merged["peak_rss_kb"], sample["peak_rss_kb"])
-        if min(sample["wall_samples"]) < best_wall and "phases" in sample:
-            best_wall = min(sample["wall_samples"])
-            merged["phases"] = sample["phases"]
-    merged["wall_seconds"] = min(merged["wall_samples"])
-    return merged
+    samples = [_run_worker_once(name) for _ in range(SAMPLES_PER_RUNG)]
+    if any(sample["metrics"] != samples[0]["metrics"] for sample in samples):
+        raise RuntimeError(f"rung {name!r} is not deterministic: sample metrics differ")
+    fastest = min(samples, key=lambda sample: sample["wall_seconds"])
+    return dict(
+        fastest,
+        wall_samples=[sample["wall_seconds"] for sample in samples],
+        peak_rss_kb=max(sample["peak_rss_kb"] for sample in samples),
+    )
 
 
 def _record_bench_ledger(sample: dict) -> None:
     """One ``bench`` ledger line per measured rung (no-op when disabled)."""
-    from repro.obs import ledger as run_ledger
-
     if not run_ledger.ledger_enabled():
         return
     run_ledger.record_run(
@@ -100,14 +101,10 @@ def _record_bench_ledger(sample: dict) -> None:
 
 def run_bench(
     rungs: list[str] | None = None,
-    repeats: int = 1,
     bench_dir: Path | str = emit.DEFAULT_BENCH_DIR,
-    isolated: bool = True,
     notes: str = "",
     emit_json: bool = True,
-    gate_tolerance: float | None = None,
-    gate_window: int | None = None,
-    out=sys.stdout,
+    gate_tolerance: float = trend.DEFAULT_TOLERANCE,
 ) -> int:
     """Run the ladder, emit the next document, report regressions.
 
@@ -116,8 +113,6 @@ def run_bench(
     trajectory (min-over-window baseline, ``gate_tolerance`` band) and
     any ``regressed`` verdict fails.
     """
-    from repro.obs import trend
-
     names = list(rungs) if rungs else list(DEFAULT_LADDER)
     unknown = [name for name in names if name not in RUNGS]
     if unknown:
@@ -126,19 +121,15 @@ def run_bench(
     bench_dir = Path(bench_dir)
     # Gate history must be captured before the new document is written,
     # so the candidate never competes against itself.
-    history = trend.load_trajectory(bench_dir)
+    history = emit.load_trajectory(bench_dir)
 
     samples = []
     for name in names:
-        print(f"  running {name} ...", file=out, flush=True)
-        if isolated:
-            sample = _run_rung_isolated(name, repeats)
-        else:
-            sample = run_rung(name, repeats=repeats)
+        print(f"  running {name} ...", flush=True)
+        sample = _measure_rung(name)
         print(
             f"    {sample['wall_seconds']:.3f}s wall, "
-            f"{sample['peak_rss_kb'] / 1024:.0f} MB peak RSS",
-            file=out,
+            f"{sample['peak_rss_kb'] / 1024:.0f} MB peak RSS"
         )
         samples.append(sample)
         _record_bench_ledger(sample)
@@ -146,28 +137,21 @@ def run_bench(
     document = emit.build_document(samples, notes=notes)
     if emit_json:
         path = emit.write_bench(document, bench_dir)
-        print(f"wrote {path}", file=out)
+        print(f"wrote {path}")
 
-    report = trend.evaluate_gate(
-        document,
-        history,
-        tolerance=gate_tolerance if gate_tolerance is not None else trend.DEFAULT_TOLERANCE,
-        window=gate_window if gate_window is not None else trend.DEFAULT_WINDOW,
-    )
+    report = trend.evaluate_gate(document, history, tolerance=gate_tolerance)
     for rung_trend in report.rungs:
-        print(f"  {rung_trend.describe()}", file=out)
+        print(f"  {rung_trend.describe()}")
     if not report.ok:
         names_failed = ", ".join(t.rung for t in report.regressions)
         print(
             f"trend gate FAILED (tolerance ±{report.tolerance * 100:.0f}%, "
-            f"window {report.window}): {names_failed}",
-            file=out,
+            f"window {trend.WINDOW}): {names_failed}"
         )
         return 1
     print(
         f"trend gate passed (tolerance ±{report.tolerance * 100:.0f}%, "
-        f"window {report.window}, {report.documents} document(s) of history)",
-        file=out,
+        f"window {trend.WINDOW}, {report.documents} document(s) of history)"
     )
     return 0
 
@@ -186,22 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
         f"known: {', '.join(sorted(RUNGS))})",
     )
     parser.add_argument(
-        "--repeats",
-        type=int,
-        default=1,
-        help="repeats per rung; wall_seconds records the minimum (default 1)",
-    )
-    parser.add_argument(
         "--bench-dir",
         type=Path,
         default=emit.DEFAULT_BENCH_DIR,
         help=f"directory of the BENCH_<n>.json trajectory (default {emit.DEFAULT_BENCH_DIR})",
-    )
-    parser.add_argument(
-        "--in-process",
-        action="store_true",
-        help="run rungs in this interpreter instead of per-rung workers "
-        "(faster, but RSS figures become cumulative)",
     )
     parser.add_argument(
         "--notes", default="", help="free-form note stored in the document"
@@ -214,31 +186,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--gate-tolerance",
         type=float,
-        default=None,
+        default=trend.DEFAULT_TOLERANCE,
         metavar="FRACTION",
         help="symmetric tolerance band of the trend gate, e.g. 0.25 = ±25%% "
-        "(default from repro.obs.trend)",
-    )
-    parser.add_argument(
-        "--gate-window",
-        type=int,
-        default=None,
-        metavar="N",
-        help="how many recent comparable documents the trend gate's "
-        "baseline spans (default from repro.obs.trend)",
+        f"(default {trend.DEFAULT_TOLERANCE:g})",
     )
     parser.add_argument(
         "--no-ledger",
         action="store_true",
         help="do not append bench records to the run ledger",
-    )
-    parser.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write a Chrome/Perfetto trace of the driver process to FILE "
-        "(in-process rungs only; isolated workers trace internally)",
     )
     parser.add_argument(
         "--log-level",
@@ -251,25 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.repeats < 1:
-        raise SystemExit("--repeats must be at least 1")
-    from repro.obs import cli_telemetry
-
-    finish = cli_telemetry(args.trace, args.log_level, no_ledger=args.no_ledger)
+    if args.log_level:
+        configure_logging(args.log_level)
+    if args.no_ledger:
+        run_ledger.disable_ledger()
     try:
         return run_bench(
             rungs=args.rungs,
-            repeats=args.repeats,
             bench_dir=args.bench_dir,
-            isolated=not args.in_process,
             notes=args.notes,
             emit_json=not args.no_emit,
             gate_tolerance=args.gate_tolerance,
-            gate_window=args.gate_window,
         )
     except (ValueError, RuntimeError, emit.BenchSchemaError) as error:
         raise SystemExit(str(error)) from error
-    finally:
-        trace_path = finish()
-        if trace_path is not None:
-            print(f"trace written to {trace_path}", file=sys.stderr)

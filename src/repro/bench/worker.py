@@ -1,8 +1,8 @@
-"""Per-rung subprocess entry: ``python -m repro.bench.worker <rung> [repeats]``.
+"""Per-sample subprocess entry: ``python -m repro.bench.worker <rung>``.
 
-Running each rung in a fresh interpreter keeps the measurements honest:
+Running each sample in a fresh interpreter keeps the measurements honest:
 no warm module caches, no shared run memo, and a peak-RSS figure that
-belongs to that rung alone.  The sample record is printed as a single
+belongs to that sample alone.  The sample record is printed as a single
 JSON line on stdout; everything else the rung prints goes to stderr.
 """
 
@@ -14,11 +14,9 @@ import sys
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if not argv or len(argv) > 2:
-        print("usage: python -m repro.bench.worker <rung> [repeats]", file=sys.stderr)
+    if len(argv) != 1:
+        print("usage: python -m repro.bench.worker <rung>", file=sys.stderr)
         return 2
-    name = argv[0]
-    repeats = int(argv[1]) if len(argv) == 2 else 1
 
     from repro.bench.ladder import run_rung
 
@@ -26,7 +24,7 @@ def main(argv: list[str] | None = None) -> int:
     stdout = sys.stdout
     sys.stdout = sys.stderr
     try:
-        sample = run_rung(name, repeats=repeats)
+        sample = run_rung(argv[0])
     finally:
         sys.stdout = stdout
     print(json.dumps(sample))

@@ -385,15 +385,5 @@ class DSERunner:
             seed=self.seed,
         )
         if self.results_dir is not None:
-            self.write_reports(report)
+            report.frontier_result().write(self.results_dir)
         return report
-
-    def write_reports(self, report: SearchReport) -> list[Path]:
-        """Write ``dse_<space>.{json,md}`` next to the suite's artefacts."""
-        self.results_dir.mkdir(parents=True, exist_ok=True)
-        result = report.frontier_result()
-        json_path = self.results_dir / f"{result.name}.json"
-        md_path = self.results_dir / f"{result.name}.md"
-        json_path.write_text(result.to_json() + "\n")
-        md_path.write_text(result.to_markdown() + "\n")
-        return [json_path, md_path]

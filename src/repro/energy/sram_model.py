@@ -61,11 +61,6 @@ class SRAMEnergyModel:
         """Dynamic energy per access in picojoules."""
         return sram_access_energy_pj(self.capacity_bytes, self.access_bytes)
 
-    @property
-    def leakage_mw(self) -> float:
-        """Leakage power in milliwatts."""
-        return sram_leakage_mw(self.capacity_bytes)
-
     def dynamic_energy_nj(self, num_accesses: int) -> float:
         """Dynamic energy of ``num_accesses`` accesses, in nanojoules."""
         return self.access_energy_pj * num_accesses / 1e3

@@ -1,4 +1,4 @@
-"""Graph substrate: containers, synthetic generators, partitioning, statistics.
+"""Graph substrate: containers, synthetic generators, partitioning.
 
 The paper evaluates GROW on eight public graph datasets (Cora through
 Amazon).  Because this reproduction runs offline, :mod:`repro.graph.datasets`
@@ -36,15 +36,8 @@ from repro.graph.datasets import (
 )
 from repro.graph.partition import (
     PartitionResult,
-    metis_like_partition,
     partition_edge_cut,
     partition_graph,
-)
-from repro.graph.stats import (
-    degree_distribution,
-    degree_stats,
-    gini_coefficient,
-    powerlaw_fit_exponent,
 )
 
 __all__ = [
@@ -69,11 +62,6 @@ __all__ = [
     "load_dataset",
     "load_all_datasets",
     "PartitionResult",
-    "metis_like_partition",
     "partition_edge_cut",
     "partition_graph",
-    "degree_distribution",
-    "degree_stats",
-    "gini_coefficient",
-    "powerlaw_fit_exponent",
 ]

@@ -106,7 +106,6 @@ def chung_lu_graph(
     intra_community_prob: float = 0.8,
     rng: np.random.Generator | None = None,
     name: str = "chung-lu",
-    max_degree: int | None = None,
 ) -> Graph:
     """Power-law graph with optional planted community structure.
 
@@ -126,10 +125,9 @@ def chung_lu_graph(
         # A single node admits no self-loop-free edge; the self-loop
         # redirection below would otherwise draw from an empty range.
         return _edgeless_graph(name, communities=np.zeros(1, dtype=np.int64))
-    if max_degree is None:
-        # Cap hub degrees the way real graphs do: the heaviest node touches a
-        # few percent of the graph, not (nearly) all of it.
-        max_degree = int(min(num_nodes - 1, max(50, 12 * average_degree, num_nodes * 0.04)))
+    # Cap hub degrees the way real graphs do: the heaviest node touches a
+    # few percent of the graph, not (nearly) all of it.
+    max_degree = int(min(num_nodes - 1, max(50, 12 * average_degree, num_nodes * 0.04)))
     degrees = powerlaw_degree_sequence(num_nodes, average_degree, exponent, rng, max_degree=max_degree)
     community = rng.integers(0, max(1, num_communities), size=num_nodes)
 
@@ -372,12 +370,13 @@ def powerlaw_cluster_graph(
     )
 
 
+#: The Graph500 R-MAT quadrant probabilities ``(a, b, c)``; ``d = 1 - a - b - c``.
+_RMAT_A, _RMAT_B, _RMAT_C = 0.57, 0.19, 0.19
+
+
 def rmat_graph(
     num_nodes: int,
     average_degree: float,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
     rng: np.random.Generator | None = None,
     name: str = "rmat",
     num_communities: int = 1,
@@ -385,20 +384,18 @@ def rmat_graph(
     """Recursive-matrix (R-MAT / Graph500 style) power-law graph.
 
     Each edge picks one quadrant of the adjacency matrix per bit level with
-    probabilities ``(a, b, c, d)`` (``d = 1 - a - b - c``), which yields the
-    skewed, self-similar degree distributions of web and social graphs.  The
-    defaults are the Graph500 parameters.  Because the recursion concentrates
-    edges hierarchically, nodes are labelled with ``num_communities``
-    contiguous id ranges on the returned graph's ``communities`` attribute —
-    the natural community structure an R-MAT id encodes in its high bits.
+    the Graph500 probabilities ``(a, b, c, d)``, which yields the skewed,
+    self-similar degree distributions of web and social graphs.  Because the
+    recursion concentrates edges hierarchically, nodes are labelled with
+    ``num_communities`` contiguous id ranges on the returned graph's
+    ``communities`` attribute — the natural community structure an R-MAT id
+    encodes in its high bits.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     if num_nodes <= 0:
         raise ValueError("num_nodes must be positive")
-    d = 1.0 - (a + b + c)
-    if min(a, b, c, d) < 0 or max(a, b, c) <= 0:
-        raise ValueError("quadrant probabilities must be non-negative with a+b+c <= 1")
+    a, b, c = _RMAT_A, _RMAT_B, _RMAT_C
     communities = None
     if num_communities > 1:
         # Contiguous id ranges: the recursion's high bits.

@@ -161,3 +161,18 @@ class Graph:
             name=name,
             undirected=undirected,
         )
+
+
+def top_degree_edge_coverage(graph: Graph, k: int) -> float:
+    """Fraction of adjacency non-zeros incident to the top-``k`` degree nodes.
+
+    This is the quantity the HDN cache exploits: for power-law graphs a small
+    ``k`` covers a large fraction of edges.
+    """
+    degrees = graph.degrees()
+    total = degrees.sum()
+    if total == 0:
+        return 0.0
+    k = min(k, degrees.size)
+    top = -np.sort(-degrees, kind="stable")[:k]
+    return float(top.sum()) / float(total)

@@ -6,7 +6,7 @@ renumbering, the non-zeros of the adjacency matrix concentrate near the block
 diagonal (paper Figure 14), which is what makes GROW's per-cluster HDN
 caching effective.
 
-The partitioner here, :func:`metis_like_partition`, stands in for METIS:
+The partitioner here, :func:`partition_graph`, stands in for METIS:
 community detection by label propagation, followed by balanced packing of
 communities into the requested number of clusters and a boundary-refinement
 pass.  Like METIS it produces balanced clusters whose intra-cluster edges
@@ -374,8 +374,8 @@ def _transpose(adjacency: CSRMatrix) -> tuple[np.ndarray, np.ndarray]:
     return indptr, rows[np.argsort(adjacency.indices, kind="stable")]
 
 
-def metis_like_partition(graph: Graph, num_clusters: int, seed: int = 0) -> PartitionResult:
-    """Community-preserving balanced partitioning (the METIS stand-in).
+def partition_graph(graph: Graph, num_clusters: int, seed: int = 0) -> PartitionResult:
+    """Partition a graph into ``num_clusters`` balanced clusters (the METIS stand-in).
 
     Three stages: (1) label propagation finds the graph's communities,
     (2) communities are packed into ``num_clusters`` clusters of roughly equal
@@ -396,11 +396,6 @@ def metis_like_partition(graph: Graph, num_clusters: int, seed: int = 0) -> Part
     assignment = _pack_communities(labels, num_clusters, capacity)
     assignment = _refine_boundary(graph, assignment, num_clusters, capacity)
     return PartitionResult(assignment=assignment, num_clusters=num_clusters)
-
-
-def partition_graph(graph: Graph, num_clusters: int, seed: int = 0) -> PartitionResult:
-    """Partition a graph into ``num_clusters`` balanced clusters."""
-    return metis_like_partition(graph, num_clusters, seed=seed)
 
 
 def partition_edge_cut(graph: Graph, assignment: np.ndarray) -> int:

@@ -84,11 +84,6 @@ class DatasetSpec:
         """Average node degree implied by the node/edge counts."""
         return self.num_edges / self.num_nodes
 
-    @property
-    def adjacency_density(self) -> float:
-        """Density of the adjacency matrix implied by the counts."""
-        return self.num_edges / (self.num_nodes ** 2)
-
 
 # -- the registry -----------------------------------------------------------
 
@@ -132,11 +127,6 @@ def unregister_dataset(name: str) -> None:
 def dataset_names() -> tuple[str, ...]:
     """Every registered dataset name, built-ins first, in registration order."""
     return tuple(_REGISTRY)
-
-
-def builtin_dataset_names() -> tuple[str, ...]:
-    """The paper's Table I dataset names, in registration (table) order."""
-    return tuple(name for name in _REGISTRY if name in _BUILTINS)
 
 
 def known_dataset(name: str) -> bool:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from repro.analysis.breakdown import latency_breakdown
-from repro.analysis.tiles import effective_bandwidth_utilization, tile_nnz_bins
+from repro.analysis.tiles import effective_bandwidth_utilization
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiments.common import gcnax_results
 from repro.harness.registry import register
 from repro.harness.report import ExperimentResult
 from repro.harness.workloads import get_bundle
+from repro.sparse.tiling import tile_nnz_histogram
 
 
 @register("fig5_tile_nnz")
@@ -29,8 +30,8 @@ def fig5_tile_nnz(config: ExperimentConfig) -> ExperimentResult:
         bundle = get_bundle(name, config)
         adjacency = bundle.workloads[0].aggregation.sparse
         features = bundle.workloads[0].combination.sparse
-        bins_a = tile_nnz_bins(adjacency, tile, tile, bin_edges=(1, 2, 8, 16))
-        bins_x = tile_nnz_bins(features, tile, tile, bin_edges=(1, 2, 8, 1024))
+        bins_a = tile_nnz_histogram(adjacency, tile, tile, bin_edges=(1, 2, 8, 16))
+        bins_x = tile_nnz_histogram(features, tile, tile, bin_edges=(1, 2, 8, 1024))
         result.add_row(dataset=name, matrix="A", **{f"frac_{k}": v for k, v in bins_a.items()})
         result.add_row(dataset=name, matrix="X", **{f"frac_{k}": v for k, v in bins_x.items()})
     return result

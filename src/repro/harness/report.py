@@ -5,7 +5,8 @@ An :class:`ExperimentResult` can render itself three ways:
 * :meth:`ExperimentResult.to_table` — fixed-width text, used by the CLI's
   ``run`` command for terminal output.
 * :meth:`ExperimentResult.to_markdown` — a GitHub-flavoured Markdown section,
-  used for the per-experiment and suite reports under ``benchmarks/results/``.
+  used for the per-experiment and suite reports under ``benchmarks/results/``
+  (:meth:`ExperimentResult.write` writes both files of one result).
 * :meth:`ExperimentResult.to_json` / :meth:`ExperimentResult.from_dict` — a
   lossless machine-readable form, used by the on-disk result cache and the
   ``report`` command.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
 
@@ -147,6 +149,13 @@ class ExperimentResult:
     def to_json(self, indent: int | None = 2) -> str:
         """JSON form of :meth:`to_dict` (numpy values coerced to native types)."""
         return json.dumps(self.to_dict(), indent=indent, default=json_default)
+
+    def write(self, directory: Path | str) -> None:
+        """Write ``<name>.json`` and ``<name>.md`` into ``directory`` (created)."""
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{self.name}.json").write_text(self.to_json() + "\n")
+        (directory / f"{self.name}.md").write_text(self.to_markdown() + "\n")
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExperimentResult":

@@ -326,14 +326,8 @@ class SuiteRunner:
         """Write per-experiment JSON/Markdown files plus the combined report."""
         self.results_dir.mkdir(parents=True, exist_ok=True)
         for outcome in report.outcomes:
-            if outcome.result is None:
-                continue
-            (self.results_dir / f"{outcome.name}.json").write_text(
-                outcome.result.to_json() + "\n"
-            )
-            (self.results_dir / f"{outcome.name}.md").write_text(
-                outcome.result.to_markdown() + "\n"
-            )
+            if outcome.result is not None:
+                outcome.result.write(self.results_dir)
         (self.results_dir / "suite_report.json").write_text(
             json.dumps(report.to_dict(), indent=2, default=json_default) + "\n"
         )

@@ -7,8 +7,8 @@ package).  Three process-wide singletons do the work:
 * :data:`trace` — the span tracer.  ``with trace.span("grow.phase",
   phase=name): ...`` records a Chrome-trace-compatible event when tracing
   is enabled and costs one attribute read when it is not.
-* :data:`metrics` — the always-on counters/gauges/histograms registry
-  (memo hits, disk hits, batch dedup, chips run, bytes exchanged).
+* :data:`metrics` — the always-on counters registry (memo hits, disk
+  hits, batch dedup, chips run, bytes exchanged).
 * :func:`get_logger` — the ``repro.*`` structured-logging hierarchy,
   silent until :func:`configure_logging` attaches the JSON-lines handler.
 * :func:`record_run` — the append-only run ledger
@@ -42,11 +42,6 @@ from repro.obs.logs import configure_logging, get_logger
 from repro.obs.metrics import MetricsRegistry, hit_rate, metrics
 from repro.obs.summary import summarize_trace
 from repro.obs.tracer import Tracer, aggregate_phases, trace
-
-# The analytics layer — repro.obs.trend and repro.obs.dashboard — is *not*
-# re-exported here: those modules read BENCH_<n>.json documents through
-# repro.bench.emit and therefore sit above this substrate package, not
-# below it.  Import them as modules (``from repro.obs import trend``).
 
 #: Key under which workers attach telemetry to result payloads; the session
 #: pops it before the payload reaches memoisation, storage or the caller.

@@ -22,25 +22,20 @@ a text label, never color alone), ink/surface tokens with a dark mode
 selected via ``prefers-color-scheme`` and overridable with
 ``data-theme``.  All text wears ink tokens, never a series color.
 
-Like :mod:`repro.obs.trend`, this is the analytics layer of
-``repro.obs`` — it may read bench documents (lazily) and is imported by
-nothing below it.
+Like the rest of :mod:`repro.obs` this is stdlib-only: it renders
+documents its caller loaded (:func:`repro.bench.emit.load_trajectory`).
 """
 
 from __future__ import annotations
 
-import datetime
 import html
 from pathlib import Path
 from typing import Sequence
 
 from repro.obs import ledger as obs_ledger
-from repro.obs.trend import (
-    DEFAULT_TOLERANCE,
-    DEFAULT_WINDOW,
-    TrendReport,
-    analyze_trajectory,
-)
+from repro.obs.trend import DEFAULT_TOLERANCE, WINDOW, TrendReport, analyze_trajectory
+
+_TITLE = "repro performance dashboard"
 
 #: Disjoint leaf phases (no span contains another), stacked in this fixed
 #: order; anything else — including the covering roots like
@@ -66,12 +61,6 @@ _SERIES = (
     ("#008300", "#008300"),  # green
     ("#4a3aa7", "#9085e9"),  # violet
 )
-
-#: Status colors (fixed, never themed): classification badges.
-_STATUS = {
-    "improved": "#0ca30c",
-    "regressed": "#d03b3b",
-}
 
 _BADGE_GLYPH = {
     "improved": "▼",
@@ -424,23 +413,12 @@ def _ledger_tail_table(records: Sequence[dict], tail: int = 20) -> str:
 
 
 def render_dashboard(
-    documents: Sequence[dict],
-    ledger_records: Sequence[dict] = (),
-    tolerance: float = DEFAULT_TOLERANCE,
-    window: int = DEFAULT_WINDOW,
-    title: str = "repro performance dashboard",
-    generated_at: str | None = None,
+    documents: Sequence[dict], ledger_records: Sequence[dict] = ()
 ) -> str:
     """The complete self-contained HTML document, as a string."""
-    report = analyze_trajectory(documents, tolerance=tolerance, window=window)
+    report = analyze_trajectory(documents)
     slots = _phase_slot_map(report)
     summary = obs_ledger.summarize_records(list(ledger_records))
-    if generated_at is None:
-        generated_at = (
-            datetime.datetime.now(datetime.timezone.utc)
-            .isoformat(timespec="seconds")
-            .replace("+00:00", "Z")
-        )
     if report.rungs:
         cards, used_phases = _trend_cards(report, slots)
         trend_section = cards + _legend_html(slots, used_phases)
@@ -453,15 +431,15 @@ def render_dashboard(
         f"{len(report.regressions)} regression(s)" if not report.ok else "no regressions"
     )
     head = (
-        f"<h1>{html.escape(title)}</h1>"
+        f"<h1>{_TITLE}</h1>"
         f'<p class="sub">{len(documents)} bench document(s) · '
-        f"{summary['total']} ledger record(s) · tolerance ±{tolerance * 100:.0f}% · "
-        f"baseline window {window} · {verdict} · generated {html.escape(generated_at)}</p>"
+        f"{summary['total']} ledger record(s) · tolerance ±{DEFAULT_TOLERANCE * 100:.0f}% · "
+        f"baseline window {WINDOW} · {verdict} · generated {obs_ledger.utc_now()}</p>"
     )
     return (
         "<!DOCTYPE html>\n"
         '<html lang="en">\n<head>\n<meta charset="utf-8">\n'
-        f"<title>{html.escape(title)}</title>\n"
+        f"<title>{_TITLE}</title>\n"
         f"<style>{_css(slots)}</style>\n</head>\n<body>\n<main>\n"
         f"{head}"
         "<h2>Benchmark trajectory</h2>"
@@ -495,17 +473,15 @@ def _text_sparkline(values: Sequence[float]) -> str:
 def render_markdown(
     documents: Sequence[dict],
     ledger_records: Sequence[dict] = (),
-    tolerance: float = DEFAULT_TOLERANCE,
-    window: int = DEFAULT_WINDOW,
 ) -> str:
     """The dashboard's terminal/PR-comment twin."""
-    report = analyze_trajectory(documents, tolerance=tolerance, window=window)
+    report = analyze_trajectory(documents)
     summary = obs_ledger.summarize_records(list(ledger_records))
     lines = [
         "# Performance dashboard",
         "",
         f"{len(documents)} bench document(s), {summary['total']} ledger record(s); "
-        f"tolerance ±{tolerance * 100:.0f}%, baseline window {window}.",
+        f"tolerance ±{DEFAULT_TOLERANCE * 100:.0f}%, baseline window {WINDOW}.",
         "",
         "## Benchmark trajectory",
         "",
@@ -561,22 +537,16 @@ def render_markdown(
 
 def write_dashboard(
     out_path: Path | str,
-    bench_dir: Path | str = "benchmarks",
+    documents: Sequence[dict],
     ledger_path: Path | str | None = None,
     markdown_path: Path | str | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-    window: int = DEFAULT_WINDOW,
-    title: str = "repro performance dashboard",
 ) -> Path:
-    """Load trajectory + ledger, render, write; returns the HTML path.
+    """Render a loaded trajectory plus the ledger and write it; returns the HTML path.
 
     ``ledger_path`` defaults to the active ledger location
     (:func:`repro.obs.ledger.ledger_path`); a missing or disabled ledger
     renders an empty tail rather than failing.
     """
-    from repro.obs.trend import load_trajectory
-
-    documents = load_trajectory(bench_dir)
     if ledger_path is None:
         ledger_path = obs_ledger.ledger_path()
     records: list[dict] = []
@@ -584,15 +554,9 @@ def write_dashboard(
         records, _ = obs_ledger.load_ledger(ledger_path)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(
-        render_dashboard(
-            documents, records, tolerance=tolerance, window=window, title=title
-        )
-    )
+    out_path.write_text(render_dashboard(documents, records))
     if markdown_path is not None:
         markdown_path = Path(markdown_path)
         markdown_path.parent.mkdir(parents=True, exist_ok=True)
-        markdown_path.write_text(
-            render_markdown(documents, records, tolerance=tolerance, window=window)
-        )
+        markdown_path.write_text(render_markdown(documents, records))
     return out_path

@@ -26,9 +26,7 @@ class TraceSchemaError(ValueError):
     """The document is not a trace this package understands."""
 
 
-def to_chrome_trace(
-    events: list[dict], metrics_snapshot: dict | None = None
-) -> dict:
+def to_chrome_trace(events: list[dict], metrics_snapshot: dict) -> dict:
     """Translate tracer events into one Chrome trace-event document.
 
     Timestamps are shifted so the earliest span starts at zero; the spans
@@ -70,26 +68,15 @@ def to_chrome_trace(
         "displayTimeUnit": "ms",
         "otherData": {
             "schema": SCHEMA,
-            "metrics": metrics_snapshot or {},
+            "metrics": metrics_snapshot,
         },
     }
 
 
-def write_trace(
-    path: str | Path,
-    events: list[dict] | None = None,
-    metrics_snapshot: dict | None = None,
-) -> Path:
-    """Write the trace document for ``events`` (default: everything recorded).
-
-    With no explicit arguments this exports the process-wide tracer buffer
-    and the current metrics snapshot — the ``--trace FILE`` behaviour.
-    """
-    if events is None:
-        events = _trace.events()
-    if metrics_snapshot is None:
-        metrics_snapshot = _metrics.snapshot()
-    document = to_chrome_trace(events, metrics_snapshot)
+def write_trace(path: str | Path) -> Path:
+    """Write the process-wide tracer buffer and metrics snapshot as a trace
+    document — the ``--trace FILE`` behaviour."""
+    document = to_chrome_trace(_trace.events(), _metrics.snapshot())
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")

@@ -122,7 +122,8 @@ def git_revision() -> str:
     return _GIT_REV
 
 
-def _utc_now() -> str:
+def utc_now() -> str:
+    """The current UTC instant as ``YYYY-MM-DDTHH:MM:SSZ``."""
     return (
         datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds")
@@ -159,7 +160,7 @@ def make_record(
         raise ValueError("ledger records need a non-empty name")
     record: dict[str, Any] = {
         "schema": LEDGER_SCHEMA,
-        "ts": _utc_now(),
+        "ts": utc_now(),
         "git_rev": git_revision(),
         "pid": os.getpid(),
         "kind": kind,
@@ -184,7 +185,7 @@ def make_record(
 
 
 class RunLedger:
-    """Append and load one JSONL ledger file."""
+    """Append to one JSONL ledger file (:func:`load_ledger` reads it)."""
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
@@ -214,14 +215,6 @@ class RunLedger:
             os.write(fd, data)
         finally:
             os.close(fd)
-
-    def records(self) -> list[dict]:
-        """Every readable record, silently skipping damaged lines."""
-        return load_ledger(self.path)[0]
-
-    def load(self) -> tuple[list[dict], list[dict]]:
-        """(records, damaged-line reports) — see :func:`load_ledger`."""
-        return load_ledger(self.path)
 
 
 def load_ledger(path: Path | str) -> tuple[list[dict], list[dict]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import datetime
 import json
 import logging
-from typing import Any, TextIO
+from typing import Any
 
 ROOT_LOGGER = "repro"
 
@@ -58,10 +58,8 @@ def get_logger(name: str = "") -> logging.Logger:
     return logging.getLogger(f"{ROOT_LOGGER}.{name}")
 
 
-def configure_logging(
-    level: int | str = "info", stream: TextIO | None = None
-) -> logging.Logger:
-    """Attach one JSON-lines handler to the ``repro`` root at ``level``.
+def configure_logging(level: int | str = "info") -> logging.Logger:
+    """Attach one JSON-lines handler (on stderr) to the ``repro`` root at ``level``.
 
     Idempotent: reconfiguring replaces the handler rather than stacking
     another, so repeated CLI invocations in one process stay single-voiced.
@@ -74,7 +72,7 @@ def configure_logging(
     root = get_logger()
     for handler in list(root.handlers):
         root.removeHandler(handler)
-    handler = logging.StreamHandler(stream)
+    handler = logging.StreamHandler()
     handler.setFormatter(JsonLineFormatter())
     root.addHandler(handler)
     root.setLevel(level)

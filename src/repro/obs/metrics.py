@@ -1,16 +1,12 @@
-"""The metrics registry: counters, gauges and duration histograms.
+"""The metrics registry: named counters.
 
 One process-wide :class:`MetricsRegistry` (``repro.obs.metrics``) accumulates
-named measurements from every engine — memo/disk cache hits in ``Session``,
-batch dedup counts, suite/DSE/scale-out progress, inter-chip traffic.  The
-registry is always live (an ``inc`` is a dict update under a lock, cheap
-enough to leave on unconditionally); snapshots ride along in trace exports
-and the ``repro trace`` summary derives cache hit rates from them.
-
-Histograms record count/total/min/max rather than bucket vectors: the
-consumers here want means and extremes ("how long is a phase, how uneven
-are the chips"), not percentile curves, and four scalars merge cleanly
-across processes.
+named counts from every engine — memo/disk cache hits in ``Session``,
+batch dedup counts, suite/DSE/scale-out progress, inter-chip traffic,
+profile builds.  The registry is always live (an ``inc`` is a dict update
+under a lock, cheap enough to leave on unconditionally); snapshots ride
+along in trace exports and the ``repro trace`` summary derives cache hit
+rates from them.
 
 Stdlib-only, like everything under :mod:`repro.obs`.
 """
@@ -22,13 +18,11 @@ from contextlib import contextmanager
 
 
 class MetricsRegistry:
-    """Named counters, gauges and histograms behind one lock."""
+    """Named counters behind one lock."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
-        self._gauges: dict[str, float] = {}
-        self._histograms: dict[str, dict[str, float]] = {}
 
     # -- recording --------------------------------------------------------
 
@@ -37,28 +31,6 @@ class MetricsRegistry:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + amount
 
-    def set_gauge(self, name: str, value: float) -> None:
-        """Record the current value of ``name`` (last write wins)."""
-        with self._lock:
-            self._gauges[name] = value
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into the duration histogram ``name``."""
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                self._histograms[name] = {
-                    "count": 1,
-                    "total": value,
-                    "min": value,
-                    "max": value,
-                }
-            else:
-                histogram["count"] += 1
-                histogram["total"] += value
-                histogram["min"] = min(histogram["min"], value)
-                histogram["max"] = max(histogram["max"], value)
-
     # -- harvesting -------------------------------------------------------
 
     def counter(self, name: str) -> float:
@@ -66,65 +38,42 @@ class MetricsRegistry:
             return self._counters.get(name, 0)
 
     def snapshot(self) -> dict:
-        """A JSON-safe copy of every metric."""
+        """A JSON-safe copy of every counter, as ``{"counters": {...}}``."""
         with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "histograms": {
-                    name: dict(histogram)
-                    for name, histogram in self._histograms.items()
-                },
-            }
+            return {"counters": dict(self._counters)}
 
     def merge(self, snapshot: dict | None) -> None:
-        """Fold a :meth:`snapshot` from elsewhere (a pool worker) into this one.
-
-        Counters and histogram counts/totals add; gauges take the incoming
-        value; histogram min/max extend.
-        """
+        """Fold a :meth:`snapshot` from elsewhere (a pool worker) into this
+        one: counters add."""
         if not snapshot:
             return
         with self._lock:
             for name, value in snapshot.get("counters", {}).items():
                 self._counters[name] = self._counters.get(name, 0) + value
-            for name, value in snapshot.get("gauges", {}).items():
-                self._gauges[name] = value
-            for name, incoming in snapshot.get("histograms", {}).items():
-                histogram = self._histograms.get(name)
-                if histogram is None:
-                    self._histograms[name] = dict(incoming)
-                else:
-                    histogram["count"] += incoming["count"]
-                    histogram["total"] += incoming["total"]
-                    histogram["min"] = min(histogram["min"], incoming["min"])
-                    histogram["max"] = max(histogram["max"], incoming["max"])
 
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
 
     @contextmanager
     def scoped(self):
         """Swap in empty storage for a region; yields the region's snapshot.
 
-        On exit the previous metrics are restored untouched and the yielded
+        On exit the previous counters are restored untouched and the yielded
         dict is filled with only what the region recorded — this is how pool
         workers measure a single task without inheriting (fork) or clobbering
         the parent's accumulated state.
         """
         with self._lock:
-            saved = (self._counters, self._gauges, self._histograms)
-            self._counters, self._gauges, self._histograms = {}, {}, {}
+            saved = self._counters
+            self._counters = {}
         box: dict = {}
         try:
             yield box
         finally:
             box.update(self.snapshot())
             with self._lock:
-                self._counters, self._gauges, self._histograms = saved
+                self._counters = saved
 
 
 def hit_rate(hits: float, misses: float) -> float | None:

@@ -151,9 +151,6 @@ class Tracer:
             events, self._events = self._events, []
             return events
 
-    def clear(self) -> None:
-        self.drain()
-
     def ingest(self, events: Iterable[dict]) -> None:
         """Splice events recorded elsewhere (a pool worker) into the buffer."""
         with self._lock:
@@ -194,8 +191,8 @@ class _Collector:
         return False
 
 
-def aggregate_phases(events: Iterable[dict], precision: int = 6) -> dict[str, float]:
-    """Total seconds per span name, sorted by name.
+def aggregate_phases(events: Iterable[dict]) -> dict[str, float]:
+    """Total seconds per span name (to the microsecond), sorted by name.
 
     The phase breakdown recorded in bench samples and ledger lines.
     Nested spans overlap (a ``session.execute`` contains its
@@ -206,7 +203,7 @@ def aggregate_phases(events: Iterable[dict], precision: int = 6) -> dict[str, fl
     totals: dict[str, float] = {}
     for event in events:
         totals[event["name"]] = totals.get(event["name"], 0.0) + event["dur_us"] / 1e6
-    return {name: round(totals[name], precision) for name in sorted(totals)}
+    return {name: round(totals[name], 6) for name in sorted(totals)}
 
 
 #: The process-wide tracer every instrumentation site records into.

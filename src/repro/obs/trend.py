@@ -9,11 +9,11 @@ tolerance-banded comparison.
 Noise model (the classification rules, also documented in
 ``docs/architecture.md``):
 
-* ``wall_seconds`` is already the **min over repeats** within a document
-  (the estimator least affected by scheduling noise); the baseline is the
-  **min over a window** of recent documents, so one slow historical run
-  never manufactures an improvement and one fast outlier must be beaten,
-  not matched.
+* ``wall_seconds`` is already the **min over a rung's samples** within a
+  document (the estimator least affected by scheduling noise); the
+  baseline is the **min over a window** of recent documents, so one slow
+  historical run never manufactures an improvement and one fast outlier
+  must be beaten, not matched.
 * Only samples whose ``scenario_digest`` matches the current rung's are
   comparable; a rung whose digest changed is ``incomparable`` (the
   workload itself moved), and a rung with no history at all is ``new``.
@@ -26,33 +26,24 @@ Noise model (the classification rules, also documented in
 * Peak RSS is tracked and reported (``rss_ratio``) but never gates —
   allocator and platform noise dominate it.
 
-This module sits in the *analytics* layer of ``repro.obs``: unlike the
-substrate modules (tracer/metrics/logs/ledger) it reads bench documents
-via :mod:`repro.bench.emit`, imported lazily so the substrate never
-depends on it.
+Like the rest of :mod:`repro.obs` this is stdlib-only: it takes loaded
+documents (:func:`repro.bench.emit.load_trajectory` reads them) and
+imports nothing else of the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 #: Default symmetric tolerance band around the baseline (25%).
 DEFAULT_TOLERANCE = 0.25
 
-#: Default number of recent comparable documents the baseline spans.
-DEFAULT_WINDOW = 3
+#: How many recent comparable documents the baseline spans.
+WINDOW = 3
 
-#: Every classification the engine emits.
-CLASSIFICATIONS = ("improved", "flat", "regressed", "incomparable", "new")
-
-
-def load_trajectory(bench_dir: Path | str) -> list[dict]:
-    """Every ``BENCH_<n>.json`` in the directory, ascending by number."""
-    from repro.bench import emit
-
-    return [emit.load_bench(path) for _, path in emit.bench_files(bench_dir)]
+#: Least share of the total positive phase movement a suspect phase carries.
+MIN_SHARE = 0.1
 
 
 @dataclass
@@ -97,13 +88,11 @@ class RungTrend:
         return line
 
 
-def attribute_phases(
-    current: dict | None, baseline: dict | None, min_share: float = 0.1
-) -> list[dict]:
+def attribute_phases(current: dict | None, baseline: dict | None) -> list[dict]:
     """Which phases account for a wall-clock delta, largest movers first.
 
     Compares two ``{span name: seconds}`` breakdowns and returns the
-    phases whose positive delta carries at least ``min_share`` of the
+    phases whose positive delta carries at least :data:`MIN_SHARE` of the
     total positive movement, each as ``{phase, baseline_seconds,
     current_seconds, delta_seconds, share}``.  Either breakdown missing
     (older documents have none) yields an empty attribution.
@@ -127,7 +116,7 @@ def attribute_phases(
             "share": round(delta / total, 4),
         }
         for phase, delta in sorted(deltas, key=lambda item: -item[1])
-        if delta / total >= min_share
+        if delta / total >= MIN_SHARE
     ]
 
 
@@ -153,7 +142,6 @@ def classify_rung(
     sample: dict,
     history: Sequence[dict],
     tolerance: float = DEFAULT_TOLERANCE,
-    window: int = DEFAULT_WINDOW,
     series: Sequence[dict] | None = None,
 ) -> RungTrend:
     """Classify one current sample against its historical appearances.
@@ -165,8 +153,6 @@ def classify_rung(
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    if window < 1:
-        raise ValueError("window must be at least 1")
     wall = float(sample["wall_seconds"])
     full_series = list(series) if series is not None else list(history)
     trend = RungTrend(rung=sample["rung"], classification="new", wall_seconds=wall)
@@ -181,7 +167,7 @@ def classify_rung(
     if not comparable:
         trend.classification = "incomparable"
         return trend
-    recent = comparable[-window:]
+    recent = comparable[-WINDOW:]
     baseline = min(recent, key=lambda entry: entry["wall_seconds"])
     baseline_wall = float(baseline["wall_seconds"])
     trend.baseline_seconds = baseline_wall
@@ -209,7 +195,6 @@ class TrendReport:
 
     rungs: list[RungTrend]
     tolerance: float
-    window: int
     documents: int
 
     @property
@@ -221,39 +206,8 @@ class TrendReport:
     def regressions(self) -> list[RungTrend]:
         return [trend for trend in self.rungs if trend.regressed]
 
-    def trend(self, rung: str) -> RungTrend:
-        for trend in self.rungs:
-            if trend.rung == rung:
-                return trend
-        raise KeyError(f"rung {rung!r} is not part of this report")
 
-    def to_dict(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "window": self.window,
-            "documents": self.documents,
-            "ok": self.ok,
-            "rungs": [
-                {
-                    "rung": t.rung,
-                    "classification": t.classification,
-                    "wall_seconds": t.wall_seconds,
-                    "baseline_seconds": t.baseline_seconds,
-                    "baseline_bench_id": t.baseline_bench_id,
-                    "ratio": t.ratio,
-                    "rss_ratio": t.rss_ratio,
-                    "suspects": t.suspects,
-                }
-                for t in self.rungs
-            ],
-        }
-
-
-def analyze_trajectory(
-    documents: Sequence[dict],
-    tolerance: float = DEFAULT_TOLERANCE,
-    window: int = DEFAULT_WINDOW,
-) -> TrendReport:
+def analyze_trajectory(documents: Sequence[dict]) -> TrendReport:
     """Classify every rung ever recorded across a trajectory.
 
     Each rung's most recent appearance is classified against the
@@ -265,14 +219,12 @@ def analyze_trajectory(
         classify_rung(
             dict(appearances[-1], rung=name),
             appearances[:-1],
-            tolerance=tolerance,
-            window=window,
             series=appearances,
         )
         for name, appearances in sorted(series.items())
     ]
     return TrendReport(
-        rungs=rungs, tolerance=tolerance, window=window, documents=len(documents)
+        rungs=rungs, tolerance=DEFAULT_TOLERANCE, documents=len(documents)
     )
 
 
@@ -280,7 +232,6 @@ def evaluate_gate(
     document: dict,
     history: Sequence[dict],
     tolerance: float = DEFAULT_TOLERANCE,
-    window: int = DEFAULT_WINDOW,
 ) -> TrendReport:
     """Gate a candidate document against a committed trajectory.
 
@@ -308,29 +259,8 @@ def evaluate_gate(
                 sample,
                 history_for_rung,
                 tolerance=tolerance,
-                window=window,
                 series=history_for_rung + [current_entry],
             )
         )
-    return TrendReport(
-        rungs=rungs, tolerance=tolerance, window=window, documents=len(history)
-    )
+    return TrendReport(rungs=rungs, tolerance=tolerance, documents=len(history))
 
-
-def gate_bench_dir(
-    document: dict,
-    bench_dir: Path | str,
-    tolerance: float = DEFAULT_TOLERANCE,
-    window: int = DEFAULT_WINDOW,
-) -> TrendReport:
-    """:func:`evaluate_gate` against every committed document in a directory.
-
-    When ``document`` was already emitted into the same directory, it is
-    excluded from its own history by ``bench_id``.
-    """
-    history = [
-        doc
-        for doc in load_trajectory(bench_dir)
-        if doc["bench_id"] != document.get("bench_id")
-    ]
-    return evaluate_gate(document, history, tolerance=tolerance, window=window)

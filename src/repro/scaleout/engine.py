@@ -35,7 +35,6 @@ rounds away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Sequence
 
 from repro.accelerators.base import AcceleratorResult, merge_sram_events
@@ -186,8 +185,6 @@ class ScaleOutSimulator:
         shard_method: cluster-to-chip assignment (``"metis"`` or ``"greedy"``).
         grow_overrides: per-chip :class:`~repro.core.config.GrowConfig`
             field overrides (e.g. ``runahead_degree=32``).
-        results_dir: where ``scaleout_*.{json,md}`` reports are written by
-            :meth:`write_reports`; ``None`` skips report files.
     """
 
     def __init__(
@@ -197,7 +194,6 @@ class ScaleOutSimulator:
         exchange: str = "halo",
         shard_method: str = "metis",
         grow_overrides: dict | None = None,
-        results_dir: str | Path | None = None,
     ):
         self.config = config if config is not None else default_config()
         self.topology = (
@@ -207,7 +203,6 @@ class ScaleOutSimulator:
         self.exchange = exchange
         self.shard_method = shard_method
         self.grow_overrides = dict(grow_overrides or {})
-        self.results_dir = Path(results_dir) if results_dir is not None else None
 
     # -- per-chip evaluation ----------------------------------------------
 
@@ -389,15 +384,3 @@ class ScaleOutSimulator:
         for system in results:
             result.add_row(**system.as_row())
         return result
-
-    def write_reports(self, results: Sequence[ScaleOutResult]) -> list[Path]:
-        """Write ``scaleout_*.{json,md}`` next to the suite's artefacts."""
-        if self.results_dir is None:
-            raise ValueError("ScaleOutSimulator has no results_dir to write into")
-        self.results_dir.mkdir(parents=True, exist_ok=True)
-        report = self.report(results)
-        json_path = self.results_dir / f"{report.name}.json"
-        md_path = self.results_dir / f"{report.name}.md"
-        json_path.write_text(report.to_json() + "\n")
-        md_path.write_text(report.to_markdown() + "\n")
-        return [json_path, md_path]

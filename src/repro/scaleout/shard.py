@@ -12,7 +12,7 @@ Two assignment methods are provided, mirroring :mod:`repro.graph.partition`:
 
 * ``"metis"`` — build the *cluster graph* (one vertex per cluster, an edge
   where adjacency non-zeros cross the cluster boundary) and partition it
-  with :func:`~repro.graph.partition.metis_like_partition`, so
+  with :func:`~repro.graph.partition.partition_graph`, so
   strongly-coupled clusters land on the same chip and inter-chip traffic is
   minimised.
 * ``"greedy"`` — longest-processing-time packing of clusters onto chips by

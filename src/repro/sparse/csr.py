@@ -10,7 +10,7 @@ row-wise product dataflow its high effective memory-bandwidth utilisation
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -109,10 +109,6 @@ class CSRMatrix:
             raise IndexError(f"row index {i} out of range [0, {self.n_rows})")
         start, end = self.indptr[i], self.indptr[i + 1]
         return self.indices[start:end], self.data[start:end]
-
-    def iter_rows(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Yield ``(row_index, column_indices, values)`` for every row."""
-        return ((i, *self.row(i)) for i in range(self.n_rows))
 
     def to_dense(self) -> np.ndarray:
         """Materialise the matrix as a dense 2-D array."""

@@ -132,3 +132,23 @@ def grow_config(scaled_arch) -> GrowConfig:
 def single_layer(small_model) -> GCNLayer:
     """The first layer of the small model."""
     return small_model.layers[0]
+
+
+@pytest.fixture
+def bench_workers(monkeypatch) -> list[str]:
+    """Run ``repro bench``'s worker launches as in-process ``run_rung`` calls.
+
+    Returns the list of rungs launched, one entry per launch, so a test can
+    count the workers a bench run starts without paying an interpreter each.
+    """
+    from repro.bench import runner
+    from repro.bench.ladder import run_rung
+
+    launched: list[str] = []
+
+    def launch(name: str) -> dict:
+        launched.append(name)
+        return run_rung(name)
+
+    monkeypatch.setattr(runner, "_run_worker_once", launch)
+    return launched

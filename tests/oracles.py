@@ -54,6 +54,9 @@ count's shard plan rescans the adjacency for its cluster graph
 (:func:`build_shard_plan_reference`).  The simulator prices a chip from the
 bundle plan's per-cluster counts, and derives every chip count's shard plan
 from one memoised cluster-coupling pass.
+
+:func:`powerlaw_fit_exponent` measures the exponent a generated graph's
+degree distribution follows, for the scenario tests.
 """
 
 from __future__ import annotations
@@ -259,7 +262,8 @@ def spmm_gustavson(sparse: CSRMatrix, dense: np.ndarray) -> np.ndarray:
     """
     dense = _checked_rhs(sparse, dense)
     out = np.zeros((sparse.n_rows, dense.shape[1]), dtype=np.float64)
-    for i, cols, vals in sparse.iter_rows():
+    for i in range(sparse.n_rows):
+        cols, vals = sparse.row(i)
         for k, a_ik in zip(cols, vals):
             out[i] += a_ik * dense[k]
     return out
@@ -297,7 +301,8 @@ def spmm_inner_product(sparse: CSRMatrix, dense: np.ndarray) -> np.ndarray:
     dense = _checked_rhs(sparse, dense)
     n_out_cols = dense.shape[1]
     out = np.zeros((sparse.n_rows, n_out_cols), dtype=np.float64)
-    for i, cols, vals in sparse.iter_rows():
+    for i in range(sparse.n_rows):
+        cols, vals = sparse.row(i)
         if cols.size == 0:
             continue
         for j in range(n_out_cols):
@@ -1160,3 +1165,16 @@ def build_shard_plan_reference(
         partial_counts=partial_counts,
         method=method,
     )
+
+
+def powerlaw_fit_exponent(graph: Graph, x_min: int = 1) -> float:
+    """Maximum-likelihood power-law exponent of the degree distribution.
+
+    Uses the discrete Hill estimator ``1 + n / sum(ln(d / (x_min - 0.5)))``
+    over degrees ``>= x_min``.
+    """
+    degrees = graph.degrees().astype(np.float64)
+    degrees = degrees[degrees >= x_min]
+    if degrees.size == 0:
+        return float("nan")
+    return float(1.0 + degrees.size / np.sum(np.log(degrees / (x_min - 0.5))))

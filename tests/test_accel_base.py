@@ -42,13 +42,6 @@ def test_phase_total_cycles_is_bound_plus_stalls():
     assert phase.total_cycles == 300
 
 
-def test_phase_bandwidth_utilization():
-    phase = make_phase(reads=1000)
-    assert phase.bandwidth_utilization == 0.5
-    empty = make_phase(reads=0, writes=0)
-    assert empty.bandwidth_utilization == 0.0
-
-
 def test_result_totals():
     result = AcceleratorResult(accelerator="x", workload="w", phases=[make_phase(), make_phase("combination")])
     assert result.total_cycles == 2 * make_phase().total_cycles

@@ -6,7 +6,7 @@ import pytest
 from repro.accelerators.base import AcceleratorResult, PhaseStats
 from repro.analysis.breakdown import latency_breakdown
 from repro.analysis.sparsity import characterize_dataset, layer_matrix_densities
-from repro.analysis.tiles import effective_bandwidth_utilization, tile_nnz_bins
+from repro.analysis.tiles import effective_bandwidth_utilization
 from repro.sparse.convert import dense_to_csr
 
 
@@ -28,11 +28,6 @@ def test_layer_matrix_densities(small_model):
     assert densities["A"] < densities["XW"]
     with pytest.raises(IndexError):
         layer_matrix_densities(small_model, layer=9)
-
-
-def test_tile_nnz_bins_wrapper(small_csr):
-    bins = tile_nnz_bins(small_csr, 4, 4)
-    assert sum(bins.values()) == pytest.approx(1.0)
 
 
 def test_effective_bandwidth_utilization_bounds():

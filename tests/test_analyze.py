@@ -110,13 +110,16 @@ def test_lay002_stdlib_only_layer_rejects_third_party_and_internal(tmp_path):
     ]
 
 
-def test_lay002_documented_consumer_split_is_exempt(tmp_path):
+def test_lay002_flags_a_lazy_bench_import_in_obs_trend(tmp_path):
+    # No obs module is exempt: the trend engine takes loaded documents.
     root = make_tree(tmp_path, {
         "obs/trend.py": "def load():\n    from repro.bench import runner\n    return runner\n",
         "bench/runner.py": "",
     })
     report = run_check(root, rule_names=["LAY002"])
-    assert report.findings == []
+    assert sorted((f.path, f.rule) for f in report.findings) == [
+        ("repro/obs/trend.py", "LAY002"),
+    ]
 
 
 def test_lay003_flags_module_scope_cycle(tmp_path):

@@ -15,6 +15,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from typing import Any
 
 import pytest
 
@@ -23,7 +24,7 @@ from repro.analyze.callgraph import graph_for, pool_entry_points
 from repro.analyze.cli import main as check_main
 from repro.analyze.contracts import DEFAULT_CONFIG
 from repro.analyze.project import Project
-from repro.analyze.sarif import sarif_report, validate_sarif, write_sarif
+from repro.analyze.sarif import SARIF_VERSION, sarif_report, write_sarif
 from repro.analyze.rules import select_rules
 
 from test_analyze import REAL_ROOT, make_tree, rules_of
@@ -520,6 +521,127 @@ def test_key003_honours_documented_exempt_fields(tmp_path):
 
 # ---------------------------------------------------------------------------
 # SARIF export
+
+
+_LEVELS = frozenset({"none", "note", "warning", "error"})
+_SUPPRESSION_KINDS = frozenset({"inSource"})
+
+
+def _check(condition: bool, problems: list[str], message: str) -> bool:
+    if not condition:
+        problems.append(message)
+    return condition
+
+
+def validate_sarif(document: Any) -> list[str]:
+    """Structural problems of ``document`` against the SARIF 2.1.0 subset
+    :mod:`repro.analyze.sarif` emits; empty means valid.
+
+    Covers the properties the spec marks required (``version``, ``runs``,
+    ``tool.driver.name``, ``message.text`` on every result, region line
+    numbers >= 1) plus the enums (result ``level``, suppression ``kind``)
+    and the rule-id cross-reference: every result's ``ruleId`` must be
+    declared by the driver.
+    """
+    problems: list[str] = []
+    if not _check(isinstance(document, dict), problems, "document is not an object"):
+        return problems
+    _check(
+        document.get("version") == SARIF_VERSION,
+        problems,
+        f"version must be {SARIF_VERSION!r}",
+    )
+    runs = document.get("runs")
+    if not _check(isinstance(runs, list) and runs, problems, "runs must be a non-empty array"):
+        return problems
+    for run_index, run in enumerate(runs):
+        where = f"runs[{run_index}]"
+        if not _check(isinstance(run, dict), problems, f"{where} is not an object"):
+            continue
+        driver = run.get("tool", {}).get("driver") if isinstance(run.get("tool"), dict) else None
+        if not _check(
+            isinstance(driver, dict), problems, f"{where}.tool.driver missing"
+        ):
+            continue
+        _check(
+            isinstance(driver.get("name"), str) and driver["name"],
+            problems,
+            f"{where}.tool.driver.name must be a non-empty string",
+        )
+        rule_ids = set()
+        for rule_index, rule in enumerate(driver.get("rules", [])):
+            rwhere = f"{where}.tool.driver.rules[{rule_index}]"
+            if not _check(isinstance(rule, dict), problems, f"{rwhere} is not an object"):
+                continue
+            if _check(isinstance(rule.get("id"), str), problems, f"{rwhere}.id missing"):
+                rule_ids.add(rule["id"])
+            short = rule.get("shortDescription")
+            _check(
+                isinstance(short, dict) and isinstance(short.get("text"), str),
+                problems,
+                f"{rwhere}.shortDescription.text missing",
+            )
+        results = run.get("results")
+        if not _check(isinstance(results, list), problems, f"{where}.results must be an array"):
+            continue
+        for result_index, result in enumerate(results):
+            swhere = f"{where}.results[{result_index}]"
+            if not _check(isinstance(result, dict), problems, f"{swhere} is not an object"):
+                continue
+            _check(
+                isinstance(result.get("ruleId"), str)
+                and (not rule_ids or result["ruleId"] in rule_ids),
+                problems,
+                f"{swhere}.ruleId missing or not declared by the driver",
+            )
+            _check(
+                result.get("level") in _LEVELS,
+                problems,
+                f"{swhere}.level must be one of {sorted(_LEVELS)}",
+            )
+            message = result.get("message")
+            _check(
+                isinstance(message, dict) and isinstance(message.get("text"), str),
+                problems,
+                f"{swhere}.message.text missing",
+            )
+            for loc_index, location in enumerate(result.get("locations", [])):
+                lwhere = f"{swhere}.locations[{loc_index}]"
+                physical = (
+                    location.get("physicalLocation")
+                    if isinstance(location, dict)
+                    else None
+                )
+                if not _check(
+                    isinstance(physical, dict),
+                    problems,
+                    f"{lwhere}.physicalLocation missing",
+                ):
+                    continue
+                artifact = physical.get("artifactLocation")
+                _check(
+                    isinstance(artifact, dict) and isinstance(artifact.get("uri"), str),
+                    problems,
+                    f"{lwhere}.physicalLocation.artifactLocation.uri missing",
+                )
+                region = physical.get("region")
+                if region is not None:
+                    _check(
+                        isinstance(region, dict)
+                        and isinstance(region.get("startLine"), int)
+                        and region["startLine"] >= 1,
+                        problems,
+                        f"{lwhere}.physicalLocation.region.startLine must be >= 1",
+                    )
+            for sup_index, suppression in enumerate(result.get("suppressions", [])):
+                _check(
+                    isinstance(suppression, dict)
+                    and suppression.get("kind") in _SUPPRESSION_KINDS,
+                    problems,
+                    f"{swhere}.suppressions[{sup_index}].kind must be one of "
+                    f"{sorted(_SUPPRESSION_KINDS)}",
+                )
+    return problems
 
 
 def _sarif_fixture(tmp_path):

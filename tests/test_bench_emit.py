@@ -1,22 +1,24 @@
 """Tests for the BENCH_<n>.json trajectory: schema, numbering, digests.
 
 Everything runs against a temporary directory; the committed trajectory
-in ``benchmarks/`` is never touched.  The smoke test at the bottom runs
-the real ``grow-1k`` rung in-process, so the whole module stays fast.
+in ``benchmarks/`` is never touched.  The smoke tests at the bottom run
+the real ``grow-1k`` rung with its worker launches replaced by in-process
+``run_rung`` calls (the ``bench_workers`` fixture), so the whole module
+stays fast.
 """
 
-import io
 import json
 
 import pytest
 
+from repro.bench import runner
 from repro.bench import (
     BenchSchemaError,
     DEFAULT_LADDER,
     RUNGS,
     build_document,
-    latest_bench_path,
     load_bench,
+    load_trajectory,
     next_bench_number,
     run_bench,
     run_rung,
@@ -24,6 +26,7 @@ from repro.bench import (
     validate_document,
     write_bench,
 )
+from repro.obs.ledger import LEDGER_ENV
 
 
 def sample(rung="grow-1k", wall=1.0, **overrides):
@@ -42,7 +45,7 @@ def sample(rung="grow-1k", wall=1.0, **overrides):
 
 
 def document(*samples_, **kwargs):
-    return build_document(list(samples_) or [sample()], git_rev="deadbee", **kwargs)
+    return build_document(list(samples_) or [sample()], **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -56,14 +59,14 @@ def test_round_trip_preserves_document(tmp_path):
     assert path.name == "BENCH_0.json"
     loaded = load_bench(path)
     assert loaded["bench_id"] == 0
-    assert loaded["git_rev"] == "deadbee"
+    assert loaded["git_rev"] == original["git_rev"]
     assert loaded["rungs"] == original["rungs"]
     assert loaded["schema_version"] == original["schema_version"]
 
 
 def test_build_document_rejects_empty_samples():
     with pytest.raises(BenchSchemaError):
-        build_document([], git_rev="deadbee")
+        build_document([])
 
 
 def test_validate_rejects_missing_top_level_key():
@@ -121,11 +124,11 @@ def test_load_rejects_invalid_json(tmp_path):
 
 def test_numbering_starts_at_zero_and_increments(tmp_path):
     assert next_bench_number(tmp_path) == 0
-    assert latest_bench_path(tmp_path) is None
+    assert load_trajectory(tmp_path) == []
     first = write_bench(document(), tmp_path)
     second = write_bench(document(), tmp_path)
     assert (first.name, second.name) == ("BENCH_0.json", "BENCH_1.json")
-    assert latest_bench_path(tmp_path) == second
+    assert [doc["bench_id"] for doc in load_trajectory(tmp_path)] == [0, 1]
     assert next_bench_number(tmp_path) == 2
 
 
@@ -165,6 +168,49 @@ def test_ladders_reference_known_rungs():
 
 
 # ---------------------------------------------------------------------------
+# The rung record: three fresh-worker samples, merged.
+# ---------------------------------------------------------------------------
+
+
+def test_rung_record_is_the_fastest_of_three_samples(monkeypatch):
+    walls = iter([0.3, 0.1, 0.2])
+
+    def launch(name):
+        wall = next(walls)
+        return sample(
+            name,
+            wall=wall,
+            peak_rss_kb=int(wall * 1e4),
+            phases={"grow.run_model": wall / 2},
+        )
+
+    monkeypatch.setattr(runner, "_run_worker_once", launch)
+    record = runner._measure_rung("grow-1k")
+    assert record["wall_samples"] == [0.3, 0.1, 0.2]
+    assert record["wall_seconds"] == 0.1
+    assert record["phases"] == {"grow.run_model": 0.05}
+    assert record["peak_rss_kb"] == 3000
+
+
+def test_rung_samples_must_agree_on_the_simulated_metrics(monkeypatch):
+    cycles = iter([1.0, 1.0, 2.0])
+    monkeypatch.setattr(
+        runner,
+        "_run_worker_once",
+        lambda name: sample(name, metrics={"cycles": next(cycles)}),
+    )
+    with pytest.raises(RuntimeError, match="not deterministic"):
+        runner._measure_rung("grow-1k")
+
+
+def test_bench_workers_leave_the_ledger_to_the_driver(tmp_path, monkeypatch):
+    # With the driver's ledger live, its workers still record nothing: the
+    # rung's one ledger line is the driver's "bench" record.
+    monkeypatch.setenv(LEDGER_ENV, str(tmp_path / "ledger.jsonl"))
+    assert runner._worker_environment()[LEDGER_ENV] == "0"
+
+
+# ---------------------------------------------------------------------------
 # End to end: the real grow-1k rung through run_rung and run_bench.
 # ---------------------------------------------------------------------------
 
@@ -174,21 +220,21 @@ def test_run_rung_rejects_unknown_names():
         run_rung("grow-3k")
 
 
-def test_tiny_ladder_smoke(tmp_path):
-    # Two consecutive in-process runs of the cheapest rung: the first
-    # seeds the trajectory, the second emits BENCH_1 and is gated against
-    # it. A 1000x tolerance band keeps VM noise out.
-    out = io.StringIO()
-    assert run_bench(
-        rungs=["grow-1k"], bench_dir=tmp_path, isolated=False, out=out
-    ) == 0
-    assert run_bench(
-        rungs=["grow-1k"],
-        bench_dir=tmp_path,
-        isolated=False,
-        gate_tolerance=1000.0,
-        out=out,
-    ) == 0
+def test_run_bench_starts_three_workers_a_rung(tmp_path, bench_workers):
+    assert run_bench(rungs=["grow-1k"], bench_dir=tmp_path) == 0
+    assert bench_workers == ["grow-1k"] * 3
+    (rung,) = load_bench(tmp_path / "BENCH_0.json")["rungs"]
+    assert len(rung["wall_samples"]) == 3
+    assert rung["wall_seconds"] == min(rung["wall_samples"])
+
+
+def test_tiny_ladder_smoke(tmp_path, bench_workers, capsys):
+    # Two consecutive runs of the cheapest rung: the first seeds the
+    # trajectory, the second emits BENCH_1 and is gated against it. A
+    # 1000x tolerance band keeps VM noise out.
+    assert run_bench(rungs=["grow-1k"], bench_dir=tmp_path) == 0
+    assert run_bench(rungs=["grow-1k"], bench_dir=tmp_path, gate_tolerance=1000.0) == 0
+    out = capsys.readouterr().out
 
     first = load_bench(tmp_path / "BENCH_0.json")
     second = load_bench(tmp_path / "BENCH_1.json")
@@ -200,25 +246,15 @@ def test_tiny_ladder_smoke(tmp_path):
     # The simulated metrics are deterministic even though wall-clock is not.
     assert rung_a["metrics"] == rung_b["metrics"]
     assert rung_a["metrics"]["cycles"] > 0
-    assert "BENCH_1.json" in out.getvalue()
-    assert "grow-1k:" in out.getvalue()
+    assert "BENCH_1.json" in out
+    assert "grow-1k:" in out
 
 
 def test_run_bench_rejects_unknown_rungs(tmp_path):
     with pytest.raises(ValueError, match="unknown bench rung"):
-        run_bench(rungs=["nope"], bench_dir=tmp_path, isolated=False)
+        run_bench(rungs=["nope"], bench_dir=tmp_path)
 
 
-def test_run_bench_no_emit_writes_nothing(tmp_path):
-    out = io.StringIO()
-    assert (
-        run_bench(
-            rungs=["grow-1k"],
-            bench_dir=tmp_path,
-            isolated=False,
-            emit_json=False,
-            out=out,
-        )
-        == 0
-    )
+def test_run_bench_no_emit_writes_nothing(tmp_path, bench_workers):
+    assert run_bench(rungs=["grow-1k"], bench_dir=tmp_path, emit_json=False) == 0
     assert list(tmp_path.iterdir()) == []

@@ -9,7 +9,6 @@ committed trajectory and ledger are never touched (the conftest pins
 
 from __future__ import annotations
 
-import io
 import json
 
 import pytest
@@ -94,6 +93,14 @@ def test_stats_fails_cleanly_when_missing(tmp_path, monkeypatch, capsys):
     assert "no ledger at" in capsys.readouterr().err
 
 
+def test_stats_fails_cleanly_on_an_unreadable_ledger(tmp_path, capsys):
+    # A directory exists but is no ledger: one line on stderr, no traceback.
+    assert main(["stats", "--ledger", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read ledger {tmp_path}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # repro dash
 # ---------------------------------------------------------------------------
@@ -132,11 +139,23 @@ def test_dash_writes_html_and_markdown(live_ledger, tmp_path, capsys):
     assert str(out_html) in stdout and str(out_md) in stdout
 
 
+def test_dash_rejects_a_malformed_bench_document(tmp_path):
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    (bench_dir / "BENCH_0.json").write_text("{not json")
+    # A message as the exit code: printed on one line, exit status 1.
+    with pytest.raises(SystemExit, match="not valid JSON"):
+        main(["dash", str(tmp_path / "x.html"), "--bench-dir", str(bench_dir)])
+    assert not (tmp_path / "x.html").exists()
+
+
 def test_dash_validates_parameters(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["dash", str(tmp_path / "x.html"), "--tolerance", "0"])
-    with pytest.raises(SystemExit):
-        main(["dash", str(tmp_path / "x.html"), "--window", "0"])
+    # The trend band and window are the engine's constants, not options.
+    for option in (["--tolerance", "0.25"], ["--window", "3"]):
+        with pytest.raises(SystemExit) as error:
+            main(["dash", str(tmp_path / "x.html"), *option])
+        assert error.value.code == 2
+    assert not (tmp_path / "x.html").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -170,25 +189,21 @@ def test_trace_metadata_only_is_still_empty(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_bench_gate_round_trip(tmp_path, monkeypatch, capsys):
+def test_bench_gate_round_trip(tmp_path, monkeypatch, capsys, bench_workers):
     from repro.bench.runner import run_bench
 
     ledger_path = tmp_path / "ledger.jsonl"
     monkeypatch.setenv(ledger.LEDGER_ENV, str(ledger_path))
     bench_dir = tmp_path / "bench"
-    buffer = io.StringIO()
 
     # First run: no history, the rung classifies as new, the gate passes.
-    assert run_bench(rungs=["grow-1k"], bench_dir=bench_dir, isolated=False,
-                     out=buffer) == 0
-    assert "new rung" in buffer.getvalue()
+    assert run_bench(rungs=["grow-1k"], bench_dir=bench_dir) == 0
+    assert "new rung" in capsys.readouterr().out
     assert (bench_dir / "BENCH_0.json").exists()
 
     # Second run: history exists; a generous band must pass.
-    buffer = io.StringIO()
-    assert run_bench(rungs=["grow-1k"], bench_dir=bench_dir, isolated=False,
-                     gate_tolerance=50.0, out=buffer) == 0
-    assert "trend gate passed" in buffer.getvalue()
+    assert run_bench(rungs=["grow-1k"], bench_dir=bench_dir, gate_tolerance=50.0) == 0
+    assert "trend gate passed" in capsys.readouterr().out
 
     # Each measured rung left a bench line in the ledger.
     records, bad = ledger.load_ledger(ledger_path)
@@ -197,10 +212,8 @@ def test_bench_gate_round_trip(tmp_path, monkeypatch, capsys):
     assert all(r["name"] == "grow-1k" and r["scenario_digest"] for r in bench_records)
 
     # An absurdly tight band must fail and attribute the regression.
-    buffer = io.StringIO()
-    code = run_bench(rungs=["grow-1k"], bench_dir=bench_dir, isolated=False,
-                     gate_tolerance=1e-9, out=buffer)
-    text = buffer.getvalue()
+    code = run_bench(rungs=["grow-1k"], bench_dir=bench_dir, gate_tolerance=1e-9)
+    text = capsys.readouterr().out
     if code == 1:  # a min-of-window tie can legitimately squeak through
         assert "trend gate FAILED" in text
 
@@ -213,17 +226,29 @@ def test_bench_gate_round_trip(tmp_path, monkeypatch, capsys):
     assert "grow-1k" in html_text and "<svg" in html_text
 
 
-def test_bench_no_ledger_flag_suppresses_records(tmp_path, monkeypatch):
+def test_bench_no_ledger_flag_suppresses_records(tmp_path, monkeypatch, bench_workers):
     from repro.bench.runner import main as bench_main
 
     ledger_path = tmp_path / "ledger.jsonl"
     monkeypatch.setenv(ledger.LEDGER_ENV, str(ledger_path))
     code = bench_main([
-        "--rungs", "grow-1k", "--in-process", "--no-emit", "--no-ledger",
+        "--rungs", "grow-1k", "--no-emit", "--no-ledger",
         "--bench-dir", str(tmp_path / "bench"),
     ])
     assert code == 0
     assert not ledger_path.exists()
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--in-process"], ["--repeats", "3"], ["--trace", "t.json"], ["--gate-window", "3"]],
+)
+def test_bench_measures_one_way(tmp_path, bench_workers, option):
+    with pytest.raises(SystemExit) as error:
+        main(["bench", "--rungs", "grow-1k", "--no-emit", "--no-ledger",
+              "--bench-dir", str(tmp_path), *option])
+    assert error.value.code == 2
+    assert bench_workers == []
 
 
 def test_a_scaleout_simulation_leaves_one_ledger_line(tmp_path, monkeypatch, capsys):

@@ -43,11 +43,10 @@ def test_sram_leakage_linear():
     assert sram_leakage_mw(64 * KB) == pytest.approx(2 * sram_leakage_mw(32 * KB))
 
 
-def test_sram_model_dynamic_and_leakage():
+def test_sram_model_dynamic_energy():
     model = SRAMEnergyModel(capacity_bytes=32 * KB)
     assert model.dynamic_energy_nj(1000) > 0
     assert model.dynamic_energy_nj(0) == 0.0
-    assert model.leakage_mw == pytest.approx(sram_leakage_mw(32 * KB))
 
 
 # ----------------------------------------------------------------------

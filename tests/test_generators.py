@@ -208,8 +208,3 @@ def test_rmat_records_contiguous_communities(rng):
 def test_rmat_single_node(rng):
     graph = rmat_graph(1, 4.0, rng=rng)
     assert graph.num_nodes == 1 and graph.num_edges == 0
-
-
-def test_rmat_rejects_bad_quadrant_probabilities(rng):
-    with pytest.raises(ValueError):
-        rmat_graph(100, 4.0, a=0.7, b=0.3, c=0.2, rng=rng)

@@ -47,6 +47,15 @@ def test_to_table_contains_all_cells():
     assert "note: normalised to GCNAX" in table
 
 
+def test_write_puts_both_renderings_into_a_new_directory(tmp_path):
+    result = make_result()
+    directory = tmp_path / "reports" / "nested"
+    result.write(directory)
+    assert (directory / "demo.json").read_text() == result.to_json() + "\n"
+    assert (directory / "demo.md").read_text() == result.to_markdown() + "\n"
+    assert sorted(path.name for path in directory.iterdir()) == ["demo.json", "demo.md"]
+
+
 def test_to_dict_round_trip():
     result = make_result()
     result.metadata["seed"] = 0

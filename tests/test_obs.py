@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import os
@@ -13,6 +12,7 @@ import pytest
 import repro.api.session as session_module
 from repro.api import Session, SimRequest, clear_memo
 from repro.harness import smoke_config
+from repro.harness.workloads import clear_caches
 from repro.obs import (
     TELEMETRY_KEY,
     MetricsRegistry,
@@ -163,23 +163,11 @@ def test_collect_keeps_the_buffer_when_tracing_was_already_on():
 # ---------------------------------------------------------------------------
 
 
-def test_counters_gauges_and_histograms():
+def test_snapshot_holds_the_counters_and_nothing_else():
     registry = MetricsRegistry()
     registry.inc("cache.hits")
     registry.inc("cache.hits", 2)
-    registry.set_gauge("frontier", 4)
-    registry.set_gauge("frontier", 7)
-    registry.observe("seconds", 2.0)
-    registry.observe("seconds", 6.0)
-    snapshot = registry.snapshot()
-    assert snapshot["counters"] == {"cache.hits": 3}
-    assert snapshot["gauges"] == {"frontier": 7}
-    assert snapshot["histograms"]["seconds"] == {
-        "count": 2,
-        "total": 8.0,
-        "min": 2.0,
-        "max": 6.0,
-    }
+    assert registry.snapshot() == {"counters": {"cache.hits": 3}}
     assert registry.counter("cache.hits") == 3
     assert registry.counter("unknown") == 0
 
@@ -187,24 +175,9 @@ def test_counters_gauges_and_histograms():
 def test_merge_folds_a_worker_snapshot():
     registry = MetricsRegistry()
     registry.inc("runs")
-    registry.observe("seconds", 5.0)
-    registry.merge(
-        {
-            "counters": {"runs": 2, "new": 1},
-            "gauges": {"depth": 3},
-            "histograms": {"seconds": {"count": 1, "total": 1.0, "min": 1.0, "max": 1.0}},
-        }
-    )
+    registry.merge({"counters": {"runs": 2, "new": 1}})
     registry.merge(None)  # workers with nothing to say are fine
-    snapshot = registry.snapshot()
-    assert snapshot["counters"] == {"runs": 3, "new": 1}
-    assert snapshot["gauges"] == {"depth": 3}
-    assert snapshot["histograms"]["seconds"] == {
-        "count": 2,
-        "total": 6.0,
-        "min": 1.0,
-        "max": 5.0,
-    }
+    assert registry.snapshot() == {"counters": {"runs": 3, "new": 1}}
 
 
 def test_scoped_isolates_a_region_and_restores_the_rest():
@@ -253,7 +226,9 @@ def _fake_events():
 
 def test_chrome_trace_round_trip(tmp_path):
     snapshot = {"counters": {"session.memo_hits": 2, "session.fresh_runs": 2}}
-    path = write_trace(tmp_path / "run.trace.json", _fake_events(), snapshot)
+    trace.ingest(_fake_events())
+    metrics.merge(snapshot)
+    path = write_trace(tmp_path / "run.trace.json")
     document = load_trace(path)  # load_trace validates on the way in
     spans = [e for e in document["traceEvents"] if e["ph"] == "X"]
     lanes = [e for e in document["traceEvents"] if e["ph"] == "M"]
@@ -326,11 +301,12 @@ def test_summarize_trace_without_spans_says_so():
 # ---------------------------------------------------------------------------
 
 
-def test_configure_logging_emits_json_lines_with_extras():
-    stream = io.StringIO()
-    configure_logging("debug", stream=stream)
+def test_configure_logging_emits_json_lines_with_extras(capsys):
+    configure_logging("debug")
     get_logger("harness.suite").info("suite finished", extra={"ran": 3})
-    record = json.loads(stream.getvalue().strip())
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err.strip())
     assert record["level"] == "info"
     assert record["logger"] == "repro.harness.suite"
     assert record["message"] == "suite finished"
@@ -339,8 +315,8 @@ def test_configure_logging_emits_json_lines_with_extras():
 
 
 def test_configure_logging_is_idempotent_and_checks_the_level():
-    configure_logging("info", stream=io.StringIO())
-    configure_logging("warning", stream=io.StringIO())
+    configure_logging("info")
+    configure_logging("warning")
     assert len(logging.getLogger("repro").handlers) == 1
     with pytest.raises(ValueError, match="unknown log level"):
         configure_logging("chatty")
@@ -400,6 +376,7 @@ def test_payloads_are_byte_identical_on_every_path(config, tmp_path, tracing):
 def test_worker_spans_ship_home_through_the_side_channel(config):
     trace.enable()
     clear_memo()
+    clear_caches()  # so each forked worker builds its bundle's HDN profile
     requests = [request_for(config, "cora"), request_for(config, "amazon")]
     results = Session(use_cache=False, jobs=2).run_batch(requests)
     assert [r.status for r in results] == ["ran", "ran"]
@@ -407,8 +384,8 @@ def test_worker_spans_ship_home_through_the_side_channel(config):
     assert len(executes) == 2
     assert all(e["pid"] != os.getpid() for e in executes)  # recorded in workers
     assert any(e["name"] == "session.run_batch" for e in trace.events())
-    histogram = metrics.snapshot()["histograms"]["session.execute_seconds"]
-    assert histogram["count"] == 2  # workers' observations merged home
+    # One rank profile built in each worker, merged home.
+    assert metrics.counter("grow.hdn_profile.builds") == 2
 
 
 def test_untraced_parallel_payloads_carry_no_side_channel(config):
@@ -507,7 +484,7 @@ def test_bench_sample_attributes_wall_clock_to_phases():
     # Spans must not leak out of the bench's collection region.
     assert not trace.enabled
     assert trace.events() == []
-    emit.build_document([sample], git_rev="test")  # phases pass validation
+    emit.build_document([sample])  # phases pass validation
 
 
 def test_bench_schema_rejects_malformed_phases():
@@ -517,7 +494,7 @@ def test_bench_schema_rejects_malformed_phases():
     sample = run_rung("grow-1k")
     sample["phases"] = {"session.execute": "fast"}
     with pytest.raises(emit.BenchSchemaError, match="phases"):
-        emit.build_document([sample], git_rev="test")
+        emit.build_document([sample])
 
 
 @pytest.mark.parametrize(
@@ -534,7 +511,7 @@ def test_bench_schema_rejects_non_finite_phase_values(bad_value):
     sample = run_rung("grow-1k")
     sample["phases"] = dict(sample["phases"], **{"grow.run_model": bad_value})
     with pytest.raises(emit.BenchSchemaError, match=r"grow-1k.*phases\['grow.run_model'\]"):
-        emit.build_document([sample], git_rev="test")
+        emit.build_document([sample])
 
 
 def test_bench_schema_rejects_non_string_phase_keys():
@@ -546,7 +523,7 @@ def test_bench_schema_rejects_non_string_phase_keys():
     phases[42] = 1.0
     sample["phases"] = phases
     with pytest.raises(emit.BenchSchemaError, match="phases"):
-        emit.build_document([sample], git_rev="test")
+        emit.build_document([sample])
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +553,9 @@ def test_cli_sim_writes_a_valid_trace(tmp_path, capsys):
 def test_cli_trace_prints_the_summary(tmp_path, capsys):
     from repro.__main__ import main
 
-    path = write_trace(
-        tmp_path / "t.json", _fake_events(), {"counters": {"session.fresh_runs": 2}}
-    )
+    trace.ingest(_fake_events())
+    metrics.inc("session.fresh_runs", 2)
+    path = write_trace(tmp_path / "t.json")
     assert main(["trace", str(path), "--top", "1"]) == 0
     out = capsys.readouterr().out
     assert "Top spans by total time (showing 1 of 2)" in out

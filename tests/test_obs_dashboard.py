@@ -76,10 +76,9 @@ def test_dashboard_is_self_contained():
     assert "<link" not in lowered
 
 
-def test_dashboard_renders_the_content():
-    html_text = dashboard.render_dashboard(
-        trajectory(), records(), generated_at="2026-08-08T00:00:00Z"
-    )
+def test_dashboard_renders_the_content(monkeypatch):
+    monkeypatch.setattr(ledger, "utc_now", lambda: "2026-08-08T00:00:00Z")
+    html_text = dashboard.render_dashboard(trajectory(), records())
     assert html_text.startswith("<!DOCTYPE html>")
     assert "<svg" in html_text                      # sparklines + stacked bars
     assert "grow-10k" in html_text
@@ -117,14 +116,6 @@ def test_markdown_twin_carries_the_tables():
 
 
 def test_write_dashboard_round_trip(tmp_path):
-    import json
-
-    bench_dir = tmp_path / "benchmarks"
-    bench_dir.mkdir()
-    for document in trajectory():
-        (bench_dir / f"BENCH_{document['bench_id']}.json").write_text(
-            json.dumps(document)
-        )
     book = ledger.RunLedger(tmp_path / "ledger.jsonl")
     for record in records():
         book.append(record)
@@ -132,7 +123,7 @@ def test_write_dashboard_round_trip(tmp_path):
     markdown = tmp_path / "dash" / "index.md"
     result = dashboard.write_dashboard(
         out,
-        bench_dir=bench_dir,
+        trajectory(),
         ledger_path=tmp_path / "ledger.jsonl",
         markdown_path=markdown,
     )
@@ -142,11 +133,6 @@ def test_write_dashboard_round_trip(tmp_path):
 
 
 def test_write_dashboard_tolerates_missing_ledger(tmp_path, monkeypatch):
-    import json
-
-    bench_dir = tmp_path / "benchmarks"
-    bench_dir.mkdir()
-    (bench_dir / "BENCH_0.json").write_text(json.dumps(trajectory()[0]))
     monkeypatch.setenv(ledger.LEDGER_ENV, "0")
-    out = dashboard.write_dashboard(tmp_path / "d.html", bench_dir=bench_dir)
+    out = dashboard.write_dashboard(tmp_path / "d.html", trajectory()[:1])
     assert "ledger is empty or disabled" in out.read_text()

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.emit import load_trajectory
 from repro.obs import trend
 
 
@@ -91,14 +92,12 @@ def test_below_band_is_improved():
 def test_baseline_is_min_over_window():
     # Window 3 → baselines are the last three appearances {1.5, 0.8, 1.4};
     # min = 0.8, so a 1.1s run is beyond a 25% band even though it beats
-    # most of the history.
-    verdict = trend.classify_rung(rung(wall=1.1), history(0.5, 1.5, 0.8, 1.4), window=3)
+    # most of the history; the older 0.5s outlier is outside the window.
+    assert trend.WINDOW == 3
+    verdict = trend.classify_rung(rung(wall=1.1), history(0.5, 1.5, 0.8, 1.4))
     assert verdict.baseline_seconds == pytest.approx(0.8)
     assert verdict.baseline_bench_id == 2
     assert verdict.classification == "regressed"
-    # A wider window sees the 0.5s outlier.
-    wide = trend.classify_rung(rung(wall=1.1), history(0.5, 1.5, 0.8, 1.4), window=10)
-    assert wide.baseline_seconds == pytest.approx(0.5)
 
 
 def test_tolerance_band_is_configurable():
@@ -138,8 +137,6 @@ def test_rss_is_reported_but_never_gates():
 def test_invalid_parameters_are_rejected():
     with pytest.raises(ValueError):
         trend.classify_rung(rung(), [], tolerance=0)
-    with pytest.raises(ValueError):
-        trend.classify_rung(rung(), [], window=0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +145,10 @@ def test_invalid_parameters_are_rejected():
 
 
 def test_attribution_orders_by_delta_and_applies_min_share():
+    assert trend.MIN_SHARE == 0.1
     suspects = trend.attribute_phases(
         {"a": 2.0, "b": 1.05, "c": 0.5},
         {"a": 1.0, "b": 1.0, "c": 0.5},
-        min_share=0.1,
     )
     assert [s["phase"] for s in suspects] == ["a"]  # b's 0.05 is under 10%
     assert suspects[0]["share"] == pytest.approx(1.0 / 1.05, rel=1e-3)
@@ -168,6 +165,10 @@ def test_attribution_without_breakdowns_is_empty():
 # ---------------------------------------------------------------------------
 
 
+def verdicts(report):
+    return {verdict.rung: verdict for verdict in report.rungs}
+
+
 def test_analyze_trajectory_classifies_every_rung_ever_recorded():
     documents = [
         doc(0, rung("grow-10k", wall=1.0), rung("dropped", wall=5.0, digest="x")),
@@ -176,17 +177,17 @@ def test_analyze_trajectory_classifies_every_rung_ever_recorded():
     ]
     report = trend.analyze_trajectory(documents)
     assert {t.rung for t in report.rungs} == {"grow-10k", "dropped", "fresh-rung"}
-    assert report.trend("grow-10k").classification == "flat"
-    assert report.trend("dropped").classification == "new"
-    assert report.trend("fresh-rung").classification == "new"
-    assert len(report.trend("grow-10k").series) == 3
+    assert verdicts(report)["grow-10k"].classification == "flat"
+    assert verdicts(report)["dropped"].classification == "new"
+    assert verdicts(report)["fresh-rung"].classification == "new"
+    assert len(verdicts(report)["grow-10k"].series) == 3
     assert report.ok
 
 
 def test_gate_passes_and_fails_on_the_candidate():
     history_docs = [doc(0, rung(wall=1.0)), doc(1, rung(wall=1.05))]
     ok = trend.evaluate_gate(doc(2, rung(wall=1.1)), history_docs)
-    assert ok.ok and ok.trend("grow-10k").classification == "flat"
+    assert ok.ok and verdicts(ok)["grow-10k"].classification == "flat"
     bad = trend.evaluate_gate(doc(2, rung(wall=2.0)), history_docs)
     assert not bad.ok
     assert [t.rung for t in bad.regressions] == ["grow-10k"]
@@ -199,30 +200,8 @@ def test_gate_never_fails_on_new_or_incomparable_rungs():
     )
     report = trend.evaluate_gate(candidate, history_docs)
     assert report.ok
-    assert report.trend("grow-10k").classification == "incomparable"
-    assert report.trend("brand-new").classification == "new"
-
-
-def test_gate_bench_dir_excludes_the_candidate_itself(tmp_path):
-    import json
-
-    for document in (doc(0, rung(wall=1.0)), doc(1, rung(wall=4.0))):
-        path = tmp_path / f"BENCH_{document['bench_id']}.json"
-        path.write_text(json.dumps(document))
-    # BENCH_1 gated against the directory must not see itself as history:
-    # its only baseline is BENCH_0's 1.0s, so 4.0s regresses.
-    report = trend.gate_bench_dir(doc(1, rung(wall=4.0)), tmp_path)
-    assert report.documents == 1
-    assert not report.ok
-
-
-def test_report_to_dict_is_json_ready():
-    import json
-
-    report = trend.analyze_trajectory([doc(0, rung(wall=1.0)), doc(1, rung(wall=3.0))])
-    payload = json.loads(json.dumps(report.to_dict()))
-    assert payload["ok"] is False
-    assert payload["rungs"][0]["classification"] == "regressed"
+    assert verdicts(report)["grow-10k"].classification == "incomparable"
+    assert verdicts(report)["brand-new"].classification == "new"
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +211,13 @@ def test_report_to_dict_is_json_ready():
 
 def test_committed_trajectory_fully_classifies():
     bench_dir = Path(__file__).resolve().parent.parent / "benchmarks"
-    documents = trend.load_trajectory(bench_dir)
+    documents = load_trajectory(bench_dir)
     assert len(documents) >= 2, "the committed trajectory should have history"
     report = trend.analyze_trajectory(documents)
     assert report.rungs, "no rungs recorded?"
     for verdict in report.rungs:
-        assert verdict.classification in trend.CLASSIFICATIONS
+        assert verdict.classification in (
+            "improved", "flat", "regressed", "incomparable", "new"
+        )
         assert verdict.series, f"{verdict.rung} has an empty series"
         assert verdict.describe()

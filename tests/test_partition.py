@@ -12,7 +12,7 @@ from repro.graph import partition as partition_module
 from repro.graph import registry
 from repro.graph.datasets import DATASET_NAMES, load_dataset
 from repro.graph.graph import Graph
-from repro.graph.partition import metis_like_partition, partition_edge_cut, partition_graph
+from repro.graph.partition import partition_edge_cut, partition_graph
 from repro.harness import default_config
 from repro.sparse import blocks
 
@@ -35,7 +35,7 @@ def test_partition_is_valid(community_graph):
 
 
 def test_metis_like_recovers_communities(community_graph):
-    partition = metis_like_partition(community_graph, 6, seed=0)
+    partition = partition_graph(community_graph, 6, seed=0)
     cut = partition_edge_cut(community_graph, partition.assignment)
     intra_fraction = 1.0 - cut / community_graph.num_edges
     # The generator plants ~85% intra-community edges; the partitioner should
@@ -44,7 +44,7 @@ def test_metis_like_recovers_communities(community_graph):
 
 
 def test_metis_better_than_random(community_graph, rng):
-    partition = metis_like_partition(community_graph, 6, seed=0)
+    partition = partition_graph(community_graph, 6, seed=0)
     random_assignment = rng.integers(0, 6, size=community_graph.num_nodes)
     assert partition_edge_cut(community_graph, partition.assignment) < partition_edge_cut(
         community_graph, random_assignment
@@ -52,27 +52,27 @@ def test_metis_better_than_random(community_graph, rng):
 
 
 def test_partition_balance(community_graph):
-    partition = metis_like_partition(community_graph, 6, seed=0)
+    partition = partition_graph(community_graph, 6, seed=0)
     ideal = community_graph.num_nodes / 6
     assert np.bincount(partition.assignment).max() <= ideal * 1.3 + 1
 
 
 def test_single_cluster_partition(community_graph):
-    partition = metis_like_partition(community_graph, 1)
+    partition = partition_graph(community_graph, 1)
     assert partition.num_clusters == 1
     assert np.all(partition.assignment == 0)
 
 
 def test_more_clusters_than_nodes():
     graph = Graph.from_edge_list(4, [(0, 1), (2, 3)])
-    partition = metis_like_partition(graph, 10)
+    partition = partition_graph(graph, 10)
     assert partition.num_clusters <= 4
     _assert_valid(partition, 4, partition.num_clusters)
 
 
 def test_invalid_cluster_count(community_graph):
     with pytest.raises(ValueError):
-        metis_like_partition(community_graph, 0)
+        partition_graph(community_graph, 0)
     with pytest.raises(ValueError):
         partition_graph(community_graph, -1)
 
@@ -125,7 +125,7 @@ def test_edge_cut_ignores_empty_partitions():
 
 def test_partition_on_disconnected_graph():
     graph = Graph.from_edge_list(6, [(0, 1), (2, 3), (4, 5)])
-    partition = metis_like_partition(graph, 3, seed=0)
+    partition = partition_graph(graph, 3, seed=0)
     _assert_valid(partition, 6, 3)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.preprocess import GrowPreprocessor, PreprocessPlan
-from repro.graph.partition import metis_like_partition
+from repro.graph.partition import partition_graph
 
 
 def test_plan_without_partitioning(community_graph):
@@ -61,7 +61,7 @@ def test_hdn_lists_respect_capacity(community_graph):
 
 def test_non_intra_only_can_include_external_hubs(community_graph):
     adjacency = community_graph.adjacency()
-    partition = metis_like_partition(community_graph, 4, seed=0)
+    partition = partition_graph(community_graph, 4, seed=0)
     plan = GrowPreprocessor(hdn_list_capacity=1000).plan_from_partition(adjacency, partition)
     # Every column a cluster's rows reference is a candidate, its own
     # nodes' and the other clusters' hubs alike.

@@ -53,7 +53,7 @@ def _scenario_dict(name="synthtest", **overrides):
 
 
 def test_builtins_are_registered():
-    assert registry.builtin_dataset_names() == DATASET_NAMES
+    assert registry.dataset_names()[: len(DATASET_NAMES)] == DATASET_NAMES
     for name in DATASET_NAMES:
         assert registry.is_builtin(name)
         assert registry.known_dataset(name.upper())
@@ -315,7 +315,7 @@ def test_scenario_planted_intra_community_fraction():
 
 
 def test_scenario_powerlaw_exponent_sanity():
-    from repro.graph.stats import powerlaw_fit_exponent
+    from oracles import powerlaw_fit_exponent
 
     # Fit the tail (x_min=5): edge sampling distorts the low-degree mass,
     # but the tail exponent must track the requested one.

@@ -45,11 +45,6 @@ def test_row_out_of_range(small_csr):
         small_csr.row(-1)
 
 
-def test_iter_rows_covers_all_nnz(small_csr):
-    total = sum(cols.size for _i, cols, _vals in small_csr.iter_rows())
-    assert total == small_csr.nnz
-
-
 def test_row_nnz_matches_indptr(small_csr):
     np.testing.assert_array_equal(small_csr.row_nnz(), np.diff(small_csr.indptr))
 
@@ -125,7 +120,7 @@ def test_pattern_rejects_every_value_read(small_csr):
             shape=small_csr.shape, indptr=small_csr.indptr, indices=small_csr.indices, data=None
         )
     pattern = pattern_of(small_csr)
-    for name in ("data", "to_dense", "matmul_dense", "row", "iter_rows"):
+    for name in ("data", "to_dense", "matmul_dense", "row"):
         assert not hasattr(pattern, name)
 
 

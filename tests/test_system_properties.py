@@ -12,7 +12,7 @@ from repro.core.config import GrowConfig
 from repro.core.preprocess import GrowPreprocessor
 from repro.core.runahead import RunaheadModel
 from repro.graph.generators import chung_lu_graph
-from repro.graph.partition import metis_like_partition, partition_edge_cut
+from repro.graph.partition import partition_edge_cut, partition_graph
 from repro.sparse.convert import dense_to_csr
 
 from oracles import row_stationary_execute
@@ -101,7 +101,7 @@ def test_partition_always_valid_and_better_than_random(seed, num_clusters):
         intra_community_prob=0.8,
         rng=rng,
     )
-    partition = metis_like_partition(graph, num_clusters, seed=seed)
+    partition = partition_graph(graph, num_clusters, seed=seed)
     assert partition.assignment.size == graph.num_nodes
     assert 0 <= partition.assignment.min() <= partition.assignment.max() < num_clusters
     # "On average": a single random assignment can get lucky on small graphs,
