@@ -12,9 +12,11 @@ reflects the real reuse pattern of each graph.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from repro.accelerators.base import (
     combine_results,
 )
 from repro.accelerators.workload import LayerWorkload, SpDeGemmPhase
+from repro.sparse import blocks
 
 
 @dataclass(frozen=True)
@@ -45,22 +48,27 @@ class GAMMAConfig:
     merge_overhead_factor: float = 1.1
 
 
-def simulate_lru_hits(column_stream: np.ndarray, capacity_rows: int) -> tuple[int, int]:
+def simulate_lru_hits(
+    column_blocks: Iterable[np.ndarray], capacity_rows: int
+) -> tuple[int, int]:
     """Run an LRU cache of ``capacity_rows`` entries over a row-reference stream.
 
-    Returns ``(hits, misses)``.  The stream is replayed through CPython's
-    C-implemented bounded ``functools.lru_cache``, whose policy is exactly
-    LRU: a hit moves the entry to most recent, a miss inserts it, and an
-    insert into a full cache first evicts the least recent entry.  The
-    capacity is clamped to the stream's length, which is exact (a cache at
-    least that large never evicts) and keeps ``maxsize`` a Python int within
-    ``sys.maxsize``.  ``int`` returns an int argument itself, so a miss
-    allocates nothing.
+    The stream arrives as consecutive blocks, and each block is fed to the
+    cache as one ``tolist()``, so the Python ints live a block at a time;
+    the cache carries across blocks.  Returns ``(hits, misses)``.  The
+    stream is replayed through CPython's C-implemented bounded
+    ``functools.lru_cache``, whose policy is exactly LRU: a hit moves the
+    entry to most recent, a miss inserts it, and an insert into a full cache
+    first evicts the least recent entry.  A capacity of zero or less caches
+    nothing, so every reference misses.  The capacity is clamped to
+    ``sys.maxsize``, which is exact (no stream is that long, and a cache at
+    least as large as its stream never evicts) and keeps ``maxsize`` a
+    Python int ``lru_cache`` accepts.  ``int`` returns an int argument
+    itself, so a miss allocates nothing.
     """
-    if capacity_rows <= 0:
-        return 0, int(column_stream.size)
-    replay = lru_cache(maxsize=min(int(capacity_rows), column_stream.size))(int)
-    deque(map(replay, column_stream.tolist()), maxlen=0)
+    replay = lru_cache(maxsize=min(int(capacity_rows), sys.maxsize))(int)
+    for columns in column_blocks:
+        deque(map(replay, columns.tolist()), maxlen=0)
     info = replay.cache_info()
     return info.hits, info.misses
 
@@ -91,7 +99,10 @@ class GAMMASimulator:
             hits, misses = phase.sparse.nnz, 0
             rhs_fetches = phase.dense_shape[0]
         else:
-            hits, misses = simulate_lru_hits(phase.sparse.indices, capacity_rows)
+            columns = phase.sparse.indices
+            hits, misses = simulate_lru_hits(
+                (columns[lo:hi] for lo, hi in blocks.spans(columns.size)), capacity_rows
+            )
             rhs_fetches = misses
         rhs_requested = rhs_fetches * rhs_row_bytes
         rhs_transferred = rhs_fetches * rhs_row_lines * granularity

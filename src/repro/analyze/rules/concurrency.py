@@ -45,7 +45,7 @@ from repro.analyze.callgraph import (
 )
 from repro.analyze.contracts import CheckConfig
 from repro.analyze.findings import Finding
-from repro.analyze.project import ModuleInfo, Project
+from repro.analyze.project import Project
 from repro.analyze.rules.base import Rule, register
 from repro.analyze.rules.determinism import (
     CLOCK_CALLS,

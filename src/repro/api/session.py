@@ -32,7 +32,7 @@ import threading
 import time
 from contextlib import closing
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.api.backends import get_backend
 from repro.api.pool import WorkerDied, fan_out, runs_inline

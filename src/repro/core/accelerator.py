@@ -86,19 +86,21 @@ class PhaseCounts:
 
 def _replay_lru(lhs: CSRMatrix, plan: PreprocessPlan, cache_rows: int) -> ClusterCounts:
     """Demand-based alternative (Section VIII): rows are cached on first use
-    and evicted by recency, one fresh cache per cluster; there is no
-    prefetch fill and no pinned HDN ID list."""
+    and evicted by recency, one fresh cache per cluster, fed the cluster's
+    stream a row block at a time; there is no prefetch fill and no pinned
+    HDN ID list."""
     stream = ClusterStream.of(lhs, plan.cluster_of_node, plan.clusters)
     nnz = np.diff(stream.nnz_bounds)
-    touched_rows = np.diff(stream.row_bounds)
     hits = np.zeros_like(nnz)
     rows_with_miss = np.zeros_like(nnz)
     for cluster in np.flatnonzero(nnz):
-        cols = stream.cols[stream.nnz_bounds[cluster] : stream.nnz_bounds[cluster + 1]]
-        hits[cluster], misses = simulate_lru_hits(cols, cache_rows)
+        column_blocks = (cols for cols, _row_starts in stream.blocks(cluster))
+        hits[cluster], misses = simulate_lru_hits(column_blocks, cache_rows)
         # Approximate the missed-row count by scaling rows touched with the
         # miss ratio (an exact count would need a per-row LRU replay).
-        rows_with_miss[cluster] = round(int(touched_rows[cluster]) * (misses / cols.size))
+        lo, hi = stream.row_bounds[cluster], stream.row_bounds[cluster + 1]
+        touched_rows = np.count_nonzero(np.diff(stream.offsets[lo : hi + 1]))
+        rows_with_miss[cluster] = round(touched_rows * (misses / int(nnz[cluster])))
     return ClusterCounts(nnz, hits, rows_with_miss, filled_rows=np.zeros_like(nnz))
 
 

@@ -20,7 +20,7 @@ capacity; nor does any column of a cluster whose list is empty.  ``R = 0``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -33,23 +33,26 @@ if TYPE_CHECKING:
     from repro.core.preprocess import PreprocessPlan
 
 
-@dataclass(frozen=True)
 class ClusterStream:
-    """A phase's non-zeros grouped by the plan cluster that streams them.
+    """A phase's rows grouped by the plan cluster that streams them.
 
-    Cluster ``i`` (the plan's ``i``-th) streams the rows labelled like its
-    nodes in ``cluster_of_node``, in row order, so its non-zeros
-    ``cols[nnz_bounds[i]:nnz_bounds[i + 1]]`` keep the streaming order.
-    ``row_starts`` holds the offset of the first non-zero of every streamed
-    row that has one; cluster ``i``'s are ``row_starts[row_bounds[i]:
-    row_bounds[i + 1]]``.  Rows whose label no cluster carries stream
-    nowhere.
+    Cluster ``i`` streams ``rows[row_bounds[i]:row_bounds[i + 1]]``, in row
+    order: from a plan (:meth:`of`), the rows labelled like the plan's
+    ``i``-th cluster's nodes in ``cluster_of_node``.  ``offsets[j]`` is the
+    stream position of streamed row ``j``'s first non-zero and
+    ``offsets[-1]`` the stream's length, so cluster ``i``'s non-zeros are
+    stream positions ``nnz_bounds[i]`` to ``nnz_bounds[i + 1]``.  Rows whose
+    label no cluster carries stream nowhere.  The stream keeps no column
+    per non-zero: :meth:`columns` gathers a range of streamed rows' columns
+    from the LHS, and :meth:`blocks` walks one cluster a row block at a time.
     """
 
-    cols: np.ndarray
-    nnz_bounds: np.ndarray
-    row_starts: np.ndarray
-    row_bounds: np.ndarray
+    def __init__(self, lhs: CSRMatrix, rows: np.ndarray, row_bounds: np.ndarray) -> None:
+        self.lhs = lhs
+        self.rows = rows
+        self.row_bounds = row_bounds
+        self.offsets = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(lhs.indptr[rows + 1] - lhs.indptr[rows], out=self.offsets[1:])
 
     @classmethod
     def of(
@@ -71,34 +74,38 @@ class ClusterStream:
         cluster_of_label = np.full(int(cluster_of_node.max(initial=-1)) + 1, num_clusters)
         cluster_of_label[labels[named]] = named
         cluster_of_row = cluster_of_label[cluster_of_node]
-
-        # A stable sort keeps each cluster's rows ascending; their non-zeros
-        # are gathered a row block at a time, each block with one fancy
-        # index (an arange shifted per row).
+        # A stable sort keeps each cluster's rows ascending.
         row_order = np.argsort(cluster_of_row, kind="stable")
         row_bounds = np.concatenate(
             [[0], np.cumsum(np.bincount(cluster_of_row, minlength=num_clusters + 1))]
         )[: num_clusters + 1]
-        streamed = row_order[: row_bounds[-1]]
-        starts = lhs.indptr[streamed]
-        lengths = lhs.indptr[streamed + 1] - starts
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        if np.array_equal(streamed, np.arange(lhs.n_rows)):
-            cols = lhs.indices
-        else:
-            cols = np.empty(int(offsets[-1]), dtype=lhs.indices.dtype)
-            for lo, hi in blocks.row_blocks(offsets):
-                take = np.repeat(starts[lo:hi] - offsets[lo:hi], lengths[lo:hi])
-                take += np.arange(offsets[lo], offsets[hi])
-                cols[offsets[lo] : offsets[hi]] = lhs.indices[take]
-        touched = lengths > 0
-        touched_before = np.concatenate([[0], np.cumsum(touched)])
-        return cls(
-            cols=cols,
-            nnz_bounds=offsets[row_bounds],
-            row_starts=offsets[:-1][touched],
-            row_bounds=touched_before[row_bounds],
+        return cls(lhs, row_order[: row_bounds[-1]], row_bounds)
+
+    @property
+    def nnz_bounds(self) -> np.ndarray:
+        """The stream position where each cluster's non-zeros begin, and the end."""
+        return self.offsets[self.row_bounds]
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """The columns of streamed rows ``lo`` to ``hi - 1``, in stream order:
+        one fancy index of the LHS's columns (an arange shifted per row)."""
+        offsets = self.offsets
+        take = np.repeat(
+            self.lhs.indptr[self.rows[lo:hi]] - offsets[lo:hi], np.diff(offsets[lo : hi + 1])
         )
+        take += np.arange(offsets[lo], offsets[hi])
+        return self.lhs.indices[take]
+
+    def blocks(self, cluster: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Cluster ``cluster``'s non-zeros, one row block of at most
+        ``BLOCK_ENTRIES`` of them at a time: each block's columns, and the
+        positions in them where its rows with a non-zero begin."""
+        lo = int(self.row_bounds[cluster])
+        offsets = self.offsets[lo : self.row_bounds[cluster + 1] + 1]
+        for first, last in blocks.row_blocks(offsets):
+            starts = offsets[first:last] - offsets[first]
+            touched = offsets[first + 1 : last + 1] > offsets[first:last]
+            yield self.columns(lo + first, lo + last), starts[touched]
 
 
 @dataclass(frozen=True)
@@ -113,28 +120,23 @@ class ClusterCounts:
     filled_rows: np.ndarray
 
 
-def _stream_ranks(
-    lhs: CSRMatrix,
-    cluster_of_node: np.ndarray,
-    clusters: list[np.ndarray],
-    hdn_lists: list[np.ndarray],
-    longest: int,
-) -> tuple[ClusterStream, np.ndarray, np.ndarray]:
-    """The stream, every streamed non-zero's rank and every streamed row's
+def _ranked_blocks(
+    stream: ClusterStream, hdn_lists: list[np.ndarray], longest: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """``(cluster, ranks, row maxima)`` of each row block of each cluster's
+    non-zeros: every streamed non-zero's rank and every streamed row's
     largest rank, with ``longest`` standing for "not listed"."""
-    if len(hdn_lists) != len(clusters):
+    if len(hdn_lists) != stream.row_bounds.size - 1:
         raise ValueError("a plan needs exactly one HDN list per cluster")
     listed = [ids for ids in hdn_lists if ids.size]
     if listed and min(int(ids.min()) for ids in listed) < 0:
         raise ValueError("HDN node ids must be non-negative")
-    stream = ClusterStream.of(lhs, cluster_of_node, clusters)
     dtype = np.int32 if longest < np.iinfo(np.int32).max else np.int64
-    width = max([lhs.n_cols] + [int(ids.max()) + 1 for ids in listed])
+    width = max([stream.lhs.n_cols] + [int(ids.max()) + 1 for ids in listed])
     rank_of_col = np.full(width, longest, dtype=dtype)
-    ranks = np.full(stream.cols.size, longest, dtype=dtype)
+    nnz_bounds = stream.nnz_bounds
     for cluster, ids in enumerate(hdn_lists):
-        lo, hi = stream.nnz_bounds[cluster], stream.nnz_bounds[cluster + 1]
-        if ids.size == 0 or lo == hi:
+        if nnz_bounds[cluster] == nnz_bounds[cluster + 1]:
             continue
         # One shared column-indexed table, loaded with this cluster's list
         # and cleared after: each cluster looks up its own list only.
@@ -144,27 +146,16 @@ def _stream_ranks(
             # A repeated id: the column's rank is its first occurrence.
             distinct, first = np.unique(ids, return_index=True)
             rank_of_col[distinct] = first
-        ranks[lo:hi] = rank_of_col[stream.cols[lo:hi]]
+        for cols, row_starts in stream.blocks(cluster):
+            ranks = rank_of_col[cols]
+            yield cluster, ranks, np.maximum.reduceat(ranks, row_starts)
         rank_of_col[ids] = longest
-    return stream, ranks, np.maximum.reduceat(ranks, stream.row_starts)
 
 
-def _below(values: np.ndarray, longest: int) -> np.ndarray:
-    """``[R] -> how many values are below R``, for ``R = 0 .. longest``.
-
-    Counted a block at a time: ``np.bincount`` copies narrower integers to
-    ``intp`` first, and the values are as many as a phase's non-zeros.
-    """
-    histogram = np.zeros(longest + 1, dtype=np.int64)
-    for lo, hi in blocks.spans(values.size):
-        histogram += np.bincount(values[lo:hi], minlength=longest + 1)
-    return np.concatenate([[0], np.cumsum(histogram[:longest])]).astype(np.int64)
-
-
-def _segment_sums(flags: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Set flags per segment ``flags[bounds[i]:bounds[i + 1]]``."""
-    before = np.concatenate([[0], np.cumsum(flags)]).astype(np.int64)
-    return before[bounds[1:]] - before[bounds[:-1]]
+def _below(histogram: np.ndarray) -> np.ndarray:
+    """``[R] -> how many values are below R``, for ``R = 0 .. longest``, from
+    the values' histogram over ``0 .. longest``."""
+    return np.concatenate([[0], np.cumsum(histogram[:-1])]).astype(np.int64)
 
 
 class HDNProfile:
@@ -172,10 +163,12 @@ class HDNProfile:
 
     Hits, rows with a miss and prefetched rows at any capacity are lookups
     in tables indexed by ``R``: O(longest list + clusters) integers, never
-    an array per non-zero nor one per (cluster, list slot).  Per-cluster
-    counts take one more pass the first time a capacity is asked for, and
-    are kept.  The profile refers to the plan's arrays, not to the plan,
-    which memoises it (:meth:`PreprocessPlan.hdn_profile`).
+    an array per non-zero nor one per (cluster, list slot).  Both the build
+    and the per-cluster counts walk the stream a row block at a time
+    (:meth:`ClusterStream.blocks`); per-cluster counts take one more walk
+    the first time a capacity is asked for, and are kept.  The profile
+    refers to the plan's arrays, not to the plan, which memoises it
+    (:meth:`PreprocessPlan.hdn_profile`).
     """
 
     def __init__(self, lhs: CSRMatrix, plan: "PreprocessPlan") -> None:
@@ -183,14 +176,21 @@ class HDNProfile:
         self._plan_arrays = (plan.cluster_of_node, plan.clusters, plan.hdn_lists)
         self.list_sizes = np.array([ids.size for ids in plan.hdn_lists], dtype=np.int64)
         self.longest = int(self.list_sizes.max(initial=0))
-        stream, ranks, row_max = _stream_ranks(lhs, *self._plan_arrays, self.longest)
+        stream = ClusterStream.of(lhs, plan.cluster_of_node, plan.clusters)
+        # Histograms over 0 .. longest, counted a block at a time.
+        hits = np.zeros(self.longest + 1, dtype=np.int64)
+        rows = np.zeros(self.longest + 1, dtype=np.int64)
+        for _cluster, ranks, row_max in _ranked_blocks(stream, plan.hdn_lists, self.longest):
+            hits += np.bincount(ranks, minlength=self.longest + 1)
+            rows += np.bincount(row_max, minlength=self.longest + 1)
         self.cluster_nnz = np.diff(stream.nnz_bounds)
-        self.nnz = int(stream.cols.size)
-        self.touched_rows = int(row_max.size)
-        self._hits_below = _below(ranks, self.longest)
-        self._rows_below = _below(row_max, self.longest)
+        self.nnz = int(stream.offsets[-1])
+        self.touched_rows = int(rows.sum())
+        self._hits_below = _below(hits)
+        self._rows_below = _below(rows)
         # sum(min(size, R)) adds, for each r < R, the lists longer than r.
-        longer = self.list_sizes.size - _below(self.list_sizes, self.longest)[1:]
+        sizes_below = _below(np.bincount(self.list_sizes, minlength=self.longest + 1))
+        longer = self.list_sizes.size - sizes_below[1:]
         self._fill_below = np.concatenate([[0], np.cumsum(longer)]).astype(np.int64)
         self._per_cluster: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         metrics.inc("grow.hdn_profile.builds")
@@ -214,11 +214,14 @@ class HDNProfile:
         """Per-cluster counts at ``cache_rows`` pinned rows."""
         capped = self._capped(cache_rows)
         if capped not in self._per_cluster:
-            stream, ranks, row_max = _stream_ranks(self.lhs, *self._plan_arrays, self.longest)
-            self._per_cluster[capped] = (
-                _segment_sums(ranks < capped, stream.nnz_bounds),
-                _segment_sums(row_max >= capped, stream.row_bounds),
-            )
+            cluster_of_node, clusters, hdn_lists = self._plan_arrays
+            stream = ClusterStream.of(self.lhs, cluster_of_node, clusters)
+            hits = np.zeros(len(clusters), dtype=np.int64)
+            rows_with_miss = np.zeros(len(clusters), dtype=np.int64)
+            for cluster, ranks, row_max in _ranked_blocks(stream, hdn_lists, self.longest):
+                hits[cluster] += np.count_nonzero(ranks < capped)
+                rows_with_miss[cluster] += np.count_nonzero(row_max >= capped)
+            self._per_cluster[capped] = (hits, rows_with_miss)
         hits, rows_with_miss = self._per_cluster[capped]
         return ClusterCounts(
             nnz=self.cluster_nnz,

@@ -17,10 +17,11 @@ from typing import Callable, Hashable, TypeVar
 
 import numpy as np
 
-from repro.core.hdn_profile import HDNProfile
+from repro.core.hdn_profile import ClusterStream, HDNProfile
 from repro.graph.graph import Graph
 from repro.graph.partition import PartitionResult, partition_graph
 from repro.obs import trace
+from repro.sparse import blocks
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.unique import sorted_unique
 
@@ -168,42 +169,45 @@ class GrowPreprocessor:
             clusters=partition.num_clusters,
             nodes=adjacency.n_rows,
         ):
-            assignment = partition.assignment
-            num_clusters = partition.num_clusters
             # Group nodes by cluster with one stable argsort: within a cluster
             # the stable sort preserves ascending node ids, so each slice
             # equals the ``np.where(assignment == cluster_id)`` scan it
             # replaces.
-            node_order = np.argsort(assignment, kind="stable")
-            sizes = np.bincount(assignment, minlength=num_clusters)
+            node_order = np.argsort(partition.assignment, kind="stable")
+            sizes = np.bincount(partition.assignment, minlength=partition.num_clusters)
             bounds = np.concatenate([[0], np.cumsum(sizes)])
-
-            # Derive every cluster's HDN list in one batched pass: count
-            # distinct (cluster, column) reference pairs, then order candidates
-            # per cluster by (count desc, column asc) — the exact order the
-            # per-cluster ``np.argsort(-counts, kind="stable")`` produced —
-            # and keep the top ``hdn_list_capacity`` of each.
+            stream = ClusterStream(adjacency, node_order, bounds)
+            nnz_bounds = stream.nnz_bounds
             n_cols = adjacency.n_cols
-            row_of_nnz = np.repeat(np.arange(adjacency.n_rows), np.diff(adjacency.indptr))
-            pair_keys = assignment[row_of_nnz] * n_cols + adjacency.indices
-            unique_pairs, pair_counts = np.unique(pair_keys, return_counts=True)
-            pair_cluster = unique_pairs // n_cols
-            pair_col = unique_pairs % n_cols
-            candidate_order = np.lexsort((pair_col, -pair_counts, pair_cluster))
-            cand_cluster = pair_cluster[candidate_order]
-            cand_col = pair_col[candidate_order]
-            cand_bounds = np.searchsorted(cand_cluster, np.arange(num_clusters + 1))
-
             clusters: list[np.ndarray] = []
             hdn_lists: list[np.ndarray] = []
-            for cluster_id in range(num_clusters):
-                nodes = node_order[bounds[cluster_id] : bounds[cluster_id + 1]].astype(np.int64)
-                if nodes.size == 0:
-                    continue
-                clusters.append(nodes)
-                start = cand_bounds[cluster_id]
-                end = min(cand_bounds[cluster_id + 1], start + self.hdn_list_capacity)
-                hdn_lists.append(cand_col[start:end].astype(np.int64))
+            # Count distinct (cluster, column) reference pairs one block of
+            # whole clusters at a time, order each cluster's candidates by
+            # (count desc, column asc) — the order the per-cluster
+            # ``np.argsort(-counts, kind="stable")`` produced — and keep the
+            # top ``hdn_list_capacity`` of each.
+            for lo, hi in blocks.row_blocks(nnz_bounds):
+                cols = stream.columns(bounds[lo], bounds[hi])
+                local = np.repeat(np.arange(hi - lo), np.diff(nnz_bounds[lo : hi + 1]))
+                pairs, counts = sorted_unique(local * n_cols + cols, return_counts=True)
+                pair_cluster = pairs // n_cols
+                # One sort of a packed (cluster, top - count, column) key, one
+                # distinct key per pair: below ``(hi - lo) * top * n_cols``,
+                # and top is at most a block's entries unless the block is
+                # one cluster.
+                top = counts.max(initial=0)
+                key = (pair_cluster * top + (top - counts)) * n_cols + pairs % n_cols
+                order = np.argsort(key, kind="stable")
+                candidates = pairs[order] % n_cols
+                cand_bounds = np.searchsorted(pair_cluster[order], np.arange(hi - lo + 1))
+                for local_id in range(hi - lo):
+                    nodes = node_order[bounds[lo + local_id] : bounds[lo + local_id + 1]]
+                    if nodes.size == 0:
+                        continue
+                    clusters.append(nodes.astype(np.int64))
+                    start = cand_bounds[local_id]
+                    end = min(cand_bounds[local_id + 1], start + self.hdn_list_capacity)
+                    hdn_lists.append(candidates[start:end].astype(np.int64))
         return PreprocessPlan(
             num_nodes=adjacency.n_rows,
             cluster_of_node=partition.assignment.copy(),

@@ -12,7 +12,7 @@ from repro.energy.energy_model import (
     EnergyParameters,
     estimate_energy,
 )
-from repro.energy.sram_model import SRAMEnergyModel, sram_access_energy_pj, sram_leakage_mw
+from repro.energy.sram_model import SRAMEnergyModel, sram_access_energy_pj
 from repro.energy.area import (
     AreaBreakdown,
     AreaModel,
@@ -27,7 +27,6 @@ __all__ = [
     "estimate_energy",
     "SRAMEnergyModel",
     "sram_access_energy_pj",
-    "sram_leakage_mw",
     "AreaBreakdown",
     "AreaModel",
     "GCNAX_AREA_MM2_40NM",

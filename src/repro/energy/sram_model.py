@@ -1,13 +1,13 @@
 """CACTI-like SRAM energy model.
 
 The paper uses CACTI at 45 nm for SRAM dynamic and leakage power.  We use a
-small analytical stand-in: dynamic energy per access grows roughly with the
-square root of the capacity (bit-line/word-line length), leakage power grows
-linearly with capacity.  Absolute constants are anchored to commonly quoted
-CACTI 45 nm numbers (a 64-byte read of an 8 KB SRAM costs about 20 pJ;
-leakage is about 1 mW per 32 KB), which keeps on-chip accesses roughly an
-order of magnitude cheaper per byte than DRAM — the relationship the paper's
-Figure 22 energy breakdown relies on.
+small analytical stand-in for the dynamic energy: energy per access grows
+roughly with the square root of the capacity (bit-line/word-line length).
+The constants are anchored to commonly quoted CACTI 45 nm numbers (a 64-byte
+read of an 8 KB SRAM costs about 20 pJ), which keeps on-chip accesses
+roughly an order of magnitude cheaper per byte than DRAM — the relationship
+the paper's Figure 22 energy breakdown relies on.  Leakage is integrated
+over runtime from the chip's area (:mod:`repro.energy.energy_model`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ KB = 1024
 _REFERENCE_CAPACITY_BYTES = 8 * KB
 _REFERENCE_ACCESS_BYTES = 64
 _REFERENCE_ACCESS_ENERGY_PJ = 20.0
-_REFERENCE_LEAKAGE_MW_PER_KB = 1.0 / 32.0
 
 
 def sram_access_energy_pj(capacity_bytes: int, access_bytes: int = 64) -> float:
@@ -35,13 +34,6 @@ def sram_access_energy_pj(capacity_bytes: int, access_bytes: int = 64) -> float:
     geometry_scale = math.sqrt(capacity_bytes / _REFERENCE_CAPACITY_BYTES)
     width_scale = access_bytes / _REFERENCE_ACCESS_BYTES
     return _REFERENCE_ACCESS_ENERGY_PJ * geometry_scale * width_scale
-
-
-def sram_leakage_mw(capacity_bytes: int) -> float:
-    """Leakage power of an SRAM of the given capacity, in milliwatts."""
-    if capacity_bytes <= 0:
-        return 0.0
-    return _REFERENCE_LEAKAGE_MW_PER_KB * (capacity_bytes / KB)
 
 
 @dataclass(frozen=True)

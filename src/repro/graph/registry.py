@@ -30,7 +30,7 @@ the scenario dict, not in registration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 #: Synthetic-graph generator families a scenario may name (dispatched by
 #: :func:`repro.graph.datasets.load_dataset`).

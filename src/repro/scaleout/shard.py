@@ -47,6 +47,7 @@ from repro.core.preprocess import PreprocessPlan
 from repro.graph.graph import Graph
 from repro.graph.partition import partition_graph
 from repro.obs import metrics
+from repro.sparse import blocks
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.unique import sorted_unique
 
@@ -154,7 +155,8 @@ class ClusterCoupling:
 
     Chips own whole clusters, so a non-zero that crosses chips also crosses
     clusters: the distinct cross-cluster pairs below are all a shard plan
-    reads of the adjacency, and they are far fewer than its non-zeros.
+    reads of the adjacency, and they are far fewer than its non-zeros.  The
+    adjacency is read a row block at a time.
 
     Attributes:
         cluster_of_node: dense cluster id (plan order) of every node.
@@ -179,17 +181,24 @@ class ClusterCoupling:
         self.cluster_nnz = np.bincount(
             self.cluster_of_node, weights=row_nnz, minlength=num_clusters
         )
-        row_cluster = np.repeat(self.cluster_of_node, row_nnz)
-        col_cluster = self.cluster_of_node[adjacency.indices]
-        cross = row_cluster != col_cluster
-        rows = np.repeat(np.arange(n), row_nnz)[cross]
-        cols = adjacency.indices[cross]
-        row_cluster, col_cluster = row_cluster[cross], col_cluster[cross]
-        self.halo_pairs = sorted_unique(row_cluster * n + cols)
-        self.partial_pairs = sorted_unique(col_cluster * n + rows)
+        # Each row block's distinct cross-cluster keys; one sorted-unique of
+        # their concatenation merges them.
+        halo, partial, coupled = [], [], []
+        for rows, cols in blocks.entries(adjacency.indptr, adjacency.indices):
+            row_cluster = self.cluster_of_node[rows]
+            col_cluster = self.cluster_of_node[cols]
+            cross = row_cluster != col_cluster
+            rows, cols = rows[cross], cols[cross]
+            row_cluster, col_cluster = row_cluster[cross], col_cluster[cross]
+            halo.append(sorted_unique(row_cluster * n + cols))
+            partial.append(sorted_unique(col_cluster * n + rows))
+            coupled.append(sorted_unique(row_cluster * num_clusters + col_cluster))
+        empty = [np.empty(0, dtype=np.int64)]
+        self.halo_pairs = sorted_unique(np.concatenate(empty + halo))
+        self.partial_pairs = sorted_unique(np.concatenate(empty + partial))
         # Distinct (src, dst) cluster pairs in lexicographic order, as one
         # int64 key each.
-        keys = sorted_unique(row_cluster * num_clusters + col_cluster)
+        keys = sorted_unique(np.concatenate(empty + coupled))
         self.cluster_graph = Graph(
             num_nodes=num_clusters,
             src=keys // num_clusters,

@@ -1,10 +1,11 @@
 """Block-wise passes: scratch of a fixed size, whatever the input's size.
 
-The cold path's inputs are as long as a graph's edge count (an adjacency's
-non-zeros, a batch of candidate edges), and an array of temporaries that
-long per pass is what sets a pass's memory.  A pass that walks its input
-in blocks of :data:`BLOCK_ENTRIES` entries holds its output and
-block-sized scratch instead.
+The cold path's inputs and the simulators' are as long as a graph's edge
+count (an adjacency's non-zeros, a batch of candidate edges, a feature
+pattern's cells), and an array of temporaries that long per pass is what
+sets a pass's memory.  A pass that walks its input in blocks of
+:data:`BLOCK_ENTRIES` entries holds its output and block-sized scratch
+instead.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 #: Entries (or cells) a block-wise pass handles at once: the one block size
-#: of the cold path's passes, read at call time.
+#: of every block-wise pass, read at call time.
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -37,3 +38,10 @@ def row_blocks(indptr: np.ndarray) -> Iterator[tuple[int, int]]:
         hi = min(max(hi, lo + 1), num_rows)
         yield lo, hi
         lo = hi
+
+
+def entries(indptr: np.ndarray, indices: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """A CSR's non-zeros as ``(rows, columns)`` arrays, one row block at a time."""
+    for lo, hi in row_blocks(indptr):
+        rows = np.repeat(np.arange(lo, hi), np.diff(indptr[lo : hi + 1]))
+        yield rows, indices[indptr[lo] : indptr[hi]]

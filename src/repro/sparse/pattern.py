@@ -5,8 +5,8 @@ simulators read X's per-row non-zero counts; only GCNAX's tile statistics
 read where the non-zeros are, and nothing reads what they hold.  A
 :class:`SparsityPattern` keeps exactly that: ``indptr`` and the cells
 packed one bit each, ``ceil(F / 8)`` bytes a row, where a CSR's int64
-column indices take 8 bytes per non-zero.  The column indices are derived
-from the bits where positions are read, and never kept.
+column indices take 8 bytes per non-zero.  The tile statistics unpack the
+bits one block of rows at a time; no column index array is ever kept.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from repro.sparse import blocks
 
 if TYPE_CHECKING:
     from repro.sparse.tiling import TileProfile
@@ -101,25 +99,6 @@ class SparsityPattern:
     def row_nnz(self) -> np.ndarray:
         """Number of non-zeros in each row."""
         return np.diff(self.indptr)
-
-    @property
-    def indices(self) -> np.ndarray:
-        """Column index of each non-zero, in CSR order: derived on every read.
-
-        Unpacks the bits one row block of at most ``BLOCK_ENTRIES`` cells
-        at a time into an array allocated once at its final size, 8 bytes
-        per non-zero, which the pattern does not keep.
-        """
-        n_rows, n_cols = self.shape
-        indices = np.empty(self.nnz, dtype=np.int64)
-        block_rows = max(1, blocks.BLOCK_ENTRIES // max(1, n_cols))
-        for start in range(0, n_rows, block_rows):
-            stop = min(start + block_rows, n_rows)
-            kept = np.unpackbits(self.bits[start:stop], axis=1, count=n_cols).view(bool)
-            np.remainder(
-                np.flatnonzero(kept), n_cols, out=indices[self.indptr[start]:self.indptr[stop]]
-            )
-        return indices
 
     def select_rows(self, row_ids: np.ndarray) -> "SparsityPattern":
         """The pattern of the given rows, in order."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import metrics
+from repro.sparse import blocks
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import SparsityPattern
 from repro.sparse.unique import run_starts, sorted_unique
@@ -63,27 +64,45 @@ class TileStatistics:
 def tile_statistics(
     matrix: CSRMatrix | SparsityPattern, tile_rows: int, tile_cols: int
 ) -> TileStatistics:
-    """Occupied tiles, their non-zeros and their distinct columns, in one sort.
+    """Occupied tiles, their non-zeros and their distinct columns, a strip block at a time.
 
-    The non-zeros are keyed by (row strip, column) and sorted once.  The
-    distinct keys are the distinct (tile, column) pairs and their run lengths
-    the non-zeros of each pair; the pairs' tile ids are non-decreasing, so
-    runs of equal tile id give each tile's distinct columns and, summed, its
-    non-zeros.  Never materialises the full grid, so it stays O(nnz log nnz)
-    even when the grid has billions of cells (million-node graphs with small
-    tiles).  An empty matrix yields empty arrays.  A pattern's column
-    indices are derived for the call and dropped after it.
+    Tiles never span row strips, so the matrix is walked in blocks of whole
+    strips (:func:`repro.sparse.blocks.row_blocks` over the strips' non-zero
+    offsets; a strip with more than a block's entries is a block of its
+    own) and the blocks' results concatenate in tile order.  In a block,
+    the non-zeros are keyed by (row strip, column) and sorted once.  The
+    distinct keys are the distinct (tile, column) pairs and their run
+    lengths the non-zeros of each pair; the pairs' tile ids are
+    non-decreasing, so runs of equal tile id give each tile's distinct
+    columns and, summed, its non-zeros.  Never materialises the grid, nor
+    an array as long as the matrix's non-zeros: a pattern's columns are
+    unpacked one block of strips at a time.  An empty matrix yields empty
+    arrays.
     """
     _grid_rows, grid_cols = tile_grid_shape(matrix.shape, tile_rows, tile_cols)
-    n_cols = np.int64(matrix.n_cols)
-    strip = np.repeat(np.arange(matrix.n_rows, dtype=np.int64) // tile_rows, matrix.row_nnz())
-    pairs, pair_nnz = sorted_unique(strip * n_cols + matrix.indices, return_counts=True)
-    pair_tile = (pairs // n_cols) * grid_cols + (pairs % n_cols) // tile_cols
-    starts = run_starts(pair_tile)
+    n_rows, n_cols = matrix.shape
+    strip_rows = np.append(np.arange(0, n_rows, tile_rows), n_rows)
+    strip_indptr = matrix.indptr[strip_rows]
+    empty = np.empty(0, dtype=np.int64)
+    tile_ids, nnz_per_tile, distinct_cols = [empty], [empty], [empty]
+    for lo, hi in blocks.row_blocks(strip_indptr):
+        first, last = strip_rows[lo], strip_rows[hi]
+        if isinstance(matrix, SparsityPattern):
+            kept = np.unpackbits(matrix.bits[first:last], axis=1, count=n_cols).view(bool)
+            cols = np.flatnonzero(kept) % n_cols
+        else:
+            cols = matrix.indices[matrix.indptr[first] : matrix.indptr[last]]
+        strip = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(strip_indptr[lo : hi + 1]))
+        pairs, pair_nnz = sorted_unique(strip * n_cols + cols, return_counts=True)
+        pair_tile = (pairs // n_cols) * grid_cols + (pairs % n_cols) // tile_cols
+        starts = run_starts(pair_tile)
+        tile_ids.append(pair_tile[starts])
+        nnz_per_tile.append(np.add.reduceat(pair_nnz, starts))
+        distinct_cols.append(np.diff(starts, append=pair_tile.size))
     return TileStatistics(
-        tile_ids=pair_tile[starts],
-        nnz_per_tile=np.add.reduceat(pair_nnz, starts),
-        distinct_cols_per_tile=np.diff(starts, append=pair_tile.size),
+        tile_ids=np.concatenate(tile_ids),
+        nnz_per_tile=np.concatenate(nnz_per_tile),
+        distinct_cols_per_tile=np.concatenate(distinct_cols),
     )
 
 

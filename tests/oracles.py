@@ -30,7 +30,9 @@ with the Python sweep over fresh-int adjacency lists that the partitioner's
 block-decided walk over the CSR replaced.
 
 :func:`pattern_of` packs a CSR's stored positions into the
-:class:`~repro.sparse.pattern.SparsityPattern` a bundle keeps for X.
+:class:`~repro.sparse.pattern.SparsityPattern` a bundle keeps for X, and
+:func:`pattern_indices` unpacks a pattern's column indices back, all of
+them at once.
 
 The cold-path construction references hold whole-length scratch where the
 code they were replaced by holds block-sized scratch: the normalisation
@@ -45,6 +47,18 @@ replayed over an ``OrderedDict`` (GAMMA's fiber cache and GROW's
 demand-based HDN cache replay through ``functools.lru_cache``), and GCNAX's
 phase priced tile by tile in floating point from the full tile statistics
 (the simulator prices a memoised tile-size histogram in integers).
+
+The model passes' references hold scratch as long as a matrix's non-zeros
+where the simulators walk row blocks: the tile statistics from one sort of
+every non-zero's (strip, column) key (:func:`tile_statistics_reference`),
+HyGCN's window count over every non-zero at once
+(:func:`window_hits_reference`), the cluster coupling from whole-matrix
+cross-cluster masks (:class:`ClusterCouplingReference`), and HDN selection
+from one ``np.unique`` and a three-key ``np.lexsort`` over every
+(cluster, column) pair (:func:`plan_from_partition_reference`).
+
+:func:`sram_leakage_mw` is the SRAM leakage model the energy model no
+longer reads.
 
 The scale-out references are the chip path the engine replaced: each chip
 row-slices the workloads (:func:`chip_workloads`) and renumbers its clusters
@@ -73,17 +87,19 @@ from repro.accelerators.workload import LayerWorkload, SpDeGemmPhase
 from repro.core.accelerator import ClusterStats
 from repro.core.config import GrowConfig
 from repro.core.multi_pe import greedy_longest_first
-from repro.core.preprocess import PreprocessPlan
+from repro.core.preprocess import GrowPreprocessor, PreprocessPlan
 from repro.core.runahead import RunaheadModel
+from repro.energy.sram_model import KB
 from repro.gcn.layer import GCNLayer, GCNModel
 from repro.gcn.ops_count import LayerMacCounts, mac_count_a_xw, mac_count_ax_w
 from repro.graph.generators import _edgeless_graph
 from repro.graph.graph import Graph
-from repro.graph.partition import partition_graph
+from repro.graph.partition import PartitionResult, partition_graph
 from repro.scaleout.shard import SHARD_METHODS, ChipShard, ShardPlan
+from repro.sparse import blocks
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import SparsityPattern
-from repro.sparse.tiling import tile_statistics
+from repro.sparse.tiling import TileStatistics, tile_grid_shape
 from repro.sparse.unique import run_starts, sorted_unique
 
 
@@ -546,7 +562,7 @@ def gcnax_phase_reference(config: GCNAXConfig, phase: SpDeGemmPhase) -> PhaseSta
     rhs_row_bytes = phase.rhs_row_bytes
     rhs_row_lines = -(-rhs_row_bytes // granularity)
 
-    tiles = tile_statistics(phase.sparse, config.tile_rows, config.tile_cols)
+    tiles = tile_statistics_reference(phase.sparse, config.tile_rows, config.tile_cols)
     requested_sparse = tiles.total_nnz * NNZ_BYTES
     if tiles.num_tiles:
         per_tile_bytes = np.maximum(
@@ -720,6 +736,149 @@ def pattern_of(csr: CSRMatrix) -> SparsityPattern:
     mask[np.repeat(np.arange(csr.n_rows), csr.row_nnz()), csr.indices] = True
     indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
     return SparsityPattern(shape=csr.shape, indptr=indptr, bits=np.packbits(mask, axis=1))
+
+
+def pattern_indices(pattern: SparsityPattern) -> np.ndarray:
+    """Column index of each non-zero of ``pattern``, in CSR order.
+
+    Unpacks the bits one row block of at most ``BLOCK_ENTRIES`` cells at a
+    time into an array allocated once at its final size, 8 bytes per
+    non-zero.
+    """
+    n_rows, n_cols = pattern.shape
+    indices = np.empty(pattern.nnz, dtype=np.int64)
+    block_rows = max(1, blocks.BLOCK_ENTRIES // max(1, n_cols))
+    for start in range(0, n_rows, block_rows):
+        stop = min(start + block_rows, n_rows)
+        kept = np.unpackbits(pattern.bits[start:stop], axis=1, count=n_cols).view(bool)
+        np.remainder(
+            np.flatnonzero(kept), n_cols, out=indices[pattern.indptr[start]:pattern.indptr[stop]]
+        )
+    return indices
+
+
+def tile_statistics_reference(
+    matrix: CSRMatrix | SparsityPattern, tile_rows: int, tile_cols: int
+) -> TileStatistics:
+    """Occupied tiles, their non-zeros and their distinct columns, in one sort.
+
+    The non-zeros are keyed by (row strip, column) and sorted once.  The
+    distinct keys are the distinct (tile, column) pairs and their run lengths
+    the non-zeros of each pair; the pairs' tile ids are non-decreasing, so
+    runs of equal tile id give each tile's distinct columns and, summed, its
+    non-zeros.  A pattern's column indices are derived for the call.
+    """
+    _grid_rows, grid_cols = tile_grid_shape(matrix.shape, tile_rows, tile_cols)
+    indices = matrix.indices if isinstance(matrix, CSRMatrix) else pattern_indices(matrix)
+    n_cols = np.int64(matrix.n_cols)
+    strip = np.repeat(np.arange(matrix.n_rows, dtype=np.int64) // tile_rows, matrix.row_nnz())
+    pairs, pair_nnz = sorted_unique(strip * n_cols + indices, return_counts=True)
+    pair_tile = (pairs // n_cols) * grid_cols + (pairs % n_cols) // tile_cols
+    starts = run_starts(pair_tile)
+    return TileStatistics(
+        tile_ids=pair_tile[starts],
+        nnz_per_tile=np.add.reduceat(pair_nnz, starts),
+        distinct_cols_per_tile=np.diff(starts, append=pair_tile.size),
+    )
+
+
+def window_hits_reference(adjacency: CSRMatrix, window_rows: int) -> int:
+    """HyGCN's window-cache hits from every non-zero's row at once."""
+    row_of_nnz = np.repeat(np.arange(adjacency.n_rows), adjacency.row_nnz())
+    in_window = np.abs(adjacency.indices - row_of_nnz) < window_rows
+    return int(in_window.sum())
+
+
+class ClusterCouplingReference:
+    """A plan's cluster coupling from whole-matrix arrays: every non-zero's
+    row and column cluster and their cross-cluster mask at once."""
+
+    def __init__(self, adjacency: CSRMatrix, plan: PreprocessPlan) -> None:
+        n = adjacency.n_rows
+        num_clusters = plan.num_clusters
+        sizes = np.array([members.size for members in plan.clusters], dtype=np.int64)
+        self.cluster_of_node = np.zeros(n, dtype=np.int64)
+        self.cluster_of_node[
+            np.concatenate([np.empty(0, dtype=np.int64)] + plan.clusters)
+        ] = np.repeat(np.arange(num_clusters), sizes)
+        row_nnz = adjacency.row_nnz()
+        self.cluster_nnz = np.bincount(
+            self.cluster_of_node, weights=row_nnz, minlength=num_clusters
+        )
+        row_cluster = np.repeat(self.cluster_of_node, row_nnz)
+        col_cluster = self.cluster_of_node[adjacency.indices]
+        cross = row_cluster != col_cluster
+        rows = np.repeat(np.arange(n), row_nnz)[cross]
+        cols = adjacency.indices[cross]
+        row_cluster, col_cluster = row_cluster[cross], col_cluster[cross]
+        self.halo_pairs = sorted_unique(row_cluster * n + cols)
+        self.partial_pairs = sorted_unique(col_cluster * n + rows)
+        # Distinct (src, dst) cluster pairs in lexicographic order, as one
+        # int64 key each.
+        keys = sorted_unique(row_cluster * num_clusters + col_cluster)
+        self.cluster_graph = Graph(
+            num_nodes=num_clusters,
+            src=keys // num_clusters,
+            dst=keys % num_clusters,
+            name="cluster-graph",
+            undirected=False,
+        )
+
+
+def plan_from_partition_reference(
+    preprocessor: GrowPreprocessor, adjacency: CSRMatrix, partition: PartitionResult
+) -> PreprocessPlan:
+    """HDN selection over every non-zero at once: one ``np.unique`` of the
+    (cluster, column) keys and one three-key ``np.lexsort`` of the pairs."""
+    assignment = partition.assignment
+    num_clusters = partition.num_clusters
+    node_order = np.argsort(assignment, kind="stable")
+    sizes = np.bincount(assignment, minlength=num_clusters)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+
+    # Count distinct (cluster, column) reference pairs, then order candidates
+    # per cluster by (count desc, column asc) and keep the top
+    # ``hdn_list_capacity`` of each.
+    n_cols = adjacency.n_cols
+    row_of_nnz = np.repeat(np.arange(adjacency.n_rows), np.diff(adjacency.indptr))
+    pair_keys = assignment[row_of_nnz] * n_cols + adjacency.indices
+    unique_pairs, pair_counts = np.unique(pair_keys, return_counts=True)
+    pair_cluster = unique_pairs // n_cols
+    pair_col = unique_pairs % n_cols
+    candidate_order = np.lexsort((pair_col, -pair_counts, pair_cluster))
+    cand_cluster = pair_cluster[candidate_order]
+    cand_col = pair_col[candidate_order]
+    cand_bounds = np.searchsorted(cand_cluster, np.arange(num_clusters + 1))
+
+    clusters: list[np.ndarray] = []
+    hdn_lists: list[np.ndarray] = []
+    for cluster_id in range(num_clusters):
+        nodes = node_order[bounds[cluster_id] : bounds[cluster_id + 1]].astype(np.int64)
+        if nodes.size == 0:
+            continue
+        clusters.append(nodes)
+        start = cand_bounds[cluster_id]
+        end = min(cand_bounds[cluster_id + 1], start + preprocessor.hdn_list_capacity)
+        hdn_lists.append(cand_col[start:end].astype(np.int64))
+    return PreprocessPlan(
+        num_nodes=adjacency.n_rows,
+        cluster_of_node=partition.assignment.copy(),
+        clusters=clusters,
+        hdn_lists=hdn_lists,
+        hdn_list_capacity=preprocessor.hdn_list_capacity,
+        partitioned=True,
+    )
+
+
+#: Leakage of the SRAM model's 45 nm anchor: about 1 mW per 32 KB.
+_REFERENCE_LEAKAGE_MW_PER_KB = 1.0 / 32.0
+
+
+def sram_leakage_mw(capacity_bytes: int) -> float:
+    """Leakage power of an SRAM of the given capacity, in milliwatts."""
+    if capacity_bytes <= 0:
+        return 0.0
+    return _REFERENCE_LEAKAGE_MW_PER_KB * (capacity_bytes / KB)
 
 
 def normalized_adjacency_reference(graph: Graph) -> CSRMatrix:

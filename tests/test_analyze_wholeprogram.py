@@ -17,14 +17,12 @@ import sys
 from pathlib import Path
 from typing import Any
 
-import pytest
-
 from repro.analyze import run_check
 from repro.analyze.callgraph import graph_for, pool_entry_points
 from repro.analyze.cli import main as check_main
 from repro.analyze.contracts import DEFAULT_CONFIG
 from repro.analyze.project import Project
-from repro.analyze.sarif import SARIF_VERSION, sarif_report, write_sarif
+from repro.analyze.sarif import SARIF_VERSION, sarif_report
 from repro.analyze.rules import select_rules
 
 from test_analyze import REAL_ROOT, make_tree, rules_of

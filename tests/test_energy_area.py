@@ -9,7 +9,9 @@ from repro.energy.area import (
     scale_area,
 )
 from repro.energy.energy_model import EnergyBreakdown, EnergyParameters, estimate_energy
-from repro.energy.sram_model import SRAMEnergyModel, sram_access_energy_pj, sram_leakage_mw
+from repro.energy.sram_model import SRAMEnergyModel, sram_access_energy_pj
+
+from oracles import sram_leakage_mw
 
 KB = 1024
 

@@ -42,11 +42,25 @@ So are the baselines' replacements: the ``functools.lru_cache`` replay of
 :func:`repro.accelerators.gamma.simulate_lru_hits` against the
 ``OrderedDict`` loop (``oracles.lru_hits_reference``), on heavy-reuse
 streams at capacities around their distinct count and length and far past
-``sys.maxsize``, and on every Table I stream GAMMA and GROW's LRU HDN cache
-replay; and GCNAX priced from its memoised tile profile against the per-tile
-float pricing over the full tile statistics
-(``oracles.gcnax_phase_reference``), on hypothesis matrices with duplicate
-entries and on every Table I LHS, at three DRAM access granularities.
+``sys.maxsize``, fed in blocks of every patched size, and on every Table I
+stream GAMMA and GROW's LRU HDN cache replay; and GCNAX priced from its
+memoised tile profile against the per-tile float pricing over the full tile
+statistics (``oracles.gcnax_phase_reference``), on hypothesis matrices with
+duplicate entries and on every Table I LHS, at three DRAM access
+granularities.
+
+The model passes walk row blocks, and each is checked against the one-shot
+formulation it replaced with ``repro.sparse.blocks.BLOCK_ENTRIES`` patched
+to 1, 7 and 4096, so rows, strips and clusters longer than a block occur:
+the strip-block tile statistics against ``oracles.tile_statistics_reference``
+(CSR and patterns, widths not a multiple of 8, tiles that do not divide the
+matrix), the cluster coupling against ``oracles.ClusterCouplingReference``,
+HyGCN's window count against ``oracles.window_hits_reference``, and HDN
+selection against ``oracles.plan_from_partition_reference`` (empty clusters,
+rows without a non-zero, duplicate entries, capacities down to 0), on
+hypothesis inputs and every Table I bundle.  The HDN profile, its
+per-cluster counts and GROW's LRU replay walk a cluster's stream a row block
+at a time, checked against the per-cluster cache loop above.
 """
 
 from __future__ import annotations
@@ -65,11 +79,11 @@ from hypothesis.extra import numpy as hnp
 from repro.accelerators.base import NNZ_BYTES, AcceleratorConfig, AcceleratorResult
 from repro.accelerators.gamma import GAMMAConfig, simulate_lru_hits
 from repro.accelerators.gcnax import GCNAXConfig, GCNAXSimulator
-from repro.accelerators.hygcn import HyGCNSimulator, _nonzero_fraction
+from repro.accelerators.hygcn import HyGCNSimulator, _nonzero_fraction, _window_hits
 from repro.accelerators.workload import SpDeGemmPhase
 from repro.core.accelerator import GrowSimulator
 from repro.core.config import GrowConfig
-from repro.core.preprocess import PreprocessPlan
+from repro.core.preprocess import GrowPreprocessor, PreprocessPlan
 from repro.gcn.features import (
     generate_feature_matrix,
     generate_feature_pattern,
@@ -78,6 +92,7 @@ from repro.gcn.features import (
 from repro.graph import generators, registry
 from repro.graph.datasets import DATASET_NAMES, load_dataset
 from repro.graph.graph import Graph
+from repro.graph.partition import PartitionResult
 from repro.harness import default_config
 from repro.harness.config import ExperimentConfig
 from repro.harness.workloads import get_bundle
@@ -96,6 +111,7 @@ from repro.sparse.pattern import SparsityPattern
 from repro.sparse.tiling import tile_profile
 
 from oracles import (
+    ClusterCouplingReference,
     COOMatrix,
     HDNIdList,
     build_shard_plan_reference,
@@ -106,10 +122,14 @@ from oracles import (
     local_plan,
     lru_hits_reference,
     normalized_adjacency_reference,
+    pattern_indices,
     pattern_of,
+    plan_from_partition_reference,
     rmat_graph_reference,
     sample_batch_reference,
     streaming_phase_reference,
+    tile_statistics_reference,
+    window_hits_reference,
 )
 
 
@@ -125,9 +145,10 @@ def oracle_tile_statistics(sparse, tile_rows, tile_cols):
     if row_of_nnz.size == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty
-    tile_id = (row_of_nnz // tile_rows) * grid_cols + sparse.indices // tile_cols
+    indices = sparse.indices if isinstance(sparse, CSRMatrix) else pattern_indices(sparse)
+    tile_id = (row_of_nnz // tile_rows) * grid_cols + indices // tile_cols
     occupied, nnz_per_tile = np.unique(tile_id, return_counts=True)
-    unique_pairs = np.unique(tile_id * np.int64(n_cols) + sparse.indices)
+    unique_pairs = np.unique(tile_id * np.int64(n_cols) + indices)
     distinct_per_tile = np.searchsorted(occupied, unique_pairs // np.int64(n_cols))
     distinct = np.bincount(distinct_per_tile, minlength=occupied.size)
     return occupied, nnz_per_tile.astype(np.int64), distinct.astype(np.int64)
@@ -200,7 +221,7 @@ def assert_pattern_identical(pattern: SparsityPattern, expected: CSRMatrix) -> N
     assert isinstance(pattern, SparsityPattern)
     assert pattern.shape == expected.shape
     assert_identical(pattern.indptr, expected.indptr)
-    assert_identical(pattern.indices, expected.indices)
+    assert_identical(pattern_indices(pattern), expected.indices)
 
 
 def assert_tiles_match_oracle(sparse, tile_rows, tile_cols) -> None:
@@ -248,7 +269,9 @@ def plan_of_labels(labels: np.ndarray, num_clusters: int | None = None) -> Prepr
 
 
 def assert_lru_matches_reference(stream: np.ndarray, capacity) -> None:
-    assert simulate_lru_hits(stream, capacity) == lru_hits_reference(stream, capacity)
+    """The stream fed in blocks of ``BLOCK_ENTRIES``, as GAMMA feeds it."""
+    column_blocks = (stream[lo:hi] for lo, hi in blocks.spans(stream.size))
+    assert simulate_lru_hits(column_blocks, capacity) == lru_hits_reference(stream, capacity)
 
 
 def assert_gcnax_matches_per_tile_pricing(phase, tile_rows, tile_cols, granularity) -> None:
@@ -269,6 +292,33 @@ def assert_gcnax_matches_per_tile_pricing(phase, tile_rows, tile_cols, granulari
     )
     # Sparse bytes, tile count, mean and distinct columns all reach PhaseStats.
     assert GCNAXSimulator(config).run_phase(phase) == gcnax_phase_reference(config, phase)
+
+
+def assert_tile_statistics_identical(actual, expected) -> None:
+    assert_identical(actual.tile_ids, expected.tile_ids)
+    assert_identical(actual.nnz_per_tile, expected.nnz_per_tile)
+    assert_identical(actual.distinct_cols_per_tile, expected.distinct_cols_per_tile)
+
+
+def assert_couplings_identical(coupling, expected) -> None:
+    for name in ("cluster_of_node", "cluster_nnz", "halo_pairs", "partial_pairs"):
+        assert_identical(getattr(coupling, name), getattr(expected, name))
+    assert_identical(coupling.cluster_graph.src, expected.cluster_graph.src)
+    assert_identical(coupling.cluster_graph.dst, expected.cluster_graph.dst)
+
+
+def assert_plans_identical(plan: PreprocessPlan, expected: PreprocessPlan) -> None:
+    assert (plan.num_nodes, plan.hdn_list_capacity, plan.partitioned) == (
+        expected.num_nodes,
+        expected.hdn_list_capacity,
+        expected.partitioned,
+    )
+    assert_identical(plan.cluster_of_node, expected.cluster_of_node)
+    assert len(plan.clusters) == len(expected.clusters) == len(plan.hdn_lists)
+    for actual, reference in zip(
+        plan.clusters + plan.hdn_lists, expected.clusters + expected.hdn_lists
+    ):
+        assert_identical(actual, reference)
 
 
 def rows_config(rows: int, row_bytes: int, **overrides) -> GrowConfig:
@@ -303,9 +353,11 @@ def csr_matrices(draw, max_dim: int = 24, shape: tuple[int, int] | None = None):
 
 
 @st.composite
-def csr_with_duplicates(draw, max_dim: int = 24):
+def csr_with_duplicates(draw, max_dim: int = 24, shape: tuple[int, int] | None = None):
     """Matrices whose rows repeat columns, in any order."""
-    n_rows, n_cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    if shape is None:
+        shape = (draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim)))
+    n_rows, n_cols = shape
     columns = st.lists(st.integers(0, n_cols - 1), max_size=10) if n_cols else st.just([])
     rows = [draw(columns) for _ in range(n_rows)]
     indptr = np.concatenate([[0], np.cumsum([len(row) for row in rows], dtype=np.int64)])
@@ -368,6 +420,9 @@ def clustered_plans(draw):
 
 
 tile_dims = st.integers(1, 30)
+#: Block sizes a block-wise model pass is checked at: one entry, a few, and
+#: more than any drawn matrix holds.
+block_sizes = st.sampled_from([1, 7, 4096])
 int64_keys = hnp.arrays(
     np.int64,
     st.integers(0, 200),
@@ -432,13 +487,14 @@ def test_gcnax_tile_profile_pricing_matches_per_tile_loop(
     assert_gcnax_matches_per_tile_pricing(phase, tile_rows, tile_cols, granularity)
 
 
-@given(lru_streams())
-@example((np.empty(0, dtype=np.int64), [0, 1, 2**70, np.int64(3)]))
+@given(lru_streams(), block_sizes)
+@example((np.empty(0, dtype=np.int64), [0, 1, 2**70, np.int64(3)]), 1)
 @settings(max_examples=300, deadline=None)
-def test_lru_replay_matches_ordered_dict(case):
+def test_lru_replay_matches_ordered_dict(case, block_entries):
     stream, capacities = case
-    for capacity in capacities:
-        assert_lru_matches_reference(stream, capacity)
+    with mock.patch.object(blocks, "BLOCK_ENTRIES", block_entries):
+        for capacity in capacities:
+            assert_lru_matches_reference(stream, capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +526,7 @@ def test_hdn_lookup_matches_isin(ids, columns):
     st.integers(1, 4),
     st.sampled_from(["pinned", "lru"]),
     st.booleans(),
-    st.sampled_from([1, 3, 1 << 16]),
+    block_sizes,
 )
 @settings(max_examples=300, deadline=None)
 def test_hdn_profile_matches_cache_loop(case, rows, rhs_cols, replacement, enabled, block_entries):
@@ -550,6 +606,67 @@ def test_shard_plans_match_the_per_chip_count_scan(case):
         build_shard_plan(graph, plan, num_chips, method=method),
         build_shard_plan_reference(graph, plan, num_chips, method=method),
     )
+
+
+# ---------------------------------------------------------------------------
+# Model passes in row blocks vs the one-shot formulations they replaced
+
+
+@given(csr_matrices() | csr_with_duplicates(), tile_dims, tile_dims, block_sizes)
+@example(dense_to_csr(np.zeros((0, 3))), 4, 4, 7)
+@example(dense_to_csr(np.ones((5, 9))), 2, 4, 1)
+@example(dense_to_csr(np.ones((9, 13))), 4, 5, 7)
+@settings(max_examples=300, deadline=None)
+def test_tile_statistics_in_strip_blocks_match_one_sort(
+    sparse, tile_rows, tile_cols, block_entries
+):
+    """Strips longer than a block, widths not a multiple of 8 and tiles that
+    do not divide the matrix; a CSR (duplicates allowed) and a pattern."""
+    pattern = pattern_of(sparse)
+    with mock.patch.object(blocks, "BLOCK_ENTRIES", block_entries):
+        for matrix in (sparse, pattern):
+            assert_tile_statistics_identical(
+                tile_statistics(matrix, tile_rows, tile_cols),
+                tile_statistics_reference(matrix, tile_rows, tile_cols),
+            )
+
+
+@given(csr_matrices() | csr_with_duplicates(), st.integers(0, 30), block_sizes)
+@settings(max_examples=200, deadline=None)
+def test_hygcn_window_hits_in_row_blocks_match_every_nonzero_at_once(sparse, window, block_entries):
+    with mock.patch.object(blocks, "BLOCK_ENTRIES", block_entries):
+        assert _window_hits(sparse, window) == window_hits_reference(sparse, window)
+
+
+@given(clustered_adjacency(), block_sizes)
+@settings(max_examples=200, deadline=None)
+def test_cluster_coupling_in_row_blocks_matches_whole_matrix_masks(case, block_entries):
+    adjacency, cluster_of_node = case
+    plan = plan_of_labels(cluster_of_node, 6)
+    with mock.patch.object(blocks, "BLOCK_ENTRIES", block_entries):
+        coupling = ClusterCoupling(adjacency, plan)
+    assert_couplings_identical(coupling, ClusterCouplingReference(adjacency, plan))
+
+
+@st.composite
+def partitions(draw):
+    """A square adjacency (rows may repeat columns, or hold none) and a
+    partition whose cluster ids may go unused, with an HDN list capacity."""
+    n = draw(st.integers(0, 20))
+    adjacency = draw(csr_matrices(shape=(n, n)) | csr_with_duplicates(shape=(n, n)))
+    num_clusters = draw(st.integers(1, 8))
+    assignment = draw(hnp.arrays(np.int64, n, elements=st.integers(0, num_clusters - 1)))
+    return adjacency, PartitionResult(assignment, num_clusters), draw(st.integers(0, 8))
+
+
+@given(partitions(), block_sizes)
+@settings(max_examples=300, deadline=None)
+def test_hdn_selection_in_cluster_blocks_matches_unique_and_lexsort(case, block_entries):
+    adjacency, partition, capacity = case
+    preprocessor = GrowPreprocessor(hdn_list_capacity=capacity)
+    with mock.patch.object(blocks, "BLOCK_ENTRIES", block_entries):
+        plan = preprocessor.plan_from_partition(adjacency, partition)
+    assert_plans_identical(plan, plan_from_partition_reference(preprocessor, adjacency, partition))
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +824,31 @@ def test_table1_tile_statistics_match_oracle(bundle, tile):
     for layer in bundle.workloads:
         for phase in layer.phases:
             assert_tiles_match_oracle(phase.sparse, *tile)
+            assert_tile_statistics_identical(
+                tile_statistics(phase.sparse, *tile), tile_statistics_reference(phase.sparse, *tile)
+            )
+
+
+def test_table1_hdn_selection_matches_unique_and_lexsort(bundle):
+    adjacency = bundle.dataset.graph.adjacency()
+    labels = bundle.plan.cluster_of_node
+    partition = PartitionResult(labels, int(labels.max()) + 1)
+    preprocessor = GrowPreprocessor(hdn_list_capacity=bundle.plan.hdn_list_capacity)
+    assert_plans_identical(
+        preprocessor.plan_from_partition(adjacency, partition),
+        plan_from_partition_reference(preprocessor, adjacency, partition),
+    )
+
+
+def test_table1_model_passes_match_the_one_shot_references(bundle):
+    """The coupling and the window count at the default block size."""
+    adjacency = bundle.dataset.graph.adjacency()
+    assert_couplings_identical(
+        ClusterCoupling(adjacency, bundle.plan), ClusterCouplingReference(adjacency, bundle.plan)
+    )
+    normalized = bundle.workloads[0].aggregation.sparse
+    window = default_config().hygcn_config().edge_window_rows
+    assert _window_hits(normalized, window) == window_hits_reference(normalized, window)
 
 
 @pytest.mark.parametrize("tile", [(32, 32), (16, 64)])
@@ -732,10 +874,11 @@ def test_table1_lru_replays_match_ordered_dict(bundle):
     # capacity, which layers with equal capacities share).
     replayed = []
 
-    def checked(cols, cache_rows):
+    def checked(column_blocks, cache_rows):
+        cols = np.concatenate([np.empty(0, dtype=np.int64)] + list(column_blocks))
         assert_lru_matches_reference(cols, cache_rows)
         replayed.append(cols.size)
-        return simulate_lru_hits(cols, cache_rows)
+        return simulate_lru_hits([cols], cache_rows)
 
     # A fresh copy of the plan: the bundle plan memoises its replays.
     plan = dataclasses.replace(bundle.plan)

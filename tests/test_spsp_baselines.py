@@ -41,28 +41,28 @@ def test_matraptor_run_model(scaled_arch, small_workloads):
 
 def test_lru_all_hits_when_capacity_large():
     stream = np.array([1, 2, 3, 1, 2, 3, 1, 2, 3])
-    hits, misses = simulate_lru_hits(stream, capacity_rows=10)
+    hits, misses = simulate_lru_hits([stream], capacity_rows=10)
     assert misses == 3  # compulsory misses only
     assert hits == 6
 
 
 def test_lru_all_misses_when_no_capacity():
     stream = np.array([1, 1, 1])
-    hits, misses = simulate_lru_hits(stream, capacity_rows=0)
+    hits, misses = simulate_lru_hits([stream], capacity_rows=0)
     assert hits == 0
     assert misses == 3
 
 
 def test_lru_eviction_order():
     # Capacity 2: the stream 1,2,3,1 evicts 1 before it is reused.
-    hits, misses = simulate_lru_hits(np.array([1, 2, 3, 1]), capacity_rows=2)
+    hits, misses = simulate_lru_hits([np.array([1, 2, 3, 1])], capacity_rows=2)
     assert hits == 0
     assert misses == 4
 
 
 def test_lru_recency_matters():
     # Capacity 2: 1,2,1,3,1 keeps 1 resident through re-references.
-    hits, misses = simulate_lru_hits(np.array([1, 2, 1, 3, 1]), capacity_rows=2)
+    hits, misses = simulate_lru_hits([np.array([1, 2, 1, 3, 1])], capacity_rows=2)
     assert hits == 2
 
 
